@@ -138,7 +138,11 @@ impl Transport<'_> {
             Transport::InProcess(pool) => Reply::from_response(pool.submit(req.clone()).wait()),
             Transport::Shard(router) => Reply::from_wire(router.submit(req.clone()).wait().trim()),
             Transport::Stream { write, read } => {
-                if let Err(e) = writeln!(write, "{}", req.to_json_string()) {
+                // One write per request line, newline included: a separate
+                // `\n` segment would wait on Nagle for the server's ACK.
+                let mut wire = req.to_json_string();
+                wire.push('\n');
+                if let Err(e) = write.write_all(wire.as_bytes()) {
                     return Reply::Error(format!("wire write: {e}"));
                 }
                 let mut line = String::new();
@@ -292,6 +296,7 @@ fn spawn_shard_backend(pool_config: &PoolConfig) -> LocalBackend {
             let Ok(stream) = stream else { break };
             let served = served.clone();
             std::thread::spawn(move || {
+                stream.set_nodelay(true).expect("set TCP_NODELAY");
                 let reader = BufReader::new(stream.try_clone().expect("clone stream"));
                 let _ = serve_stream(reader, &stream, &*served);
             });
@@ -388,6 +393,7 @@ fn main() {
                 for _ in 0..n {
                     let (stream, _) = listener.accept().expect("accept client");
                     scope.spawn(move || {
+                        stream.set_nodelay(true).expect("set TCP_NODELAY");
                         let reader = BufReader::new(stream.try_clone().expect("clone stream"));
                         serve_stream(reader, &stream, pool).expect("serve stream");
                     });
@@ -408,6 +414,7 @@ fn main() {
                         (None, None) => Transport::InProcess(pool),
                         (None, Some(addr)) => {
                             let write = TcpStream::connect(addr).expect("connect");
+                            write.set_nodelay(true).expect("set TCP_NODELAY");
                             let read = BufReader::new(write.try_clone().expect("clone"));
                             Transport::Stream { write, read }
                         }

@@ -473,8 +473,10 @@ pub struct MatrixPlan {
     pub scales: Vec<u32>,
     /// Backends to run.
     pub backends: Vec<Backend>,
-    /// Serve-pool workers. With 1 (the default) each cycle cell's
-    /// `wall_ns` is an uncontended submit→reply round trip; more workers
+    /// Serve-pool workers. A row's cycle cells are all submitted at once
+    /// and each cell's `wall_ns` runs from its own submit to its reply, so
+    /// with 1 worker (the default) it includes the wait behind the row's
+    /// earlier-submitted cells, not only the cell's own job. More workers
     /// fan a workload×scale's cycle cells out concurrently, trading
     /// wall-clock fidelity for throughput.
     pub workers: usize,
@@ -596,8 +598,8 @@ fn run_cells(run: &mut MatrixRun, pool: &ServePool, plan: &MatrixPlan, w: &Workl
         Ok(()) => {
             // Fan the row's cycle cells across the pool: submit every
             // ticket, then collect in canonical order. Each cell's wall
-            // clock starts at its own submit — with one worker that is an
-            // uncontended round trip.
+            // clock starts at its own submit, so with one worker it also
+            // counts the queue wait behind the cells submitted before it.
             let tickets: Vec<_> = cycle_backends
                 .iter()
                 .map(|&b| {

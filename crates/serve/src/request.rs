@@ -111,11 +111,18 @@ impl SimRequest {
     ///
     /// # Errors
     ///
-    /// Returns a message for unknown workload names or invalid machine
-    /// shapes.
+    /// Returns a message for unknown workload names, invalid machine
+    /// shapes, or images smaller than 2×2 (Upsample's half-size input
+    /// would have no pixels).
     pub fn instantiate(&self) -> Result<(Session, Workload), String> {
         let config = self.machine_config();
         config.validate()?;
+        if self.width < 2 || self.height < 2 {
+            return Err(format!(
+                "image {}x{} is too small: width and height must be at least 2",
+                self.width, self.height
+            ));
+        }
         let scale = WorkloadScale { width: self.width, height: self.height };
         let workload = workload_by_name(&self.workload, scale)
             .ok_or_else(|| format!("unknown workload {:?}", self.workload))?;
@@ -216,8 +223,8 @@ impl SimRequest {
             .to_string();
         Ok(Self {
             workload,
-            width: get_u64(v, "width", d.width as u64)? as u32,
-            height: get_u64(v, "height", d.height as u64)? as u32,
+            width: get_u32(v, "width", d.width)?,
+            height: get_u32(v, "height", d.height)?,
             cubes: get_u64(v, "cubes", d.cubes as u64)? as usize,
             vaults: get_u64(v, "vaults", d.vaults as u64)? as usize,
             engine: match v.get("engine").map(|e| e.as_str().ok_or("engine must be a string")) {
@@ -375,6 +382,13 @@ fn get_u64(v: &json::Value, key: &str, default: u64) -> Result<u64, String> {
     }
 }
 
+/// [`get_u64`] for a field stored as `u32`: a value past `u32::MAX` is an
+/// error, never silently truncated.
+fn get_u32(v: &json::Value, key: &str, default: u32) -> Result<u32, String> {
+    let n = get_u64(v, key, default.into())?;
+    u32::try_from(n).map_err(|_| format!("{key} must be at most {}, got {n}", u32::MAX))
+}
+
 fn get_bool(v: &json::Value, key: &str, default: bool) -> Result<bool, String> {
     match v.get(key) {
         None => Ok(default),
@@ -482,6 +496,27 @@ mod tests {
         assert!(SimRequest::from_json_str(r#"{"workload":"Blur","width":-3}"#).is_err());
         assert!(SimRequest::from_json_str(r#"{"workload":"Blur","engine":"warp"}"#).is_err());
         assert!(SimRequest::from_json_str(r#"{"workload":"Blur","reorder":"yes"}"#).is_err());
+    }
+
+    #[test]
+    fn oversized_extents_are_rejected_not_truncated() {
+        // 2^32 + 64 must not wrap to a 64-pixel side.
+        for key in ["width", "height"] {
+            let line = format!(r#"{{"workload":"Blur","{key}":4294967360}}"#);
+            let err = SimRequest::from_json_str(&line).unwrap_err();
+            assert!(err.starts_with(key), "{err}");
+        }
+        let max = SimRequest::from_json_str(r#"{"workload":"Blur","width":4294967295}"#).unwrap();
+        assert_eq!(max.width, u32::MAX);
+    }
+
+    #[test]
+    fn instantiate_rejects_images_below_2x2() {
+        for (w, h) in [(64, 1), (1, 64), (0, 0)] {
+            let err = SimRequest::named("Upsample", w, h).instantiate().unwrap_err();
+            assert!(err.contains("too small"), "{w}x{h}: {err}");
+        }
+        assert!(SimRequest::named("Upsample", 2, 2).instantiate().is_ok());
     }
 
     #[test]

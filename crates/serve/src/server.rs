@@ -19,6 +19,12 @@
 //! offers: stdin/stdout (shell pipelines, test harnesses) and a
 //! `std::net::TcpListener` accept loop (one batch/stream per connection).
 //!
+//! Each response line reaches the transport in **one** write, newline
+//! included, and [`serve_tcp`] sets `TCP_NODELAY` on every connection.
+//! Writing the line and its `\n` separately sends two TCP segments: Nagle
+//! holds the second until the peer ACKs the first, and a peer that delays
+//! its ACK (~40 ms on Linux) stalls every response by that much.
+//!
 //! Both pacing modes are generic over a [`LineService`]: anything that
 //! admits a parsed request and eventually resolves it to one response
 //! line. [`ServePool`] is the local implementation; the `ipim-shard`
@@ -113,7 +119,7 @@ pub fn serve_batch<R: BufRead, W: Write, S: LineService>(
             Ok(p) => p.into_line(),
             Err(msg) => SimResponse::Error(format!("bad request: {msg}")).to_json_string(),
         };
-        writeln!(output, "{line}")?;
+        write_line(&mut output, line)?;
     }
     output.flush()?;
     Ok(summary)
@@ -167,7 +173,7 @@ where
                     SimResponse::Error(format!("bad request: {msg}")).to_json_string()
                 }
             };
-            writeln!(output, "{line}")?;
+            write_line(&mut output, line)?;
             // The per-response flush is the whole point of this mode.
             output.flush()?;
         }
@@ -175,10 +181,20 @@ where
     })
 }
 
+/// Hands one response line and its newline to the transport in a single
+/// write (see the module docs for the stall two writes cause on TCP).
+fn write_line<W: Write>(output: &mut W, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    output.write_all(line.as_bytes())
+}
+
 /// Accepts TCP connections forever, serving each as one ndjson batch — or,
 /// with `streaming`, in per-response-flush [`serve_stream`] mode (the
 /// client half-closes its write side to mark end-of-input either way).
-/// Connection errors are logged to stderr and do not stop the accept loop.
+/// Every accepted connection gets `TCP_NODELAY`: a client pipelining
+/// several requests must not see response *n*+1 held back until response
+/// *n* is acknowledged. Connection errors are logged to stderr and do not
+/// stop the accept loop.
 ///
 /// # Errors
 ///
@@ -191,12 +207,14 @@ pub fn serve_tcp<S: LineService>(
     for stream in listener.incoming() {
         let stream = stream?;
         let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into());
-        let reader = BufReader::new(stream.try_clone()?);
-        let served = if streaming {
-            serve_stream(reader, &stream, service)
-        } else {
-            serve_batch(reader, &stream, service)
-        };
+        let served = stream.set_nodelay(true).and_then(|()| {
+            let reader = BufReader::new(stream.try_clone()?);
+            if streaming {
+                serve_stream(reader, &stream, service)
+            } else {
+                serve_batch(reader, &stream, service)
+            }
+        });
         match served {
             Ok(s) => eprintln!(
                 "ipim_served: {peer}: {} request(s), {} parse error(s)",
@@ -285,6 +303,43 @@ this is not json\n\
             std::str::from_utf8(&stream_out).unwrap(),
             "pacing must not change the answers"
         );
+        pool.shutdown();
+    }
+
+    /// A transport that records every `write` call it is handed.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_line_reaches_the_transport_in_one_write() {
+        // A line and its newline in two writes become two TCP segments,
+        // and Nagle holds the second for the peer's delayed ACK.
+        let pool = ServePool::start(&PoolConfig { workers: 1, queue_depth: 4, cache_capacity: 4 });
+        let input = "{\"workload\":\"Brighten\"}\nnot json\n{\"workload\":\"Shift\"}\n";
+        let mut batch = CountingWriter::default();
+        serve_batch(input.as_bytes(), &mut batch, &pool).unwrap();
+        let mut stream = CountingWriter::default();
+        serve_stream(input.as_bytes(), &mut stream, &pool).unwrap();
+        for (mode, out) in [("batch", batch), ("stream", stream)] {
+            assert_eq!(out.writes.len(), 3, "{mode}: one write per response line");
+            for w in &out.writes {
+                assert_eq!(w.iter().filter(|&&b| b == b'\n').count(), 1, "{mode}: {w:?}");
+                assert_eq!(w.last(), Some(&b'\n'), "{mode}: the write must end the line");
+            }
+        }
         pool.shutdown();
     }
 

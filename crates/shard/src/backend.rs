@@ -108,6 +108,9 @@ struct Conn {
 impl Conn {
     fn open(shared: &Arc<Shared>, idx: usize) -> std::io::Result<Conn> {
         let stream = TcpStream::connect(&shared.backends[idx].addr)?;
+        // Up to `window` request lines are in flight at once: with Nagle
+        // on, line n+1 would wait for line n's (delayed) ACK.
+        stream.set_nodelay(true)?;
         let inflight = Arc::new(Inflight::new());
         let read_half = stream.try_clone()?;
         let reader = {

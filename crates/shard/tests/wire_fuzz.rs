@@ -8,6 +8,7 @@ mod common;
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
+use std::time::Duration;
 
 use common::spawn_backend;
 use ipim_serve::server::serve_batch;
@@ -37,9 +38,11 @@ fn gen_truncated() -> Gen<String> {
 
 /// Sends `line` plus one valid request over a fresh connection; returns
 /// both response lines. The second response proves the backend survived
-/// whatever the first line was.
+/// whatever the first line was; the read timeout turns a dead worker,
+/// which would never answer, into a failure instead of a hang.
 fn round_trip_pair(addr: &str, line: &str) -> (String, String) {
     let stream = TcpStream::connect(addr).expect("backend reachable");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
     let mut write_half = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
     write_half.write_all(line.as_bytes()).unwrap();
@@ -102,6 +105,29 @@ fn prop_shard_front_answers_garbage_without_dispatching() {
         );
     });
     router.shutdown();
+}
+
+#[test]
+fn extreme_sizes_are_answered_inband_and_the_worker_survives() {
+    // Well-formed but out of range: a side past u32::MAX must not wrap to
+    // a small image, and a side below 2 leaves Upsample's half-size input
+    // without pixels. The valid request behind each line proves the
+    // backend's only worker is still alive.
+    let backend = spawn_backend(1, 16);
+    for (line, expect) in [
+        (r#"{"workload":"Brighten","width":4294967360,"height":64}"#, "width must be at most"),
+        (r#"{"workload":"Brighten","width":64,"height":4294967360}"#, "height must be at most"),
+        (r#"{"workload":"Upsample","width":64,"height":1}"#, "too small"),
+        (r#"{"workload":"Brighten","width":1,"height":64}"#, "too small"),
+        (r#"{"workload":"Brighten","width":0,"height":0}"#, "too small"),
+    ] {
+        let (first, second) = round_trip_pair(&backend.addr, line);
+        assert!(
+            first.contains("\"status\":\"error\"") && first.contains(expect),
+            "{line} → {first}"
+        );
+        assert!(second.contains("\"status\":\"done\""), "backend died after {line}: {second}");
+    }
 }
 
 #[test]

@@ -123,7 +123,7 @@ impl fmt::Display for WorkloadFamily {
 }
 
 /// One benchmark instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Benchmark name as in the paper's figures.
     pub name: &'static str,
@@ -278,27 +278,34 @@ impl fmt::Display for ScheduleOverride {
     }
 }
 
-/// Every benchmark at the given scale: the ten Table II kernels in the
-/// paper's order, then the NN family, then the Video family.
+/// A workload constructor: builds one suite member at a scale.
+type Constructor = fn(WorkloadScale) -> Workload;
+
+/// The suite, one `(paper name, constructor)` entry per workload: the ten
+/// Table II kernels in the paper's order, then the NN family, then the
+/// Video family. Each name equals the `name` field its constructor sets.
+const SUITE: [(&str, Constructor); 16] = [
+    ("Brighten", single::brighten),
+    ("Blur", single::blur),
+    ("Downsample", single::downsample),
+    ("Upsample", single::upsample),
+    ("Shift", single::shift),
+    ("Histogram", single::histogram),
+    ("BilateralGrid", multi::bilateral_grid),
+    ("Interpolate", multi::interpolate),
+    ("LocalLaplacian", multi::local_laplacian),
+    ("StencilChain", multi::stencil_chain),
+    ("Gemm", nn::gemm),
+    ("Conv3x3", nn::conv3x3),
+    ("RowSoftmax", nn::row_softmax),
+    ("FrameDelta", video::frame_delta),
+    ("TemporalBlur", video::temporal_blur),
+    ("MotionEnergy", video::motion_energy),
+];
+
+/// Every benchmark at the given scale, in suite order.
 pub fn all_workloads(scale: WorkloadScale) -> Vec<Workload> {
-    vec![
-        single::brighten(scale),
-        single::blur(scale),
-        single::downsample(scale),
-        single::upsample(scale),
-        single::shift(scale),
-        single::histogram(scale),
-        multi::bilateral_grid(scale),
-        multi::interpolate(scale),
-        multi::local_laplacian(scale),
-        multi::stencil_chain(scale),
-        nn::gemm(scale),
-        nn::conv3x3(scale),
-        nn::row_softmax(scale),
-        video::frame_delta(scale),
-        video::temporal_blur(scale),
-        video::motion_energy(scale),
-    ]
+    SUITE.iter().map(|(_, build)| build(scale)).collect()
 }
 
 /// The workloads of one family, in [`all_workloads`] order.
@@ -306,9 +313,10 @@ pub fn workloads_in_family(family: WorkloadFamily, scale: WorkloadScale) -> Vec<
     all_workloads(scale).into_iter().filter(|w| w.family == family).collect()
 }
 
-/// Looks up one benchmark by its paper name.
+/// Looks up one benchmark by its paper name (case-insensitive) and builds
+/// only that workload, inputs included.
 pub fn workload_by_name(name: &str, scale: WorkloadScale) -> Option<Workload> {
-    all_workloads(scale).into_iter().find(|w| w.name.eq_ignore_ascii_case(name))
+    SUITE.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, build)| build(scale))
 }
 
 /// The widest legal 2-D tile for a `w`×`h` output on the 32-PE vault
@@ -434,9 +442,17 @@ mod tests {
 
     #[test]
     fn lookup_by_name_case_insensitive() {
-        assert!(workload_by_name("blur", WorkloadScale::tiny()).is_some());
-        assert!(workload_by_name("BLUR", WorkloadScale::tiny()).is_some());
-        assert!(workload_by_name("nope", WorkloadScale::tiny()).is_none());
+        // The lookup builds only the named workload; it must equal the
+        // suite's entry field for field: pipeline, inputs, stages, family
+        // and metadata.
+        let tiny = WorkloadScale::tiny();
+        for ((name, _), w) in SUITE.iter().zip(all_workloads(tiny)) {
+            assert_eq!(*name, w.name, "table name must match the built workload");
+            for spelling in [name.to_ascii_uppercase(), name.to_ascii_lowercase()] {
+                assert_eq!(workload_by_name(&spelling, tiny).as_ref(), Some(&w), "{spelling}");
+            }
+        }
+        assert!(workload_by_name("nope", tiny).is_none());
     }
 
     #[test]
