@@ -6,9 +6,9 @@
 //! It is the [`Fidelity::Approximate`](crate::Fidelity) tier behind
 //! [`Engine::Analytic`](crate::Engine): 100–1000× faster than the
 //! skip-ahead engine, with a bounded, continuously measured error
-//! (`tests/analytic_accuracy.rs` pins per-workload envelopes, and the
-//! `analytic_divergence` bench records drift into `results/figures.jsonl`
-//! where `bench_regress` gates it).
+//! (`tests/analytic_accuracy.rs` pins per-workload envelopes and fails on
+//! drift above the `skip_ahead`/`analytic` cell pairs committed in
+//! `results/matrix.jsonl`).
 //!
 //! # How it works
 //!
@@ -76,9 +76,9 @@ use crate::EnergyParams;
 ///
 /// Fitted (PR 7) by replaying the Table II workloads at 32²/64²/128²
 /// against the SkipAhead engine (`tests/analytic_accuracy.rs` pins the
-/// resulting per-workload envelopes; `analytic_divergence` re-measures
-/// them continuously). Change a constant here only together with a fresh
-/// divergence table.
+/// resulting per-workload envelopes and re-measures them on every test
+/// run). Change a constant here only together with a re-recorded
+/// `results/matrix.jsonl`, whose cell pairs are the divergence baseline.
 pub mod cal {
     /// Cycles between issuing an instruction and its functional unit
     /// starting (dispatch queues are drained at the *next* tick).

@@ -10,8 +10,8 @@
 //! not at least `--floor`× (default 100) faster, or if its cycle ranking
 //! of the wave disagrees with the bit-exact engine's ranking — the two
 //! properties the tuner's short-list depends on. CI runs this as a perf
-//! regression gate next to `engine_race`. Pass `--scale N` for an N×N
-//! input (default 64).
+//! regression gate; `bench_regress` races skip-ahead against legacy the
+//! same way. Pass `--scale N` for an N×N input (default 64).
 
 use std::time::Instant;
 

@@ -9,16 +9,21 @@
 //! machine speed but not simulator regressions.
 //!
 //! Exits non-zero when a gated entry's normalized `min_ns` regresses by
-//! more than the threshold (default 25 %).
+//! more than the threshold (default 25 %), or when the engine race fails:
+//! both kernels run StencilChain 128² on the same 1-vault slice, so
+//! skip-ahead's fresh `min_ns` must be strictly below legacy's and the two
+//! engines must report equal simulated cycles.
 //!
 //! ```text
 //! cargo run --release -p ipim-bench --bin bench_regress -- \
 //!     --baseline results/figures.jsonl [--threshold 25] [--fresh new.jsonl] \
-//!     [--serve-fresh serve.jsonl] [--analytic-fresh analytic.jsonl]
+//!     [--serve-fresh serve.jsonl] [--matrix matrix.jsonl]
 //! ```
 //!
 //! With `--fresh`, no measurement runs: the two files are diffed directly
-//! (useful for comparing two recorded runs).
+//! (useful for comparing two recorded runs), and the engine race is
+//! checked on the fresh file's entries. Entries without a `cycles` field
+//! (the bench-recorded ones) carry no cycles to compare.
 //!
 //! With `--serve-fresh`, `serve/throughput/*` and `shard/throughput/*`
 //! entries from a just-measured loadgen run are gated against the baseline
@@ -28,14 +33,6 @@
 //! numbers depend on physical parallelism in a way the single-core
 //! normalizer cannot correct for, so cross-machine comparisons are skipped
 //! with a message instead of producing false regressions.
-//!
-//! With `--analytic-fresh`, `analytic/divergence/*` entries from a
-//! just-recorded `analytic_divergence --record` run are gated against the
-//! committed calibration baseline: a workload whose divergence drifts
-//! more than 10 percentage points above its baseline fails the gate.
-//! Divergence is a property of the model, not of the machine, so no
-//! normalizer applies — this is the canary that fires when a future PR
-//! changes engine timing without recalibrating the analytic tier.
 //!
 //! With `--matrix`, a fresh `matrix.jsonl` (from `ipim-report`'s `matrix`
 //! bin) is gated against the committed `results/matrix.jsonl` (override
@@ -67,10 +64,8 @@ struct Entry {
     mix: Option<String>,
     /// Transport: "inproc" | "stream" | "shard" (absent = inproc).
     transport: String,
-    /// Analytic-vs-skip-ahead cycle divergence (analytic entries only).
-    divergence_pct: Option<f64>,
-    /// Image side the entry was recorded at (analytic entries only).
-    scale: Option<u64>,
+    /// Simulated cycles (engine entries this gate measured itself).
+    cycles: Option<u64>,
 }
 
 /// Parses a `results/figures.jsonl` file.
@@ -101,8 +96,7 @@ fn parse_jsonl(path: &str) -> Vec<Entry> {
                 .and_then(json::Value::as_str)
                 .unwrap_or("inproc")
                 .to_string(),
-            divergence_pct: v.get("divergence_pct").and_then(json::Value::as_f64),
-            scale: v.get("scale").and_then(json::Value::as_f64).map(|s| s as u64),
+            cycles: v.get("cycles").and_then(json::Value::as_f64).map(|c| c as u64),
         });
     }
     out
@@ -129,28 +123,51 @@ fn min_ns_of<R>(warmup: u32, iters: u32, mut f: impl FnMut() -> R) -> u64 {
 /// Measures fresh `min_ns` for the normalizer and both gated entries.
 fn measure_fresh() -> Vec<Entry> {
     let mut out = Vec::new();
-    let plain = |name: String, min_ns: u64| Entry {
+    let plain = |name: String, min_ns: u64, cycles: Option<u64>| Entry {
         name,
         min_ns,
         cores: None,
         mix: None,
         transport: "inproc".to_string(),
-        divergence_pct: None,
-        scale: None,
+        cycles,
     };
-    out.push(plain(NORMALIZER.to_string(), min_ns_of(3, 10, fig1)));
+    out.push(plain(NORMALIZER.to_string(), min_ns_of(3, 10, fig1), None));
     let scale = WorkloadScale { width: 128, height: 128 };
     let w = workload_by_name("StencilChain", scale).expect("Table II workload");
     for (label, engine) in [("legacy", Engine::Legacy), ("skip_ahead", Engine::SkipAhead)] {
         let session = Session::new(MachineConfig { engine, ..MachineConfig::vault_slice(1) });
+        let mut cycles = 0;
         let min = min_ns_of(1, 2, || {
             let o = session.run_workload(&w, 4_000_000_000).expect("run");
             verify_against_reference(&w, &o);
-            o.report.cycles
+            cycles = o.report.cycles;
         });
-        out.push(plain(format!("end_to_end/{label}"), min));
+        out.push(plain(format!("end_to_end/{label}"), min, Some(cycles)));
     }
     out
+}
+
+/// The engine race over the fresh `end_to_end/*` entries: skip-ahead's
+/// `min_ns` must be strictly below legacy's, and both must report the
+/// same cycles. Returns whether the race failed.
+fn gate_race(fresh: &[Entry]) -> bool {
+    let find = |name: &str| fresh.iter().find(|e| e.name == name);
+    let (Some(legacy), Some(skip)) = (find(GATED[0]), find(GATED[1])) else {
+        return false; // a missing entry already failed the per-entry gate
+    };
+    let faster = skip.min_ns < legacy.min_ns;
+    let agree = skip.cycles == legacy.cycles;
+    println!(
+        "{}: engine race: skip_ahead min_ns {} vs legacy {} ({:.2}x, must be > 1); \
+         cycles {:?} vs {:?} (must be equal)",
+        if faster && agree { "ok" } else { "FAIL" },
+        skip.min_ns,
+        legacy.min_ns,
+        legacy.min_ns as f64 / skip.min_ns.max(1) as f64,
+        skip.cycles,
+        legacy.cycles,
+    );
+    !(faster && agree)
 }
 
 /// Gates `serve/throughput/*` and `shard/throughput/*` entries: compares
@@ -198,61 +215,6 @@ fn gate_serve(baseline: &[Entry], serve_fresh: &[Entry], norm: f64, threshold_pc
             base.name, fresh.min_ns, expected
         );
         failed |= delta_pct > threshold_pct;
-    }
-    failed
-}
-
-/// How far (percentage points) a workload's analytic divergence may
-/// drift above its committed calibration baseline before the gate fails.
-const DIVERGENCE_DRIFT_PTS: f64 = 10.0;
-
-/// Gates `analytic/divergence/*` entries: every baseline workload×scale
-/// with a fresh re-measurement must stay within
-/// [`DIVERGENCE_DRIFT_PTS`] points of its committed divergence. Improved
-/// (lower) divergence always passes — only upward drift is a
-/// miscalibration signal. Returns whether any comparison failed.
-fn gate_analytic(baseline: &[Entry], fresh: &[Entry]) -> bool {
-    let mut failed = false;
-    let mut gated = 0;
-    for base in baseline.iter().filter(|e| e.name.starts_with("analytic/divergence/")) {
-        let Some(base_div) = base.divergence_pct else {
-            println!("skip: {}: baseline has no divergence_pct field", base.name);
-            continue;
-        };
-        let Some(f) = fresh.iter().find(|f| f.name == base.name && f.scale == base.scale) else {
-            println!("skip: {}: no fresh entry at scale {:?}", base.name, base.scale);
-            continue;
-        };
-        let Some(fresh_div) = f.divergence_pct else {
-            println!("skip: {}: fresh entry has no divergence_pct field", base.name);
-            continue;
-        };
-        gated += 1;
-        let drift = fresh_div - base_div;
-        let verdict = if drift > DIVERGENCE_DRIFT_PTS { "FAIL" } else { "ok" };
-        println!(
-            "{verdict}: {} (scale {}): divergence {fresh_div:.2}% vs baseline {base_div:.2}% \
-             ({drift:+.2} pts, gate +{DIVERGENCE_DRIFT_PTS:.0} pts)",
-            base.name,
-            base.scale.unwrap_or(0),
-        );
-        failed |= drift > DIVERGENCE_DRIFT_PTS;
-    }
-    // Loud-skip the other direction too: a fresh measurement with no
-    // committed baseline is a brand-new workload×scale (or a renamed one)
-    // — not a failure, but it must be visible so the calibration entry
-    // actually gets recorded rather than silently never gated.
-    for f in fresh.iter().filter(|e| e.name.starts_with("analytic/divergence/")) {
-        if !baseline.iter().any(|b| b.name == f.name && b.scale == f.scale) {
-            println!(
-                "skip: {} (scale {}): fresh entry has no committed baseline yet — record one",
-                f.name,
-                f.scale.unwrap_or(0),
-            );
-        }
-    }
-    if gated == 0 {
-        println!("skip: no comparable analytic/divergence entries on both sides");
     }
     failed
 }
@@ -347,7 +309,6 @@ fn main() {
     let mut baseline_path = "results/figures.jsonl".to_string();
     let mut fresh_path: Option<String> = None;
     let mut serve_fresh_path: Option<String> = None;
-    let mut analytic_fresh_path: Option<String> = None;
     let mut matrix_fresh_path: Option<String> = None;
     let mut matrix_baseline_path = "results/matrix.jsonl".to_string();
     let mut threshold_pct = 25.0f64;
@@ -358,7 +319,6 @@ fn main() {
             "--baseline" => baseline_path = val("--baseline"),
             "--fresh" => fresh_path = Some(val("--fresh")),
             "--serve-fresh" => serve_fresh_path = Some(val("--serve-fresh")),
-            "--analytic-fresh" => analytic_fresh_path = Some(val("--analytic-fresh")),
             "--matrix" => matrix_fresh_path = Some(val("--matrix")),
             "--matrix-baseline" => matrix_baseline_path = val("--matrix-baseline"),
             "--threshold" => {
@@ -366,8 +326,7 @@ fn main() {
             }
             other => panic!(
                 "unknown argument {other:?} (supported: --baseline FILE --fresh FILE \
-                 --serve-fresh FILE --analytic-fresh FILE --matrix FILE \
-                 --matrix-baseline FILE --threshold PCT)"
+                 --serve-fresh FILE --matrix FILE --matrix-baseline FILE --threshold PCT)"
             ),
         }
     }
@@ -420,13 +379,10 @@ fn main() {
         );
         failed |= delta_pct > threshold_pct;
     }
+    failed |= gate_race(&fresh);
 
     if let Some(p) = &serve_fresh_path {
         failed |= gate_serve(&baseline, &parse_jsonl(p), norm, threshold_pct);
-    }
-
-    if let Some(p) = &analytic_fresh_path {
-        failed |= gate_analytic(&baseline, &parse_jsonl(p));
     }
 
     if let Some(p) = &matrix_fresh_path {

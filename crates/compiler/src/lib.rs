@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 mod codegen;
-pub mod cost;
 mod histogram;
 pub mod host;
 pub mod kb;
@@ -43,7 +42,6 @@ use ipim_frontend::{Expr, FuncBody, FuncDef, Pipeline, SourceId};
 use ipim_isa::Program;
 
 use codegen::{pinned_dregs, MachineFacts, StageCtx};
-pub use cost::{estimate, CostEstimate};
 pub use layout::{BufferLayout, LayoutError, MemoryMap, TileGrid};
 pub use regalloc::{RegAllocError, RegAllocPolicy};
 pub use stagecache::{fnv1a, stage_cache_stats};

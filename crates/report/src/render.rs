@@ -4,9 +4,9 @@
 //! Inputs (all optional — a missing stream is a *loud skip*: the report
 //! names it and renders the remaining sections):
 //!
-//! * `matrix.jsonl` — the benchmark matrix ([`crate::matrix`]).
-//! * `figures.jsonl` — the recorded bench baselines, including the
-//!   `analytic/divergence/*` calibration entries.
+//! * `matrix.jsonl` — the benchmark matrix ([`crate::matrix`]); its
+//!   `skip_ahead`/`analytic` cell pairs also give the divergence table.
+//! * `figures.jsonl` — the recorded bench baselines.
 //! * `serve_fresh.jsonl` — serve/shard throughput soaks.
 //! * `tuning.jsonl` — autotuner `tune_eval`/`tune_best` records.
 //!
@@ -18,7 +18,9 @@
 //! against the committed `REPORT.md`.
 
 use std::path::Path;
+use std::sync::OnceLock;
 
+use ipim_core::analytic::divergence_pct;
 use ipim_core::trace::json;
 use ipim_core::{all_workloads, WorkloadScale};
 
@@ -28,14 +30,10 @@ use crate::matrix::{read_matrix, Backend, MatrixCell};
 /// the report uses; everything else is ignored).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FigLine {
-    /// Entry name (e.g. `analytic/divergence/Blur`).
+    /// Entry name (e.g. `serve/throughput/workers4`).
     pub name: String,
     /// Minimum (serve: p50) wall nanoseconds.
     pub min_ns: Option<f64>,
-    /// Analytic-vs-skip-ahead divergence (divergence entries only).
-    pub divergence_pct: Option<f64>,
-    /// Image side (divergence entries only).
-    pub scale: Option<u64>,
     /// Requests per second (throughput entries only).
     pub throughput_rps: Option<f64>,
     /// p99 latency (throughput entries only).
@@ -96,8 +94,6 @@ fn parse_fig_line(v: &json::Value) -> Option<FigLine> {
     Some(FigLine {
         name: v.get("name")?.as_str()?.to_string(),
         min_ns: v.get("min_ns").and_then(json::Value::as_f64),
-        divergence_pct: v.get("divergence_pct").and_then(json::Value::as_f64),
-        scale: v.get("scale").and_then(json::Value::as_f64).map(|s| s as u64),
         throughput_rps: v.get("throughput_rps").and_then(json::Value::as_f64),
         p99_ns: v.get("p99_ns").and_then(json::Value::as_f64),
         cores: v.get("cores").and_then(json::Value::as_f64).map(|c| c as u64),
@@ -197,8 +193,12 @@ impl Streams {
 /// Suite rank of a workload name — the paper's Table II order, then NN,
 /// then Video; unknown names sort after the suite, alphabetically.
 fn workload_rank(name: &str) -> (usize, String) {
-    let suite = all_workloads(WorkloadScale::tiny());
-    match suite.iter().position(|w| w.name.eq_ignore_ascii_case(name)) {
+    // Sort keys are computed per comparison: build the suite (and its
+    // input images) once per process, not once per call.
+    static SUITE: OnceLock<Vec<&'static str>> = OnceLock::new();
+    let suite =
+        SUITE.get_or_init(|| all_workloads(WorkloadScale::tiny()).iter().map(|w| w.name).collect());
+    match suite.iter().position(|w| w.eq_ignore_ascii_case(name)) {
         Some(i) => (i, String::new()),
         None => (suite.len(), name.to_ascii_lowercase()),
     }
@@ -351,28 +351,29 @@ fn render_speedups(out: &mut String, streams: &Streams) {
 
 fn render_divergence(out: &mut String, streams: &Streams) {
     out.push_str("## Analytic divergence envelope\n\n");
-    let mut divs: Vec<(&FigLine, &str)> = streams
-        .figures
-        .iter()
-        .filter_map(|f| {
-            f.name
-                .strip_prefix("analytic/divergence/")
-                .filter(|_| f.divergence_pct.is_some())
-                .map(|w| (f, w))
-        })
-        .collect();
+    let cells = sorted_cells(streams);
+    // One (workload, scale, divergence) per skip_ahead cell that has an
+    // analytic partner, in the sorted cells' row order.
+    let mut divs: Vec<(&str, u32, f64)> = Vec::new();
+    for skip in cells.iter().filter(|c| c.backend == Backend::SkipAhead) {
+        let analytic = cells.iter().find(|c| {
+            c.backend == Backend::Analytic && c.workload == skip.workload && c.scale == skip.scale
+        });
+        if let (Some(measured), Some(predicted)) = (skip.cycles, analytic.and_then(|a| a.cycles)) {
+            divs.push((&skip.workload, skip.scale, divergence_pct(predicted, measured)));
+        }
+    }
     if divs.is_empty() {
-        out.push_str("_No analytic/divergence entries in figures.jsonl._\n\n");
+        out.push_str("_No skip_ahead/analytic cell pairs in matrix.jsonl._\n\n");
         return;
     }
-    divs.sort_by_key(|a| (workload_rank(a.1), a.0.scale));
-    let mut scales: Vec<u64> = divs.iter().filter_map(|(f, _)| f.scale).collect();
+    let mut scales: Vec<u32> = divs.iter().map(|d| d.1).collect();
     scales.sort_unstable();
     scales.dedup();
     out.push_str(
-        "Analytic-tier cycle divergence vs the skip-ahead engine, per calibrated \
-         workload × scale (from `figures.jsonl`; the `bench_regress` drift gate \
-         fails at +10 pts over these baselines).\n\n",
+        "Analytic-tier cycle divergence vs the skip-ahead engine, per workload × scale \
+         (from the `skip_ahead`/`analytic` cell pairs in `matrix.jsonl`; the \
+         `analytic_accuracy` test fails at +10 pts over these pairs).\n\n",
     );
     out.push_str("| workload |");
     for s in &scales {
@@ -383,15 +384,14 @@ fn render_divergence(out: &mut String, streams: &Streams) {
         out.push_str("---:|");
     }
     out.push('\n');
-    let mut names: Vec<&str> = divs.iter().map(|(_, w)| *w).collect();
+    let mut names: Vec<&str> = divs.iter().map(|d| d.0).collect();
     names.dedup();
     let mut worst = 0.0f64;
     for name in names {
         out.push_str(&format!("| {name} |"));
         for s in &scales {
-            match divs.iter().find(|(f, w)| *w == name && f.scale == Some(*s)) {
-                Some((f, _)) => {
-                    let d = f.divergence_pct.expect("filtered above");
+            match divs.iter().find(|d| d.0 == name && d.1 == *s) {
+                Some(&(_, _, d)) => {
                     worst = worst.max(d);
                     out.push_str(&format!(" {d:.2}% |"));
                 }
@@ -511,25 +511,32 @@ mod tests {
     fn render_is_input_order_invariant() {
         let mut s = Streams {
             cells: vec![
-                cell("Blur", 64, Backend::SkipAhead, 1000.0),
-                cell("Blur", 64, Backend::Gpu, 4000.0),
+                cell("Blur", 64, Backend::SkipAhead, 3768.0),
+                cell("Blur", 64, Backend::Analytic, 3896.0),
+                cell("Blur", 64, Backend::Gpu, 15072.0),
                 cell("Brighten", 64, Backend::SkipAhead, 500.0),
             ],
-            figures: vec![FigLine {
-                name: "analytic/divergence/Blur".into(),
-                divergence_pct: Some(3.4),
-                scale: Some(64),
-                ..FigLine::default()
-            }],
             ..Streams::default()
         };
         let a = render(&s);
         s.cells.reverse();
-        s.figures.reverse();
         let b = render(&s);
         assert_eq!(a, b, "render must not depend on input order");
         assert!(a.contains("| Blur | image | 64 |"), "{a}");
         assert!(a.contains("4.00×"), "gpu/ipim speedup: {a}");
+        // |3896 − 3768| / 3768 = 3.397%; Brighten's skip_ahead cell has
+        // no analytic partner, so it adds no divergence row.
+        let divergence = section(&a, "## Analytic divergence envelope");
+        assert!(divergence.contains("| Blur | 3.40% |"), "{divergence}");
+        assert!(!divergence.contains("Brighten"), "{divergence}");
+        assert!(divergence.contains("**3.40%**"), "{divergence}");
+    }
+
+    /// The text of the `##` section starting at `heading`, up to the next.
+    fn section<'a>(text: &'a str, heading: &str) -> &'a str {
+        let start = text.find(heading).expect("section present");
+        let rest = &text[start + heading.len()..];
+        &rest[..rest.find("\n## ").unwrap_or(rest.len())]
     }
 
     #[test]

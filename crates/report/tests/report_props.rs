@@ -80,18 +80,14 @@ fn renderer_is_deterministic_and_order_invariant() {
     check("report/render_determinism", &gen, |&(seed, n, scale, cycles, with_fig, with_serve)| {
         let mut rng = Rng::new(seed);
         let mut cells = Vec::new();
-        for i in 0..n {
-            // Unique (workload, backend) coordinates per cell — a real
-            // matrix never emits two cells at the same coordinates.
-            let name = NAMES[i % NAMES.len()];
-            let backend = Backend::ALL[(i / NAMES.len()) % Backend::ALL.len()];
+        let mut push = |name: &str, backend: Backend, cycles: u64| {
             cells.push(MatrixCell {
                 workload: name.to_string(),
                 family: "image".to_string(),
                 scale,
                 backend,
-                cycles: Some(cycles + i as u64 + 1),
-                kernel_ns: (cycles + i as u64 + 1) as f64,
+                cycles: Some(cycles),
+                kernel_ns: cycles as f64,
                 wall_ns: rng.next_u64() % (1 << 40),
                 gbps: Some(1.5),
                 pj_per_op: Some(2.5),
@@ -99,25 +95,29 @@ fn renderer_is_deterministic_and_order_invariant() {
                 peak_gbps: Some(512.0),
                 bound: Bound::Memory,
             });
+        };
+        for i in 0..n {
+            // Unique (workload, backend) coordinates per cell — a real
+            // matrix never emits two cells at the same coordinates.
+            let name = NAMES[i % NAMES.len()];
+            let backend = Backend::ALL[(i / NAMES.len()) % Backend::ALL.len()];
+            push(name, backend, cycles + i as u64 + 1);
+        }
+        // Analytic partners for every other skip_ahead cell feed the
+        // divergence table; the rest stay unpaired.
+        for (i, name) in NAMES.iter().enumerate().take(n.min(NAMES.len())).step_by(2) {
+            push(name, Backend::Analytic, cycles + 3 * i as u64 + 2);
         }
         let figures = if with_fig {
-            vec![
-                FigLine {
-                    name: "analytic/divergence/Blur".into(),
-                    divergence_pct: Some(3.25),
-                    scale: Some(scale as u64),
-                    ..FigLine::default()
-                },
-                FigLine {
-                    name: "serve/throughput/workers4".into(),
-                    min_ns: Some(52_000_000.0),
-                    throughput_rps: Some(53.5),
-                    cores: Some(1),
-                    mix: Some("fast".into()),
-                    transport: Some("inproc".into()),
-                    ..FigLine::default()
-                },
-            ]
+            vec![FigLine {
+                name: "serve/throughput/workers4".into(),
+                min_ns: Some(52_000_000.0),
+                throughput_rps: Some(53.5),
+                cores: Some(1),
+                mix: Some("fast".into()),
+                transport: Some("inproc".into()),
+                ..FigLine::default()
+            }]
         } else {
             Vec::new()
         };

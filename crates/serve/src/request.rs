@@ -211,9 +211,14 @@ impl SimRequest {
     /// Parses a request from one parsed JSON object. Missing optional
     /// fields fall back to [`SimRequest::default`]; `workload` is required.
     ///
+    /// The machine may be at most the paper's Table III machine
+    /// ([`MachineConfig::default`]: 8 cubes × 16 vaults) and the image at
+    /// most DIV8K's pixel count ([`WorkloadScale::div8k`]), so one
+    /// well-formed line cannot make a backend allocate past either.
+    ///
     /// # Errors
     ///
-    /// Returns a message naming the offending field.
+    /// Returns a message naming the offending field (and its limit).
     pub fn from_json(v: &json::Value) -> Result<Self, String> {
         let d = Self::default();
         let workload = v
@@ -221,12 +226,23 @@ impl SimRequest {
             .and_then(json::Value::as_str)
             .ok_or("request needs a string \"workload\" field")?
             .to_string();
+        let (width, height) = (get_u32(v, "width", d.width)?, get_u32(v, "height", d.height)?);
+        let div8k = WorkloadScale::div8k();
+        if u64::from(width) * u64::from(height) > div8k.pixels() {
+            return Err(format!(
+                "width x height must be at most {} pixels (DIV8K, {}x{}), got {width}x{height}",
+                div8k.pixels(),
+                div8k.width,
+                div8k.height
+            ));
+        }
+        let table3 = MachineConfig::default();
         Ok(Self {
             workload,
-            width: get_u32(v, "width", d.width)?,
-            height: get_u32(v, "height", d.height)?,
-            cubes: get_u64(v, "cubes", d.cubes as u64)? as usize,
-            vaults: get_u64(v, "vaults", d.vaults as u64)? as usize,
+            width,
+            height,
+            cubes: get_dim(v, "cubes", d.cubes, table3.cubes)?,
+            vaults: get_dim(v, "vaults", d.vaults, table3.vaults_per_cube)?,
             engine: match v.get("engine").map(|e| e.as_str().ok_or("engine must be a string")) {
                 None => d.engine,
                 Some(s) => parse_engine(s?)?,
@@ -389,6 +405,16 @@ fn get_u32(v: &json::Value, key: &str, default: u32) -> Result<u32, String> {
     u32::try_from(n).map_err(|_| format!("{key} must be at most {}, got {n}", u32::MAX))
 }
 
+/// [`get_u64`] for a machine dimension, bounded by the Table III
+/// machine's `max`.
+fn get_dim(v: &json::Value, key: &str, default: usize, max: usize) -> Result<usize, String> {
+    let n = get_u64(v, key, default as u64)?;
+    if n > max as u64 {
+        return Err(format!("{key} must be at most {max} (the Table III machine), got {n}"));
+    }
+    Ok(n as usize)
+}
+
 fn get_bool(v: &json::Value, key: &str, default: bool) -> Result<bool, String> {
     match v.get(key) {
         None => Ok(default),
@@ -506,8 +532,24 @@ mod tests {
             let err = SimRequest::from_json_str(&line).unwrap_err();
             assert!(err.starts_with(key), "{err}");
         }
-        let max = SimRequest::from_json_str(r#"{"workload":"Blur","width":4294967295}"#).unwrap();
-        assert_eq!(max.width, u32::MAX);
+        // Past the Table III machine or DIV8K's pixel count is rejected;
+        // u32::MAX passes the u32 check, untruncated, and then fails the
+        // pixel limit.
+        for (line, expect) in [
+            (r#"{"workload":"Blur","width":4294967295}"#, "got 4294967295x64"),
+            (r#"{"workload":"Blur","width":7681,"height":4320}"#, "at most 33177600 pixels"),
+            (r#"{"workload":"Blur","cubes":9}"#, "cubes must be at most 8"),
+            (r#"{"workload":"Blur","cubes":1e300}"#, "cubes must be at most 8"),
+            (r#"{"workload":"Blur","vaults":17}"#, "vaults must be at most 16"),
+        ] {
+            let err = SimRequest::from_json_str(line).unwrap_err();
+            assert!(err.contains(expect), "{line} → {err}");
+        }
+        let at_limit = SimRequest::from_json_str(
+            r#"{"workload":"Blur","width":7680,"height":4320,"cubes":8,"vaults":16}"#,
+        )
+        .unwrap();
+        assert_eq!((at_limit.width, at_limit.cubes, at_limit.vaults), (7680, 8, 16));
     }
 
     #[test]

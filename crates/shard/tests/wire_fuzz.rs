@@ -110,9 +110,11 @@ fn prop_shard_front_answers_garbage_without_dispatching() {
 #[test]
 fn extreme_sizes_are_answered_inband_and_the_worker_survives() {
     // Well-formed but out of range: a side past u32::MAX must not wrap to
-    // a small image, and a side below 2 leaves Upsample's half-size input
-    // without pixels. The valid request behind each line proves the
-    // backend's only worker is still alive.
+    // a small image, a side below 2 leaves Upsample's half-size input
+    // without pixels, and a machine past Table III's or an image past
+    // DIV8K's pixel count would exhaust the backend's memory. The valid
+    // request behind each line proves the backend's only worker is still
+    // alive.
     let backend = spawn_backend(1, 16);
     for (line, expect) in [
         (r#"{"workload":"Brighten","width":4294967360,"height":64}"#, "width must be at most"),
@@ -120,6 +122,9 @@ fn extreme_sizes_are_answered_inband_and_the_worker_survives() {
         (r#"{"workload":"Upsample","width":64,"height":1}"#, "too small"),
         (r#"{"workload":"Brighten","width":1,"height":64}"#, "too small"),
         (r#"{"workload":"Brighten","width":0,"height":0}"#, "too small"),
+        (r#"{"workload":"Brighten","width":65536,"height":65536}"#, "at most 33177600 pixels"),
+        (r#"{"workload":"Brighten","cubes":9}"#, "cubes must be at most 8"),
+        (r#"{"workload":"Brighten","vaults":4294967296}"#, "vaults must be at most 16"),
     ] {
         let (first, second) = round_trip_pair(&backend.addr, line);
         assert!(

@@ -194,10 +194,9 @@ impl ScheduleSpace {
                                 continue;
                             };
                             // Rank by the analytic fast-forward model on
-                            // the very program the workers would simulate
-                            // (replaces the static `ipim_compiler::estimate`
-                            // heuristic, whose ranking was measurably noisy
-                            // — see DESIGN.md §11).
+                            // the very program the workers would simulate,
+                            // so the rank reflects the lowered SIMB code
+                            // (see DESIGN.md §11).
                             let Ok(report) = ipim_core::analytic::predict(
                                 &compiled.program,
                                 machine,

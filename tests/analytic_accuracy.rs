@@ -2,16 +2,28 @@
 //!
 //! Every registered workload (Table II plus the NN and video families)
 //! that compiles at {32², 64², 128²} is run through both the bit-exact
-//! skip-ahead engine and the analytic tier, and the cycle divergence must
-//! stay inside a *declared per-workload envelope*. The envelopes were set
-//! from the calibration sweep recorded in `results/figures.jsonl`
-//! (`analytic/divergence/*`) with roughly 1.5× headroom. The Table II
-//! envelopes are all well under the 25% ceiling the model shipped
-//! against; the NN/video kernels lean on the replicated-gather and
-//! row-reduction paths the model was never calibrated for, so their
-//! envelopes are declared wider (worst case Gemm at 45%). Tightening an
-//! envelope is progress, loosening one needs a recalibration argument
-//! (see DESIGN.md §11 and §13).
+//! skip-ahead engine and the analytic tier. Both baselines for the cycle
+//! divergence come from the committed `skip_ahead`/`analytic` cell pairs
+//! in `results/matrix.jsonl`, the one record of analytic-vs-skip-ahead
+//! cycles:
+//!
+//! * **Envelope.** The divergence must stay inside a *declared
+//!   per-workload envelope*, set from those pairs with roughly 1.5×
+//!   headroom. The Table II envelopes are all well under the 25% ceiling
+//!   the model shipped against; the NN/video kernels lean on the
+//!   replicated-gather and row-reduction paths the model was never
+//!   calibrated for, so their envelopes are declared wider (worst case
+//!   Gemm at 45%). Tightening an envelope is progress, loosening one
+//!   needs a recalibration argument (see DESIGN.md §11 and §13).
+//! * **Drift.** The divergence may sit at most [`DRIFT_PTS`] points above
+//!   the committed pair's. This is the canary for a change to engine
+//!   timing that leaves the analytic tier uncalibrated. A covered pair
+//!   with no committed pair fails too: re-record the matrix with
+//!   `cargo run --release -p ipim-report --bin matrix`.
+//!
+//! The suite is registered under `ipim-report` so it reads the committed
+//! cells with [`read_matrix`], the parser the renderer and
+//! `bench_regress --matrix` use.
 //!
 //! The suite also pins the property the tuner actually relies on:
 //! *rank preservation*. The analytic model must order the recorded
@@ -19,13 +31,59 @@
 //! bit-exact engine did (Blur 128²: the 32×8+PGSM winner beat the hand
 //! schedule 1.79×).
 
+use std::path::Path;
+
 use ipim_core::analytic::divergence_pct;
 use ipim_core::{
-    all_workloads, workload_by_name, Engine, Fidelity, MachineConfig, ScheduleOverride, Session,
-    WorkloadScale,
+    all_workloads, workload_by_name, Engine, ExecutionReport, Fidelity, MachineConfig,
+    ScheduleOverride, Session, WorkloadScale,
 };
+use ipim_report::{read_matrix, Backend, MatrixCell};
 
 const MAX_CYCLES: u64 = 4_000_000_000;
+
+/// How far (percentage points) a pair's divergence may drift above its
+/// committed matrix pair's before the gate fails. Lower divergence always
+/// passes: only upward drift signals a miscalibration.
+const DRIFT_PTS: f64 = 10.0;
+
+/// The committed matrix cells every scale is checked against.
+fn committed_cells() -> Vec<MatrixCell> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/matrix.jsonl");
+    read_matrix(&path).unwrap_or_else(|e| panic!("committed matrix: {e}")).cells
+}
+
+/// Divergence of the committed `skip_ahead`/`analytic` cell pair for
+/// `name` at `side`², or `None` when either cell is missing.
+fn committed_divergence(cells: &[MatrixCell], name: &str, side: u32) -> Option<f64> {
+    let cycles = |backend| {
+        cells.iter().find(|c| c.workload == name && c.scale == side && c.backend == backend)?.cycles
+    };
+    Some(divergence_pct(cycles(Backend::Analytic)?, cycles(Backend::SkipAhead)?))
+}
+
+/// The per-engine counters a failed divergence check prints: where the
+/// two engines' cycle accounting parted ways.
+fn counters(r: &ExecutionReport) -> String {
+    let (s, st) = (&r.stats, &r.stats.stalls);
+    format!(
+        "issued={} hazard={} queue={} tsv={} branch={} sync={} vsmlock={} mem_busy={} \
+         simd_busy={} dram={} hits/miss/conf={}/{}/{}",
+        s.issued,
+        st.hazard,
+        st.queue_full,
+        st.tsv,
+        st.branch,
+        st.sync,
+        st.vsm_interlock,
+        s.mem_busy,
+        s.simd_busy,
+        s.dram_accesses,
+        r.locality.row_hits,
+        r.locality.row_misses,
+        r.locality.row_conflicts,
+    )
+}
 
 /// Declared divergence envelope, percent, per workload. Calibrated
 /// against the skip-ahead engine across 32²/64²/128² (the model's
@@ -57,10 +115,12 @@ fn envelope_pct(name: &str) -> f64 {
     }
 }
 
-/// Runs the full Table II suite at `side`×`side` through both engines,
-/// asserting the envelope per workload; returns how many workloads
-/// actually compiled (small scales reject most static SIMB mappings).
+/// Runs every registered workload at `side`×`side` through both engines,
+/// asserting the envelope and the drift rule per workload; returns how
+/// many workloads actually compiled (small scales reject most static SIMB
+/// mappings).
 fn check_scale(side: u32) -> usize {
+    let committed = committed_cells();
     let skip =
         Session::new(MachineConfig { engine: Engine::SkipAhead, ..MachineConfig::vault_slice(1) });
     let analytic =
@@ -75,14 +135,30 @@ fn check_scale(side: u32) -> usize {
         assert_eq!(s.fidelity, Fidelity::BitExact);
         assert_eq!(p.fidelity, Fidelity::Approximate);
         let div = divergence_pct(p.report.cycles, s.report.cycles);
+        let detail =
+            format!("\n    skip: {}\n    pred: {}", counters(&s.report), counters(&p.report));
+        let envelope = envelope_pct(w.name);
         assert!(
-            div <= envelope_pct(w.name),
+            div <= envelope,
             "{} {side}x{side}: analytic {} vs skip-ahead {} cycles — {div:.2}% exceeds the \
-             declared {:.0}% envelope",
+             declared {envelope:.0}% envelope{detail}",
             w.name,
             p.report.cycles,
             s.report.cycles,
-            envelope_pct(w.name),
+        );
+        let base = committed_divergence(&committed, w.name, side).unwrap_or_else(|| {
+            panic!(
+                "{} {side}x{side}: no committed skip_ahead/analytic pair in results/matrix.jsonl \
+                 — re-record the matrix",
+                w.name
+            )
+        });
+        assert!(
+            div - base <= DRIFT_PTS,
+            "{} {side}x{side}: divergence {div:.2}% drifted {:+.2} pts above the committed \
+             matrix pair's {base:.2}% (gate +{DRIFT_PTS:.0} pts){detail}",
+            w.name,
+            div - base,
         );
         // The prediction must carry a full report, not just cycles: the
         // tuner and serve admission read issued/energy off it.

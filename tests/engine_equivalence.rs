@@ -11,8 +11,9 @@
 //! All tests here are prefixed `engine_` so `cargo test -q engine_` runs
 //! just this fast suite as a pre-commit loop.
 
+use ipim_core::experiments::verify_output_against_reference;
 use ipim_core::trace::{Record, TraceEvent};
-use ipim_core::{Engine, MachineConfig, Session, TraceConfig, Workload, WorkloadScale};
+use ipim_core::{Engine, Fidelity, MachineConfig, Session, TraceConfig, Workload, WorkloadScale};
 
 /// 64×64 keeps each pair of runs comfortably sub-second in debug builds.
 fn scale() -> WorkloadScale {
@@ -38,8 +39,8 @@ fn at_supported_scale(w: Workload) -> Workload {
 }
 
 /// Runs `w` under both engines on a `vaults`-vault slice and asserts every
-/// observable matches exactly.
-fn assert_engines_agree(w: &Workload, vaults: usize) {
+/// observable matches exactly; returns the legacy run's output.
+fn assert_engines_agree(w: &Workload, vaults: usize) -> ipim_core::frontend::Image {
     let legacy = Session::new(config(Engine::Legacy, vaults))
         .run_workload(w, 2_000_000_000)
         .unwrap_or_else(|e| panic!("{} (legacy): {e}", w.name));
@@ -47,6 +48,8 @@ fn assert_engines_agree(w: &Workload, vaults: usize) {
         .run_workload(w, 2_000_000_000)
         .unwrap_or_else(|e| panic!("{} (skip-ahead): {e}", w.name));
 
+    assert_eq!(legacy.fidelity, Fidelity::BitExact, "{}: legacy fidelity", w.name);
+    assert_eq!(skip.fidelity, Fidelity::BitExact, "{}: skip-ahead fidelity", w.name);
     let (l, s) = (&legacy.report, &skip.report);
     assert_eq!(l.cycles, s.cycles, "{}: cycles diverge", w.name);
     assert_eq!(l.stats.issued, s.stats.issued, "{}: issued diverge", w.name);
@@ -69,6 +72,7 @@ fn assert_engines_agree(w: &Workload, vaults: usize) {
         s.energy.total_pj()
     );
     assert_eq!(legacy.output.data(), skip.output.data(), "{}: output buffers diverge", w.name);
+    legacy.output
 }
 
 /// Runs `w` under both engines with tracing enabled and asserts that the
@@ -140,10 +144,15 @@ fn engine_equivalence_new_family_multi_stage() {
     // (Gemm's B strip, Conv3x3's LUT), the one-tile-wide row-reduction
     // grid (Gemm, RowSoftmax) and cross-stage PGSM restaging
     // (MotionEnergy). The single-stage family members ride along in
-    // `engine_equivalence_single_stage_workloads`.
+    // `engine_equivalence_single_stage_workloads`. RowSoftmax's full-row
+    // reduction trees and MotionEnergy's inter-frame PGSM state are also
+    // checked against the golden interpreter.
     for name in ["Gemm", "Conv3x3", "RowSoftmax", "MotionEnergy"] {
         let w = ipim_core::workload_by_name(name, scale()).unwrap();
-        assert_engines_agree(&w, 1);
+        let output = assert_engines_agree(&w, 1);
+        if matches!(name, "RowSoftmax" | "MotionEnergy") {
+            verify_output_against_reference(&w, &output);
+        }
     }
 }
 
