@@ -63,12 +63,13 @@
 use std::collections::BinaryHeap;
 
 use ipim_isa::{
-    AddrOperand, ArfSrc, CompOp, CrfSrc, Instruction, Program, RegRef, ARF_CHIP_ID, ARF_PE_ID,
-    ARF_PG_ID, ARF_VAULT_ID,
+    AddrOperand, ArfSrc, CompOp, CrfSrc, Instruction, Program, ARF_CHIP_ID, ARF_PE_ID, ARF_PG_ID,
+    ARF_VAULT_ID,
 };
 
 use crate::config::MachineConfig;
 use crate::machine::{compose_energy, ExecutionReport, SimTimeout};
+use crate::regs::RegTable;
 use crate::stats::{StallReason, VaultStats};
 use crate::EnergyParams;
 
@@ -123,44 +124,19 @@ enum RowClass {
 }
 
 /// Per-static-instruction facts hoisted out of the dynamic walk so the hot
-/// loop touches no allocator: the register set as flat scoreboard indices,
-/// the SIMB mask population, and the busiest-PG request count.
+/// loop touches no allocator: the SIMB mask population and the busiest-PG
+/// request count. The register sets come from the shared [`RegTable`].
 struct Decoded {
-    /// Flat indices (data ‖ addr ‖ ctrl) of the registers the instruction
-    /// reads, and writes — kept separate because the hazard rule is exact
-    /// RAW/WAR/WAW: concurrent *readers* of one register never stall each
-    /// other.
-    reads: Vec<u16>,
-    writes: Vec<u16>,
     /// Masked-PE count (0 for control-core instructions).
     n: u64,
     /// Requests the busiest per-PG memory controller sees.
     m: u64,
 }
 
-/// Maps a [`RegRef`] into the flat scoreboard index space.
-fn flat_reg(r: RegRef, data: usize, addr: usize) -> u16 {
-    (match r {
-        RegRef::Data(x) => x.index(),
-        RegRef::Addr(x) => data + x.index(),
-        RegRef::Ctrl(x) => data + addr + x.index(),
-    }) as u16
-}
-
 fn decode(insts: &[Instruction], config: &MachineConfig) -> Vec<Decoded> {
     insts
         .iter()
         .map(|inst| {
-            let flat = |rs: Vec<RegRef>| {
-                let mut v: Vec<u16> = rs
-                    .into_iter()
-                    .map(|r| flat_reg(r, config.data_rf_entries, config.addr_rf_entries))
-                    .collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            };
-            let (reads, writes) = (flat(inst.reads()), flat(inst.writes()));
             let (n, m) = match inst.simb_mask() {
                 Some(mask) => {
                     let mut per_pg = vec![0u64; config.pgs_per_vault.max(1)];
@@ -172,7 +148,7 @@ fn decode(insts: &[Instruction], config: &MachineConfig) -> Vec<Decoded> {
                 }
                 None => (0, 0),
             };
-            Decoded { reads, writes, n, m }
+            Decoded { n, m }
         })
         .collect()
 }
@@ -243,16 +219,8 @@ impl<'a> Walk<'a> {
             addr0,
             cursor: 0,
             branch_bubble_until: 0,
-            write_done: vec![
-                0;
-                config.data_rf_entries
-                    + config.addr_rf_entries
-                    + config.ctrl_rf_entries
-            ],
-            read_done: vec![
-                0;
-                config.data_rf_entries + config.addr_rf_entries + config.ctrl_rf_entries
-            ],
+            write_done: vec![0; RegTable::space(config)],
+            read_done: vec![0; RegTable::space(config)],
             inflight: BinaryHeap::new(),
             tsv_free_at: 0,
             mc_free: 0,
@@ -487,6 +455,7 @@ pub fn predict(
     let lat = &config.latency;
     let insts = program.instructions();
     let decoded = decode(insts, config);
+    let regs = RegTable::decode(insts, config);
     let mut w = Walk::new(config);
     let n_vaults = config.total_vaults();
     let timeout = || SimTimeout { max_cycles, stuck_vaults: (0..n_vaults).collect() };
@@ -537,13 +506,13 @@ pub fn predict(
         // their writes), WAR (my writes vs their reads), WAW (my writes vs
         // their writes) — exactly `issue_decision`'s rule; concurrent
         // readers never stall each other.
-        for &r in &dec.reads {
+        for &r in regs.reads(w.pc) {
             let ready = w.write_done[r as usize];
             if ready > issue_t {
                 push(ready, StallReason::Hazard, &mut issue_t);
             }
         }
-        for &r in &dec.writes {
+        for &r in regs.writes(w.pc) {
             let ready = w.write_done[r as usize].max(w.read_done[r as usize]);
             if ready > issue_t {
                 push(ready, StallReason::Hazard, &mut issue_t);
@@ -669,11 +638,11 @@ pub fn predict(
                 w.interpret0(inst);
                 w.last_completion = w.last_completion.max(done);
                 w.inflight.push(std::cmp::Reverse(done));
-                for &r in &dec.reads {
+                for &r in regs.reads(w.pc) {
                     let e = &mut w.read_done[r as usize];
                     *e = (*e).max(done);
                 }
-                for &r in &dec.writes {
+                for &r in regs.writes(w.pc) {
                     let e = &mut w.write_done[r as usize];
                     *e = (*e).max(done);
                 }

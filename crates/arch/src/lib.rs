@@ -47,6 +47,7 @@ mod config;
 mod energy;
 mod machine;
 pub mod power;
+mod regs;
 mod scratchpad;
 mod stats;
 mod vault;

@@ -3,12 +3,14 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 use ipim_dram::ACCESS_BYTES;
 use ipim_isa::{Program, RemoteTarget};
 use ipim_noc::{Mesh, MeshConfig, NodeId, Packet, PacketId};
 use ipim_trace::{CompId, CompRegistry, MetricsRegistry, SharedSink, TraceEvent, Tracer};
 
+use crate::regs::RegTable;
 use crate::stats::VaultStats;
 use crate::vault::{InMsg, OutMsg, Vault, VaultId};
 use crate::{EnergyBook, EnergyParams, Engine, MachineConfig};
@@ -235,8 +237,10 @@ impl Machine {
     /// Loads the same program into every vault (the SPMD model: per-vault
     /// behaviour differentiates through the identity registers A0–A3).
     pub fn load_program_all(&mut self, program: &Program) {
+        let program = Arc::new(program.clone());
+        let regs = Arc::new(RegTable::decode(program.instructions(), &self.config));
         for v in &mut self.vaults {
-            v.load_program(program.clone());
+            v.load_program(Arc::clone(&program), Arc::clone(&regs));
         }
     }
 

@@ -1,5 +1,7 @@
-//! Dense scratchpad memories: the process-group scratchpad (PGSM) and the
-//! vault scratchpad (VSM).
+//! Scratchpad memories: the process-group scratchpad (PGSM) and the vault
+//! scratchpad (VSM).
+
+use ipim_dram::BankArray;
 
 /// A byte-addressed scratchpad with access counting.
 ///
@@ -8,26 +10,31 @@
 /// sharing, remote-access buffering and instruction storage (paper
 /// Sec. IV-E). Out-of-range accesses panic: the compiler must never emit
 /// them, so they indicate a codegen bug.
+///
+/// The contents live in a [`BankArray`]: 4 KiB pages allocated on first
+/// write, unwritten bytes reading as zero. Programs touch a few KiB of the
+/// VSM, so a fresh machine does not zero 256 KiB per vault.
 #[derive(Debug, Clone)]
 pub struct Scratchpad {
-    bytes: Vec<u8>,
+    pages: BankArray,
+    size: usize,
     accesses: u64,
 }
 
 impl Scratchpad {
     /// Creates a zeroed scratchpad of `size` bytes.
     pub fn new(size: u32) -> Self {
-        Self { bytes: vec![0; size as usize], accesses: 0 }
+        Self { pages: BankArray::new(), size: size as usize, accesses: 0 }
     }
 
     /// Capacity in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.size
     }
 
     /// Whether the scratchpad has zero capacity.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.size == 0
     }
 
     /// Reads `buf.len()` bytes at `addr`.
@@ -38,12 +45,12 @@ impl Scratchpad {
     pub fn read(&mut self, addr: u32, buf: &mut [u8]) {
         let a = addr as usize;
         assert!(
-            a + buf.len() <= self.bytes.len(),
+            a + buf.len() <= self.size,
             "scratchpad read {a}+{} out of {} bytes",
             buf.len(),
-            self.bytes.len()
+            self.size
         );
-        buf.copy_from_slice(&self.bytes[a..a + buf.len()]);
+        self.pages.read(addr, buf);
         self.accesses += 1;
     }
 
@@ -55,12 +62,12 @@ impl Scratchpad {
     pub fn write(&mut self, addr: u32, data: &[u8]) {
         let a = addr as usize;
         assert!(
-            a + data.len() <= self.bytes.len(),
+            a + data.len() <= self.size,
             "scratchpad write {a}+{} out of {} bytes",
             data.len(),
-            self.bytes.len()
+            self.size
         );
-        self.bytes[a..a + data.len()].copy_from_slice(data);
+        self.pages.write(addr, data);
         self.accesses += 1;
     }
 
@@ -99,6 +106,17 @@ mod tests {
     fn zero_initialized() {
         let mut s = Scratchpad::new(16);
         assert_eq!(s.read_u32(12), 0);
+    }
+
+    #[test]
+    fn pages_allocate_on_first_write() {
+        let mut s = Scratchpad::new(256 * 1024);
+        let mut buf = [0xAA; 16];
+        s.read(4096 - 8, &mut buf);
+        assert_eq!(buf, [0; 16]);
+        assert_eq!(s.pages.allocated_pages(), 0);
+        s.write(2 * 4096 - 8, &[7; 16]);
+        assert_eq!(s.pages.allocated_pages(), 2);
     }
 
     #[test]

@@ -3,22 +3,27 @@
 //!
 //! Functional semantics execute *at issue* (issue is sequential and the
 //! Issued-Inst-Queue hazard interlock guarantees operands are final), while
-//! timing is shadowed by per-PE functional-unit queues, the per-PG memory
-//! controllers, and the shared TSV arbiter. This "execute-at-issue,
-//! timing-shadow" split is exact for hazard-free in-order machines and keeps
-//! the simulator fast.
+//! timing is shadowed by the fixed-latency SIMB units, per-PE VSM ports and
+//! memory queues, the per-PG memory controllers, and the shared TSV arbiter.
+//! This "execute-at-issue, timing-shadow" split is exact for hazard-free
+//! in-order machines and keeps the simulator fast.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 use ipim_dram::{AccessKind, Bank, Completion, MemController, Request, RequestId, ACCESS_BYTES};
 use ipim_isa::{
     AddrOperand, ArfSrc, Category, CompMode, CompOp, CrfSrc, DataType, Instruction, Program,
-    RegRef, RemoteTarget, SimbMask, ARF_CHIP_ID, ARF_PE_ID, ARF_PG_ID, ARF_VAULT_ID,
+    RemoteTarget, SimbMask, ARF_CHIP_ID, ARF_PE_ID, ARF_PG_ID, ARF_VAULT_ID,
 };
 use ipim_trace::{CompId, CompRegistry, SpadKind, TraceEvent, Tracer};
 
+use crate::regs::RegTable;
 use crate::stats::{StallReason, VaultStats};
 use crate::{MachineConfig, Placement, Scratchpad};
+
+/// Map keyed by a simulator-assigned id.
+type IdMap<V> = ipim_dram::IdMap<u64, V>;
 
 /// Global identity of a vault within the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,8 +83,9 @@ pub enum InMsg {
 /// One 128-bit DataRF entry.
 pub type Vector = [u32; 4];
 
-/// A pipelined functional unit: initiation interval of one operation per
-/// cycle, completion after the operation's latency.
+/// A PE's pipelined VSM port: initiation interval of one operation per
+/// cycle, completion after the operation's latency. It starts an op only
+/// when the vault's TSV arbiter grants it the cycle's slot.
 #[derive(Debug, Clone, Default)]
 struct Unit {
     queue: VecDeque<(u64, u64)>,     // (inflight id, latency)
@@ -88,18 +94,15 @@ struct Unit {
 }
 
 impl Unit {
-    fn busy(&self) -> bool {
-        !self.in_flight.is_empty() || !self.queue.is_empty()
-    }
-
-    /// Drains operations completing at or before `now` into `out`.
-    fn complete(&mut self, now: u64, out: &mut Vec<u64>) {
+    /// Drains operations completing at or before `now` into `out`, one
+    /// `(inflight id, 1)` completion each.
+    fn complete(&mut self, now: u64, out: &mut Vec<(u64, u32)>) {
         // Completions may be out of order when latencies differ; scan.
         let mut i = 0;
         while i < self.in_flight.len() {
             if self.in_flight[i].1 <= now {
                 let (id, _) = self.in_flight.remove(i).expect("index checked");
-                out.push(id);
+                out.push((id, 1));
             } else {
                 i += 1;
             }
@@ -132,15 +135,12 @@ struct MemUnit {
     outstanding: usize,
 }
 
-/// One process engine: register files plus timing units.
+/// One process engine: register files, its VSM port and its memory queue.
 #[derive(Debug, Clone)]
 struct Pe {
     data_rf: Vec<Vector>,
     addr_rf: Vec<i32>,
-    simd: Unit,
-    alu: Unit,
-    pgsm_port: Unit,
-    vsm_port: Unit, // starts only when granted a TSV slot
+    vsm_port: Unit,
     mem: MemUnit,
 }
 
@@ -149,20 +149,37 @@ impl Pe {
         Self {
             data_rf: vec![[0; 4]; config.data_rf_entries],
             addr_rf: vec![0; config.addr_rf_entries],
-            simd: Unit::default(),
-            alu: Unit::default(),
-            pgsm_port: Unit::default(),
             vsm_port: Unit::default(),
             mem: MemUnit::default(),
         }
     }
 }
 
-#[derive(Debug, Clone)]
+/// One SIMB instruction on a fixed-latency unit (SIMD, integer ALU or
+/// PGSM port), standing for that unit on every masked PE. The core issues
+/// at most one instruction per tick and each unit starts one op per tick,
+/// so a PE's unit queue never holds more than the op issued on the
+/// previous tick: the op starts at `issue + 1` on every masked PE at once
+/// and completes there at `done`, where all `n` completions retire
+/// together.
+#[derive(Debug, Clone, Copy)]
+struct UnitOp {
+    start: u64,
+    done: u64,
+    inst_id: u64,
+    n: u32,
+}
+
+/// An entry of the Issued-Inst-Queue.
+#[derive(Debug, Clone, Copy)]
 struct InFlightInst {
+    /// PE-side completions still outstanding.
     pending: u32,
-    reads: Vec<RegRef>,
-    writes: Vec<RegRef>,
+    /// Static index of the instruction, whose register sets the
+    /// scoreboard counts; `None` for a remote `req`, which holds none.
+    pc: Option<usize>,
+    /// Post-DRAM latency (PE bus, PGSM) of each memory completion.
+    mem_extra: u64,
 }
 
 /// Where the PE-side work of an instruction executes.
@@ -172,7 +189,7 @@ enum DispatchUnit {
     Alu,
     PgsmPort,
     VsmPort,
-    Mem,
+    Mem(AccessKind),
 }
 
 /// Control-core + barrier state.
@@ -207,13 +224,31 @@ enum IssueDecision {
 pub struct Vault {
     id: VaultId,
     config: MachineConfig,
-    program: Program,
+    program: Arc<Program>,
+    // Register sets of `program`, shared by every vault that runs it.
+    regs: Arc<RegTable>,
     pc: usize,
     state: CoreState,
     branch_bubble_until: u64,
     ctrl_rf: Vec<i32>,
-    issued: HashMap<u64, InFlightInst>,
+    issued: IdMap<InFlightInst>,
+    // Register scoreboard: in-flight readers and writers per flat register
+    // (see `RegTable`), counted over `issued`.
+    readers: Vec<u32>,
+    writers: Vec<u32>,
     next_inst_id: u64,
+    unit_ops: Vec<UnitOp>,
+    // Per PE: its SIMD unit (integer ALU) is busy at tick `c` exactly when
+    // `c < simd_busy_until[pe]` (`alu_busy_until[pe]`); see `UnitOp`.
+    simd_busy_until: Vec<u64>,
+    alu_busy_until: Vec<u64>,
+    // Bit `pe` set: the PE's memory queue holds requests / the PE has
+    // requests outstanding at its MC / its VSM port holds an op.
+    mem_queued: u64,
+    mem_outstanding: u64,
+    vsm_active: u64,
+    // Completions collected during a tick: (inflight id, count).
+    finished: Vec<(u64, u32)>,
     pes: Vec<Pe>,
     pub(crate) mcs: Vec<MemController>,
     pgsms: Vec<Scratchpad>,
@@ -226,16 +261,14 @@ pub struct Vault {
     // PonB: MC completions waiting for a TSV slot.
     ponb_wait: VecDeque<u64>, // inst ids
     // Remote requests this vault has issued, not yet answered.
-    reqs_in_flight: HashMap<u64, u32 /* local vsm addr */>,
+    reqs_in_flight: IdMap<u32 /* local vsm addr */>,
     next_req_tag: u64,
     // Remote requests this vault is serving for others.
-    serving: HashMap<u64, (VaultId, u64)>, // local serve-id -> (origin, tag)
+    serving: IdMap<(VaultId, u64)>, // local serve-id -> (origin, tag)
     next_serve_id: u64,
     outbox: Vec<OutMsg>,
     // Remote serves that found the MC queue full and must retry.
     pending_serves: Vec<(usize, Request)>,
-    // Post-DRAM latency per outstanding MC request id.
-    mem_extra: HashMap<u64, u64>,
     // (tag, target, dram_addr, vsm_addr) of reqs whose functional fill the
     // machine performs at service time.
     pending_req_fills: Vec<(u64, RemoteTarget, u32, u32)>,
@@ -272,13 +305,23 @@ impl Vault {
         let mut vault = Self {
             id,
             config: config.clone(),
-            program: Program::default(),
+            program: Arc::default(),
+            regs: Arc::new(RegTable::decode(&[], config)),
             pc: 0,
             state: CoreState::Halted,
             branch_bubble_until: 0,
             ctrl_rf: vec![0; config.ctrl_rf_entries],
-            issued: HashMap::new(),
+            issued: IdMap::default(),
+            readers: vec![0; RegTable::space(config)],
+            writers: vec![0; RegTable::space(config)],
             next_inst_id: 0,
+            unit_ops: Vec::new(),
+            simd_busy_until: vec![0; config.pes_per_vault()],
+            alu_busy_until: vec![0; config.pes_per_vault()],
+            mem_queued: 0,
+            mem_outstanding: 0,
+            vsm_active: 0,
+            finished: Vec::new(),
             pes,
             mcs,
             pgsms,
@@ -286,13 +329,12 @@ impl Vault {
             tsv_free: true,
             delayed: Vec::new(),
             ponb_wait: VecDeque::new(),
-            reqs_in_flight: HashMap::new(),
+            reqs_in_flight: IdMap::default(),
             next_req_tag: 0,
-            serving: HashMap::new(),
+            serving: IdMap::default(),
             next_serve_id: 0,
             outbox: Vec::new(),
             pending_serves: Vec::new(),
-            mem_extra: HashMap::new(),
             pending_req_fills: Vec::new(),
             stats: VaultStats::default(),
             halted_at: None,
@@ -340,30 +382,36 @@ impl Vault {
         self.id
     }
 
-    /// Loads a program and resets execution state (registers and
-    /// scratchpads are cleared; bank contents are preserved, matching a
-    /// host that uploads data once and launches several kernels).
-    pub fn load_program(&mut self, program: Program) {
+    /// Loads a program, with its register sets `regs`, and resets
+    /// execution state (registers and scratchpads are cleared; bank
+    /// contents are preserved, matching a host that uploads data once and
+    /// launches several kernels).
+    pub(crate) fn load_program(&mut self, program: Arc<Program>, regs: Arc<RegTable>) {
         self.program = program;
+        self.regs = regs;
         self.pc = 0;
         self.state = CoreState::Running;
         self.branch_bubble_until = 0;
         self.ctrl_rf.iter_mut().for_each(|c| *c = 0);
         self.issued.clear();
+        self.readers.iter_mut().for_each(|c| *c = 0);
+        self.writers.iter_mut().for_each(|c| *c = 0);
+        self.unit_ops.clear();
+        self.simd_busy_until.iter_mut().for_each(|t| *t = 0);
+        self.alu_busy_until.iter_mut().for_each(|t| *t = 0);
+        self.mem_queued = 0;
+        self.mem_outstanding = 0;
+        self.vsm_active = 0;
         self.delayed.clear();
         self.ponb_wait.clear();
         self.reqs_in_flight.clear();
         self.serving.clear();
         self.outbox.clear();
         self.pending_serves.clear();
-        self.mem_extra.clear();
         self.pending_req_fills.clear();
         for pe in &mut self.pes {
             pe.data_rf.iter_mut().for_each(|v| *v = [0; 4]);
             pe.addr_rf.iter_mut().for_each(|v| *v = 0);
-            pe.simd = Unit::default();
-            pe.alu = Unit::default();
-            pe.pgsm_port = Unit::default();
             pe.vsm_port = Unit::default();
             pe.mem = MemUnit::default();
         }
@@ -471,7 +519,7 @@ impl Vault {
                 // Find the in-flight `req` with this tag and finish it.
                 if let Some(_vsm_addr) = self.reqs_in_flight.remove(&tag) {
                     let inst_id = REQ_TAG_BASE + tag;
-                    self.finish(inst_id);
+                    self.finish(inst_id, 1);
                     self.stats.vsm_accesses += 1;
                     self.tracer.emit(now, self.comp_core, || TraceEvent::SpadAccess {
                         kind: SpadKind::Vsm,
@@ -510,22 +558,41 @@ impl Vault {
             self.pending_serves = parked;
         }
 
-        // 1. Pipelined unit completions and starts.
-        let mut finished: Vec<u64> = Vec::new();
-        for pe in &mut self.pes {
-            for unit in [&mut pe.simd, &mut pe.alu, &mut pe.pgsm_port] {
-                unit.complete(now, &mut finished);
-                progress |= unit.start(now);
+        // 1. Pipelined unit completions and starts. A fixed-latency op
+        // completes on all its masked PEs at once; the VSM port needs the
+        // TSV slot to start.
+        let mut finished = std::mem::take(&mut self.finished);
+        let mut i = 0;
+        while i < self.unit_ops.len() {
+            let op = self.unit_ops[i];
+            if op.done <= now {
+                self.unit_ops.swap_remove(i);
+                finished.push((op.inst_id, op.n));
+            } else {
+                progress |= op.start == now;
+                i += 1;
             }
-            // VSM port needs the TSV slot to start.
-            pe.vsm_port.complete(now, &mut finished);
+        }
+        let mut active = self.vsm_active;
+        while active != 0 {
+            let g = active.trailing_zeros() as usize;
+            active &= active - 1;
+            let port = &mut self.pes[g].vsm_port;
+            port.complete(now, &mut finished);
+            if port.queue.is_empty() && port.in_flight.is_empty() {
+                self.vsm_active &= !(1 << g);
+            }
         }
         // TSV arbitration for VSM ports: one grant per cycle, round-robin by
         // PE index (the queue order provides fairness enough for SIMB code).
         if self.tsv_free {
-            for pe in &mut self.pes {
-                if !pe.vsm_port.queue.is_empty() {
-                    pe.vsm_port.start(now);
+            let mut active = self.vsm_active;
+            while active != 0 {
+                let g = active.trailing_zeros() as usize;
+                active &= active - 1;
+                let port = &mut self.pes[g].vsm_port;
+                if !port.queue.is_empty() {
+                    port.start(now);
                     self.tsv_free = false;
                     self.stats.tsv_transfers += 1;
                     progress = true;
@@ -549,7 +616,10 @@ impl Vault {
         // queue provides the real back-pressure; the per-PE cap only
         // bounds bookkeeping).
         let max_outstanding = self.config.dram_req_queue.max(1);
-        for g in 0..self.pes.len() {
+        let mut queued = self.mem_queued;
+        while queued != 0 {
+            let g = queued.trailing_zeros() as usize;
+            queued &= queued - 1;
             let pg = g / self.config.pes_per_pg;
             while self.pes[g].mem.outstanding < max_outstanding {
                 let Some(op) = self.pes[g].mem.queue.front().cloned() else { break };
@@ -558,7 +628,11 @@ impl Vault {
                 }
                 self.pes[g].mem.queue.pop_front();
                 self.pes[g].mem.outstanding += 1;
+                self.mem_outstanding |= 1 << g;
                 progress = true;
+            }
+            if self.pes[g].mem.queue.is_empty() {
+                self.mem_queued &= !(1 << g);
             }
         }
 
@@ -567,7 +641,7 @@ impl Vault {
         while i < self.delayed.len() {
             if self.delayed[i].0 <= now {
                 let (_, id) = self.delayed.swap_remove(i);
-                finished.push(id);
+                finished.push((id, 1));
             } else {
                 i += 1;
             }
@@ -578,27 +652,19 @@ impl Vault {
             if let Some(id) = self.ponb_wait.pop_front() {
                 self.tsv_free = false;
                 self.stats.tsv_transfers += 1;
-                finished.push(id);
+                finished.push((id, 1));
             }
         }
 
         progress |= !finished.is_empty();
-        for id in finished {
-            self.finish(id);
+        for &(id, n) in &finished {
+            self.finish(id, n);
         }
+        finished.clear();
+        self.finished = finished;
 
         // 6. Busy accounting.
-        for pe in &self.pes {
-            if pe.simd.busy() {
-                self.stats.simd_busy += 1;
-            }
-            if pe.alu.busy() {
-                self.stats.int_alu_busy += 1;
-            }
-            if pe.mem.outstanding > 0 || !pe.mem.queue.is_empty() {
-                self.stats.mem_busy += 1;
-            }
-        }
+        self.account_busy(now, 1);
 
         // 7. Control core issue.
         progress |= self.try_issue(now);
@@ -636,17 +702,26 @@ impl Vault {
             return Some(now);
         }
         let mut t = u64::MAX;
+        for op in &self.unit_ops {
+            if op.start >= now {
+                // Issued on the last tick: it starts on this one.
+                return Some(now);
+            }
+            t = t.min(op.done);
+        }
         let max_outstanding = self.config.dram_req_queue.max(1);
-        for (g, pe) in self.pes.iter().enumerate() {
-            for unit in [&pe.simd, &pe.alu, &pe.pgsm_port, &pe.vsm_port] {
-                if !unit.queue.is_empty() {
-                    // A queued op can start on the very next tick (the VSM
-                    // port always wins arbitration when nothing else moves).
-                    return Some(now);
-                }
-                for &(_, done_at) in &unit.in_flight {
-                    t = t.min(done_at);
-                }
+        let mut active = self.vsm_active | self.mem_queued;
+        while active != 0 {
+            let g = active.trailing_zeros() as usize;
+            active &= active - 1;
+            let pe = &self.pes[g];
+            if !pe.vsm_port.queue.is_empty() {
+                // A queued op can start on the very next tick (the VSM port
+                // always wins arbitration when nothing else moves).
+                return Some(now);
+            }
+            for &(_, done_at) in &pe.vsm_port.in_flight {
+                t = t.min(done_at);
             }
             if let Some(op) = pe.mem.queue.front() {
                 // The queued request moves only when the MC can take it;
@@ -709,17 +784,7 @@ impl Vault {
             return;
         }
         self.stats.cycles += delta;
-        for pe in &self.pes {
-            if pe.simd.busy() {
-                self.stats.simd_busy += delta;
-            }
-            if pe.alu.busy() {
-                self.stats.int_alu_busy += delta;
-            }
-            if pe.mem.outstanding > 0 || !pe.mem.queue.is_empty() {
-                self.stats.mem_busy += delta;
-            }
-        }
+        self.account_busy(now, delta);
         for mc in &mut self.mcs {
             mc.skip_idle(delta);
         }
@@ -729,6 +794,17 @@ impl Vault {
         if let IssueDecision::Stall(reason) = self.issue_decision(now, true) {
             self.stats.stalls.bump_by(reason, delta);
         }
+    }
+
+    /// Adds `cycles` cycles of the busy state at `now` to the per-PE busy
+    /// integrators: a PE's SIMD unit or ALU is busy before its stamp, and
+    /// its memory path while requests are queued or outstanding.
+    fn account_busy(&mut self, now: u64, cycles: u64) {
+        let busy = |stamps: &[u64]| stamps.iter().filter(|&&t| now < t).count() as u64;
+        self.stats.simd_busy += busy(&self.simd_busy_until) * cycles;
+        self.stats.int_alu_busy += busy(&self.alu_busy_until) * cycles;
+        self.stats.mem_busy +=
+            u64::from((self.mem_queued | self.mem_outstanding).count_ones()) * cycles;
     }
 
     fn on_mc_completion(&mut self, _pg: usize, c: Completion, now: u64) {
@@ -744,14 +820,16 @@ impl Vault {
         let pe = (raw >> 40) as usize;
         let inst_id = raw & ((1 << 40) - 1);
         self.pes[pe].mem.outstanding -= 1;
+        if self.pes[pe].mem.outstanding == 0 {
+            self.mem_outstanding &= !(1 << pe);
+        }
         self.stats.dram_accesses += 1;
-        // Look up the extra latency recorded at dispatch.
-        let extra = self.mem_extra.remove(&raw).unwrap_or(0);
         match self.config.placement {
             Placement::BaseDie => self.ponb_wait.push_back(inst_id),
             Placement::NearBank => {
+                let extra = self.issued.get(&inst_id).map_or(0, |e| e.mem_extra);
                 if extra == 0 {
-                    self.finish(inst_id);
+                    self.finish(inst_id, 1);
                 } else {
                     self.delayed.push((now + extra, inst_id));
                 }
@@ -759,17 +837,37 @@ impl Vault {
         }
     }
 
-    /// Marks one PE-side completion of instruction `inst_id`.
-    fn finish(&mut self, inst_id: u64) {
-        let done = if let Some(e) = self.issued.get_mut(&inst_id) {
-            e.pending = e.pending.saturating_sub(1);
-            e.pending == 0
-        } else {
-            false
-        };
-        if done {
-            self.issued.remove(&inst_id);
+    /// Marks `n` PE-side completions of instruction `inst_id`; the last one
+    /// retires it from the Issued-Inst-Queue and the scoreboard.
+    fn finish(&mut self, inst_id: u64, n: u32) {
+        let Some(e) = self.issued.get_mut(&inst_id) else { return };
+        e.pending = e.pending.saturating_sub(n);
+        if e.pending > 0 {
+            return;
         }
+        if let Some(pc) = e.pc {
+            for &r in self.regs.reads(pc) {
+                self.readers[r as usize] -= 1;
+            }
+            for &w in self.regs.writes(pc) {
+                self.writers[w as usize] -= 1;
+            }
+        }
+        self.issued.remove(&inst_id);
+    }
+
+    /// Enters instruction `inst_id` into the Issued-Inst-Queue and counts
+    /// its register sets on the scoreboard.
+    fn track(&mut self, inst_id: u64, entry: InFlightInst) {
+        if let Some(pc) = entry.pc {
+            for &r in self.regs.reads(pc) {
+                self.readers[r as usize] += 1;
+            }
+            for &w in self.regs.writes(pc) {
+                self.writers[w as usize] += 1;
+            }
+        }
+        self.issued.insert(inst_id, entry);
     }
 
     /// Classifies what the issue stage would do at `now`, without side
@@ -795,16 +893,16 @@ impl Vault {
         if self.issued.len() >= self.config.inst_queue {
             return IssueDecision::Stall(StallReason::QueueFull);
         }
-        // Data hazards against in-flight instructions (paper Sec. IV-B 2).
-        let reads = inst.reads();
-        let writes = inst.writes();
-        for e in self.issued.values() {
-            let raw = reads.iter().any(|r| e.writes.contains(r));
-            let war = writes.iter().any(|w| e.reads.contains(w));
-            let waw = writes.iter().any(|w| e.writes.contains(w));
-            if raw || war || waw {
-                return IssueDecision::Stall(StallReason::Hazard);
-            }
+        // Data hazards against in-flight instructions (paper Sec. IV-B 2):
+        // RAW, WAR or WAW with any of them, read off the scoreboard.
+        let raw = self.regs.reads(self.pc).iter().any(|&r| self.writers[r as usize] > 0);
+        let war_waw = self
+            .regs
+            .writes(self.pc)
+            .iter()
+            .any(|&w| self.writers[w as usize] > 0 || self.readers[w as usize] > 0);
+        if raw || war_waw {
+            return IssueDecision::Stall(StallReason::Hazard);
         }
         // Conservative VSM interlock: reads of the VSM wait for pending
         // remote requests (their data lands in the VSM asynchronously).
@@ -856,8 +954,6 @@ impl Vault {
             }
         }
         let inst = self.program.instructions()[self.pc];
-        let reads = inst.reads();
-        let writes = inst.writes();
         let needs_tsv = inst.simb_mask().is_some();
 
         // --- Issue. ---
@@ -903,10 +999,7 @@ impl Vault {
                 let daddr = self.crf_value(dram_addr) as u32;
                 let vaddr = self.crf_value(vsm_addr) as u32;
                 self.reqs_in_flight.insert(tag, vaddr);
-                self.issued.insert(
-                    REQ_TAG_BASE + tag,
-                    InFlightInst { pending: 1, reads: vec![], writes: vec![] },
-                );
+                self.track(REQ_TAG_BASE + tag, InFlightInst { pending: 1, pc: None, mem_extra: 0 });
                 self.outbox.push(OutMsg::ReqForward {
                     origin: self.id,
                     target,
@@ -926,10 +1019,7 @@ impl Vault {
                 debug_assert!(inst_id < REQ_TAG_BASE);
                 let mask = inst.simb_mask().expect("broadcast instruction");
                 self.execute_functional(&inst, mask);
-                let n = self.dispatch(&inst, mask, inst_id, now);
-                if n > 0 {
-                    self.issued.insert(inst_id, InFlightInst { pending: n, reads, writes });
-                }
+                self.dispatch(&inst, mask, inst_id, now);
             }
         }
         self.pc = next_pc;
@@ -1056,11 +1146,13 @@ impl Vault {
         }
     }
 
-    /// Queues the timing work of a broadcast instruction on each masked PE;
-    /// returns the number of PE-side completions to wait for.
-    fn dispatch(&mut self, inst: &Instruction, mask: SimbMask, inst_id: u64, _now: u64) -> u32 {
+    /// Sends the timing work of a broadcast instruction to its unit on each
+    /// masked PE and enters the instruction into the Issued-Inst-Queue
+    /// (unless it masks no PE, so that nothing would complete).
+    fn dispatch(&mut self, inst: &Instruction, mask: SimbMask, inst_id: u64, now: u64) {
         let lat = &self.config.latency;
-        let (unit, latency, mem_kind): (DispatchUnit, u64, Option<(AccessKind, u64)>) = match inst {
+        // The unit's latency; for a memory op, the post-DRAM latency.
+        let (unit, latency) = match inst {
             Instruction::Comp { op, .. } => {
                 let l = match op {
                     CompOp::Add | CompOp::Sub => lat.add,
@@ -1069,43 +1161,60 @@ impl Vault {
                     CompOp::Div => lat.div,
                     _ => lat.logic,
                 };
-                (DispatchUnit::Simd, l + lat.rf, None)
+                (DispatchUnit::Simd, l + lat.rf)
             }
             Instruction::CalcArf { .. } | Instruction::Mov { .. } => {
-                (DispatchUnit::Alu, lat.logic + lat.rf, None)
+                (DispatchUnit::Alu, lat.logic + lat.rf)
             }
-            Instruction::Reset { .. } | Instruction::SetiDrf { .. } => {
-                (DispatchUnit::Simd, lat.rf, None)
-            }
-            Instruction::LdRf { .. } => {
-                (DispatchUnit::Mem, 0, Some((AccessKind::Read, lat.pe_bus)))
-            }
-            Instruction::StRf { .. } => (DispatchUnit::Mem, 0, Some((AccessKind::Write, 0))),
+            Instruction::Reset { .. } | Instruction::SetiDrf { .. } => (DispatchUnit::Simd, lat.rf),
+            Instruction::LdRf { .. } => (DispatchUnit::Mem(AccessKind::Read), lat.pe_bus),
+            Instruction::StRf { .. } => (DispatchUnit::Mem(AccessKind::Write), 0),
             Instruction::LdPgsm { .. } => {
-                (DispatchUnit::Mem, 0, Some((AccessKind::Read, lat.pe_bus + lat.pgsm)))
+                (DispatchUnit::Mem(AccessKind::Read), lat.pe_bus + lat.pgsm)
             }
-            Instruction::StPgsm { .. } => {
-                (DispatchUnit::Mem, lat.pgsm, Some((AccessKind::Write, 0)))
-            }
+            Instruction::StPgsm { .. } => (DispatchUnit::Mem(AccessKind::Write), 0),
             Instruction::RdPgsm { .. } | Instruction::WrPgsm { .. } => {
-                (DispatchUnit::PgsmPort, lat.pgsm + lat.pe_bus, None)
+                (DispatchUnit::PgsmPort, lat.pgsm + lat.pe_bus)
             }
             Instruction::RdVsm { .. } | Instruction::WrVsm { .. } => {
-                (DispatchUnit::VsmPort, lat.tsv + lat.vsm + lat.pe_bus, None)
+                (DispatchUnit::VsmPort, lat.tsv + lat.vsm + lat.pe_bus)
             }
             _ => unreachable!("non-broadcast instruction in dispatch"),
         };
+        let n = mask.count() as u32;
+        if n == 0 {
+            return;
+        }
 
-        let mut n = 0;
-        for g in mask.iter() {
-            n += 1;
-            match unit {
-                DispatchUnit::Simd => self.pes[g].simd.queue.push_back((inst_id, latency)),
-                DispatchUnit::Alu => self.pes[g].alu.queue.push_back((inst_id, latency)),
-                DispatchUnit::PgsmPort => self.pes[g].pgsm_port.queue.push_back((inst_id, latency)),
-                DispatchUnit::VsmPort => self.pes[g].vsm_port.queue.push_back((inst_id, latency)),
-                DispatchUnit::Mem => {
-                    let (kind, extra) = mem_kind.expect("mem op");
+        let mut mem_extra = 0;
+        match unit {
+            DispatchUnit::Simd | DispatchUnit::Alu | DispatchUnit::PgsmPort => {
+                // A unit collects completions before it starts the tick's op,
+                // so an op completes no earlier than the tick after its start.
+                let start = now + 1;
+                let done = start + latency.max(1);
+                // The PGSM port's busy time is not integrated.
+                let stamps = match unit {
+                    DispatchUnit::Simd => Some(&mut self.simd_busy_until),
+                    DispatchUnit::Alu => Some(&mut self.alu_busy_until),
+                    _ => None,
+                };
+                if let Some(stamps) = stamps {
+                    for g in mask.iter() {
+                        stamps[g] = stamps[g].max(done);
+                    }
+                }
+                self.unit_ops.push(UnitOp { start, done, inst_id, n });
+            }
+            DispatchUnit::VsmPort => {
+                for g in mask.iter() {
+                    self.pes[g].vsm_port.queue.push_back((inst_id, latency));
+                    self.vsm_active |= 1 << g;
+                }
+            }
+            DispatchUnit::Mem(kind) => {
+                mem_extra = latency;
+                for g in mask.iter() {
                     let addr = match *inst {
                         Instruction::LdRf { dram_addr, .. }
                         | Instruction::StRf { dram_addr, .. }
@@ -1129,11 +1238,10 @@ impl Vault {
                         }
                         _ => [0; ACCESS_BYTES],
                     };
-                    let rid = RequestId(((g as u64) << 40) | inst_id);
-                    self.mem_extra.insert(rid.0, extra);
+                    self.mem_queued |= 1 << g;
                     self.pes[g].mem.queue.push_back(MemOp {
                         req: Request {
-                            id: rid,
+                            id: RequestId(((g as u64) << 40) | inst_id),
                             bank: g % self.config.pes_per_pg,
                             addr: addr & !(ACCESS_BYTES as u32 - 1),
                             kind,
@@ -1143,7 +1251,7 @@ impl Vault {
                 }
             }
         }
-        n
+        self.track(inst_id, InFlightInst { pending: n, pc: Some(self.pc), mem_extra });
     }
 
     /// Updates register-file / scratchpad access counters for energy, and
@@ -1379,9 +1487,9 @@ mod tests {
         u.complete(13, &mut done);
         assert!(done.is_empty());
         u.complete(14, &mut done);
-        assert_eq!(done, vec![1]);
+        assert_eq!(done, vec![(1, 1)]);
         u.complete(15, &mut done);
-        assert_eq!(done, vec![1, 2]);
-        assert!(!u.busy());
+        assert_eq!(done, vec![(1, 1), (2, 1)]);
+        assert!(u.in_flight.is_empty() && u.queue.is_empty());
     }
 }

@@ -6,14 +6,14 @@
 //! and reads unwritten locations as zero (DRAM contents after host
 //! initialization are defined by the host upload anyway).
 
-use std::collections::HashMap;
+use crate::IdMap;
 
 const PAGE_BYTES: usize = 4096;
 
 /// Sparse byte array modelling one bank's data contents.
 #[derive(Debug, Clone, Default)]
 pub struct BankArray {
-    pages: HashMap<u32, Box<[u8; PAGE_BYTES]>>,
+    pages: IdMap<u32, Box<[u8; PAGE_BYTES]>>,
 }
 
 impl BankArray {

@@ -79,6 +79,8 @@ pub enum SchedPolicy {
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     req: Request,
+    /// The request's row in its bank, decoded once at enqueue.
+    row: u32,
     enqueued_at: u64,
     /// Arrival order, used to keep same-address reads and writes ordered.
     seq: u64,
@@ -100,6 +102,16 @@ struct InFlight {
 /// per bank overlap; the per-bank data bus is modeled by the bank's own
 /// `tCCD` constraint).
 type InFlightSet = Vec<InFlight>;
+
+/// What [`MemController::issue_one`] did with the cycle's command slot.
+enum Slot {
+    Issued,
+    /// No command issued; `writes_tried` records whether the write buffer
+    /// was offered the slot.
+    Idle {
+        writes_tried: bool,
+    },
+}
 
 /// Row-buffer locality statistics kept by the controller.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -137,6 +149,16 @@ pub struct MemController {
     // Inter-bank activation constraints.
     last_act: Option<u64>,
     act_window: VecDeque<u64>,
+    // Reused candidate buffers of `candidate_order` (ready row hits, then
+    // the oldest row-steering request per bank).
+    order: Vec<usize>,
+    order_rest: Vec<usize>,
+    // Ticks before this cycle only move the read-idle counter: the
+    // `next_event` bound taken after a quiet tick, dropped (0) whenever
+    // state changes from outside `tick`. `quiet_exact`: the bound kept the
+    // posted writes' terms, so it is what `next_event` would compute.
+    quiet_until: u64,
+    quiet_exact: bool,
     /// Row-buffer locality statistics.
     pub locality: RowLocality,
     // Observability (detached by default; see `attach_trace`).
@@ -148,6 +170,11 @@ pub struct MemController {
 impl MemController {
     /// Creates a controller over `banks` with a queue of `queue_capacity`
     /// entries (Table III: 16).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `banks` holds more than 64 banks (the scheduler tracks
+    /// banks in a 64-bit mask; a vault has at most 64 PEs).
     pub fn new(
         banks: Vec<Bank>,
         timing: DramTiming,
@@ -155,6 +182,7 @@ impl MemController {
         page_policy: PagePolicy,
         sched_policy: SchedPolicy,
     ) -> Self {
+        assert!(banks.len() <= 64, "{} banks exceed the 64-bank controller limit", banks.len());
         Self {
             banks,
             timing,
@@ -174,6 +202,10 @@ impl MemController {
             refreshing: false,
             last_act: None,
             act_window: VecDeque::with_capacity(4),
+            order: Vec::with_capacity(queue_capacity),
+            order_rest: Vec::with_capacity(queue_capacity),
+            quiet_until: 0,
+            quiet_exact: false,
             locality: RowLocality::default(),
             tracer: Tracer::default(),
             comp: CompId::default(),
@@ -224,6 +256,7 @@ impl MemController {
     /// Disables refresh scheduling (useful for deterministic unit tests).
     pub fn set_refresh_enabled(&mut self, enabled: bool) {
         self.refresh_enabled = enabled;
+        self.quiet_until = 0;
     }
 
     /// Number of banks served.
@@ -246,6 +279,7 @@ impl MemController {
     ///
     /// Panics if `bank` is out of range.
     pub fn bank_mut(&mut self, bank: usize) -> &mut Bank {
+        self.quiet_until = 0;
         &mut self.banks[bank]
     }
 
@@ -294,6 +328,21 @@ impl MemController {
     /// every branch below under-approximates. `None` means the controller
     /// is fully drained and (with refresh disabled) will never act again.
     pub fn next_event(&self, now: u64) -> Option<u64> {
+        // Inside a quiet window nothing but the read-idle counter changed
+        // since the bound was taken, and every term of the bound is an
+        // absolute cycle (the read-idle crossing included): it still holds.
+        if self.quiet_exact && now < self.quiet_until {
+            return Some(self.quiet_until);
+        }
+        self.bound(now, true)
+    }
+
+    /// [`next_event`](Self::next_event), without the posted writes' own
+    /// bounds when `writes_may_issue` is false. That is sound right after a
+    /// tick that issued nothing, changed nothing else and never reached
+    /// `issue_write`: every later tick repeats that tick's flow (its drain
+    /// flag update is idempotent) until the first event this bounds.
+    fn bound(&self, now: u64, writes_may_issue: bool) -> Option<u64> {
         // Mid-refresh sequences step once per cycle (drains, PREs, REFs).
         if self.refreshing {
             return Some(now);
@@ -311,13 +360,15 @@ impl MemController {
         // Queued reads: the earliest cycle any of them could receive a
         // command, ignoring scheduling-policy gating (which only delays).
         for p in &self.queue {
-            t = t.min(self.request_bound(&p.req));
+            t = t.min(self.request_bound(p));
         }
         if !self.write_buffer.is_empty() {
             // Drain-mode entry can flip at any tick the moment a write
             // becomes issuable, so always include the raw write bounds.
-            for p in &self.write_buffer {
-                t = t.min(self.request_bound(&p.req));
+            if writes_may_issue {
+                for p in &self.write_buffer {
+                    t = t.min(self.request_bound(p));
+                }
             }
             // The idle-read hysteresis (`read_idle_cycles > 150`) is the
             // one time-driven drain trigger; compute its crossing cycle.
@@ -342,13 +393,13 @@ impl MemController {
         }
     }
 
-    /// Earliest cycle `req` could receive *any* DRAM command given only its
+    /// Earliest cycle `p` could receive *any* DRAM command given only its
     /// bank's timing state (a lower bound: inter-bank constraints and
     /// scheduling gates can only push the real issue later).
-    fn request_bound(&self, req: &Request) -> u64 {
-        let bank = &self.banks[req.bank];
+    fn request_bound(&self, p: &Pending) -> u64 {
+        let bank = &self.banks[p.req.bank];
         match bank.state() {
-            BankState::Active { row } if row == bank.map().row(req.addr) => {
+            BankState::Active { row } if row == p.row => {
                 bank.earliest(BankCmd::Rd(0)).expect("column legal on open row")
             }
             BankState::Active { .. } => bank.earliest(BankCmd::Pre).expect("PRE legal on open row"),
@@ -379,6 +430,7 @@ impl MemController {
     pub fn enqueue(&mut self, req: Request, now: u64) -> bool {
         assert!(req.bank < self.banks.len(), "bank {} out of range", req.bank);
         assert_eq!(req.addr % crate::ACCESS_BYTES as u32, 0, "unaligned access {:#x}", req.addr);
+        let row = self.banks[req.bank].map().row(req.addr);
         match req.kind {
             AccessKind::Write => {
                 if self.write_buffer.len() >= self.write_capacity {
@@ -392,6 +444,7 @@ impl MemController {
                 self.next_seq += 1;
                 self.write_buffer.push_back(Pending {
                     req,
+                    row,
                     enqueued_at: now,
                     seq,
                     saw_act: false,
@@ -403,6 +456,7 @@ impl MemController {
                     data: [0; crate::ACCESS_BYTES],
                     finished_at: now + 1,
                 });
+                self.quiet_until = 0;
                 true
             }
             AccessKind::Read => {
@@ -413,11 +467,13 @@ impl MemController {
                 self.next_seq += 1;
                 self.queue.push_back(Pending {
                     req,
+                    row,
                     enqueued_at: now,
                     seq,
                     saw_act: false,
                     saw_pre: false,
                 });
+                self.quiet_until = 0;
                 true
             }
         }
@@ -426,6 +482,10 @@ impl MemController {
     /// Advances the controller by one cycle: possibly issues one DRAM
     /// command and returns any completions that finished at `now`.
     pub fn tick(&mut self, now: u64) -> Vec<Completion> {
+        if now < self.quiet_until {
+            self.count_read_idle();
+            return Vec::new();
+        }
         let mut done = Vec::new();
         let mut i = 0;
         while i < self.write_acks.len() {
@@ -457,6 +517,7 @@ impl MemController {
             self.refreshing = true;
             self.tracer.emit(now, self.comp, || TraceEvent::RefreshBegin);
         }
+        let mut quiet = done.is_empty();
         if self.refreshing {
             if self.do_refresh_step(now) {
                 // Refresh sequence consumed this cycle's command slot.
@@ -465,9 +526,18 @@ impl MemController {
             self.refreshing = false;
             self.next_refresh = now + self.timing.t_refi;
             self.tracer.emit(now, self.comp, || TraceEvent::RefreshEnd);
+            quiet = false;
         }
 
-        self.issue_one(now);
+        // After a tick that changed nothing but the read-idle counter and
+        // the (then idempotent) drain flag, every tick before the next
+        // event does the same: bound that window once, then skip its ticks.
+        if let Slot::Idle { writes_tried } = self.issue_one(now) {
+            if quiet {
+                self.quiet_exact = writes_tried || self.write_buffer.is_empty();
+                self.quiet_until = self.bound(now + 1, writes_tried).unwrap_or(u64::MAX);
+            }
+        }
         done
     }
 
@@ -505,20 +575,25 @@ impl MemController {
         true
     }
 
-    /// Issues at most one command according to the scheduling policy.
-    ///
-    /// Candidates are tried in policy priority order; the first request for
-    /// which a command can legally issue this cycle consumes the PG's single
-    /// command-bus slot.
-    fn issue_one(&mut self, now: u64) {
-        // Hysteresis: start draining writes when the buffer is almost full,
-        // or when the read stream has been idle long enough that we are not
-        // about to thrash its open rows; stop when the buffer empties.
+    /// Advances the read-idle counter the write-drain hysteresis reads.
+    fn count_read_idle(&mut self) {
         if self.queue.is_empty() {
             self.read_idle_cycles = self.read_idle_cycles.saturating_add(1);
         } else {
             self.read_idle_cycles = 0;
         }
+    }
+
+    /// Issues at most one command according to the scheduling policy.
+    ///
+    /// Candidates are tried in policy priority order; the first request for
+    /// which a command can legally issue this cycle consumes the PG's single
+    /// command-bus slot.
+    fn issue_one(&mut self, now: u64) -> Slot {
+        // Hysteresis: start draining writes when the buffer is almost full,
+        // or when the read stream has been idle long enough that we are not
+        // about to thrash its open rows; stop when the buffer empties.
+        self.count_read_idle();
         if self.write_buffer.len() >= self.write_capacity * 3 / 4
             || (self.read_idle_cycles > 150 && !self.write_buffer.is_empty())
         {
@@ -534,15 +609,29 @@ impl MemController {
         {
             self.draining_writes = false;
         }
-        for idx in self.candidate_order(now) {
-            if self.try_progress(idx, now) {
-                return;
+        // With no queued read and no posted write there is no candidate, and
+        // `issue_write` would do nothing.
+        let mut writes_tried = false;
+        if !self.queue.is_empty() || !self.write_buffer.is_empty() {
+            self.candidate_order(now);
+            let order = std::mem::take(&mut self.order);
+            let issued = order.iter().any(|&idx| self.try_progress(idx, now));
+            self.order = order;
+            if issued {
+                return Slot::Issued;
+            }
+            if self.draining_writes {
+                if self.issue_write(now) {
+                    return Slot::Issued;
+                }
+                writes_tried = true;
             }
         }
-        if self.draining_writes && self.issue_write(now) {
-            return;
+        if self.maybe_auto_precharge(now) {
+            Slot::Issued
+        } else {
+            Slot::Idle { writes_tried }
         }
-        self.maybe_auto_precharge(now);
     }
 
     /// Whether `w` must wait for an *older* queued same-address read.
@@ -565,7 +654,7 @@ impl MemController {
             }
             let bank = &self.banks[p.req.bank];
             match bank.state() {
-                BankState::Active { row } if row == bank.map().row(p.req.addr) => {
+                BankState::Active { row } if row == p.row => {
                     bank.earliest(BankCmd::Wr(0)).is_some_and(|t| t <= now)
                 }
                 _ => false,
@@ -595,7 +684,7 @@ impl MemController {
         let p = self.write_buffer[idx0];
         let bank_state = self.banks[p.req.bank].state();
         match bank_state {
-            BankState::Active { row } if row == self.banks[p.req.bank].map().row(p.req.addr) => {
+            BankState::Active { row } if row == p.row => {
                 // Right row already open; just waiting on column timing.
             }
             BankState::Active { .. } => {
@@ -606,11 +695,10 @@ impl MemController {
                 }
             }
             BankState::Precharged => {
-                let row = self.banks[p.req.bank].map().row(p.req.addr);
                 let ok =
-                    self.banks[p.req.bank].earliest(BankCmd::Act(row)).is_some_and(|t| t <= now);
+                    self.banks[p.req.bank].earliest(BankCmd::Act(p.row)).is_some_and(|t| t <= now);
                 if ok && self.act_allowed(now) {
-                    self.issue_cmd(p.req.bank, BankCmd::Act(row), now);
+                    self.issue_cmd(p.req.bank, BankCmd::Act(p.row), now);
                     self.record_act(now);
                     self.write_buffer[idx0].saw_act = true;
                     return true;
@@ -638,7 +726,7 @@ impl MemController {
         }
         let bank = &self.banks[req.bank];
         match bank.state() {
-            BankState::Active { row } if row == bank.map().row(req.addr) => {
+            BankState::Active { row } if row == pending.row => {
                 // Row hit: issue the column command.
                 let col = bank.map().col(req.addr);
                 let cmd = BankCmd::Rd(col);
@@ -685,7 +773,7 @@ impl MemController {
                     return false;
                 }
                 // Row miss: activate, honoring tRRD and tFAW across banks.
-                let row = self.banks[req.bank].map().row(req.addr);
+                let row = pending.row;
                 let bank_ok =
                     self.banks[req.bank].earliest(BankCmd::Act(row)).is_some_and(|t| t <= now);
                 if bank_ok && self.act_allowed(now) {
@@ -699,10 +787,11 @@ impl MemController {
         }
     }
 
-    /// Close-page helper: precharge any idle open bank with no queued hit.
-    fn maybe_auto_precharge(&mut self, now: u64) {
+    /// Close-page helper: precharge any idle open bank with no queued hit;
+    /// returns whether a PRE issued.
+    fn maybe_auto_precharge(&mut self, now: u64) -> bool {
         if self.page_policy != PagePolicy::Close {
-            return;
+            return false;
         }
         for b in 0..self.banks.len() {
             let has_pending = self.queue.iter().any(|p| p.req.bank == b);
@@ -713,9 +802,10 @@ impl MemController {
                 && self.banks[b].earliest(BankCmd::Pre).is_some_and(|t| t <= now)
             {
                 self.issue_cmd(b, BankCmd::Pre, now);
-                return; // one command per cycle
+                return true; // one command per cycle
             }
         }
+        false
     }
 
     fn act_allowed(&self, now: u64) -> bool {
@@ -742,53 +832,51 @@ impl MemController {
         }
     }
 
-    /// Orders queue indices by scheduling-policy priority.
-    fn candidate_order(&self, now: u64) -> Vec<usize> {
-        match self.sched_policy {
-            SchedPolicy::Fcfs => {
+    /// Orders queue indices by scheduling-policy priority into
+    /// `self.order`, reusing its allocation.
+    fn candidate_order(&mut self, now: u64) {
+        let (order, rest) = (&mut self.order, &mut self.order_rest);
+        order.clear();
+        rest.clear();
+        // Banks that already have a row-steering candidate (bit = bank).
+        let mut seen_banks = 0u64;
+        for (i, p) in self.queue.iter().enumerate() {
+            let bit = 1u64 << p.req.bank;
+            match self.sched_policy {
                 // Strict arrival order: the oldest request for each bank may
                 // progress; younger requests to the *same* bank must wait so
                 // per-bank order (and per-address order) is preserved.
-                let mut seen_banks = vec![false; self.banks.len()];
-                let mut out = Vec::new();
-                for (i, p) in self.queue.iter().enumerate() {
-                    if !seen_banks[p.req.bank] {
-                        seen_banks[p.req.bank] = true;
-                        out.push(i);
+                SchedPolicy::Fcfs => {
+                    if seen_banks & bit == 0 {
+                        seen_banks |= bit;
+                        order.push(i);
                     }
                 }
-                out
-            }
-            SchedPolicy::FrFcfs => {
                 // First-ready: row hits that can issue now, oldest first;
                 // then the rest, oldest first — also oldest-per-bank so
                 // same-address ordering is preserved. Bursts pipeline: a
                 // bank with outstanding bursts still accepts new column
                 // commands once its `tCCD` window reopens.
-                let mut hits = Vec::new();
-                let mut rest = Vec::new();
-                let mut seen_banks = vec![false; self.banks.len()];
-                for (i, p) in self.queue.iter().enumerate() {
+                SchedPolicy::FrFcfs => {
                     let bank = &self.banks[p.req.bank];
                     let is_hit = match bank.state() {
-                        BankState::Active { row } if row == bank.map().row(p.req.addr) => {
+                        BankState::Active { row } if row == p.row => {
                             bank.earliest(BankCmd::Rd(0)).is_some_and(|t| t <= now)
                         }
                         _ => false,
                     };
                     if is_hit {
-                        hits.push(i);
-                    } else if !seen_banks[p.req.bank] {
+                        order.push(i);
+                    } else if seen_banks & bit == 0 {
                         // Only the oldest non-hit request per bank may steer
                         // the row buffer (PRE/ACT); younger ones wait.
-                        seen_banks[p.req.bank] = true;
+                        seen_banks |= bit;
                         rest.push(i);
                     }
                 }
-                hits.extend(rest);
-                hits
             }
         }
+        order.extend_from_slice(rest);
     }
 
     /// Snapshot of per-bank statistics summed over all banks.

@@ -25,6 +25,7 @@ mod array;
 mod bank;
 mod controller;
 mod energy;
+mod idmap;
 mod timing;
 
 pub use array::BankArray;
@@ -33,6 +34,7 @@ pub use controller::{
     AccessKind, Completion, MemController, PagePolicy, Request, RequestId, RowLocality, SchedPolicy,
 };
 pub use energy::{DramEnergy, EnergyParams};
+pub use idmap::{IdHasher, IdMap};
 pub use timing::{AddressMap, DramTiming};
 
 /// Bytes transferred by one column access (128-bit bank interface).

@@ -46,7 +46,13 @@ fn requests(raw: &[(usize, u32, bool, u8)]) -> Vec<Request> {
 /// Drives `mc` through a request stream one cycle at a time; on every cycle
 /// the controller acts (issues any command or returns any completion), the
 /// bound computed *before* that tick must already have been due.
+///
+/// A controller skips the ticks of a quiet window it bounded with
+/// `next_event` itself, so a late bound would hide behind its own skip.
+/// `mc` therefore takes every tick in full (`bank_mut` drops the window),
+/// and a twin that keeps its windows must act identically on every cycle.
 fn check_controller_bound(mc: &mut MemController, raw: &[(usize, u32, bool, u8)]) {
+    let mut twin = mc.clone();
     let mut pending: std::collections::VecDeque<Request> = requests(raw).into();
     let total = pending.len();
     let mut done = 0usize;
@@ -54,6 +60,7 @@ fn check_controller_bound(mc: &mut MemController, raw: &[(usize, u32, bool, u8)]
     while done < total || !mc.is_idle() {
         while let Some(&req) = pending.front() {
             if mc.enqueue(req, now) {
+                assert!(twin.enqueue(req, now), "cycle {now}: twin rejected a request");
                 pending.pop_front();
             } else {
                 break;
@@ -61,7 +68,19 @@ fn check_controller_bound(mc: &mut MemController, raw: &[(usize, u32, bool, u8)]
         }
         let bound = mc.next_event(now);
         let stats_before = mc.total_bank_stats();
+        mc.bank_mut(0);
         let completions = mc.tick(now);
+        let twin_completions = twin.tick(now);
+        assert_eq!(
+            format!("{completions:?}"),
+            format!("{twin_completions:?}"),
+            "cycle {now}: quiet-window skipping changed the completions"
+        );
+        assert_eq!(
+            (mc.total_bank_stats(), mc.locality),
+            (twin.total_bank_stats(), twin.locality),
+            "cycle {now}: quiet-window skipping changed the DRAM commands"
+        );
         let acted = !completions.is_empty() || mc.total_bank_stats() != stats_before;
         if acted {
             let b = bound.unwrap_or_else(|| {

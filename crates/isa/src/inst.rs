@@ -437,101 +437,113 @@ impl Instruction {
 
     /// Registers read by this instruction (for hazard detection).
     pub fn reads(&self) -> Vec<RegRef> {
-        use Instruction::*;
         let mut out = Vec::with_capacity(3);
-        let addr = |out: &mut Vec<RegRef>, a: &AddrOperand| {
+        self.for_each_read(|r| out.push(r));
+        out
+    }
+
+    /// Calls `f` on each register [`reads`](Self::reads) lists, in the
+    /// same order, without allocating.
+    pub fn for_each_read(&self, mut f: impl FnMut(RegRef)) {
+        use Instruction::*;
+        fn addr(f: &mut impl FnMut(RegRef), a: &AddrOperand) {
             if let Some(r) = a.addr_reg() {
-                out.push(RegRef::Addr(r));
+                f(RegRef::Addr(r));
             }
-        };
+        }
         match self {
             Comp { op, mode: _, dst, src1, src2, .. } => {
-                out.push(RegRef::Data(*src1));
+                f(RegRef::Data(*src1));
                 if op.uses_src2() {
-                    out.push(RegRef::Data(*src2));
+                    f(RegRef::Data(*src2));
                 }
                 if op.reads_dst() {
-                    out.push(RegRef::Data(*dst));
+                    f(RegRef::Data(*dst));
                 }
             }
             CalcArf { src1, src2, .. } => {
-                out.push(RegRef::Addr(*src1));
+                f(RegRef::Addr(*src1));
                 if let ArfSrc::Reg(r) = src2 {
-                    out.push(RegRef::Addr(*r));
+                    f(RegRef::Addr(*r));
                 }
             }
             StRf { dram_addr, drf, .. } => {
-                addr(&mut out, dram_addr);
-                out.push(RegRef::Data(*drf));
+                addr(&mut f, dram_addr);
+                f(RegRef::Data(*drf));
             }
-            LdRf { dram_addr, .. } => addr(&mut out, dram_addr),
+            LdRf { dram_addr, .. } => addr(&mut f, dram_addr),
             StPgsm { dram_addr, pgsm_addr, .. } | LdPgsm { dram_addr, pgsm_addr, .. } => {
-                addr(&mut out, dram_addr);
-                addr(&mut out, pgsm_addr);
+                addr(&mut f, dram_addr);
+                addr(&mut f, pgsm_addr);
             }
-            RdPgsm { pgsm_addr, .. } => addr(&mut out, pgsm_addr),
+            RdPgsm { pgsm_addr, .. } => addr(&mut f, pgsm_addr),
             WrPgsm { pgsm_addr, drf, .. } => {
-                addr(&mut out, pgsm_addr);
-                out.push(RegRef::Data(*drf));
+                addr(&mut f, pgsm_addr);
+                f(RegRef::Data(*drf));
             }
-            RdVsm { vsm_addr, .. } => addr(&mut out, vsm_addr),
+            RdVsm { vsm_addr, .. } => addr(&mut f, vsm_addr),
             WrVsm { vsm_addr, drf, .. } => {
-                addr(&mut out, vsm_addr);
-                out.push(RegRef::Data(*drf));
+                addr(&mut f, vsm_addr);
+                f(RegRef::Data(*drf));
             }
             Mov { to_arf, arf, drf, .. } => {
                 if *to_arf {
-                    out.push(RegRef::Data(*drf));
+                    f(RegRef::Data(*drf));
                 } else {
-                    out.push(RegRef::Addr(*arf));
+                    f(RegRef::Addr(*arf));
                 }
             }
             SetiVsm { .. } | Reset { .. } | SetiDrf { .. } | SetiCrf { .. } | Sync { .. } => {}
             Req { dram_addr, vsm_addr, .. } => {
                 if let Some(r) = dram_addr.ctrl_reg() {
-                    out.push(RegRef::Ctrl(r));
+                    f(RegRef::Ctrl(r));
                 }
                 if let Some(r) = vsm_addr.ctrl_reg() {
-                    out.push(RegRef::Ctrl(r));
+                    f(RegRef::Ctrl(r));
                 }
             }
             Jump { target } => {
                 if let Some(r) = target.ctrl_reg() {
-                    out.push(RegRef::Ctrl(r));
+                    f(RegRef::Ctrl(r));
                 }
             }
             CJump { cond, target } => {
-                out.push(RegRef::Ctrl(*cond));
+                f(RegRef::Ctrl(*cond));
                 if let Some(r) = target.ctrl_reg() {
-                    out.push(RegRef::Ctrl(r));
+                    f(RegRef::Ctrl(r));
                 }
             }
             CalcCrf { src1, src2, .. } => {
-                out.push(RegRef::Ctrl(*src1));
+                f(RegRef::Ctrl(*src1));
                 if let Some(r) = src2.ctrl_reg() {
-                    out.push(RegRef::Ctrl(r));
+                    f(RegRef::Ctrl(r));
                 }
             }
         }
-        out
     }
 
     /// Registers written by this instruction (for hazard detection).
     pub fn writes(&self) -> Vec<RegRef> {
+        self.written().into_iter().collect()
+    }
+
+    /// The register [`writes`](Self::writes) lists, if any: an instruction
+    /// writes at most one.
+    pub fn written(&self) -> Option<RegRef> {
         use Instruction::*;
         match self {
-            Comp { dst, .. } => vec![RegRef::Data(*dst)],
-            CalcArf { dst, .. } => vec![RegRef::Addr(*dst)],
-            LdRf { drf, .. } | RdPgsm { drf, .. } | RdVsm { drf, .. } => vec![RegRef::Data(*drf)],
+            Comp { dst, .. } => Some(RegRef::Data(*dst)),
+            CalcArf { dst, .. } => Some(RegRef::Addr(*dst)),
+            LdRf { drf, .. } | RdPgsm { drf, .. } | RdVsm { drf, .. } => Some(RegRef::Data(*drf)),
             Mov { to_arf, arf, drf, .. } => {
                 if *to_arf {
-                    vec![RegRef::Addr(*arf)]
+                    Some(RegRef::Addr(*arf))
                 } else {
-                    vec![RegRef::Data(*drf)]
+                    Some(RegRef::Data(*drf))
                 }
             }
-            Reset { drf, .. } | SetiDrf { drf, .. } => vec![RegRef::Data(*drf)],
-            CalcCrf { dst, .. } | SetiCrf { dst, .. } => vec![RegRef::Ctrl(*dst)],
+            Reset { drf, .. } | SetiDrf { drf, .. } => Some(RegRef::Data(*drf)),
+            CalcCrf { dst, .. } | SetiCrf { dst, .. } => Some(RegRef::Ctrl(*dst)),
             StRf { .. }
             | StPgsm { .. }
             | LdPgsm { .. }
@@ -541,7 +553,7 @@ impl Instruction {
             | Req { .. }
             | Jump { .. }
             | CJump { .. }
-            | Sync { .. } => vec![],
+            | Sync { .. } => None,
         }
     }
 

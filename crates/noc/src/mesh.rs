@@ -128,6 +128,12 @@ impl<P: Clone> Mesh<P> {
     pub fn tick(&mut self, now: u64) -> Vec<Packet<P>> {
         // For every router and every output port, move at most one flit.
         for r in 0..self.routers.len() {
+            if self.routers[r].queued_flits() == 0 {
+                // Nothing can move; the port loop would only release every
+                // output allocation (each owner's input is empty).
+                self.routers[r].alloc.iter_mut().for_each(|a| *a = None);
+                continue;
+            }
             let node = self.routers[r].id;
             for (out, &port) in PORTS.iter().enumerate() {
                 // Which input currently owns this output?

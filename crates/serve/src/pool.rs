@@ -268,8 +268,9 @@ mod tests {
         req.deadline_ms = Some(0);
         let pool = ServePool::start(&PoolConfig { workers: 1, queue_depth: 4, cache_capacity: 4 });
         // Hold the worker busy so the deadline job sits in the queue past
-        // its (zero) deadline.
-        let busy = pool.submit(small("Blur"));
+        // its (zero) deadline. The blocker must outlast the 5 ms sleep by
+        // a wide margin: Blur at 256² simulates for tens of milliseconds.
+        let busy = pool.submit(SimRequest::named("Blur", 256, 256));
         std::thread::sleep(std::time::Duration::from_millis(5));
         let shed = pool.submit(req).wait();
         assert_eq!(shed, SimResponse::Timeout(TimeoutKind::DeadlineBeforeStart));

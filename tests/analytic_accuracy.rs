@@ -20,6 +20,12 @@
 //!   timing that leaves the analytic tier uncalibrated. A covered pair
 //!   with no committed pair fails too: re-record the matrix with
 //!   `cargo run --release -p ipim-report --bin matrix`.
+//! * **Exactness.** The fresh skip-ahead run, folded into a cell by
+//!   [`MatrixCell::from_engine_run`], must reproduce the committed
+//!   `skip_ahead` cell's `cycles`, `gbps` and `pj_per_op` exactly. The
+//!   legacy engine shares `Vault::tick` with skip-ahead, so
+//!   `engine_equivalence` cannot catch a change to the tick itself; this
+//!   check does.
 //!
 //! The suite is registered under `ipim-report` so it reads the committed
 //! cells with [`read_matrix`], the parser the renderer and
@@ -53,12 +59,20 @@ fn committed_cells() -> Vec<MatrixCell> {
     read_matrix(&path).unwrap_or_else(|e| panic!("committed matrix: {e}")).cells
 }
 
+/// The committed `backend` cell for `name` at `side`².
+fn committed_cell<'a>(
+    cells: &'a [MatrixCell],
+    name: &str,
+    side: u32,
+    backend: Backend,
+) -> Option<&'a MatrixCell> {
+    cells.iter().find(|c| c.workload == name && c.scale == side && c.backend == backend)
+}
+
 /// Divergence of the committed `skip_ahead`/`analytic` cell pair for
 /// `name` at `side`², or `None` when either cell is missing.
 fn committed_divergence(cells: &[MatrixCell], name: &str, side: u32) -> Option<f64> {
-    let cycles = |backend| {
-        cells.iter().find(|c| c.workload == name && c.scale == side && c.backend == backend)?.cycles
-    };
+    let cycles = |backend| committed_cell(cells, name, side, backend)?.cycles;
     Some(divergence_pct(cycles(Backend::Analytic)?, cycles(Backend::SkipAhead)?))
 }
 
@@ -145,6 +159,26 @@ fn check_scale(side: u32) -> usize {
             w.name,
             p.report.cycles,
             s.report.cycles,
+        );
+        // The cycle engine itself is pinned to the committed matrix: the
+        // fresh skip-ahead cell must reproduce the committed one exactly.
+        let fresh = MatrixCell::from_engine_run(
+            &w,
+            Backend::SkipAhead,
+            &s.report,
+            s.report.energy.total_pj(),
+            0,
+        );
+        let recorded = committed_cell(&committed, w.name, side, Backend::SkipAhead);
+        assert!(
+            recorded
+                .is_some_and(|c| (c.cycles, c.gbps, c.pj_per_op)
+                    == (fresh.cycles, fresh.gbps, fresh.pj_per_op)),
+            "{} {side}x{side}: skip-ahead cell (cycles, gbps, pj_per_op) = {:?} does not match \
+             the committed matrix cell {:?}{detail}",
+            w.name,
+            (fresh.cycles, fresh.gbps, fresh.pj_per_op),
+            recorded.map(|c| (c.cycles, c.gbps, c.pj_per_op)),
         );
         let base = committed_divergence(&committed, w.name, side).unwrap_or_else(|| {
             panic!(

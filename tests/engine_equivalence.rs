@@ -38,8 +38,40 @@ fn at_supported_scale(w: Workload) -> Workload {
     }
 }
 
+/// 64-bit FNV-1a, the hash `ipim_serve::report_hash` and `image_hash` use.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Expected `(report, output)` FNV-1a digests of the skip-ahead run of each
+/// `(workload, side, vaults)` case [`assert_engines_agree`] checks. The
+/// report digest covers the `Debug` rendering of the whole
+/// `ExecutionReport` (every stall, busy and bank counter, every f64 energy
+/// term); the output digest covers the image's f32 bit patterns. Both
+/// engines share `Vault::tick`, so their agreement alone cannot catch a
+/// change to the tick itself: these pins can. A deliberate timing change
+/// re-records them together with `results/matrix.jsonl`.
+const DIGESTS: &[(&str, u32, usize, u64, u64)] = &[
+    ("Brighten", 64, 1, 0x5adc47925c529c12, 0xfd445293868249d4),
+    ("Blur", 64, 1, 0x892a59f623486285, 0x7714417a2c6384a9),
+    ("Downsample", 128, 1, 0xb1299c489fb0f292, 0x5d4a4c33ed7b98ba),
+    ("Upsample", 64, 1, 0xaf832320ac0c42e6, 0x90db5b57401c066b),
+    ("Shift", 64, 1, 0x87ed3726eee79e05, 0x869b649c477f3005),
+    ("Histogram", 64, 1, 0x3d68b2d8140f3e1a, 0xb3060a0aa5fcce2f),
+    ("Histogram", 64, 2, 0x843d8be0aa2d17ce, 0xb3060a0aa5fcce2f),
+    ("BilateralGrid", 64, 1, 0x81a3ec9b295dd5e3, 0x584eb76d95960f49),
+    ("Interpolate", 128, 1, 0x37f155245bdc1c36, 0xc5c15601759c105f),
+    ("Gemm", 64, 1, 0x758fcbd145e56d37, 0xb9db8c6e593b844c),
+    ("Conv3x3", 64, 1, 0x7155256207db5138, 0xed3bb0ddf867c52d),
+    ("RowSoftmax", 64, 1, 0x891c0ba3691654ab, 0x9c9028ff34d0038e),
+    ("FrameDelta", 64, 1, 0xdcdf8d0ac71ebe82, 0x78e1f5c20651a3dd),
+    ("TemporalBlur", 64, 1, 0x7102d106568cd772, 0x1099765a306ddb0f),
+    ("MotionEnergy", 64, 1, 0x90acef9e55f66612, 0xe89b9d9882272ced),
+];
+
 /// Runs `w` under both engines on a `vaults`-vault slice and asserts every
-/// observable matches exactly; returns the legacy run's output.
+/// observable matches exactly, and that the skip-ahead run reproduces its
+/// pinned [`DIGESTS`]; returns the legacy run's output.
 fn assert_engines_agree(w: &Workload, vaults: usize) -> ipim_core::frontend::Image {
     let legacy = Session::new(config(Engine::Legacy, vaults))
         .run_workload(w, 2_000_000_000)
@@ -72,6 +104,24 @@ fn assert_engines_agree(w: &Workload, vaults: usize) -> ipim_core::frontend::Ima
         s.energy.total_pj()
     );
     assert_eq!(legacy.output.data(), skip.output.data(), "{}: output buffers diverge", w.name);
+
+    let side = w.scale.width;
+    let report = fnv1a(format!("{s:?}").as_bytes());
+    let pixels: Vec<u8> =
+        skip.output.data().iter().flat_map(|p| p.to_bits().to_le_bytes()).collect();
+    let output = fnv1a(&pixels);
+    let &(.., want_report, want_output) = DIGESTS
+        .iter()
+        .find(|d| d.0 == w.name && d.1 == side && d.2 == vaults)
+        .unwrap_or_else(|| {
+            panic!(
+                "no pinned digests for this case; add \
+                 (\"{}\", {side}, {vaults}, {report:#018x}, {output:#018x}) to DIGESTS",
+                w.name
+            )
+        });
+    assert_eq!(report, want_report, "{} {side}² x{vaults}: report digest moved\n{s:?}", w.name);
+    assert_eq!(output, want_output, "{} {side}² x{vaults}: output digest moved", w.name);
     legacy.output
 }
 
