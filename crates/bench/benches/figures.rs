@@ -1,14 +1,11 @@
-//! Micro-benchmarks, one group per reproduced table/figure, on the simkit
-//! timer (`cargo bench -p ipim-bench`).
-//!
-//! These measure the wall-clock cost of regenerating each experiment's
-//! underlying measurement at a reduced scale (the figure binaries in
-//! `src/bin/` print the paper-shaped numbers themselves). Cycle-accurate
-//! simulation is expensive, so the groups use small images and few
-//! samples. Results append to `results/figures.jsonl`, one JSON object
-//! per benchmark, for later perf PRs to diff against.
+//! Micro-benchmarks on the simkit timer (`cargo bench -p ipim-bench`):
+//! the machine-speed anchor, the static table models, the gated
+//! end-to-end engine kernels and compiler throughput. The figures' own
+//! simulations are benchmark-matrix cells (`ipim-report --bin matrix`),
+//! whose per-cell `wall_ns` the `bench_regress --matrix` gate checks.
+//! Results append to `results/figures.jsonl`, one JSON object per
+//! benchmark, for later perf PRs to diff against.
 
-use ipim_core::experiments::{fig1, ExperimentConfig};
 use ipim_core::{
     all_workloads, area, compile, power, workload_by_name, CompileOptions, EnergyParams, Engine,
     MachineConfig, Session, WorkloadScale,
@@ -19,20 +16,10 @@ fn small() -> WorkloadScale {
     WorkloadScale { width: 128, height: 128 }
 }
 
-fn bench_scale() -> WorkloadScale {
-    // Large enough that every PE runs multiple tile slots.
-    WorkloadScale { width: 128, height: 128 }
-}
-
-/// Iteration count for full compile+simulate measurements (criterion's
-/// old `sample_size(10)`).
-fn sim_config() -> BenchConfig {
-    BenchConfig { warmup: 1, iters: 10 }
-}
-
-/// Fig. 1: the GPU-profile model (pure computation).
+/// Fig. 1: the GPU-profile model (pure computation), also the
+/// machine-speed anchor.
 fn fig01(b: &mut Bench) {
-    b.bench("fig01_gpu_profile", fig1);
+    b.bench(ipim_report::ANCHOR_NAME, ipim_report::gpu_profile_rows);
 }
 
 /// Table I: ISA encode/decode throughput over a full workload program.
@@ -58,77 +45,11 @@ fn tables_3_4(b: &mut Bench) {
     });
 }
 
-/// Fig. 6/7 measurement kernel: compile+simulate one representative
-/// single-stage and one multi-stage benchmark on the slice.
-fn fig06_07(b: &mut Bench) {
-    for name in ["Brighten", "Blur", "BilateralGrid"] {
-        let w = workload_by_name(name, bench_scale()).unwrap();
-        let session = Session::new(MachineConfig::vault_slice(1));
-        b.bench_with(sim_config(), &format!("fig06_07_speedup_energy/{name}"), || {
-            session.run_workload(&w, 2_000_000_000).unwrap().report.cycles
-        });
-    }
-}
-
-/// Fig. 8: the PonB comparison kernel (same run under the other placement).
-fn fig08(b: &mut Bench) {
-    let w = workload_by_name("Brighten", bench_scale()).unwrap();
-    for (label, cfg) in [
-        ("near_bank", MachineConfig::vault_slice(1)),
-        ("base_die", ipim_core::baselines::ponb_config(&MachineConfig::vault_slice(1))),
-    ] {
-        let session = Session::new(cfg);
-        b.bench_with(sim_config(), &format!("fig08_ponb/{label}"), || {
-            session.run_workload(&w, 4_000_000_000).unwrap().report.cycles
-        });
-    }
-}
-
-/// Fig. 9/11/13 share the suite measurement kernel: one full run with
-/// statistics extraction.
-fn fig09_11_13(b: &mut Bench) {
-    let w = workload_by_name("Interpolate", bench_scale()).unwrap();
-    let session = Session::new(MachineConfig::vault_slice(1));
-    b.bench_with(sim_config(), "fig09_11_13_stats/interpolate_stats", || {
-        let o = session.run_workload(&w, 4_000_000_000).unwrap();
-        (
-            o.report.energy.pim_die_fraction(),
-            o.report.stats.by_category.index_calc,
-            o.report.stats.ipc(),
-        )
-    });
-}
-
-/// Fig. 10: the sensitivity-sweep kernel (one off-nominal configuration).
-fn fig10(b: &mut Bench) {
-    let w = workload_by_name("Blur", bench_scale()).unwrap();
-    for (label, rf) in [("rf16", 16usize), ("rf128", 128)] {
-        let session =
-            Session::new(MachineConfig { data_rf_entries: rf, ..MachineConfig::vault_slice(1) });
-        b.bench_with(sim_config(), &format!("fig10_sensitivity/{label}"), || {
-            session.run_workload(&w, 4_000_000_000).unwrap().report.cycles
-        });
-    }
-}
-
-/// Fig. 12: the five-compiler-configuration kernel on one benchmark.
-fn fig12(b: &mut Bench) {
-    let w = workload_by_name("Blur", bench_scale()).unwrap();
-    for (label, options) in
-        [("baseline1", CompileOptions::baseline1()), ("opt", CompileOptions::opt())]
-    {
-        let session = Session::with_options(MachineConfig::vault_slice(1), options);
-        b.bench_with(sim_config(), &format!("fig12_compiler/{label}"), || {
-            session.run_workload(&w, 4_000_000_000).unwrap().report.cycles
-        });
-    }
-}
-
 /// The `tests/end_to_end.rs` hot path: compile+simulate+verify of the
 /// deepest pipeline under each cycle engine, so perf PRs can diff the
 /// skip-ahead engine's wall-clock (and its margin over legacy) run-to-run.
 fn end_to_end(b: &mut Bench) {
-    let w = workload_by_name("StencilChain", bench_scale()).unwrap();
+    let w = workload_by_name("StencilChain", small()).unwrap();
     for (label, engine) in [("legacy", Engine::Legacy), ("skip_ahead", Engine::SkipAhead)] {
         let session = Session::new(MachineConfig { engine, ..MachineConfig::vault_slice(1) });
         b.bench_with(BenchConfig { warmup: 1, iters: 3 }, &format!("end_to_end/{label}"), || {
@@ -150,7 +71,6 @@ fn compiler_throughput(b: &mut Bench) {
             })
             .sum::<usize>()
     });
-    let _ = ExperimentConfig::quick();
 }
 
 fn main() {
@@ -158,11 +78,6 @@ fn main() {
     fig01(&mut b);
     table1(&mut b);
     tables_3_4(&mut b);
-    fig06_07(&mut b);
-    fig08(&mut b);
-    fig09_11_13(&mut b);
-    fig10(&mut b);
-    fig12(&mut b);
     end_to_end(&mut b);
     compiler_throughput(&mut b);
     b.finish().expect("write results");

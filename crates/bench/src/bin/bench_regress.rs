@@ -6,7 +6,8 @@
 //! `results/figures.jsonl`. Because CI machines differ from the machine
 //! that recorded the baseline, both sides are normalized by the
 //! `fig01_gpu_profile` entry — a pure-computation kernel that tracks
-//! machine speed but not simulator regressions.
+//! machine speed but not simulator regressions, measured fresh by
+//! `ipim_report::measure_anchor` (the matrix anchor's own estimator).
 //!
 //! Exits non-zero when a gated entry's normalized `min_ns` regresses by
 //! more than the threshold (default 25 %), or when the engine race fails:
@@ -40,19 +41,19 @@
 //! per cell, simulated `cycles` are deterministic and fail on >threshold
 //! upward drift un-normalized, while `wall_ns` is normalized by the
 //! `fig01_gpu_profile` anchor *recorded inside each matrix file* and
-//! gated only for cells whose baseline wall time clears a 1 ms noise
-//! floor. Cells present on only one side loud-skip.
+//! gated only for cells whose baseline wall time clears the 50 ms noise
+//! floor (`MATRIX_WALL_FLOOR_NS`). Cells present on only one side
+//! loud-skip.
 
-use std::time::Instant;
-
-use ipim_core::experiments::{fig1, verify_against_reference};
+use ipim_core::experiments::verify_against_reference;
 use ipim_core::trace::json;
 use ipim_core::{workload_by_name, Engine, MachineConfig, Session, WorkloadScale};
+use ipim_report::{measure_anchor, min_ns_of};
 
 /// The entries the gate enforces.
 const GATED: [&str; 2] = ["end_to_end/legacy", "end_to_end/skip_ahead"];
 /// The machine-speed normalizer entry.
-const NORMALIZER: &str = "fig01_gpu_profile";
+const NORMALIZER: &str = ipim_report::ANCHOR_NAME;
 
 /// One figures-file entry, with the context fields the serve gate needs.
 struct Entry {
@@ -106,20 +107,6 @@ fn lookup(entries: &[Entry], name: &str) -> Option<u64> {
     entries.iter().find(|e| e.name == name).map(|e| e.min_ns)
 }
 
-/// Minimum wall-clock of `iters` calls after `warmup` discarded calls.
-fn min_ns_of<R>(warmup: u32, iters: u32, mut f: impl FnMut() -> R) -> u64 {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let mut min = u64::MAX;
-    for _ in 0..iters {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        min = min.min(start.elapsed().as_nanos() as u64);
-    }
-    min
-}
-
 /// Measures fresh `min_ns` for the normalizer and both gated entries.
 fn measure_fresh() -> Vec<Entry> {
     let mut out = Vec::new();
@@ -131,7 +118,7 @@ fn measure_fresh() -> Vec<Entry> {
         transport: "inproc".to_string(),
         cycles,
     };
-    out.push(plain(NORMALIZER.to_string(), min_ns_of(3, 10, fig1), None));
+    out.push(plain(NORMALIZER.to_string(), measure_anchor().min_ns, None));
     let scale = WorkloadScale { width: 128, height: 128 };
     let w = workload_by_name("StencilChain", scale).expect("Table II workload");
     for (label, engine) in [("legacy", Engine::Legacy), ("skip_ahead", Engine::SkipAhead)] {

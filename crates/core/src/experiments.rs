@@ -1,102 +1,10 @@
-//! Experiment drivers: one function per table/figure of the paper's
-//! evaluation (Sec. VII). Each returns plain data rows that the
-//! `ipim-bench` binaries render; EXPERIMENTS.md records paper-vs-measured.
-//!
-//! iPIM numbers come from cycle-accurate simulation of a machine *slice*
-//! (default: one vault, 32 PEs) on a proportional image; full-machine
-//! throughput scales by the PE ratio because SIMB execution is
-//! lockstep-data-parallel across vaults (DESIGN.md §2). GPU numbers come
-//! from the calibrated V100 roofline at DIV8K scale.
+//! The golden-verification oracle: simulated outputs checked against the
+//! reference interpreter. (The paper's figures and tables are computed by
+//! `ipim-report`, from the benchmark matrix.)
 
-use ipim_arch::MachineConfig;
-use ipim_baselines::{gpu_profile, ponb_config, run_gpu, GpuModel};
-use ipim_compiler::CompileOptions;
-use ipim_workloads::{workloads_in_family, Workload, WorkloadFamily, WorkloadScale};
+use ipim_workloads::Workload;
 
-use crate::session::{RunOutcome, Session, SessionError};
-
-/// The paper's Table II benchmarks — the population every figure driver
-/// below iterates. The NN and Video families are deliberately excluded
-/// here: the figures reproduce the paper's evaluation, whose benchmark
-/// set is fixed (the wider suite is covered by `all_workloads` consumers:
-/// end_to_end, engine equivalence, analytic divergence, serve/tune).
-fn table2(scale: WorkloadScale) -> Vec<Workload> {
-    workloads_in_family(WorkloadFamily::Image, scale)
-}
-
-/// Shared experiment parameters.
-#[derive(Debug, Clone)]
-pub struct ExperimentConfig {
-    /// Image scale simulated on the slice.
-    pub scale: WorkloadScale,
-    /// The simulated machine slice.
-    pub slice: MachineConfig,
-    /// The full machine being modeled (throughput scale-out target).
-    pub full: MachineConfig,
-    /// Cycle budget per run.
-    pub max_cycles: u64,
-    /// Cross-check every output against the reference interpreter.
-    pub verify: bool,
-}
-
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        Self {
-            scale: WorkloadScale::default(),
-            slice: MachineConfig::vault_slice(1),
-            full: MachineConfig::default(),
-            max_cycles: 4_000_000_000,
-            verify: false,
-        }
-    }
-}
-
-impl ExperimentConfig {
-    /// A fast configuration for tests (small images, verification on).
-    pub fn quick() -> Self {
-        Self {
-            scale: WorkloadScale { width: 128, height: 128 },
-            slice: MachineConfig::vault_slice(1),
-            full: MachineConfig::default(),
-            max_cycles: 1_000_000_000,
-            verify: true,
-        }
-    }
-
-    /// Throughput multiplier from the slice to the full machine.
-    pub fn scale_out_factor(&self) -> f64 {
-        self.full.total_pes() as f64 / self.slice.total_pes() as f64
-    }
-}
-
-/// One benchmark's simulated + modeled results.
-#[derive(Debug, Clone)]
-pub struct SuiteRun {
-    /// The workload (pipeline + inputs + metadata).
-    pub workload: Workload,
-    /// Cycle-accurate iPIM outcome on the slice.
-    pub outcome: RunOutcome,
-}
-
-/// Runs all ten Table II benchmarks on the iPIM slice with the optimized
-/// compiler.
-///
-/// # Errors
-///
-/// Returns the first compile/simulation error (or a verification mismatch
-/// wrapped as a panic in `verify` mode — tests treat that as failure).
-pub fn run_suite(cfg: &ExperimentConfig) -> Result<Vec<SuiteRun>, SessionError> {
-    let session = Session::new(cfg.slice.clone());
-    let mut out = Vec::new();
-    for w in table2(cfg.scale) {
-        let outcome = session.run_workload(&w, cfg.max_cycles)?;
-        if cfg.verify {
-            verify_against_reference(&w, &outcome);
-        }
-        out.push(SuiteRun { workload: w, outcome });
-    }
-    Ok(out)
-}
+use crate::session::RunOutcome;
 
 /// Panics if the simulated output diverges from the reference interpreter
 /// beyond the boundary band (see DESIGN.md on boundary semantics).
@@ -136,417 +44,4 @@ pub fn output_divergence(w: &Workload, output: &ipim_frontend::Image) -> f32 {
         }
     }
     diff
-}
-
-// --------------------------------------------------------------------
-// Fig. 1: GPU profiling.
-// --------------------------------------------------------------------
-
-/// One bar group of Fig. 1.
-#[derive(Debug, Clone)]
-pub struct Fig1Row {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Achieved DRAM bandwidth in GB/s.
-    pub dram_bw_gbs: f64,
-    /// DRAM utilization (0–1).
-    pub dram_util: f64,
-    /// ALU utilization (0–1).
-    pub alu_util: f64,
-    /// Index-calculation share of ALU work (0–1).
-    pub index_fraction: f64,
-}
-
-/// Regenerates Fig. 1 from the calibrated GPU model at DIV8K scale.
-pub fn fig1() -> Vec<Fig1Row> {
-    let model = GpuModel::default();
-    table2(WorkloadScale::tiny())
-        .into_iter()
-        .map(|w| {
-            let p = gpu_profile(w.name);
-            Fig1Row {
-                name: w.name,
-                dram_bw_gbs: model.peak_bw * p.dram_util / 1e9,
-                dram_util: p.dram_util,
-                alu_util: p.alu_util,
-                index_fraction: p.index_fraction,
-            }
-        })
-        .collect()
-}
-
-// --------------------------------------------------------------------
-// Fig. 6 / Fig. 7: speedup and energy vs GPU.
-// --------------------------------------------------------------------
-
-/// One bar of Fig. 6 (throughput/speedup) and Fig. 7 (energy).
-#[derive(Debug, Clone)]
-pub struct GpuComparisonRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Full-machine iPIM throughput in Gpixel/s.
-    pub ipim_gpix_s: f64,
-    /// GPU throughput in Gpixel/s.
-    pub gpu_gpix_s: f64,
-    /// iPIM speedup over the GPU.
-    pub speedup: f64,
-    /// iPIM energy per output pixel (nJ).
-    pub ipim_nj_per_pixel: f64,
-    /// GPU energy per output pixel (nJ).
-    pub gpu_nj_per_pixel: f64,
-    /// Energy saving fraction (0–1).
-    pub energy_saving: f64,
-}
-
-/// Computes the Fig. 6 / Fig. 7 comparison from a completed suite.
-pub fn gpu_comparison(cfg: &ExperimentConfig, suite: &[SuiteRun]) -> Vec<GpuComparisonRow> {
-    let model = GpuModel::default();
-    let factor = cfg.scale_out_factor();
-    suite
-        .iter()
-        .map(|run| {
-            // GPU modeled at DIV8K, iPIM measured on the slice and scaled
-            // out; both expressed per output pixel so scales cancel.
-            let gpu = run_gpu(&model, &workload_at_div8k(&run.workload));
-            // Throughput in *processed output pixels* (for the histogram
-            // reduction that is the input pixel count, as in the paper).
-            let pixels = run.workload.output_pixels as f64;
-            let ipim_pps = pixels / run.outcome.report.seconds() * factor;
-            let ipim_nj = run.outcome.report.energy.total_pj() / pixels / 1000.0;
-            let gpu_nj = gpu.energy_j / workload_at_div8k(&run.workload).output_pixels as f64 * 1e9;
-            GpuComparisonRow {
-                name: run.workload.name,
-                ipim_gpix_s: ipim_pps / 1e9,
-                gpu_gpix_s: gpu.pixels_per_second / 1e9,
-                speedup: ipim_pps / gpu.pixels_per_second,
-                ipim_nj_per_pixel: ipim_nj,
-                gpu_nj_per_pixel: gpu_nj,
-                energy_saving: 1.0 - (ipim_nj / gpu_nj).min(1.0),
-            }
-        })
-        .collect()
-}
-
-fn workload_at_div8k(w: &Workload) -> Workload {
-    // Only the metadata matters for the GPU model; rebuild at DIV8K scale
-    // without regenerating images (pixel counts drive the roofline).
-    let mut big = w.clone();
-    let s = WorkloadScale::div8k();
-    let ratio = s.pixels() as f64 / w.scale.pixels() as f64;
-    big.output_pixels = (w.output_pixels as f64 * ratio) as u64;
-    big.scale = s;
-    big
-}
-
-/// Geometric mean of an iterator of positive values.
-pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
-    let mut log_sum = 0.0;
-    let mut n = 0usize;
-    for v in values {
-        log_sum += v.ln();
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        (log_sum / n as f64).exp()
-    }
-}
-
-// --------------------------------------------------------------------
-// Fig. 8: near-bank vs process-on-base-die.
-// --------------------------------------------------------------------
-
-/// One bar pair of Fig. 8.
-#[derive(Debug, Clone)]
-pub struct PonbRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// iPIM speedup over PonB.
-    pub speedup: f64,
-    /// Energy saving over PonB (0–1).
-    pub energy_saving: f64,
-}
-
-/// Simulates every workload under both placements.
-///
-/// # Errors
-///
-/// Propagates compile/simulation errors.
-pub fn fig8(cfg: &ExperimentConfig) -> Result<Vec<PonbRow>, SessionError> {
-    let near = Session::new(cfg.slice.clone());
-    let ponb = Session::new(ponb_config(&cfg.slice));
-    let mut out = Vec::new();
-    for w in table2(cfg.scale) {
-        let a = near.run_workload(&w, cfg.max_cycles)?;
-        let b = ponb.run_workload(&w, cfg.max_cycles)?;
-        out.push(PonbRow {
-            name: w.name,
-            speedup: b.report.cycles as f64 / a.report.cycles as f64,
-            energy_saving: 1.0 - (a.report.energy.total_pj() / b.report.energy.total_pj()).min(1.0),
-        });
-    }
-    Ok(out)
-}
-
-// --------------------------------------------------------------------
-// Fig. 9: energy breakdown.
-// --------------------------------------------------------------------
-
-/// One stacked bar of Fig. 9 (fractions sum to 1).
-#[derive(Debug, Clone)]
-pub struct EnergyBreakdownRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// DRAM share.
-    pub dram: f64,
-    /// SIMD unit share.
-    pub simd: f64,
-    /// Integer ALU share.
-    pub int_alu: f64,
-    /// AddrRF share.
-    pub addr_rf: f64,
-    /// DataRF share.
-    pub data_rf: f64,
-    /// PGSM share.
-    pub pgsm: f64,
-    /// Everything else (VSM, TSV, NoC, SERDES, control core).
-    pub others: f64,
-    /// Fraction of energy spent on the PIM dies.
-    pub pim_die_fraction: f64,
-}
-
-/// Computes Fig. 9 from a completed suite.
-pub fn fig9(suite: &[SuiteRun]) -> Vec<EnergyBreakdownRow> {
-    suite
-        .iter()
-        .map(|run| {
-            let e = &run.outcome.report.energy;
-            let total = e.total_pj();
-            EnergyBreakdownRow {
-                name: run.workload.name,
-                dram: e.dram.total_pj() / total,
-                simd: e.simd_pj / total,
-                int_alu: e.int_alu_pj / total,
-                addr_rf: e.addr_rf_pj / total,
-                data_rf: e.data_rf_pj / total,
-                pgsm: e.pgsm_pj / total,
-                others: (e.pe_bus_pj + e.others_pj()) / total,
-                pim_die_fraction: e.pim_die_fraction(),
-            }
-        })
-        .collect()
-}
-
-// --------------------------------------------------------------------
-// Fig. 10: sensitivity to RF entries and PGSM size.
-// --------------------------------------------------------------------
-
-/// One sweep point of Fig. 10: normalized mean execution time.
-#[derive(Debug, Clone)]
-pub struct SensitivityPoint {
-    /// The swept parameter's value.
-    pub value: u32,
-    /// Mean execution time normalized to the largest configuration.
-    pub normalized_time: f64,
-}
-
-/// Fig. 10(a): sweeps the DataRF size.
-///
-/// # Errors
-///
-/// Propagates compile/simulation errors.
-pub fn fig10_rf(
-    cfg: &ExperimentConfig,
-    sizes: &[usize],
-) -> Result<Vec<SensitivityPoint>, SessionError> {
-    sweep(cfg, sizes, |slice, v| MachineConfig { data_rf_entries: v, ..slice.clone() })
-}
-
-/// Fig. 10(b): sweeps the PGSM size.
-///
-/// # Errors
-///
-/// Propagates compile/simulation errors.
-pub fn fig10_pgsm(
-    cfg: &ExperimentConfig,
-    sizes: &[usize],
-) -> Result<Vec<SensitivityPoint>, SessionError> {
-    sweep(cfg, sizes, |slice, v| MachineConfig { pgsm_bytes: v as u32, ..slice.clone() })
-}
-
-fn sweep(
-    cfg: &ExperimentConfig,
-    sizes: &[usize],
-    patch: impl Fn(&MachineConfig, usize) -> MachineConfig,
-) -> Result<Vec<SensitivityPoint>, SessionError> {
-    // Representative subset: one elementwise/stencil, one gather-heavy,
-    // one deep chain — exercising both the register-pressure and
-    // scratchpad-capacity effects. A workload that cannot compile at some
-    // swept size (e.g. the stencil chain's accumulated halos cannot stage
-    // through a 2 KiB PGSM at all) is dropped from the sweep so every
-    // point averages the same set.
-    let names = ["Blur", "BilateralGrid", "StencilChain"];
-    let workloads: Vec<_> =
-        table2(cfg.scale).into_iter().filter(|w| names.contains(&w.name)).collect();
-    // cycles[w][i] for workload w at size index i; None = did not compile.
-    let mut cycles: Vec<Vec<Option<f64>>> = vec![Vec::new(); workloads.len()];
-    for &size in sizes {
-        let session = Session::new(patch(&cfg.slice, size));
-        for (wi, w) in workloads.iter().enumerate() {
-            match session.run_workload(w, cfg.max_cycles) {
-                Ok(outcome) => cycles[wi].push(Some(outcome.report.cycles as f64)),
-                Err(SessionError::Compile(_)) => cycles[wi].push(None),
-                Err(e) => return Err(e),
-            }
-        }
-    }
-    let usable: Vec<usize> =
-        (0..workloads.len()).filter(|&wi| cycles[wi].iter().all(Option::is_some)).collect();
-    assert!(!usable.is_empty(), "no workload compiles across the whole sweep");
-    // Per-workload normalization to its own fastest point, then averaged.
-    let mut rows = Vec::new();
-    for (i, &size) in sizes.iter().enumerate() {
-        let mut mean = 0.0;
-        for &wi in &usable {
-            let series: Vec<f64> = cycles[wi].iter().map(|c| c.expect("usable")).collect();
-            let best = series.iter().copied().fold(f64::INFINITY, f64::min);
-            mean += series[i] / best;
-        }
-        rows.push(SensitivityPoint {
-            value: size as u32,
-            normalized_time: mean / usable.len() as f64,
-        });
-    }
-    Ok(rows)
-}
-
-// --------------------------------------------------------------------
-// Fig. 11: instruction breakdown.
-// --------------------------------------------------------------------
-
-/// One stacked bar of Fig. 11 (dynamic instruction shares).
-#[derive(Debug, Clone)]
-pub struct InstBreakdownRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// `comp` share.
-    pub computation: f64,
-    /// Index-calculation share.
-    pub index_calc: f64,
-    /// Intra-vault data-movement share.
-    pub intra_vault: f64,
-    /// Inter-vault (`req`) share.
-    pub inter_vault: f64,
-    /// Control-flow share.
-    pub control_flow: f64,
-    /// Synchronization share.
-    pub synchronization: f64,
-}
-
-/// Computes Fig. 11 from a completed suite.
-pub fn fig11(suite: &[SuiteRun]) -> Vec<InstBreakdownRow> {
-    suite
-        .iter()
-        .map(|run| {
-            let c = &run.outcome.report.stats.by_category;
-            InstBreakdownRow {
-                name: run.workload.name,
-                computation: c.fraction(c.computation),
-                index_calc: c.fraction(c.index_calc),
-                intra_vault: c.fraction(c.intra_vault),
-                inter_vault: c.fraction(c.inter_vault),
-                control_flow: c.fraction(c.control_flow),
-                synchronization: c.fraction(c.synchronization),
-            }
-        })
-        .collect()
-}
-
-// --------------------------------------------------------------------
-// Fig. 12: compiler-optimization effectiveness.
-// --------------------------------------------------------------------
-
-/// One benchmark's five compiler configurations (cycles normalized as
-/// speedup over `baseline1`).
-#[derive(Debug, Clone)]
-pub struct CompilerRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Speedup of the optimized configuration over baseline1.
-    pub opt: f64,
-    /// Speedup of baseline2 (min regalloc) over baseline1.
-    pub baseline2: f64,
-    /// Speedup of baseline3 (no reordering) over baseline1.
-    pub baseline3: f64,
-    /// Speedup of baseline4 (no memory order) over baseline1.
-    pub baseline4: f64,
-}
-
-/// Runs the Fig. 12 comparison.
-///
-/// # Errors
-///
-/// Propagates compile/simulation errors.
-pub fn fig12(cfg: &ExperimentConfig) -> Result<Vec<CompilerRow>, SessionError> {
-    let configs = [
-        CompileOptions::baseline1(),
-        CompileOptions::opt(),
-        CompileOptions::baseline2(),
-        CompileOptions::baseline3(),
-        CompileOptions::baseline4(),
-    ];
-    let mut rows = Vec::new();
-    for w in table2(cfg.scale) {
-        let mut cycles = Vec::new();
-        for options in configs {
-            let session = Session::with_options(cfg.slice.clone(), options);
-            cycles.push(session.run_workload(&w, cfg.max_cycles)?.report.cycles as f64);
-        }
-        rows.push(CompilerRow {
-            name: w.name,
-            opt: cycles[0] / cycles[1],
-            baseline2: cycles[0] / cycles[2],
-            baseline3: cycles[0] / cycles[3],
-            baseline4: cycles[0] / cycles[4],
-        });
-    }
-    Ok(rows)
-}
-
-// --------------------------------------------------------------------
-// Fig. 13: IPC and utilization.
-// --------------------------------------------------------------------
-
-/// One bar group of Fig. 13.
-#[derive(Debug, Clone)]
-pub struct IpcRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Control-core instructions per cycle.
-    pub ipc: f64,
-    /// SIMD-unit utilization (0–1).
-    pub simd_util: f64,
-    /// Integer-ALU (AddrRF) utilization (0–1).
-    pub int_alu_util: f64,
-    /// Bank/memory-path utilization (0–1).
-    pub mem_util: f64,
-}
-
-/// Computes Fig. 13 from a completed suite.
-pub fn fig13(cfg: &ExperimentConfig, suite: &[SuiteRun]) -> Vec<IpcRow> {
-    let pes = cfg.slice.total_pes();
-    suite
-        .iter()
-        .map(|run| {
-            let s = &run.outcome.report.stats;
-            IpcRow {
-                name: run.workload.name,
-                ipc: s.ipc(),
-                simd_util: s.utilization(s.simd_busy, pes),
-                int_alu_util: s.utilization(s.int_alu_busy, pes),
-                mem_util: s.utilization(s.mem_busy, pes),
-            }
-        })
-        .collect()
 }

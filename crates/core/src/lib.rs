@@ -9,8 +9,8 @@
 //!
 //! This crate is the public facade: it re-exports the subsystem crates and
 //! provides the [`Session`] compile-and-run API plus the [`experiments`]
-//! drivers that regenerate every table and figure of the paper's
-//! evaluation.
+//! golden-verification oracle. The paper's tables and figures are rendered
+//! by `ipim-report` from the benchmark matrix.
 //!
 //! ## Quickstart
 //!
@@ -59,8 +59,8 @@ pub use progcache::{program_key, CompiledProgram, ProgramCache};
 pub use session::{RunOutcome, Session, SessionError};
 
 pub use ipim_arch::{
-    analytic, area, power, EnergyBook, EnergyParams, Engine, ExecutionReport, Fidelity, Machine,
-    MachineConfig, Placement, TraceConfig,
+    analytic, area, power, CategoryCounts, EnergyBook, EnergyParams, Engine, ExecutionReport,
+    Fidelity, Machine, MachineConfig, Placement, TraceConfig,
 };
 pub use ipim_compiler::{
     compile, host, CompileOptions, CompiledPipeline, MemoryMap, RegAllocPolicy,

@@ -85,22 +85,6 @@ fn sessions_with_different_options_share_results() {
 }
 
 #[test]
-fn experiment_config_scale_out_factor() {
-    use ipim_core::experiments::ExperimentConfig;
-    let cfg = ExperimentConfig::quick();
-    // 4096 PEs in the paper machine / 32 in the slice.
-    assert_eq!(cfg.scale_out_factor(), 128.0);
-}
-
-#[test]
-fn geomean_of_known_values() {
-    use ipim_core::experiments::geomean;
-    assert!((geomean([1.0, 4.0]) - 2.0).abs() < 1e-12);
-    assert!((geomean([2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
-    assert_eq!(geomean(std::iter::empty::<f64>()), 0.0);
-}
-
-#[test]
 fn stencil_chain_compiles_at_small_sizes() {
     // Regression: the small-size fallback tile used to be a fixed 16×16,
     // which left 64×64 with only 16 tiles — fewer than the 32 PEs of the

@@ -1,9 +1,11 @@
-//! Cross-backend benchmark matrix + trajectory report (ROADMAP item 5).
+//! Cross-backend benchmark matrix, trajectory report and the one paper
+//! comparison (ROADMAP items 3 and 4).
 //!
-//! Two subsystems, both std-only and hermetic:
+//! Three modules, all std-only and hermetic:
 //!
 //! * [`matrix`] — runs every workload × scale × backend ({skip-ahead,
-//!   legacy, analytic, PonB, GPU roofline, golden CPU interpreter}) and
+//!   legacy, analytic, PonB, GPU roofline, golden CPU interpreter}), plus
+//!   the `config` sweep cells of Figs. 10 and 12 and the ablation, and
 //!   emits one normalized record per cell to the schema-versioned
 //!   `results/matrix.jsonl`. Cycle backends fan across the serve pool and
 //!   share one compiled program per workload×scale (the global
@@ -11,11 +13,15 @@
 //!   cells loud-skip. A `fig01_gpu_profile` machine-speed anchor is
 //!   recorded in the same file, making it self-contained for the
 //!   `bench_regress --matrix` drift gate.
+//! * [`paper`] — every figure and table of the paper's evaluation
+//!   (Sec. VII) as a pure view over matrix cells or the model constants,
+//!   next to the paper's numbers, behind one slice-to-machine
+//!   normalization ([`scale_out`]).
 //! * [`render`] — folds `matrix.jsonl`, `figures.jsonl`,
 //!   `serve_fresh.jsonl` and `tuning.jsonl` into one deterministic
-//!   `results/REPORT.md` (matrix, speedup-vs-baseline, divergence
-//!   envelope, serve/shard throughput, tuner leaderboard). Byte-identical
-//!   on identical inputs — CI regenerates and `cmp`s it.
+//!   `results/REPORT.md` (paper comparison, matrix, divergence envelope,
+//!   serve/shard throughput, tuner leaderboard). Byte-identical on
+//!   identical inputs — CI regenerates and `cmp`s it.
 //!
 //! See DESIGN.md §14 for the schema and normalization rules.
 
@@ -23,10 +29,12 @@
 #![warn(missing_docs)]
 
 pub mod matrix;
+pub mod paper;
 pub mod render;
 
 pub use matrix::{
-    arith_ops, measure_anchor, parse_matrix, read_matrix, run_matrix, Anchor, Backend, Bound,
-    MatrixCell, MatrixFile, MatrixPlan, MatrixRun, ANCHOR_NAME, SCHEMA_VERSION,
+    arith_ops, measure_anchor, min_ns_of, parse_matrix, read_matrix, run_matrix, Anchor, Backend,
+    Bound, MatrixCell, MatrixFile, MatrixPlan, MatrixRun, ANCHOR_NAME, CONFIGS, SCHEMA_VERSION,
 };
+pub use paper::{geomean, gpu_profile_rows, paper_scale, scale_out};
 pub use render::{render, FigLine, Streams, TuneBest};

@@ -4,9 +4,10 @@
 //! A cell carries the quantities every backend can be compared on — a
 //! modeled kernel time (`kernel_ns`), the self-measured wall time of
 //! producing the cell (`wall_ns`), and, where the backend's model defines
-//! them, cycles, effective bandwidth, energy per arithmetic operation and
-//! the roofline position (arithmetic intensity vs. the backend's ridge
-//! point). The normalization rules:
+//! them, cycles, effective bandwidth, energy, the roofline position
+//! (arithmetic intensity vs. the backend's ridge point) and the counters
+//! the paper's figures divide (energy split, instruction mix, busy
+//! PE-cycles). The normalization rules:
 //!
 //! * **cycle engines** (`skip_ahead`, `legacy`, `analytic`, `ponb`) run at
 //!   1 GHz, so `kernel_ns` = simulated cycles, `gbps` =
@@ -17,6 +18,11 @@
 //!   seconds × 1e9, energy = seconds × board power, same op count.
 //! * **`cpu_ref`** is the golden interpreter — a correctness oracle with
 //!   no machine model, so its only number is the measured wall time.
+//!
+//! A `skip_ahead` cell may also carry a `config` coordinate naming one
+//! entry of [`CONFIGS`]: a sweep variant of the default 1-vault slice and
+//! compiler (Figs. 10 and 12 and the ablation) that the runner simulates
+//! next to the default cell.
 //!
 //! Unmappable cells (a workload whose schedule does not compile at a
 //! scale, or a simulation that exhausts its cycle budget) are *loud
@@ -32,23 +38,29 @@
 use std::time::Instant;
 
 use ipim_core::baselines::{gpu_profile, run_gpu, GpuModel};
-use ipim_core::experiments::fig1;
+use ipim_core::dram::{PagePolicy, SchedPolicy};
 use ipim_core::trace::json;
-use ipim_core::{all_workloads, Engine, Placement, Workload, WorkloadScale};
+use ipim_core::{
+    all_workloads, CategoryCounts, CompileOptions, Engine, MachineConfig, Placement, Session,
+    Workload, WorkloadFamily, WorkloadScale,
+};
 use ipim_serve::{fnv1a, PoolConfig, ServePool, SimRequest, SimResponse};
+
+use crate::paper::gpu_profile_rows;
 
 /// Version of the `matrix.jsonl` line schema. Any change to the cell
 /// field set bumps this, and `bench_regress --matrix` refuses to compare
 /// files whose versions differ.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// The machine-speed anchor entry's name (shared with `bench_regress`).
 pub const ANCHOR_NAME: &str = "fig01_gpu_profile";
 
 /// One comparison backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// The skip-ahead cycle engine (the default iPIM simulator).
+    #[default]
     SkipAhead,
     /// The legacy per-cycle engine (bit-identical, slower host time).
     Legacy,
@@ -111,13 +123,14 @@ impl Backend {
 }
 
 /// Which roof a cell sits under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Bound {
     /// Bandwidth-limited (arithmetic intensity below the ridge point).
     Memory,
     /// Compute-limited.
     Compute,
     /// The backend has no roofline model (`cpu_ref`).
+    #[default]
     NotApplicable,
 }
 
@@ -141,8 +154,83 @@ impl Bound {
     }
 }
 
+/// The Fig. 10 sweep's workloads: one elementwise stencil, one
+/// gather-heavy kernel and one deep chain, covering both the
+/// register-pressure and the scratchpad-capacity effects.
+pub const FIG10_WORKLOADS: &[&str] = &["Blur", "BilateralGrid", "StencilChain"];
+
+/// The ablation's workloads: one elementwise kernel, one stencil.
+pub const ABLATION_WORKLOADS: &[&str] = &["Brighten", "Blur"];
+
+/// A sweep variant of the default 1-vault slice and `opt` compiler: the
+/// `config` coordinate of a cell.
+#[derive(Debug, Clone, Copy)]
+pub struct ConfigVariant {
+    /// The coordinate's spelling.
+    pub name: &'static str,
+    /// The workloads it runs on; empty means every Table II workload.
+    pub workloads: &'static [&'static str],
+    /// Patches the default slice and compiler options.
+    pub setup: fn(&mut MachineConfig, &mut CompileOptions),
+}
+
+impl ConfigVariant {
+    /// Whether the runner records this variant for `w`.
+    pub fn applies(&self, w: &Workload) -> bool {
+        if self.workloads.is_empty() {
+            w.family == WorkloadFamily::Image
+        } else {
+            self.workloads.contains(&w.name)
+        }
+    }
+
+    /// The skip-ahead session simulating this variant.
+    pub fn session(&self) -> Session {
+        let mut machine =
+            MachineConfig { engine: Engine::SkipAhead, ..MachineConfig::vault_slice(1) };
+        let mut options = CompileOptions::opt();
+        (self.setup)(&mut machine, &mut options);
+        Session::with_options(machine, options)
+    }
+}
+
+/// Every sweep variant, in cell order. The defaults they depart from
+/// (64 DataRF entries, 8 KiB PGSM, `opt`, open page, FR-FCFS, refresh on,
+/// one vault) are the default cells themselves.
+pub const CONFIGS: [ConfigVariant; 13] = [
+    // Fig. 10(a): DataRF entries; (b): PGSM bytes.
+    variant("rf16", FIG10_WORKLOADS, |m, _| m.data_rf_entries = 16),
+    variant("rf32", FIG10_WORKLOADS, |m, _| m.data_rf_entries = 32),
+    variant("rf128", FIG10_WORKLOADS, |m, _| m.data_rf_entries = 128),
+    variant("pgsm2k", FIG10_WORKLOADS, |m, _| m.pgsm_bytes = 2048),
+    variant("pgsm4k", FIG10_WORKLOADS, |m, _| m.pgsm_bytes = 4096),
+    // Fig. 12: the compiler baselines.
+    variant("baseline1", &[], |_, o| *o = CompileOptions::baseline1()),
+    variant("baseline2", &[], |_, o| *o = CompileOptions::baseline2()),
+    variant("baseline3", &[], |_, o| *o = CompileOptions::baseline3()),
+    variant("baseline4", &[], |_, o| *o = CompileOptions::baseline4()),
+    // Ablation: row policy, scheduler, refresh, slice width.
+    variant("close_page", ABLATION_WORKLOADS, |m, _| m.page_policy = PagePolicy::Close),
+    variant("fcfs", ABLATION_WORKLOADS, |m, _| m.sched_policy = SchedPolicy::Fcfs),
+    variant("no_refresh", ABLATION_WORKLOADS, |m, _| m.refresh = false),
+    variant("vaults2", ABLATION_WORKLOADS, |m, _| m.vaults_per_cube = 2),
+];
+
+const fn variant(
+    name: &'static str,
+    workloads: &'static [&'static str],
+    setup: fn(&mut MachineConfig, &mut CompileOptions),
+) -> ConfigVariant {
+    ConfigVariant { name, workloads, setup }
+}
+
+/// The [`CONFIGS`] entry spelled `name`.
+pub fn config_variant(name: &str) -> Option<&'static ConfigVariant> {
+    CONFIGS.iter().find(|c| c.name == name)
+}
+
 /// One normalized matrix record.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MatrixCell {
     /// Workload name as the suite spells it.
     pub workload: String,
@@ -152,6 +240,9 @@ pub struct MatrixCell {
     pub scale: u32,
     /// The backend that produced this cell.
     pub backend: Backend,
+    /// The [`CONFIGS`] variant a `skip_ahead` cell simulates; `None` is
+    /// the default slice and compiler.
+    pub config: Option<&'static str>,
     /// Simulated cycles (cycle engines only).
     pub cycles: Option<u64>,
     /// Modeled kernel time in nanoseconds — cycles at 1 GHz for the cycle
@@ -170,19 +261,37 @@ pub struct MatrixCell {
     pub peak_gbps: Option<f64>,
     /// Roofline verdict at this cell's arithmetic intensity.
     pub bound: Bound,
+    /// Output pixels (cycle engines and `gpu`).
+    pub pixels: Option<u64>,
+    /// PEs of the simulated machine (cycle engines).
+    pub pes: Option<u64>,
+    /// Total energy in picojoules (cycle engines and `gpu`).
+    pub energy_pj: Option<f64>,
+    /// The Fig. 9 energy split in picojoules: DRAM, SIMD, IntALU, AddrRF,
+    /// DataRF, PGSM and PE bus; the rest of `energy_pj` is "others"
+    /// (cycle engines).
+    pub energy_split: Option<[f64; 7]>,
+    /// Dynamic instructions per ISA category: computation, index
+    /// calculation, intra-vault, inter-vault, control flow and
+    /// synchronization (cycle engines).
+    pub insts: Option<[u64; 6]>,
+    /// SIMD, integer-ALU and memory busy PE-cycles (cycle engines).
+    pub busy: Option<[u64; 3]>,
 }
 
 impl MatrixCell {
     /// Canonical textual identity of the cell's *coordinates* (not its
     /// measurements): what the drift gate joins baseline and fresh rows
     /// on. Independent of the order backends were enumerated in — the key
-    /// is built from the cell's own fields only.
+    /// is built from the cell's own fields only. A `config` appends
+    /// itself; the default appends nothing.
     pub fn canonical_key(&self) -> String {
         format!(
-            "workload={};scale={};backend={}",
+            "workload={};scale={};backend={}{}",
             self.workload.to_ascii_lowercase(),
             self.scale,
-            self.backend.name()
+            self.backend.name(),
+            self.config.map_or(String::new(), |c| format!(";config={c}")),
         )
     }
 
@@ -196,27 +305,39 @@ impl MatrixCell {
     /// uses); f64 fields print in shortest-round-trip form so a parse of
     /// the line reproduces the cell bit-exactly.
     pub fn to_json_line(&self) -> String {
+        let num = |k: &str, v: f64| {
+            assert!(v.is_finite(), "non-finite {k} would corrupt the wire: {v}");
+            format!("{v:?}")
+        };
         let opt_u = |k: &str, v: Option<u64>| v.map_or(String::new(), |v| format!(",\"{k}\":{v}"));
         let opt_f = |k: &str, v: Option<f64>| {
-            v.map_or(String::new(), |v| {
-                assert!(v.is_finite(), "non-finite {k} would corrupt the wire: {v}");
-                format!(",\"{k}\":{v:?}")
-            })
+            v.map_or(String::new(), |v| format!(",\"{k}\":{}", num(k, v)))
         };
+        let list = |k: &str, items: Option<Vec<String>>| {
+            items.map_or(String::new(), |v| format!(",\"{k}\":[{}]", v.join(",")))
+        };
+        let split = self.energy_split.map(|a| a.iter().map(|&v| num("energy_split", v)).collect());
         assert!(self.kernel_ns.is_finite(), "non-finite kernel_ns: {}", self.kernel_ns);
         format!(
             "{{\"schema\":{SCHEMA_VERSION},\"kind\":\"cell\",\"workload\":\"{}\",\
-             \"family\":\"{}\",\"scale\":{},\"backend\":\"{}\"{}{}{}{}{},\
+             \"family\":\"{}\",\"scale\":{},\"backend\":\"{}\"{}{}{}{}{}{}{}{}{}{}{}{},\
              \"kernel_ns\":{:?},\"wall_ns\":{},\"bound\":\"{}\"}}",
             self.workload,
             self.family,
             self.scale,
             self.backend.name(),
+            self.config.map_or(String::new(), |c| format!(",\"config\":\"{c}\"")),
             opt_u("cycles", self.cycles),
             opt_f("gbps", self.gbps),
             opt_f("pj_per_op", self.pj_per_op),
             opt_f("ai", self.ai),
             opt_f("peak_gbps", self.peak_gbps),
+            opt_u("pixels", self.pixels),
+            opt_u("pes", self.pes),
+            opt_f("energy_pj", self.energy_pj),
+            list("energy_split", split),
+            list("insts", self.insts.map(|a| a.iter().map(u64::to_string).collect())),
+            list("busy", self.busy.map(|a| a.iter().map(u64::to_string).collect())),
             self.kernel_ns,
             self.wall_ns,
             self.bound.name(),
@@ -241,11 +362,27 @@ impl MatrixCell {
                 .ok_or_else(|| format!("cell needs a numeric {k:?} field"))
         };
         let opt_f64 = |k: &str| v.get(k).and_then(json::Value::as_f64);
+        let config = match v.get("config") {
+            None => None,
+            Some(c) => Some(
+                c.as_str()
+                    .and_then(config_variant)
+                    .ok_or_else(|| format!("cell config {c:?} is not a CONFIGS entry"))?
+                    .name,
+            ),
+        };
         Ok(MatrixCell {
             workload: req_str("workload")?,
             family: req_str("family")?,
             scale: req_f64("scale")? as u32,
             backend: Backend::parse(&req_str("backend")?)?,
+            config,
+            pixels: opt_f64("pixels").map(|p| p as u64),
+            pes: opt_f64("pes").map(|p| p as u64),
+            energy_pj: opt_f64("energy_pj"),
+            energy_split: opt_array(v, "energy_split")?,
+            insts: opt_array::<6>(v, "insts")?.map(|a| a.map(|x| x as u64)),
+            busy: opt_array::<3>(v, "busy")?.map(|a| a.map(|x| x as u64)),
             cycles: opt_f64("cycles").map(|c| c as u64),
             kernel_ns: req_f64("kernel_ns")?,
             wall_ns: req_f64("wall_ns")? as u64,
@@ -256,6 +393,20 @@ impl MatrixCell {
             bound: Bound::parse(&req_str("bound")?)?,
         })
     }
+}
+
+/// An optional fixed-length numeric array field of a cell line.
+fn opt_array<const N: usize>(v: &json::Value, k: &str) -> Result<Option<[f64; N]>, String> {
+    let Some(field) = v.get(k) else { return Ok(None) };
+    let bad = || format!("cell field {k:?} needs an array of {N} numbers");
+    let items: Vec<f64> = field
+        .as_array()
+        .ok_or_else(bad)?
+        .iter()
+        .map(json::Value::as_f64)
+        .collect::<Option<_>>()
+        .ok_or_else(bad)?;
+    items.try_into().map(Some).map_err(|_| bad())
 }
 
 /// The machine-speed anchor recorded alongside the cells.
@@ -395,11 +546,13 @@ impl MatrixCell {
         let bytes = report.dram_bytes() as f64;
         let ai = if bytes > 0.0 { ops / bytes } else { 0.0 };
         let ridge = peak_flops / peak_bytes_per_cycle;
+        let (e, s) = (&report.energy, &report.stats);
         MatrixCell {
             workload: w.name.to_string(),
             family: w.family.name().to_string(),
             scale: w.scale.width,
             backend,
+            config: None,
             cycles: Some(report.cycles),
             kernel_ns: report.cycles as f64,
             wall_ns,
@@ -411,6 +564,20 @@ impl MatrixCell {
             ai: Some(ai),
             peak_gbps: Some(peak_bytes_per_cycle),
             bound: if ai < ridge { Bound::Memory } else { Bound::Compute },
+            pixels: Some(w.output_pixels),
+            pes: Some(report.pes as u64),
+            energy_pj: Some(energy_pj),
+            energy_split: Some([
+                e.dram.total_pj(),
+                e.simd_pj,
+                e.int_alu_pj,
+                e.addr_rf_pj,
+                e.data_rf_pj,
+                e.pgsm_pj,
+                e.pe_bus_pj,
+            ]),
+            insts: Some(CategoryCounts::ALL.map(|k| s.by_category.get(k))),
+            busy: Some([s.simd_busy, s.int_alu_busy, s.mem_busy]),
         }
     }
 
@@ -429,7 +596,6 @@ impl MatrixCell {
             family: w.family.name().to_string(),
             scale: w.scale.width,
             backend: Backend::Gpu,
-            cycles: None,
             kernel_ns: r.seconds * 1e9,
             wall_ns,
             gbps: Some(r.achieved_bw / 1e9),
@@ -437,6 +603,9 @@ impl MatrixCell {
             ai: Some(w.flops_per_pixel / w.gpu_bytes_per_pixel),
             peak_gbps: Some(model.peak_bw / 1e9),
             bound: if memory_bound { Bound::Memory } else { Bound::Compute },
+            pixels: Some(w.output_pixels),
+            energy_pj: Some(r.energy_j * 1e12),
+            ..MatrixCell::default()
         }
     }
 
@@ -448,14 +617,9 @@ impl MatrixCell {
             family: w.family.name().to_string(),
             scale: w.scale.width,
             backend: Backend::CpuRef,
-            cycles: None,
             kernel_ns: wall_ns as f64,
             wall_ns,
-            gbps: None,
-            pj_per_op: None,
-            ai: None,
-            peak_gbps: None,
-            bound: Bound::NotApplicable,
+            ..MatrixCell::default()
         }
     }
 }
@@ -499,7 +663,8 @@ impl Default for MatrixPlan {
 /// A completed matrix run.
 #[derive(Debug, Clone, Default)]
 pub struct MatrixRun {
-    /// The produced cells, in canonical (workload, scale, backend) order.
+    /// The produced cells, in canonical (workload, scale, backend, config)
+    /// order.
     pub cells: Vec<MatrixCell>,
     /// The machine-speed anchors.
     pub anchors: Vec<Anchor>,
@@ -514,9 +679,9 @@ impl MatrixRun {
     }
 }
 
-/// Minimum wall-clock of `iters` calls after `warmup` discarded calls —
-/// the same estimator `bench_regress` uses for the anchor.
-fn min_ns_of<R>(warmup: u32, iters: u32, mut f: impl FnMut() -> R) -> u64 {
+/// Minimum wall-clock of `iters` calls after `warmup` discarded calls:
+/// the estimator behind the anchor and `bench_regress`'s engine timings.
+pub fn min_ns_of<R>(warmup: u32, iters: u32, mut f: impl FnMut() -> R) -> u64 {
     for _ in 0..warmup {
         std::hint::black_box(f());
     }
@@ -529,10 +694,10 @@ fn min_ns_of<R>(warmup: u32, iters: u32, mut f: impl FnMut() -> R) -> u64 {
     min
 }
 
-/// Measures the machine-speed anchor (same kernel and estimator as
-/// `bench_regress`'s fresh measurement).
+/// Measures the machine-speed anchor: the Fig. 1 GPU-profile kernel, min
+/// of 10 runs after 3 warm-ups (`bench_regress` normalizes by it too).
 pub fn measure_anchor() -> Anchor {
-    Anchor { name: ANCHOR_NAME.to_string(), min_ns: min_ns_of(3, 10, fig1) }
+    Anchor { name: ANCHOR_NAME.to_string(), min_ns: min_ns_of(3, 10, gpu_profile_rows) }
 }
 
 /// Runs the plan: every selected workload × scale × backend, fanned
@@ -540,6 +705,8 @@ pub fn measure_anchor() -> Anchor {
 /// and the golden interpreter evaluated inline. Compiles each
 /// workload×scale once up front (the global `ProgramCache` then serves
 /// every cycle backend, whose program key excludes engine and placement).
+/// When `skip_ahead` is selected, each row also gets its [`CONFIGS`]
+/// cells, simulated inline through their own [`Session`].
 pub fn run_matrix(plan: &MatrixPlan) -> MatrixRun {
     let mut run = MatrixRun { anchors: vec![measure_anchor()], ..MatrixRun::default() };
     let pool = ServePool::start(&PoolConfig {
@@ -573,7 +740,7 @@ pub fn run_matrix(plan: &MatrixPlan) -> MatrixRun {
 }
 
 /// Runs one workload×scale row: cold-compiles once, then produces a cell
-/// (or a loud skip) per selected backend.
+/// (or a loud skip) per selected backend and config variant.
 fn run_cells(run: &mut MatrixRun, pool: &ServePool, plan: &MatrixPlan, w: &Workload) {
     let scale = w.scale.width;
     let base = SimRequest {
@@ -655,11 +822,42 @@ fn run_cells(run: &mut MatrixRun, pool: &ServePool, plan: &MatrixPlan, w: &Workl
             Err(e) => run.skips.push(format!("skip: {}/{scale}/cpu_ref: {e}", w.name)),
         }
     }
+    if !plan.backends.contains(&Backend::SkipAhead) {
+        return;
+    }
+    for variant in CONFIGS.iter().filter(|v| v.applies(w)) {
+        // Compile cold and untimed, as the row's default cells do, so
+        // `wall_ns` times the simulation only.
+        let session = variant.session();
+        let at = format!("{}/{scale}/skip_ahead/{}", w.name, variant.name);
+        let program = match session.compile(&w.pipeline) {
+            Ok(p) => p,
+            Err(e) => {
+                run.skips.push(format!("skip: {at}: does not map at this scale ({e})"));
+                continue;
+            }
+        };
+        let start = Instant::now();
+        match session.simulate(&program, &w.inputs, plan.max_cycles) {
+            Ok(o) => run.cells.push(MatrixCell {
+                config: Some(variant.name),
+                ..MatrixCell::from_engine_run(
+                    w,
+                    Backend::SkipAhead,
+                    &o.report,
+                    o.report.energy.total_pj(),
+                    start.elapsed().as_nanos() as u64,
+                )
+            }),
+            Err(e) => run.skips.push(format!("skip: {at}: {e}")),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipim_core::workload_by_name;
 
     fn sample_cell() -> MatrixCell {
         MatrixCell {
@@ -675,6 +873,13 @@ mod tests {
             ai: Some(0.625),
             peak_gbps: Some(512.0),
             bound: Bound::Compute,
+            pixels: Some(4096),
+            pes: Some(32),
+            energy_pj: Some(1.5e6),
+            energy_split: Some([7e5, 1e5, 9e4, 1e4, 2e4, 3e4, 125.5]),
+            insts: Some([10, 60, 15, 0, 14, 1]),
+            busy: Some([900, 1700, 800]),
+            ..MatrixCell::default()
         }
     }
 
@@ -690,21 +895,37 @@ mod tests {
     fn cell_json_round_trips_bit_exactly() {
         for cell in [
             sample_cell(),
+            MatrixCell { config: Some("baseline3"), ..sample_cell() },
             MatrixCell {
-                cycles: None,
-                gbps: None,
-                pj_per_op: None,
-                ai: None,
-                peak_gbps: None,
-                bound: Bound::NotApplicable,
                 backend: Backend::CpuRef,
-                ..sample_cell()
+                kernel_ns: 3768.0,
+                wall_ns: 1_234_567,
+                ..MatrixCell::default()
             },
         ] {
             let line = cell.to_json_line();
             let back = MatrixCell::from_json(&json::parse(&line).unwrap()).unwrap();
             assert_eq!(cell, back, "{line}");
         }
+        let line = MatrixCell { config: Some("rf16"), ..sample_cell() }.to_json_line();
+        for bad in [line.replace("rf16", "rf17"), line.replace("[10,60,", "[10,")] {
+            assert!(MatrixCell::from_json(&json::parse(&bad).unwrap()).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn config_table_names_are_unique_and_patch_the_defaults() {
+        for (i, c) in CONFIGS.iter().enumerate() {
+            assert_eq!(config_variant(c.name).map(|v| v.name), Some(c.name));
+            assert!(CONFIGS[..i].iter().all(|o| o.name != c.name), "{} twice", c.name);
+        }
+        // Fig. 10's default points are the default cells.
+        let slice = MachineConfig::vault_slice(1);
+        assert_eq!((slice.data_rf_entries, slice.pgsm_bytes), (64, 8192));
+        assert_eq!(config_variant("pgsm2k").unwrap().session().config().pgsm_bytes, 2048);
+        assert_eq!(config_variant("vaults2").unwrap().session().config().total_pes(), 64);
+        let b1 = config_variant("baseline1").unwrap().session();
+        assert_eq!(*b1.options(), CompileOptions::baseline1());
     }
 
     #[test]
@@ -718,9 +939,11 @@ mod tests {
         assert_eq!(file, back);
         assert_eq!(back.anchor_ns(), Some(42));
 
-        let drifted = text.replace("\"schema\":1", "\"schema\":2");
+        let next = SCHEMA_VERSION + 1;
+        let drifted =
+            text.replace(&format!("\"schema\":{SCHEMA_VERSION}"), &format!("\"schema\":{next}"));
         let err = parse_matrix(&drifted).unwrap_err();
-        assert!(err.contains("schema version 2"), "{err}");
+        assert!(err.contains(&format!("schema version {next}")), "{err}");
         assert!(parse_matrix("{\"kind\":\"cell\"}").is_err(), "missing schema must fail");
     }
 
@@ -735,6 +958,10 @@ mod tests {
         let mut c = sample_cell();
         c.backend = Backend::Legacy;
         assert_ne!(a.fingerprint(), c.fingerprint());
+        // A config is a coordinate; the default appends nothing to the key.
+        assert_eq!(a.canonical_key(), "workload=blur;scale=64;backend=skip_ahead");
+        let d = MatrixCell { config: Some("rf16"), ..sample_cell() };
+        assert_eq!(d.canonical_key(), "workload=blur;scale=64;backend=skip_ahead;config=rf16");
     }
 
     #[test]
@@ -748,28 +975,49 @@ mod tests {
         };
         let run = run_matrix(&plan);
         assert_eq!(run.skips, Vec::<String>::new());
-        let backends: Vec<_> = run.cells.iter().map(|c| c.backend).collect();
+        let (defaults, configs): (Vec<_>, Vec<_>) =
+            run.cells.iter().partition(|c| c.config.is_none());
+        let backends: Vec<_> = defaults.iter().map(|c| c.backend).collect();
         assert_eq!(backends, Backend::ALL.to_vec(), "canonical order");
         assert_eq!(run.to_file().anchor_ns().map(|n| n > 0), Some(true));
         // PonB serializes bank traffic on the TSVs: strictly more cycles.
-        let cycles =
-            |b: Backend| run.cells.iter().find(|c| c.backend == b).unwrap().cycles.unwrap();
+        let cycles = |b: Backend| defaults.iter().find(|c| c.backend == b).unwrap().cycles.unwrap();
         assert!(cycles(Backend::Ponb) > cycles(Backend::SkipAhead));
         // Legacy and skip-ahead are bit-identical in simulated time.
         assert_eq!(cycles(Backend::Legacy), cycles(Backend::SkipAhead));
+        // Histogram is a Table II workload: the four Fig. 12 compiler
+        // baselines come along on the skip-ahead engine, and the backend
+        // table leaves them out.
+        let names: Vec<_> = configs.iter().map(|c| (c.backend, c.config.unwrap())).collect();
+        let skip = Backend::SkipAhead;
+        let expected = ["baseline1", "baseline2", "baseline3", "baseline4"].map(|n| (skip, n));
+        assert_eq!(names, expected.to_vec());
+        let report = crate::render(&crate::Streams {
+            cells: run.cells.clone(),
+            ..crate::Streams::default()
+        });
+        let table = report.split("## Benchmark matrix").nth(1).unwrap();
+        let table = &table[..table.find("\n## ").unwrap()];
+        assert_eq!(table.matches("| Histogram |").count(), 1, "{table}");
+        let row = table.lines().find(|l| l.starts_with("| Histogram |")).unwrap();
+        assert!(row.contains(&format!(" {:.2} |", cycles(Backend::SkipAhead) as f64 / 1e3)));
     }
 
     #[test]
     fn unmappable_cells_loud_skip_not_panic() {
-        // Blur's hand schedule does not map at 32²: the cycle backends
-        // skip loudly, the GPU model and interpreter still report.
+        // Blur's hand schedule does not map at 32²: the cycle backends and
+        // every config variant skip loudly, the GPU model and interpreter
+        // still report.
         let plan = MatrixPlan {
             workloads: vec!["Blur".into()],
             scales: vec![32],
             ..MatrixPlan::default()
         };
         let run = run_matrix(&plan);
-        assert_eq!(run.skips.len(), 4, "{:?}", run.skips);
+        let blur = workload_by_name("Blur", WorkloadScale { width: 32, height: 32 }).unwrap();
+        let variants = CONFIGS.iter().filter(|v| v.applies(&blur)).count();
+        assert_eq!(variants, 13, "Fig. 10, Fig. 12 and ablation variants");
+        assert_eq!(run.skips.len(), 4 + variants, "{:?}", run.skips);
         assert!(run.skips.iter().all(|s| s.contains("does not map")), "{:?}", run.skips);
         let backends: Vec<_> = run.cells.iter().map(|c| c.backend).collect();
         assert_eq!(backends, vec![Backend::Gpu, Backend::CpuRef]);

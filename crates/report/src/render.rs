@@ -4,8 +4,9 @@
 //! Inputs (all optional — a missing stream is a *loud skip*: the report
 //! names it and renders the remaining sections):
 //!
-//! * `matrix.jsonl` — the benchmark matrix ([`crate::matrix`]); its
-//!   `skip_ahead`/`analytic` cell pairs also give the divergence table.
+//! * `matrix.jsonl` — the benchmark matrix ([`crate::matrix`]); its cells
+//!   also give the paper comparison ([`crate::paper`]) and, from the
+//!   `skip_ahead`/`analytic` pairs, the divergence table.
 //! * `figures.jsonl` — the recorded bench baselines.
 //! * `serve_fresh.jsonl` — serve/shard throughput soaks.
 //! * `tuning.jsonl` — autotuner `tune_eval`/`tune_best` records.
@@ -22,9 +23,10 @@ use std::sync::OnceLock;
 
 use ipim_core::analytic::divergence_pct;
 use ipim_core::trace::json;
-use ipim_core::{all_workloads, WorkloadScale};
+use ipim_core::{all_workloads, WorkloadFamily, WorkloadScale};
 
-use crate::matrix::{read_matrix, Backend, MatrixCell};
+use crate::matrix::{read_matrix, Backend, MatrixCell, CONFIGS};
+use crate::paper::{find, render_paper};
 
 /// One parsed line of `figures.jsonl` / `serve_fresh.jsonl` (the fields
 /// the report uses; everything else is ignored).
@@ -190,17 +192,26 @@ impl Streams {
     }
 }
 
-/// Suite rank of a workload name — the paper's Table II order, then NN,
-/// then Video; unknown names sort after the suite, alphabetically.
+/// The registered suite in rank order — the paper's Table II, then NN,
+/// then Video — as (name, family, multi-stage). Sort keys are computed
+/// per comparison, so the suite (and its input images) is built once per
+/// process, not once per call.
+pub(crate) fn suite() -> &'static [(&'static str, WorkloadFamily, bool)] {
+    static SUITE: OnceLock<Vec<(&'static str, WorkloadFamily, bool)>> = OnceLock::new();
+    SUITE.get_or_init(|| {
+        all_workloads(WorkloadScale::tiny())
+            .iter()
+            .map(|w| (w.name, w.family, w.multi_stage))
+            .collect()
+    })
+}
+
+/// Suite rank of a workload name; unknown names sort after the suite,
+/// alphabetically.
 fn workload_rank(name: &str) -> (usize, String) {
-    // Sort keys are computed per comparison: build the suite (and its
-    // input images) once per process, not once per call.
-    static SUITE: OnceLock<Vec<&'static str>> = OnceLock::new();
-    let suite =
-        SUITE.get_or_init(|| all_workloads(WorkloadScale::tiny()).iter().map(|w| w.name).collect());
-    match suite.iter().position(|w| w.eq_ignore_ascii_case(name)) {
+    match suite().iter().position(|w| w.0.eq_ignore_ascii_case(name)) {
         Some(i) => (i, String::new()),
-        None => (suite.len(), name.to_ascii_lowercase()),
+        None => (suite().len(), name.to_ascii_lowercase()),
     }
 }
 
@@ -208,14 +219,9 @@ fn backend_rank(b: Backend) -> usize {
     Backend::ALL.iter().position(|x| *x == b).expect("backend in ALL")
 }
 
-/// Geometric mean (same definition as `ipim_core::experiments::geomean`,
-/// re-derived here to keep the renderer's float path self-contained).
-fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = values.iter().map(|v| v.ln()).sum();
-    (sum / values.len() as f64).exp()
+/// The default cell first, then [`CONFIGS`] order.
+fn config_rank(config: Option<&str>) -> usize {
+    config.map_or(0, |n| 1 + CONFIGS.iter().position(|c| c.name == n).unwrap_or(CONFIGS.len()))
 }
 
 /// Fixed-precision microseconds used throughout the tables.
@@ -230,7 +236,8 @@ pub fn render(streams: &Streams) -> String {
     out.push_str("# iPIM trajectory report\n\n");
     out.push_str(
         "One deterministic view over the repo's recorded result streams \
-         (`matrix.jsonl`, `figures.jsonl`, `serve_fresh.jsonl`, `tuning.jsonl`). \
+         (`matrix.jsonl`, `figures.jsonl`, `serve_fresh.jsonl`, `tuning.jsonl`), and the \
+         one place the paper comparison is computed. \
          Regenerate with `cargo run --release -p ipim-report --bin render_report`; \
          CI diffs the regenerated bytes against this file.\n\n",
     );
@@ -242,44 +249,46 @@ pub fn render(streams: &Streams) -> String {
     if !missing.is_empty() {
         out.push('\n');
     }
-    render_matrix(&mut out, streams);
-    render_speedups(&mut out, streams);
-    render_divergence(&mut out, streams);
+    let cells = sorted_cells(streams);
+    render_paper(&mut out, &cells);
+    render_matrix(&mut out, &cells);
+    render_divergence(&mut out, &cells);
     render_throughput(&mut out, streams);
     render_tuning(&mut out, streams);
     out
 }
 
-fn sorted_cells(streams: &Streams) -> Vec<&MatrixCell> {
-    let mut cells: Vec<&MatrixCell> = streams.cells.iter().collect();
+/// The cells in render order, so every lookup finds the same cell
+/// whatever the input line order.
+fn sorted_cells(streams: &Streams) -> Vec<MatrixCell> {
+    let mut cells = streams.cells.clone();
     // Coordinates first; the measurement fields break ties so that even
     // a degenerate input with duplicate coordinates renders identically
     // regardless of line order.
-    let key = |c: &MatrixCell| {
+    cells.sort_by_key(|c| {
         (
             workload_rank(&c.workload),
             c.scale,
             backend_rank(c.backend),
+            config_rank(c.config),
             c.wall_ns,
             c.kernel_ns.to_bits(),
         )
-    };
-    cells.sort_by_key(|c| key(c));
+    });
     cells
 }
 
-fn render_matrix(out: &mut String, streams: &Streams) {
+fn render_matrix(out: &mut String, cells: &[MatrixCell]) {
     out.push_str("## Benchmark matrix\n\n");
-    if streams.cells.is_empty() {
+    if cells.is_empty() {
         out.push_str("_No matrix cells recorded._\n\n");
         return;
     }
     out.push_str(
-        "Modeled kernel time per cell in µs (cycle engines: simulated cycles at 1 GHz; \
-         gpu: V100 roofline; cpu_ref: measured interpreter wall time). \
+        "Modeled kernel time per default-config cell in µs (cycle engines: simulated cycles \
+         at 1 GHz; gpu: V100 roofline; cpu_ref: measured interpreter wall time). \
          `—` marks a cell whose schedule does not map at that scale.\n\n",
     );
-    let cells = sorted_cells(streams);
     out.push_str("| workload | family | scale |");
     for b in Backend::ALL {
         out.push_str(&format!(" {} |", b.name()));
@@ -296,9 +305,7 @@ fn render_matrix(out: &mut String, streams: &Streams) {
     for (workload, family, scale) in rows {
         out.push_str(&format!("| {workload} | {family} | {scale} |"));
         for b in Backend::ALL {
-            let cell =
-                cells.iter().find(|c| c.workload == workload && c.scale == scale && c.backend == b);
-            match cell {
+            match find(cells, &workload, scale, b, None) {
                 Some(c) => out.push_str(&format!(" {} |", us(c.kernel_ns))),
                 None => out.push_str(" — |"),
             }
@@ -308,57 +315,13 @@ fn render_matrix(out: &mut String, streams: &Streams) {
     out.push('\n');
 }
 
-fn render_speedups(out: &mut String, streams: &Streams) {
-    out.push_str("## Speedup vs baselines\n\n");
-    let cells = sorted_cells(streams);
-    let find = |workload: &str, scale: u32, b: Backend| {
-        cells.iter().find(|c| c.workload == workload && c.scale == scale && c.backend == b)
-    };
-    let mut rows = Vec::new();
-    let mut keys: Vec<(String, u32)> =
-        cells.iter().map(|c| (c.workload.clone(), c.scale)).collect();
-    keys.dedup();
-    for (workload, scale) in keys {
-        let Some(ipim) = find(&workload, scale, Backend::SkipAhead) else { continue };
-        let vs_gpu = find(&workload, scale, Backend::Gpu).map(|g| g.kernel_ns / ipim.kernel_ns);
-        let vs_ponb = match (find(&workload, scale, Backend::Ponb), ipim.cycles) {
-            (Some(p), Some(ic)) => p.cycles.map(|pc| pc as f64 / ic as f64),
-            _ => None,
-        };
-        rows.push((workload, scale, vs_gpu, vs_ponb));
-    }
-    if rows.is_empty() {
-        out.push_str("_No comparable skip_ahead cells recorded._\n\n");
-        return;
-    }
-    out.push_str(
-        "iPIM (skip_ahead) per-cell speedup: vs the V100 roofline at the same scale, \
-         and vs process-on-base-die (same engine, base-die placement).\n\n",
-    );
-    out.push_str("| workload | scale | vs gpu | vs ponb |\n|---|---:|---:|---:|\n");
-    let fmt = |v: Option<f64>| v.map_or("—".to_string(), |x| format!("{x:.2}×"));
-    for (workload, scale, vs_gpu, vs_ponb) in &rows {
-        out.push_str(&format!("| {workload} | {scale} | {} | {} |\n", fmt(*vs_gpu), fmt(*vs_ponb)));
-    }
-    let gms: Vec<f64> = rows.iter().filter_map(|r| r.2).collect();
-    let pms: Vec<f64> = rows.iter().filter_map(|r| r.3).collect();
-    out.push_str(&format!(
-        "| **geomean** | | **{}** | **{}** |\n\n",
-        if gms.is_empty() { "—".to_string() } else { format!("{:.2}×", geomean(&gms)) },
-        if pms.is_empty() { "—".to_string() } else { format!("{:.2}×", geomean(&pms)) },
-    ));
-}
-
-fn render_divergence(out: &mut String, streams: &Streams) {
+fn render_divergence(out: &mut String, cells: &[MatrixCell]) {
     out.push_str("## Analytic divergence envelope\n\n");
-    let cells = sorted_cells(streams);
-    // One (workload, scale, divergence) per skip_ahead cell that has an
-    // analytic partner, in the sorted cells' row order.
+    // One (workload, scale, divergence) per default skip_ahead cell that
+    // has an analytic partner, in the sorted cells' row order.
     let mut divs: Vec<(&str, u32, f64)> = Vec::new();
-    for skip in cells.iter().filter(|c| c.backend == Backend::SkipAhead) {
-        let analytic = cells.iter().find(|c| {
-            c.backend == Backend::Analytic && c.workload == skip.workload && c.scale == skip.scale
-        });
+    for skip in cells.iter().filter(|c| c.backend == Backend::SkipAhead && c.config.is_none()) {
+        let analytic = find(cells, &skip.workload, skip.scale, Backend::Analytic, None);
         if let (Some(measured), Some(predicted)) = (skip.cycles, analytic.and_then(|a| a.cycles)) {
             divs.push((&skip.workload, skip.scale, divergence_pct(predicted, measured)));
         }
@@ -488,22 +451,19 @@ fn render_tuning(out: &mut String, streams: &Streams) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Bound;
 
     fn cell(workload: &str, scale: u32, backend: Backend, kernel_ns: f64) -> MatrixCell {
+        let cycle_engine = backend.engine_placement().is_some();
         MatrixCell {
             workload: workload.into(),
             family: "image".into(),
             scale,
             backend,
-            cycles: backend.engine_placement().map(|_| kernel_ns as u64),
+            cycles: cycle_engine.then_some(kernel_ns as u64),
+            pes: cycle_engine.then_some(32),
             kernel_ns,
             wall_ns: 1000,
-            gbps: None,
-            pj_per_op: None,
-            ai: None,
-            peak_gbps: None,
-            bound: Bound::NotApplicable,
+            ..MatrixCell::default()
         }
     }
 
@@ -523,7 +483,8 @@ mod tests {
         let b = render(&s);
         assert_eq!(a, b, "render must not depend on input order");
         assert!(a.contains("| Blur | image | 64 |"), "{a}");
-        assert!(a.contains("4.00×"), "gpu/ipim speedup: {a}");
+        // gpu/ipim kernel time, scaled out from the 32-PE slice: 4 × 128.
+        assert!(a.contains("| Blur | 64 | — | — | 512.00× |"), "gpu/ipim speedup: {a}");
         // |3896 − 3768| / 3768 = 3.397%; Brighten's skip_ahead cell has
         // no analytic partner, so it adds no divergence row.
         let divergence = section(&a, "## Analytic divergence envelope");

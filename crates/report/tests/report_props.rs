@@ -7,18 +7,34 @@
 //!    shortest-round-trip printing), and whole files round-trip too.
 //! 2. **Renderer determinism** — `render` is a pure function of stream
 //!    *contents*: shuffling the input line order produces byte-identical
-//!    markdown.
+//!    markdown, config cells and the paper sections included.
 //! 3. **Fingerprint stability** — a cell's fingerprint depends only on
 //!    its own coordinates, never on the order backends were enumerated
 //!    in when the matrix was produced.
 
+use ipim_report::paper::table2;
 use ipim_report::{
-    parse_matrix, render, Anchor, Backend, Bound, FigLine, MatrixCell, MatrixFile, Streams,
+    parse_matrix, render, Anchor, Backend, Bound, FigLine, MatrixCell, MatrixFile, Streams, CONFIGS,
 };
 use ipim_simkit::prop::{bool_any, tuple6, u32_in, u64_any, usize_in, Gen};
 use ipim_simkit::{check, Rng};
 
 const NAMES: [&str; 6] = ["Brighten", "Blur", "Histogram", "Gemm", "RowSoftmax", "MotionEnergy"];
+
+/// The counters a cycle-engine cell carries, derived from `cycles` so the
+/// generators stay deterministic under simkit replay.
+fn with_counters(cell: MatrixCell, cycles: u64) -> MatrixCell {
+    let f = |k: u64| (cycles.wrapping_mul(k) % 1_000_000) as f64 / 7.0 + 1.0;
+    MatrixCell {
+        pixels: Some(4096),
+        pes: Some(32),
+        energy_pj: Some(f(17) * 10.0),
+        energy_split: Some([f(19), f(23), f(29), f(31), f(37), f(41), f(43)]),
+        insts: Some([1, 2, 3, 4, 5, 6].map(|k| cycles % (1000 * k))),
+        busy: Some([cycles / 3, cycles / 5, cycles / 7]),
+        ..cell
+    }
+}
 
 /// A generator over arbitrary (not necessarily physical) matrix cells:
 /// the wire format must round-trip whatever the runner can emit.
@@ -37,11 +53,12 @@ fn gen_cell() -> Gen<MatrixCell> {
         // Derive float fields from the integers so the generator stays
         // deterministic under simkit replay.
         let f = |k: u64| (cycles.wrapping_mul(k) % 1_000_000) as f64 / 7.0;
-        MatrixCell {
+        let cell = MatrixCell {
             workload: NAMES[wi].to_string(),
             family: "image".to_string(),
             scale,
             backend,
+            config: (cycles % 3 == 0).then(|| CONFIGS[(wi + bi) % CONFIGS.len()].name),
             cycles: with_model.then_some(cycles),
             kernel_ns: f(3),
             wall_ns,
@@ -50,6 +67,12 @@ fn gen_cell() -> Gen<MatrixCell> {
             ai: with_model.then(|| f(11)),
             peak_gbps: with_model.then(|| f(13)),
             bound: if with_model { Bound::Memory } else { Bound::NotApplicable },
+            ..MatrixCell::default()
+        };
+        if with_model {
+            with_counters(cell, cycles)
+        } else {
+            cell
         }
     })
 }
@@ -80,12 +103,13 @@ fn renderer_is_deterministic_and_order_invariant() {
     check("report/render_determinism", &gen, |&(seed, n, scale, cycles, with_fig, with_serve)| {
         let mut rng = Rng::new(seed);
         let mut cells = Vec::new();
-        let mut push = |name: &str, backend: Backend, cycles: u64| {
-            cells.push(MatrixCell {
+        let mut push = |name: &str, scale: u32, backend: Backend, config, cycles: u64| {
+            let cell = MatrixCell {
                 workload: name.to_string(),
                 family: "image".to_string(),
                 scale,
                 backend,
+                config,
                 cycles: Some(cycles),
                 kernel_ns: cycles as f64,
                 wall_ns: rng.next_u64() % (1 << 40),
@@ -94,19 +118,41 @@ fn renderer_is_deterministic_and_order_invariant() {
                 ai: Some(0.5),
                 peak_gbps: Some(512.0),
                 bound: Bound::Memory,
-            });
+                ..MatrixCell::default()
+            };
+            cells.push(with_counters(cell, cycles));
         };
         for i in 0..n {
-            // Unique (workload, backend) coordinates per cell — a real
-            // matrix never emits two cells at the same coordinates.
+            // Unique coordinates per cell — a real matrix never emits two
+            // cells at the same coordinates.
             let name = NAMES[i % NAMES.len()];
             let backend = Backend::ALL[(i / NAMES.len()) % Backend::ALL.len()];
-            push(name, backend, cycles + i as u64 + 1);
+            push(name, scale, backend, None, cycles + i as u64 + 1);
+            if backend == Backend::SkipAhead {
+                let config = Some(CONFIGS[i % CONFIGS.len()].name);
+                push(name, scale, backend, config, cycles + 5 * i as u64 + 3);
+            }
         }
         // Analytic partners for every other skip_ahead cell feed the
         // divergence table; the rest stay unpaired.
         for (i, name) in NAMES.iter().enumerate().take(n.min(NAMES.len())).step_by(2) {
-            push(name, Backend::Analytic, cycles + 3 * i as u64 + 2);
+            push(name, scale, Backend::Analytic, None, cycles + 3 * i as u64 + 2);
+        }
+        // Half the cases get a paper scale: every Table II workload's
+        // default, partner and config cells at 512², so the paper
+        // sections render numbers rather than loud skips.
+        if seed % 2 == 0 {
+            for (i, (name, _)) in table2().enumerate() {
+                let c = cycles + 7 * i as u64 + 11;
+                push(name, 512, Backend::SkipAhead, None, c);
+                push(name, 512, Backend::Ponb, None, 2 * c + 1);
+                push(name, 512, Backend::Gpu, None, c / 3 + 1);
+                for v in
+                    CONFIGS.iter().filter(|v| v.workloads.is_empty() || v.workloads.contains(&name))
+                {
+                    push(name, 512, Backend::SkipAhead, Some(v.name), c + v.name.len() as u64);
+                }
+            }
         }
         let figures = if with_fig {
             vec![FigLine {
@@ -137,6 +183,7 @@ fn renderer_is_deterministic_and_order_invariant() {
         let mut streams = Streams { cells, figures, serve, ..Streams::default() };
         let a = render(&streams);
         assert_eq!(a, render(&streams), "same input, same bytes");
+        assert_eq!(a.contains("**skipped:**"), seed % 2 != 0, "paper scale iff Table II cells");
         rng.shuffle(&mut streams.cells);
         rng.shuffle(&mut streams.figures);
         rng.shuffle(&mut streams.serve);
@@ -160,14 +207,7 @@ fn fingerprints_ignore_backend_enumeration_order() {
             family: "image".to_string(),
             scale,
             backend,
-            cycles: None,
-            kernel_ns: 0.0,
-            wall_ns: 0,
-            gbps: None,
-            pj_per_op: None,
-            ai: None,
-            peak_gbps: None,
-            bound: Bound::NotApplicable,
+            ..MatrixCell::default()
         };
         // Enumerate the backends in a seed-shuffled order: the
         // fingerprint each cell gets must match the canonical-order run

@@ -1,16 +1,20 @@
-//! Units audit (ISSUE 10 satellite): pins that pJ/op and GB/s mean the
-//! same thing across the three energy/bandwidth paths a matrix row
-//! mixes — the cycle engines' composed `EnergyBook`, the V100 roofline
-//! model, and the PonB placement — so silent unit drift (pJ vs nJ,
-//! bytes/cycle vs GB/s) between `compose_energy` and `crates/baselines`
-//! fails here, not in a subtly wrong REPORT.md.
+//! Units audit: pins that pJ/op and GB/s mean the same thing across the
+//! three energy/bandwidth paths a matrix row mixes — the cycle engines'
+//! composed `EnergyBook`, the V100 roofline model, and the PonB
+//! placement — so silent unit drift (pJ vs nJ, bytes/cycle vs GB/s)
+//! between `compose_energy` and `crates/baselines` fails here, not in a
+//! subtly wrong REPORT.md. It also pins the one slice-to-machine
+//! normalization against an independent live computation.
 //!
 //! Blur 64² is the probe: a Table II workload the paper reports on both
 //! sides, and one that maps on every backend at this scale.
 
+use std::path::Path;
+
 use ipim_core::baselines::{gpu_profile, run_gpu, GpuModel};
 use ipim_core::{workload_by_name, MachineConfig, Placement, Session, WorkloadScale};
-use ipim_report::{arith_ops, Backend, Bound, MatrixCell};
+use ipim_report::paper::{find, versus};
+use ipim_report::{arith_ops, read_matrix, Backend, Bound, MatrixCell};
 
 fn blur64() -> ipim_core::Workload {
     workload_by_name("Blur", WorkloadScale { width: 64, height: 64 }).expect("Table II workload")
@@ -139,4 +143,33 @@ fn ponb_placement_shrinks_the_roof_not_the_units() {
     // time (and thus effective GB/s) differs.
     assert_eq!(a.report.dram_bytes(), b.report.dram_bytes());
     assert!(ponb_cell.gbps.unwrap() < near_cell.gbps.unwrap());
+}
+
+/// The report's Fig. 6 speedup for Blur 128², read from the committed
+/// cells through `scale_out`, equals a live computation the other way
+/// round: iPIM pixels per simulated second on the slice times the
+/// 4096/32 PE ratio, over the V100 roofline's pixels per second at the
+/// DIV8K pixel count.
+#[test]
+fn fig6_speedup_matches_a_live_div8k_comparison() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/matrix.jsonl");
+    let cells = read_matrix(&path).unwrap_or_else(|e| panic!("committed matrix: {e}")).cells;
+    let row = versus(&cells).into_iter().find(|v| v.skip.workload == "Blur" && v.skip.scale == 128);
+    let rendered = row.expect("committed Blur 128² cells").speedup_vs_gpu().expect("gpu partner");
+    assert!(find(&cells, "Blur", 128, Backend::Gpu, None).is_some());
+
+    let w = workload_by_name("Blur", WorkloadScale { width: 128, height: 128 }).unwrap();
+    let o = Session::new(MachineConfig::vault_slice(1)).run_workload(&w, 2_000_000_000).unwrap();
+    let factor = MachineConfig::default().total_pes() as f64
+        / MachineConfig::vault_slice(1).total_pes() as f64;
+    let ipim_pps = w.output_pixels as f64 / o.report.seconds() * factor;
+    let mut div8k = w.clone();
+    let ratio = WorkloadScale::div8k().pixels() as f64 / w.scale.pixels() as f64;
+    div8k.output_pixels = (w.output_pixels as f64 * ratio) as u64;
+    div8k.scale = WorkloadScale::div8k();
+    let live = ipim_pps / run_gpu(&GpuModel::default(), &div8k).pixels_per_second;
+    assert!(
+        ((rendered - live) / live).abs() < 1e-9,
+        "rendered {rendered} vs live {live}: the report's normalization drifted"
+    );
 }

@@ -44,6 +44,7 @@ use ipim_core::{
     all_workloads, workload_by_name, Engine, ExecutionReport, Fidelity, MachineConfig,
     ScheduleOverride, Session, WorkloadScale,
 };
+use ipim_report::paper::find;
 use ipim_report::{read_matrix, Backend, MatrixCell};
 
 const MAX_CYCLES: u64 = 4_000_000_000;
@@ -59,20 +60,10 @@ fn committed_cells() -> Vec<MatrixCell> {
     read_matrix(&path).unwrap_or_else(|e| panic!("committed matrix: {e}")).cells
 }
 
-/// The committed `backend` cell for `name` at `side`².
-fn committed_cell<'a>(
-    cells: &'a [MatrixCell],
-    name: &str,
-    side: u32,
-    backend: Backend,
-) -> Option<&'a MatrixCell> {
-    cells.iter().find(|c| c.workload == name && c.scale == side && c.backend == backend)
-}
-
 /// Divergence of the committed `skip_ahead`/`analytic` cell pair for
 /// `name` at `side`², or `None` when either cell is missing.
 fn committed_divergence(cells: &[MatrixCell], name: &str, side: u32) -> Option<f64> {
-    let cycles = |backend| committed_cell(cells, name, side, backend)?.cycles;
+    let cycles = |backend| find(cells, name, side, backend, None)?.cycles;
     Some(divergence_pct(cycles(Backend::Analytic)?, cycles(Backend::SkipAhead)?))
 }
 
@@ -169,7 +160,7 @@ fn check_scale(side: u32) -> usize {
             s.report.energy.total_pj(),
             0,
         );
-        let recorded = committed_cell(&committed, w.name, side, Backend::SkipAhead);
+        let recorded = find(&committed, w.name, side, Backend::SkipAhead, None);
         assert!(
             recorded
                 .is_some_and(|c| (c.cycles, c.gbps, c.pj_per_op)
