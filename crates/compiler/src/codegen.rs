@@ -18,7 +18,7 @@
 //! register-allocation pass, and every memory instruction carries its
 //! [`MemTag`] for the dependency/reordering passes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ipim_frontend::{
     analyze_coord, AffineCoord, Expr, FuncDef, Pipeline, ScalarType, SourceId, Var,
@@ -546,7 +546,9 @@ pub(crate) fn emit_pure_stage(
     ctx.staged = plan.staged_sources.clone();
 
     // --- per-buffer slot base registers ---
-    let mut slot_base: HashMap<SourceId, u8> = HashMap::new();
+    // Ordered by source, so the slot-base calculations below are emitted
+    // in the same order in every process.
+    let mut slot_base: BTreeMap<SourceId, u8> = BTreeMap::new();
     for s in plan.sources.iter().copied().chain(std::iter::once(out_src)) {
         if slot_base.contains_key(&s) {
             continue;
@@ -965,7 +967,7 @@ fn emit_staging(
 fn emit_row_base(
     ctx: &mut StageCtx<'_>,
     acc: &PlannedAccess,
-    slot_base: &HashMap<SourceId, u8>,
+    slot_base: &BTreeMap<SourceId, u8>,
     out_halo_y: u32,
 ) -> Result<(), CompileError> {
     let (key, source) = match &acc.lowering {

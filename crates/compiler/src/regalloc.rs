@@ -18,7 +18,8 @@
 //! reserved bank addresses), which is how the paper's RF-size sensitivity
 //! (Fig. 10(a)) loses performance at 16–32 registers.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
+use std::ops::Range;
 
 use ipim_isa::{AddrOperand, DataReg, Instruction, RegRef};
 
@@ -85,47 +86,61 @@ pub fn allocate(
     policy: RegAllocPolicy,
 ) -> Result<u32, RegAllocError> {
     let mut spill_slots = 0u32;
-    // Regions shift as spill code is inserted; process by scanning anew
-    // after each region (regions never nest and markers are preserved).
-    let mut region_idx = 0;
-    loop {
-        let regions = straight_regions(items);
-        let Some(range) = regions.get(region_idx).cloned() else { break };
-        let used =
+    // Regions are found once. Spill code inserted into one region moves
+    // every later region down by the same number of items.
+    let mut shift = 0;
+    for range in straight_regions(items) {
+        let range = range.start + shift..range.end + shift;
+        shift +=
             allocate_region(items, range, pinned, rf_size, spill_base, &mut spill_slots, policy)?;
-        let _ = used;
-        region_idx += 1;
     }
     Ok(spill_slots)
 }
 
-/// Virtual data registers read/written by an instruction (index >= pinned).
-fn vregs_of(inst: &Instruction, pinned: u8) -> (Vec<u8>, Vec<u8>) {
-    let reads = inst
-        .reads()
-        .into_iter()
-        .filter_map(|r| match r {
+/// Marks an unset entry of the per-vreg index tables.
+const NONE: usize = usize::MAX;
+
+/// The virtual data registers (index >= pinned) of one instruction: the
+/// ones it reads, in [`Instruction::for_each_read`] order with repeats, and
+/// the one it writes.
+struct VRegs {
+    reads: [u8; 3],
+    n_reads: usize,
+    write: Option<u8>,
+}
+
+impl VRegs {
+    fn of(inst: &Instruction, pinned: u8) -> Self {
+        let virt = |r: RegRef| match r {
             RegRef::Data(d) if d.index() >= pinned as usize => Some(d.index() as u8),
             _ => None,
-        })
-        .collect();
-    let writes = inst
-        .writes()
-        .into_iter()
-        .filter_map(|r| match r {
-            RegRef::Data(d) if d.index() >= pinned as usize => Some(d.index() as u8),
-            _ => None,
-        })
-        .collect();
-    (reads, writes)
+        };
+        let mut out = VRegs { reads: [0; 3], n_reads: 0, write: inst.written().and_then(virt) };
+        inst.for_each_read(|r| {
+            if let Some(v) = virt(r) {
+                out.reads[out.n_reads] = v;
+                out.n_reads += 1;
+            }
+        });
+        out
+    }
+
+    fn reads(&self) -> &[u8] {
+        &self.reads[..self.n_reads]
+    }
+
+    /// Every read, then the write.
+    fn all(&self) -> impl Iterator<Item = u8> + '_ {
+        self.reads().iter().copied().chain(self.write)
+    }
 }
 
 /// Rewrites the virtual data-register fields of an instruction.
-fn map_regs(inst: &mut Instruction, pinned: u8, map: &HashMap<u8, u8>) {
+fn map_regs(inst: &mut Instruction, pinned: u8, map: &[Option<u8>; 256]) {
     let f = |r: &mut DataReg| {
         if r.index() >= pinned as usize {
             let v = r.index() as u8;
-            let p = map.get(&v).copied().unwrap_or(v);
+            let p = map[v as usize].unwrap_or(v);
             *r = DataReg::new(p);
         }
     };
@@ -148,10 +163,12 @@ fn map_regs(inst: &mut Instruction, pinned: u8, map: &HashMap<u8, u8>) {
     }
 }
 
+/// Allocates one region in place; returns how many spill items it
+/// inserted.
 #[allow(clippy::too_many_arguments)]
 fn allocate_region(
     items: &mut Vec<Item>,
-    range: std::ops::Range<usize>,
+    mut range: Range<usize>,
     pinned: u8,
     rf_size: usize,
     spill_base: u32,
@@ -163,64 +180,43 @@ fn allocate_region(
         return Err(RegAllocError::TooFewRegisters { available });
     }
 
-    // 1. Spill pre-pass: demote one long live range, then retry the whole
-    // region (the range is stale after insertion); recursion repeats until
-    // max pressure fits.
-    let pressure = max_pressure(items, range.clone(), pinned)?;
-    if pressure > available {
-        if !demote_one(items, range.clone(), pinned, spill_base, spill_slots) {
-            return Err(RegAllocError::TooFewRegisters { available });
+    // 1. Liveness (last use per vreg), and the spill pre-pass: demote one
+    // long live range at a time, growing the region by the spill code,
+    // until max pressure fits.
+    let original_len = range.len();
+    let last_use = loop {
+        let last_use = last_uses(items, range.clone(), pinned);
+        if max_pressure(items, range.clone(), pinned, &last_use)? <= available {
+            break last_use;
         }
-        return allocate_region(
-            items,
-            current_region(items, range.start),
-            pinned,
-            rf_size,
-            spill_base,
-            spill_slots,
-            policy,
-        );
-    }
+        range.end += demote_one(items, range.clone(), pinned, spill_base, spill_slots)
+            .ok_or(RegAllocError::TooFewRegisters { available })?;
+    };
 
-    // 2. Liveness (last use per vreg).
-    let mut last_use: HashMap<u8, usize> = HashMap::new();
-    for i in range.clone() {
-        if let Item::Inst(inst, _) = &items[i] {
-            let (reads, writes) = vregs_of(inst, pinned);
-            for v in reads.iter().chain(writes.iter()) {
-                last_use.insert(*v, i);
-            }
-        }
-    }
-
-    // 3. Linear scan.
+    // 2. Linear scan.
     let mut free_min: BTreeSet<u8> = (pinned..rf_size as u8).collect();
     let mut free_max: VecDeque<u8> = (pinned..rf_size as u8).collect();
-    let mut map: HashMap<u8, u8> = HashMap::new();
+    let mut map = [None::<u8>; 256];
     for i in range.clone() {
         let Item::Inst(inst, _) = &mut items[i] else { continue };
-        let (reads, writes) = vregs_of(inst, pinned);
-        for v in &reads {
-            if !map.contains_key(v) {
-                return Err(RegAllocError::UseBeforeDef { vreg: *v });
-            }
+        let vr = VRegs::of(inst, pinned);
+        if let Some(&v) = vr.reads().iter().find(|&&v| map[v as usize].is_none()) {
+            return Err(RegAllocError::UseBeforeDef { vreg: v });
         }
         // Release registers of reads dying at this instruction *before*
         // allocating the destination: under the Min policy the destination
         // then reuses a just-dead source (maximal reuse); under Max the
         // freed register goes to the back of the rotation.
-        let mut released: Vec<u8> = Vec::new();
-        for v in &reads {
-            if last_use.get(v) == Some(&i) && !writes.contains(v) && !released.contains(v) {
-                released.push(*v);
-                if let Some(p) = map.get(v).copied() {
+        for (k, &v) in vr.reads().iter().enumerate() {
+            if last_use[v as usize] == i && vr.write != Some(v) && !vr.reads()[..k].contains(&v) {
+                if let Some(p) = map[v as usize] {
                     free_min.insert(p);
                     free_max.push_back(p);
                 }
             }
         }
-        for v in &writes {
-            if !map.contains_key(v) {
+        if let Some(v) = vr.write {
+            if map[v as usize].is_none() {
                 let phys = match policy {
                     RegAllocPolicy::Min => {
                         let p = *free_min.iter().next().expect("pressure checked");
@@ -238,59 +234,64 @@ fn allocate_region(
                         free_min.remove(&phys);
                     }
                 }
-                map.insert(*v, phys);
+                map[v as usize] = Some(phys);
             }
         }
         map_regs(inst, pinned, &map);
-        // Release written registers whose last use is here (dead stores and
-        // read+write operands not already released above).
-        for v in &writes {
-            if last_use.get(v) == Some(&i) && !released.contains(v) {
-                released.push(*v);
-                if let Some(p) = map.get(v).copied() {
+        // Release the written register if its last use is here (dead
+        // stores and read+write operands, which the reads above skip).
+        if let Some(v) = vr.write {
+            if last_use[v as usize] == i {
+                if let Some(p) = map[v as usize] {
                     free_min.insert(p);
                     free_max.push_back(p);
                 }
             }
         }
     }
-    Ok(map.len())
+    Ok(range.len() - original_len)
 }
 
-/// Maximum simultaneous live virtual registers in the region.
-fn max_pressure(
-    items: &[Item],
-    range: std::ops::Range<usize>,
-    pinned: u8,
-) -> Result<usize, RegAllocError> {
-    let mut last_use: HashMap<u8, usize> = HashMap::new();
-    for i in range.clone() {
+/// The index of each vreg's last read or write in the region.
+fn last_uses(items: &[Item], range: Range<usize>, pinned: u8) -> [usize; 256] {
+    let mut last_use = [NONE; 256];
+    for i in range {
         if let Item::Inst(inst, _) = &items[i] {
-            let (reads, writes) = vregs_of(inst, pinned);
-            for v in reads.iter().chain(writes.iter()) {
-                last_use.insert(*v, i);
+            for v in VRegs::of(inst, pinned).all() {
+                last_use[v as usize] = i;
             }
         }
     }
+    last_use
+}
+
+/// Maximum simultaneous live virtual registers in the region, given each
+/// vreg's [`last_uses`] index.
+fn max_pressure(
+    items: &[Item],
+    range: Range<usize>,
+    pinned: u8,
+    last_use: &[usize; 256],
+) -> Result<usize, RegAllocError> {
     let mut live = 0usize;
     let mut max = 0usize;
-    let mut defined: HashMap<u8, bool> = HashMap::new();
+    let mut defined = [false; 256];
     for i in range {
         if let Item::Inst(inst, _) = &items[i] {
-            let (reads, writes) = vregs_of(inst, pinned);
-            for v in &reads {
-                if !defined.contains_key(v) {
-                    return Err(RegAllocError::UseBeforeDef { vreg: *v });
-                }
+            let vr = VRegs::of(inst, pinned);
+            if let Some(&v) = vr.reads().iter().find(|&&v| !defined[v as usize]) {
+                return Err(RegAllocError::UseBeforeDef { vreg: v });
             }
-            for v in &writes {
-                if defined.insert(*v, true).is_none() {
+            if let Some(v) = vr.write {
+                if !defined[v as usize] {
+                    defined[v as usize] = true;
                     live += 1;
                     max = max.max(live);
                 }
             }
-            for v in reads.iter().chain(writes.iter()) {
-                if last_use.get(v) == Some(&i) && defined.remove(v).is_some() {
+            for v in vr.all() {
+                if last_use[v as usize] == i && defined[v as usize] {
+                    defined[v as usize] = false;
                     live -= 1;
                 }
             }
@@ -323,59 +324,53 @@ fn rename_reads(inst: &mut Instruction, from: u8, to: u8) {
 }
 
 /// Demotes the single-def virtual register with the longest live range to a
-/// spill slot; returns false when nothing can be demoted.
+/// spill slot; returns how many items it inserted, or `None` when nothing
+/// can be demoted. Equal ranges go to the highest virtual id.
 ///
 /// Each use site reloads into a *fresh* virtual id, so the victim's long
 /// live range is replaced by short def→store and reload→use segments.
 fn demote_one(
     items: &mut Vec<Item>,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     pinned: u8,
     spill_base: u32,
     spill_slots: &mut u32,
-) -> bool {
-    let mut def: HashMap<u8, usize> = HashMap::new();
-    let mut multi_def: Vec<u8> = Vec::new();
-    let mut last: HashMap<u8, usize> = HashMap::new();
-    let mut uses: HashMap<u8, Vec<usize>> = HashMap::new();
+) -> Option<usize> {
+    let mut def = [NONE; 256];
+    let mut multi_def = [false; 256];
+    let mut last = [NONE; 256];
     let mut max_vreg = pinned;
     for i in range.clone() {
         if let Item::Inst(inst, _) = &items[i] {
-            let (reads, writes) = vregs_of(inst, pinned);
-            for v in writes {
+            let vr = VRegs::of(inst, pinned);
+            if let Some(v) = vr.write {
                 max_vreg = max_vreg.max(v);
-                if def.insert(v, i).is_some() {
-                    multi_def.push(v);
-                }
+                multi_def[v as usize] |= def[v as usize] != NONE;
+                def[v as usize] = i;
             }
-            for v in reads {
+            for &v in vr.reads() {
                 max_vreg = max_vreg.max(v);
-                uses.entry(v).or_default().push(i);
-                last.insert(v, i);
+                last[v as usize] = i;
             }
         }
     }
     // Longest single-def range with a use beyond def+1 (otherwise demotion
     // gains nothing). Multi-def vregs (MAC accumulators) stay in registers.
-    let Some(victim) = def
-        .iter()
-        .filter(|(v, _)| !multi_def.contains(v))
-        .filter_map(|(v, d)| {
-            let l = *last.get(v)?;
-            (l > d + 1).then_some((*v, l - d))
-        })
-        .max_by_key(|&(_, span)| span)
-        .map(|(v, _)| v)
-    else {
-        return false;
-    };
-    let d = def[&victim];
-    let use_sites: Vec<usize> = uses.get(&victim).cloned().unwrap_or_default();
-    if use_sites.is_empty() {
-        return false;
+    let victim = (0..256)
+        .filter(|&v| def[v] != NONE && !multi_def[v] && last[v] != NONE && last[v] > def[v] + 1)
+        .max_by_key(|&v| last[v] - def[v])?;
+    let d = def[victim];
+    let victim = victim as u8;
+    // One use site per read occurrence, in program order.
+    let mut use_sites: Vec<usize> = Vec::new();
+    for i in range {
+        if let Item::Inst(inst, _) = &items[i] {
+            let vr = VRegs::of(inst, pinned);
+            use_sites.extend(vr.reads().iter().filter(|&&v| v == victim).map(|_| i));
+        }
     }
     if max_vreg as usize + use_sites.len() >= 255 {
-        return false; // virtual id space exhausted
+        return None; // virtual id space exhausted
     }
     let slot = *spill_slots;
     *spill_slots += 1;
@@ -417,16 +412,11 @@ fn demote_one(
         ),
     ));
     insertions.sort_by_key(|(i, _)| std::cmp::Reverse(*i));
+    let inserted = insertions.len();
     for (i, item) in insertions {
         items.insert(i, item);
     }
-    true
-}
-
-/// Returns the straight region containing or following `hint` after items
-/// shifted.
-fn current_region(items: &[Item], hint: usize) -> std::ops::Range<usize> {
-    straight_regions(items).into_iter().find(|r| r.end >= hint).expect("region still exists")
+    Some(inserted)
 }
 
 #[cfg(test)]
@@ -546,12 +536,14 @@ mod tests {
         assert!(out.iter().any(|i| matches!(i, Instruction::StRf { .. })));
         assert!(out.iter().any(|i| matches!(i, Instruction::LdRf { .. })));
         // All register indices now fit the file.
-        for inst in &out {
-            for r in inst.reads().iter().chain(inst.writes().iter()) {
-                if let RegRef::Data(d) = r {
-                    assert!(d.index() < 8, "register {d:?} exceeds file");
-                }
+        let fits = |r: RegRef| {
+            if let RegRef::Data(d) = r {
+                assert!(d.index() < 8, "register {d:?} exceeds file");
             }
+        };
+        for inst in &out {
+            inst.for_each_read(fits);
+            inst.written().into_iter().for_each(fits);
         }
     }
 
@@ -563,6 +555,75 @@ mod tests {
             allocate(&mut items, 64, 64, 0x1000, RegAllocPolicy::Max),
             Err(RegAllocError::TooFewRegisters { .. })
         ));
+    }
+
+    /// One straight region that holds three temporaries across three
+    /// stores: `v4`'s long range must be demoted on a 2-temporary file.
+    fn spilling_region(kb: &mut KernelBuilder, out: u32) {
+        let st = |kb: &mut KernelBuilder, addr: u32, v: u8| {
+            kb.push_mem(
+                Instruction::StRf {
+                    dram_addr: AddrOperand::Imm(addr),
+                    drf: DataReg::new(v),
+                    simb_mask: SimbMask::all(32),
+                },
+                MemTag::DramBuffer(ipim_frontend::SourceId(0)),
+            );
+        };
+        kb.begin_straight();
+        kb.push(seti(4));
+        kb.push(seti(5));
+        kb.push(seti(6));
+        st(kb, out, 5);
+        st(kb, out + 16, 6);
+        st(kb, out + 32, 4);
+        kb.end_straight();
+    }
+
+    #[test]
+    fn spill_code_shifts_later_regions() {
+        // Region 1's spill code moves region 2 two items down; region 2
+        // must still be allocated where it now sits, and its spill slot
+        // numbered after region 1's.
+        let mut kb = KernelBuilder::new();
+        spilling_region(&mut kb, 0x100);
+        kb.push(Instruction::Sync { phase_id: 0 });
+        spilling_region(&mut kb, 0x200);
+        let mut items = kb.finish();
+        let spills = allocate(&mut items, PINNED, 6, 0x1000, RegAllocPolicy::Max).unwrap();
+        let got: Vec<String> = items
+            .iter()
+            .map(|item| match item {
+                Item::Inst(inst, Some(tag)) => format!("{inst} @{tag:?}"),
+                Item::Inst(inst, None) => inst.to_string(),
+                other => format!("{other:?}"),
+            })
+            .collect();
+        let want = [
+            "BeginStraight",
+            "seti_drf d4, #0x0 (vec=all, simb=all)",
+            "st_rf 0x1000, d4 (simb=all) @DramSpill(0)",
+            "seti_drf d5, #0x0 (vec=all, simb=all)",
+            "seti_drf d4, #0x0 (vec=all, simb=all)",
+            "st_rf 0x100, d5 (simb=all) @DramBuffer(SourceId(0))",
+            "st_rf 0x110, d4 (simb=all) @DramBuffer(SourceId(0))",
+            "ld_rf 0x1000, d5 (simb=all) @DramSpill(0)",
+            "st_rf 0x120, d5 (simb=all) @DramBuffer(SourceId(0))",
+            "EndStraight",
+            "sync 0",
+            "BeginStraight",
+            "seti_drf d4, #0x0 (vec=all, simb=all)",
+            "st_rf 0x1010, d4 (simb=all) @DramSpill(1)",
+            "seti_drf d5, #0x0 (vec=all, simb=all)",
+            "seti_drf d4, #0x0 (vec=all, simb=all)",
+            "st_rf 0x200, d5 (simb=all) @DramBuffer(SourceId(0))",
+            "st_rf 0x210, d4 (simb=all) @DramBuffer(SourceId(0))",
+            "ld_rf 0x1010, d5 (simb=all) @DramSpill(1)",
+            "st_rf 0x220, d5 (simb=all) @DramBuffer(SourceId(0))",
+            "EndStraight",
+        ];
+        assert_eq!(spills, 2);
+        assert_eq!(got, want);
     }
 
     #[test]

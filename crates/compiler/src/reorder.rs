@@ -15,10 +15,18 @@
 //! 3. *Reordering* list-schedules the graph: each node carries a
 //!    ready-time estimate `T(v)`; ready loads whose `T` has passed are
 //!    preferred, otherwise the smallest `T` wins — exposing ILP to the
-//!    in-order core exactly as the paper's Algorithm 1 does, in
-//!    `O(|V| log |V| + |E|)`.
+//!    in-order core exactly as the paper's Algorithm 1 does.
+//!
+//! Cost: the graph builder keeps, per register and per self-conflicting
+//! memory tag, the list of earlier accesses, so each instruction visits
+//! only its own predecessors, each a bounded number of times (through its
+//! few register operands and its memory tag). Building therefore costs
+//! `O(|V| + |E|)`. `|E|` itself can grow quadratically in region length,
+//! because a RAW edge runs from *every* earlier writer of a register, not
+//! only the last. The scheduler scans its ready set once per step:
+//! `O(|V|·R + |E|)`, with `R` the largest ready set.
 
-use ipim_isa::Instruction;
+use ipim_isa::{Instruction, RegRef};
 
 use crate::kb::{straight_regions, Item, MemTag};
 
@@ -57,7 +65,7 @@ fn is_load(inst: &Instruction) -> bool {
 /// estimated latency into the consumer's ready time `T(v)`, while pure
 /// *ordering* edges (memory-order enforcement) only force schedule order
 /// (weight 1) — they must not spread the memory stream apart.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepGraph {
     /// `succ[i]` = (follower, latency weight) pairs.
     pub succ: Vec<Vec<(usize, u64)>>,
@@ -73,74 +81,163 @@ pub fn build_dep_graph(
     block: &[(Instruction, Option<MemTag>)],
     enforce_memory_order: bool,
 ) -> DepGraph {
-    let n = block.len();
-    let mut succ: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-    let mut indegree = vec![0usize; n];
-    let mut edges = 0usize;
-    let add_edge = |succ: &mut Vec<Vec<(usize, u64)>>,
-                    indegree: &mut Vec<usize>,
-                    edges: &mut usize,
-                    a: usize,
-                    b: usize,
-                    w: u64| {
-        if let Some(e) = succ[a].iter_mut().find(|(t, _)| *t == b) {
-            e.1 = e.1.max(w);
-            return;
-        }
-        succ[a].push((b, w));
-        indegree[b] += 1;
-        *edges += 1;
-    };
+    AccessLists::new().build(block, enforce_memory_order)
+}
 
-    for j in 0..n {
-        let (bj, tj) = &block[j];
-        let rj = bj.reads();
-        let wj = bj.writes();
-        for (i, (bi, ti)) in block.iter().enumerate().take(j) {
-            let ri = bi.reads();
-            let wi = bi.writes();
-            // Register dependences: RAW, WAR, WAW.
-            let raw = wi.iter().any(|w| rj.contains(w));
-            let war = ri.iter().any(|r| wj.contains(r));
-            let waw = wi.iter().any(|w| wj.contains(w));
-            // Conservative memory dependences: same tag, self-conflicting,
-            // at least one write to that memory.
-            let mem = match (ti, tj) {
-                (Some(a), Some(b)) if a == b && a.self_conflicts() => {
-                    mem_writes(bi) || mem_writes(bj)
+/// Registers per file in [`AccessLists`]' flat numbering.
+const FILE_REGS: usize = 256;
+
+/// Index of `r` in one flat numbering of the DataRF, then the AddrRF, then
+/// the CtrlRF.
+fn flat(r: RegRef) -> usize {
+    match r {
+        RegRef::Data(d) => d.index(),
+        RegRef::Addr(a) => FILE_REGS + a.index(),
+        RegRef::Ctrl(c) => 2 * FILE_REGS + c.index(),
+    }
+}
+
+/// The earlier accesses of the region being built, per register and per
+/// self-conflicting memory tag. One value serves every region of a
+/// [`reorder`] call: after each region only the lists it touched are
+/// emptied.
+struct AccessLists {
+    /// Per flat register: the earlier instructions that wrote it.
+    writers: Vec<Vec<usize>>,
+    /// Per flat register: the earlier instructions that read it.
+    readers: Vec<Vec<usize>>,
+    /// Flat registers whose lists are not empty.
+    touched: Vec<usize>,
+    /// Per self-conflicting tag: the earlier accesses, and the earlier ones
+    /// that write its memory.
+    mem: Vec<(MemTag, Vec<usize>, Vec<usize>)>,
+}
+
+impl AccessLists {
+    fn new() -> Self {
+        AccessLists {
+            writers: vec![Vec::new(); 3 * FILE_REGS],
+            readers: vec![Vec::new(); 3 * FILE_REGS],
+            touched: Vec::new(),
+            mem: Vec::new(),
+        }
+    }
+
+    fn touch(&mut self, r: usize) {
+        if self.writers[r].is_empty() && self.readers[r].is_empty() {
+            self.touched.push(r);
+        }
+    }
+
+    /// [`build_dep_graph`] over these lists, which it leaves empty.
+    fn build(
+        &mut self,
+        block: &[(Instruction, Option<MemTag>)],
+        enforce_memory_order: bool,
+    ) -> DepGraph {
+        let n = block.len();
+        let mut succ: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
+        let mut indegree = vec![0usize; n];
+        let mut edges = 0usize;
+        // The weight of each edge into the current instruction found so far
+        // (0: none yet; every weight is at least 1), and their sources.
+        let mut weight = vec![0u64; n];
+        let mut preds: Vec<usize> = Vec::new();
+
+        for (j, (inst, tag)) in block.iter().enumerate() {
+            let mut found = |i: usize, w: u64| {
+                if weight[i] == 0 {
+                    preds.push(i);
                 }
-                _ => false,
+                weight[i] = weight[i].max(w);
             };
-            if raw {
-                add_edge(&mut succ, &mut indegree, &mut edges, i, j, latency_estimate(bi));
-            } else if war || waw || mem {
-                // Anti/output/memory dependences constrain order, not data
-                // readiness.
-                add_edge(&mut succ, &mut indegree, &mut edges, i, j, 1);
+            // RAW: every earlier writer of a register j reads; the edge
+            // carries the producer's latency.
+            inst.for_each_read(|r| {
+                for &i in &self.writers[flat(r)] {
+                    found(i, latency_estimate(&block[i].0));
+                }
+            });
+            // WAR and WAW: every earlier reader and writer of the register
+            // j writes. Anti, output and memory dependences constrain
+            // order, not data readiness.
+            let written = inst.written().map(flat);
+            if let Some(r) = written {
+                for &i in self.readers[r].iter().chain(&self.writers[r]) {
+                    found(i, 1);
+                }
+            }
+            // Conservative memory dependences: same self-conflicting tag,
+            // at least one of the pair writing that memory.
+            let mem = tag.filter(MemTag::self_conflicts).map(|t| {
+                self.mem.iter().position(|(m, ..)| *m == t).unwrap_or_else(|| {
+                    self.mem.push((t, Vec::new(), Vec::new()));
+                    self.mem.len() - 1
+                })
+            });
+            let writes_mem = mem_writes(inst);
+            if let Some(k) = mem {
+                let (_, accesses, mem_writers) = &self.mem[k];
+                for &i in if writes_mem { accesses } else { mem_writers } {
+                    found(i, 1);
+                }
+            }
+
+            indegree[j] = preds.len();
+            edges += preds.len();
+            for i in preds.drain(..) {
+                succ[i].push((j, weight[i]));
+                weight[i] = 0;
+            }
+
+            inst.for_each_read(|r| {
+                let r = flat(r);
+                if self.readers[r].last() != Some(&j) {
+                    self.touch(r);
+                    self.readers[r].push(j);
+                }
+            });
+            if let Some(r) = written {
+                self.touch(r);
+                self.writers[r].push(j);
+            }
+            if let Some(k) = mem {
+                self.mem[k].1.push(j);
+                if writes_mem {
+                    self.mem[k].2.push(j);
+                }
             }
         }
-    }
-
-    if enforce_memory_order {
-        // Chain DRAM accesses of the same kind in program order (Fig. 5's
-        // added edges): the load stream and the store stream each keep the
-        // input program's row-buffer-friendly order, while the write buffer
-        // decouples the two streams from each other.
-        let mut prev_load: Option<usize> = None;
-        let mut prev_store: Option<usize> = None;
-        for (j, (inst, _)) in block.iter().enumerate() {
-            if !is_dram(inst) {
-                continue;
-            }
-            let prev = if is_load(inst) { &mut prev_load } else { &mut prev_store };
-            if let Some(p) = *prev {
-                add_edge(&mut succ, &mut indegree, &mut edges, p, j, 1);
-            }
-            *prev = Some(j);
+        for r in self.touched.drain(..) {
+            self.writers[r].clear();
+            self.readers[r].clear();
         }
-    }
+        self.mem.clear();
 
-    DepGraph { succ, indegree, edges }
+        if enforce_memory_order {
+            // Chain DRAM accesses of the same kind in program order (Fig.
+            // 5's added edges): the load stream and the store stream each
+            // keep the input program's row-buffer-friendly order, while the
+            // write buffer decouples the two streams from each other.
+            let mut prev_load: Option<usize> = None;
+            let mut prev_store: Option<usize> = None;
+            for (j, (inst, _)) in block.iter().enumerate() {
+                if !is_dram(inst) {
+                    continue;
+                }
+                let prev = if is_load(inst) { &mut prev_load } else { &mut prev_store };
+                // An existing edge already weighs at least 1.
+                if let Some(p) = prev.filter(|&p| succ[p].iter().all(|&(t, _)| t != j)) {
+                    succ[p].push((j, 1));
+                    indegree[j] += 1;
+                    edges += 1;
+                }
+                *prev = Some(j);
+            }
+        }
+
+        DepGraph { succ, indegree, edges }
+    }
 }
 
 /// Whether the instruction writes the memory named by its tag.
@@ -197,6 +294,7 @@ pub fn schedule_order(block: &[(Instruction, Option<MemTag>)], graph: &DepGraph)
 
 /// Applies memory-order enforcement + reordering to every straight region.
 pub fn reorder(items: &mut [Item], enforce_memory_order: bool) {
+    let mut lists = AccessLists::new();
     for range in straight_regions(items) {
         let block: Vec<(Instruction, Option<MemTag>)> = items[range.clone()]
             .iter()
@@ -208,7 +306,7 @@ pub fn reorder(items: &mut [Item], enforce_memory_order: bool) {
         if block.len() < 2 {
             continue;
         }
-        let graph = build_dep_graph(&block, enforce_memory_order);
+        let graph = lists.build(&block, enforce_memory_order);
         let order = schedule_order(&block, &graph);
         for (slot, &src) in range.clone().zip(order.iter()) {
             items[slot] = Item::Inst(block[src].0, block[src].1);
@@ -222,8 +320,241 @@ mod tests {
     use crate::kb::KernelBuilder;
     use ipim_frontend::SourceId;
     use ipim_isa::{
-        AddrOperand, CompMode, CompOp, DataReg, DataType, Instruction, SimbMask, VecMask,
+        AddrOperand, AddrReg, ArfOp, ArfSrc, CompMode, CompOp, CrfOp, CrfSrc, CtrlReg, DataReg,
+        DataType, Instruction, RemoteTarget, SimbMask, VecMask,
     };
+    use ipim_simkit::check;
+    use ipim_simkit::prop::{tuple2, tuple3, tuple4, u32_in, u8_in, vec_of, Gen};
+
+    /// The all-pairs builder [`build_dep_graph`] replaced: every pair of
+    /// instructions is compared. The access-list builder must reproduce
+    /// its graph field for field.
+    fn reference_dep_graph(
+        block: &[(Instruction, Option<MemTag>)],
+        enforce_memory_order: bool,
+    ) -> DepGraph {
+        let reads = |inst: &Instruction| {
+            let mut out = Vec::new();
+            inst.for_each_read(|r| out.push(r));
+            out
+        };
+        let writes = |inst: &Instruction| inst.written().into_iter().collect::<Vec<_>>();
+        let n = block.len();
+        let mut succ: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
+        let mut indegree = vec![0usize; n];
+        let mut edges = 0usize;
+        let add_edge = |succ: &mut Vec<Vec<(usize, u64)>>,
+                        indegree: &mut Vec<usize>,
+                        edges: &mut usize,
+                        a: usize,
+                        b: usize,
+                        w: u64| {
+            if let Some(e) = succ[a].iter_mut().find(|(t, _)| *t == b) {
+                e.1 = e.1.max(w);
+                return;
+            }
+            succ[a].push((b, w));
+            indegree[b] += 1;
+            *edges += 1;
+        };
+
+        for j in 0..n {
+            let (bj, tj) = &block[j];
+            let rj = reads(bj);
+            let wj = writes(bj);
+            for (i, (bi, ti)) in block.iter().enumerate().take(j) {
+                let ri = reads(bi);
+                let wi = writes(bi);
+                // Register dependences: RAW, WAR, WAW.
+                let raw = wi.iter().any(|w| rj.contains(w));
+                let war = ri.iter().any(|r| wj.contains(r));
+                let waw = wi.iter().any(|w| wj.contains(w));
+                // Conservative memory dependences: same tag,
+                // self-conflicting, at least one write to that memory.
+                let mem = match (ti, tj) {
+                    (Some(a), Some(b)) if a == b && a.self_conflicts() => {
+                        mem_writes(bi) || mem_writes(bj)
+                    }
+                    _ => false,
+                };
+                if raw {
+                    add_edge(&mut succ, &mut indegree, &mut edges, i, j, latency_estimate(bi));
+                } else if war || waw || mem {
+                    add_edge(&mut succ, &mut indegree, &mut edges, i, j, 1);
+                }
+            }
+        }
+
+        if enforce_memory_order {
+            let mut prev_load: Option<usize> = None;
+            let mut prev_store: Option<usize> = None;
+            for (j, (inst, _)) in block.iter().enumerate() {
+                if !is_dram(inst) {
+                    continue;
+                }
+                let prev = if is_load(inst) { &mut prev_load } else { &mut prev_store };
+                if let Some(p) = *prev {
+                    add_edge(&mut succ, &mut indegree, &mut edges, p, j, 1);
+                }
+                *prev = Some(j);
+            }
+        }
+
+        DepGraph { succ, indegree, edges }
+    }
+
+    /// Raw encoding of one generated instruction: `(kind, three register
+    /// indices, operand-mode bits, (tag variant, tag id))`, kept primitive
+    /// so failing blocks shrink structurally.
+    type RawInst = (u32, (u8, u8, u8), u32, (u32, u32));
+
+    /// Instruction kinds [`materialize`] knows.
+    const KINDS: u32 = 18;
+
+    fn arb_block() -> Gen<Vec<RawInst>> {
+        // Few registers per file, so blocks are dense with dependences;
+        // equal indices in different files must not alias.
+        let reg = || u8_in(0, 5);
+        vec_of(
+            tuple4(
+                u32_in(0, KINDS),
+                tuple3(reg(), reg(), reg()),
+                u32_in(0, 8),
+                tuple2(u32_in(0, 7), u32_in(0, 2)),
+            ),
+            0,
+            40,
+        )
+    }
+
+    /// Builds every register-touching instruction kind, with every
+    /// `MemTag` variant (or none) attached to any of them.
+    fn materialize(raw: &[RawInst]) -> Vec<(Instruction, Option<MemTag>)> {
+        let m = mask();
+        raw.iter()
+            .map(|&(kind, (a, b, c), mode, (tag, id))| {
+                let (d, ar, cr) = (DataReg::new, AddrReg::new, CtrlReg::new);
+                let addr = |bit: u32, r: u8| {
+                    if mode & bit != 0 {
+                        AddrOperand::Indirect(ar(r))
+                    } else {
+                        AddrOperand::Imm(16 * r as u32)
+                    }
+                };
+                let crf = |bit: u32, r: u8| {
+                    if mode & bit != 0 {
+                        CrfSrc::Reg(cr(r))
+                    } else {
+                        CrfSrc::Imm(r as i32)
+                    }
+                };
+                let inst = match kind {
+                    0 => Instruction::Comp {
+                        op: [CompOp::Add, CompOp::Mac, CompOp::CvtI2F, CompOp::Div]
+                            [mode as usize % 4],
+                        dtype: DataType::F32,
+                        mode: CompMode::VectorVector,
+                        dst: d(a),
+                        src1: d(b),
+                        src2: d(c),
+                        vec_mask: VecMask::ALL,
+                        simb_mask: m,
+                    },
+                    1 => Instruction::CalcArf {
+                        op: ArfOp::Add,
+                        dst: ar(a),
+                        src1: ar(b),
+                        src2: if mode & 1 != 0 { ArfSrc::Reg(ar(c)) } else { ArfSrc::Imm(4) },
+                        simb_mask: m,
+                    },
+                    2 | 3 => Instruction::Mov {
+                        to_arf: kind == 2,
+                        arf: ar(a),
+                        drf: d(b),
+                        lane: 0,
+                        simb_mask: m,
+                    },
+                    4 => Instruction::LdRf { dram_addr: addr(1, b), drf: d(a), simb_mask: m },
+                    5 => Instruction::StRf { dram_addr: addr(1, b), drf: d(a), simb_mask: m },
+                    6 => Instruction::LdPgsm {
+                        dram_addr: addr(1, a),
+                        pgsm_addr: addr(2, b),
+                        simb_mask: m,
+                    },
+                    7 => Instruction::StPgsm {
+                        dram_addr: addr(1, a),
+                        pgsm_addr: addr(2, b),
+                        simb_mask: m,
+                    },
+                    8 => Instruction::RdPgsm { pgsm_addr: addr(1, b), drf: d(a), simb_mask: m },
+                    9 => Instruction::WrPgsm { pgsm_addr: addr(1, b), drf: d(a), simb_mask: m },
+                    10 => Instruction::RdVsm { vsm_addr: addr(1, b), drf: d(a), simb_mask: m },
+                    11 => Instruction::WrVsm { vsm_addr: addr(1, b), drf: d(a), simb_mask: m },
+                    12 => Instruction::SetiVsm { vsm_addr: 16 * a as u32, imm: 1 },
+                    13 => Instruction::Req {
+                        target: RemoteTarget { chip: 0, vault: 1, pg: 0, pe: 0 },
+                        dram_addr: crf(1, a),
+                        vsm_addr: crf(2, b),
+                    },
+                    14 => Instruction::Reset { drf: d(a), simb_mask: m },
+                    15 => Instruction::SetiDrf {
+                        drf: d(a),
+                        imm: 0,
+                        vec_mask: VecMask::ALL,
+                        simb_mask: m,
+                    },
+                    16 => Instruction::SetiCrf { dst: cr(a), imm: 1 },
+                    _ => Instruction::CalcCrf {
+                        op: CrfOp::Add,
+                        dst: cr(a),
+                        src1: cr(b),
+                        src2: crf(1, c),
+                    },
+                };
+                let tag = match tag {
+                    0 => None,
+                    1 => Some(MemTag::DramBuffer(SourceId(id))),
+                    2 => Some(MemTag::DramRmw(SourceId(id))),
+                    3 => Some(MemTag::DramSpill(id)),
+                    4 => Some(MemTag::Pgsm(SourceId(id))),
+                    5 => Some(MemTag::PgsmStage(SourceId(id))),
+                    _ => Some(MemTag::Vsm),
+                };
+                (inst, tag)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dep_graph_matches_all_pairs_reference() {
+        check("dep_graph_matches_all_pairs_reference", &arb_block(), |raw| {
+            let block = materialize(raw);
+            for memory_order in [false, true] {
+                assert_eq!(
+                    build_dep_graph(&block, memory_order),
+                    reference_dep_graph(&block, memory_order),
+                    "memory_order={memory_order}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn access_lists_carry_nothing_across_regions() {
+        // `reorder` builds every region with one `AccessLists`: a region's
+        // graph must not depend on the regions built before it.
+        check(
+            "access_lists_carry_nothing_across_regions",
+            &tuple2(arb_block(), arb_block()),
+            |(a, b)| {
+                let mut lists = AccessLists::new();
+                for raw in [a, b] {
+                    let block = materialize(raw);
+                    assert_eq!(lists.build(&block, true), reference_dep_graph(&block, true));
+                }
+            },
+        );
+    }
 
     fn mask() -> SimbMask {
         SimbMask::all(32)

@@ -435,15 +435,9 @@ impl Instruction {
         }
     }
 
-    /// Registers read by this instruction (for hazard detection).
-    pub fn reads(&self) -> Vec<RegRef> {
-        let mut out = Vec::with_capacity(3);
-        self.for_each_read(|r| out.push(r));
-        out
-    }
-
-    /// Calls `f` on each register [`reads`](Self::reads) lists, in the
-    /// same order, without allocating.
+    /// Calls `f` on each register this instruction reads (for hazard
+    /// detection), in operand order and without allocating. A register
+    /// named by two operands is passed twice.
     pub fn for_each_read(&self, mut f: impl FnMut(RegRef)) {
         use Instruction::*;
         fn addr(f: &mut impl FnMut(RegRef), a: &AddrOperand) {
@@ -522,13 +516,8 @@ impl Instruction {
         }
     }
 
-    /// Registers written by this instruction (for hazard detection).
-    pub fn writes(&self) -> Vec<RegRef> {
-        self.written().into_iter().collect()
-    }
-
-    /// The register [`writes`](Self::writes) lists, if any: an instruction
-    /// writes at most one.
+    /// The register this instruction writes (for hazard detection), if
+    /// any: an instruction writes at most one.
     pub fn written(&self) -> Option<RegRef> {
         use Instruction::*;
         match self {
@@ -636,6 +625,13 @@ mod tests {
         SimbMask::all(32)
     }
 
+    /// The registers `inst` reads, in [`Instruction::for_each_read`] order.
+    fn reads(inst: &Instruction) -> Vec<RegRef> {
+        let mut out = Vec::new();
+        inst.for_each_read(|r| out.push(r));
+        out
+    }
+
     #[test]
     fn categories_cover_table1() {
         let c = Instruction::Comp {
@@ -681,8 +677,8 @@ mod tests {
             vec_mask: VecMask::ALL,
             simb_mask: mask(),
         };
-        assert!(mac.reads().contains(&RegRef::Data(DataReg::new(9))));
-        assert_eq!(mac.writes(), vec![RegRef::Data(DataReg::new(9))]);
+        assert!(reads(&mac).contains(&RegRef::Data(DataReg::new(9))));
+        assert_eq!(mac.written(), Some(RegRef::Data(DataReg::new(9))));
     }
 
     #[test]
@@ -692,8 +688,8 @@ mod tests {
             drf: DataReg::new(3),
             simb_mask: mask(),
         };
-        assert_eq!(ld.reads(), vec![RegRef::Addr(AddrReg::new(8))]);
-        assert_eq!(ld.writes(), vec![RegRef::Data(DataReg::new(3))]);
+        assert_eq!(reads(&ld), vec![RegRef::Addr(AddrReg::new(8))]);
+        assert_eq!(ld.written(), Some(RegRef::Data(DataReg::new(3))));
         assert!(ld.accesses_dram());
         assert!(!ld.writes_dram());
     }
@@ -706,8 +702,8 @@ mod tests {
             simb_mask: mask(),
         };
         assert!(st.writes_dram());
-        assert!(st.reads().contains(&RegRef::Data(DataReg::new(5))));
-        assert!(st.writes().is_empty());
+        assert!(reads(&st).contains(&RegRef::Data(DataReg::new(5))));
+        assert!(st.written().is_none());
     }
 
     #[test]
@@ -719,8 +715,8 @@ mod tests {
             lane: 1,
             simb_mask: mask(),
         };
-        assert_eq!(to_arf.reads(), vec![RegRef::Data(DataReg::new(2))]);
-        assert_eq!(to_arf.writes(), vec![RegRef::Addr(AddrReg::new(10))]);
+        assert_eq!(reads(&to_arf), vec![RegRef::Data(DataReg::new(2))]);
+        assert_eq!(to_arf.written(), Some(RegRef::Addr(AddrReg::new(10))));
         let to_drf = Instruction::Mov {
             to_arf: false,
             arf: AddrReg::new(10),
@@ -728,15 +724,15 @@ mod tests {
             lane: 0,
             simb_mask: mask(),
         };
-        assert_eq!(to_drf.reads(), vec![RegRef::Addr(AddrReg::new(10))]);
-        assert_eq!(to_drf.writes(), vec![RegRef::Data(DataReg::new(2))]);
+        assert_eq!(reads(&to_drf), vec![RegRef::Addr(AddrReg::new(10))]);
+        assert_eq!(to_drf.written(), Some(RegRef::Data(DataReg::new(2))));
     }
 
     #[test]
     fn control_flow_reads_ctrl_regs() {
         let cj = Instruction::CJump { cond: CtrlReg::new(1), target: CrfSrc::Reg(CtrlReg::new(2)) };
         assert!(cj.is_branch());
-        assert_eq!(cj.reads(), vec![RegRef::Ctrl(CtrlReg::new(1)), RegRef::Ctrl(CtrlReg::new(2))]);
+        assert_eq!(reads(&cj), vec![RegRef::Ctrl(CtrlReg::new(1)), RegRef::Ctrl(CtrlReg::new(2))]);
     }
 
     #[test]

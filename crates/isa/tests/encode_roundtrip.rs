@@ -220,9 +220,9 @@ fn assembly_text_is_total_and_nonempty() {
 fn reads_and_writes_are_disjoint_unless_mac() {
     check_with(config(), "reads_and_writes_are_disjoint_unless_mac", &arb_instruction(), |inst| {
         // Only `mac` legitimately reads its own destination.
-        let reads = inst.reads();
-        let writes = inst.writes();
-        let overlaps = writes.iter().any(|w| reads.contains(w));
+        let written = inst.written();
+        let mut overlaps = false;
+        inst.for_each_read(|r| overlaps |= written == Some(r));
         if overlaps {
             let is_mac = matches!(inst, Instruction::Comp { op: CompOp::Mac, .. });
             let same_reg_alias = match *inst {

@@ -133,7 +133,7 @@ pub struct EvalRecord {
     /// The tuner asked for this candidate more than once (later requests
     /// were served from memory instead of re-simulated).
     pub cache_hit: bool,
-    /// Skipped by the static-estimate pruner.
+    /// Skipped by the analytic-prediction pruner.
     pub pruned: bool,
     /// Wall-clock nanoseconds from submission to response (report-only;
     /// never part of the search decision).

@@ -62,7 +62,7 @@ pub struct TuneOutcome {
     pub space_size: usize,
     /// Raw combinations the legality filter discarded.
     pub rejected: usize,
-    /// Evaluations skipped by the static-estimate pruner.
+    /// Evaluations skipped by the analytic-prediction pruner.
     pub pruned: usize,
     /// Evaluations actually simulated.
     pub simulated: usize,

@@ -6,9 +6,10 @@
 //! the SIMB lane count), crossed with the PGSM staging choice, the
 //! vector width and the [`ComputeRootPolicy`]. Every raw combination is
 //! then pushed through the real legality boundary — the override is
-//! applied, the pipeline re-validated, **compiled**, and statically
-//! cost-estimated — so a space never hands the tuner a candidate that
-//! the compiler would reject. Overrides that collapse to the same
+//! applied, the pipeline re-validated, **compiled** through the cached
+//! `Session::compile`, and ranked by the analytic tier's prediction
+//! (`analytic::predict`) — so a space never hands the tuner a candidate
+//! that the compiler would reject. Overrides that collapse to the same
 //! effective schedule (e.g. `root=keep` vs `root=all` on a pipeline whose
 //! funcs are already all roots) are deduplicated by the rescheduled
 //! pipeline's canonical summary, keeping the space free of candidates
@@ -256,16 +257,17 @@ impl ScheduleSpace {
         self.entries.is_empty()
     }
 
-    /// The static estimate for `candidate`'s schedule, if its override is
-    /// one of this space's entries (backend knobs don't move the
-    /// estimate).
+    /// The analytic prediction for `candidate`'s schedule, if its
+    /// override is one of this space's entries. Enumeration predicts the
+    /// fully optimized backend's program, so `candidate`'s backend knobs
+    /// do not change it.
     pub fn estimate_for(&self, candidate: &Candidate) -> Option<u64> {
         self.entries.iter().find(|e| e.ov == candidate.schedule).map(|e| e.est_cycles)
     }
 
-    /// The candidate with the smallest static estimate (ties broken by
-    /// enumeration order) under the default backend — the greedy seed for
-    /// hill-climbing.
+    /// The candidate with the smallest analytic prediction (ties broken
+    /// by enumeration order) under the default backend — the greedy seed
+    /// for hill-climbing.
     pub fn best_estimated(&self) -> Candidate {
         let entry = self
             .entries
