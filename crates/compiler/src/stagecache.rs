@@ -4,10 +4,10 @@
 //! label-self-contained [`Item`](crate::kb::Item) list and splices the
 //! lists together (rebasing labels) before the global backend passes run.
 //! That makes a stage's lowering a pure function of a small set of inputs
-//! — the stage's content (body, extent, schedule), the layouts of every
-//! buffer it touches, the tile grid, the machine facts, the register
-//! policy and (for histograms) the scratch base and incoming sync phase —
-//! so it can be cached across compilations.
+//! — the stage's content (body, extent, the schedule knobs codegen reads),
+//! the layouts of every buffer it touches, the tile grid, the machine
+//! facts, the register policy and (for histograms) the scratch base and
+//! incoming sync phase — so it can be cached across compilations.
 //!
 //! Sibling schedule candidates during autotuning, repeated serve jobs and
 //! back-to-back CI measurements all hit this cache: a warm compilation

@@ -2,12 +2,13 @@
 //!
 //! A [`CompiledProgram`] is a lowered SIMB program plus its memory map,
 //! tagged with the FNV-1a fingerprint of a canonical key over everything
-//! that determines it: the pipeline's full content
-//! ([`Pipeline::content_summary`]), the compile-relevant machine shape,
-//! and the backend [`CompileOptions`]. Simulation-only knobs — the cycle
-//! engine, the cycle budget, tracing — are deliberately *not* part of the
-//! key, so one compiled program serves every engine and budget, exactly
-//! mirroring how the serve `ResultCache` key excludes the deadline.
+//! that determines it: the pipeline's content with the schedule fields
+//! codegen reads ([`Pipeline::content_summary`]), the compile-relevant
+//! machine shape, and the backend [`CompileOptions`]. Simulation-only
+//! knobs — the cycle engine, the cycle budget, tracing — are deliberately
+//! *not* part of the key, so one compiled program serves every engine and
+//! budget, exactly mirroring how the serve `ResultCache` key excludes the
+//! deadline.
 //!
 //! [`ProgramCache`] memoizes compilation behind that key: a thread-safe
 //! bounded LRU whose hit/miss/eviction counters export under

@@ -65,6 +65,9 @@ pub struct Schedule {
     /// Stage each tile's input window in the PGSM before computing.
     pub load_pgsm: bool,
     /// SIMD vector width (1 = scalar; 4 matches the 128-bit lanes).
+    /// Validated and shown in summaries, but no compiler pass reads it:
+    /// every program uses full-width vectors (see
+    /// [`codegen_summary`](Self::codegen_summary)).
     pub vectorize: u32,
 }
 
@@ -97,13 +100,24 @@ impl Schedule {
     /// `root tile=32x8 pgsm vec=4` — the canonical form tuner reports and
     /// dedup keys use.
     pub fn summary(&self) -> String {
+        format!("{} vec={}", self.codegen_summary(), self.vectorize)
+    }
+
+    /// [`summary`](Self::summary) restricted to the knobs code generation
+    /// reads, e.g. `root tile=32x8 pgsm` — the schedule half of the
+    /// compile-cache keys. No compiler pass reads `vectorize` (every
+    /// program uses full-width SIMB vectors), so schedules that differ
+    /// only in it compile to one program and share one key.
+    pub fn codegen_summary(&self) -> String {
+        // Exhaustive on purpose: a new field fails to compile here until
+        // someone decides whether codegen reads it.
+        let Schedule { compute_root, tile, load_pgsm, vectorize: _ } = *self;
         format!(
-            "{}tile={}x{}{} vec={}",
-            if self.compute_root { "root " } else { "" },
-            self.tile.0,
-            self.tile.1,
-            if self.load_pgsm { " pgsm" } else { "" },
-            self.vectorize,
+            "{}tile={}x{}{}",
+            if compute_root { "root " } else { "" },
+            tile.0,
+            tile.1,
+            if load_pgsm { " pgsm" } else { "" },
         )
     }
 }
@@ -371,13 +385,16 @@ impl Pipeline {
     }
 
     /// Canonical full-content rendering: inputs, every func's extent, body
-    /// and schedule, and the output — everything that determines what the
-    /// compiler produces, in one stable line.
+    /// and the schedule knobs codegen reads ([`Schedule::codegen_summary`]),
+    /// and the output — everything that determines what the compiler
+    /// produces, in one stable line.
     ///
     /// Two pipelines with equal content summaries compile to the same
     /// program on the same machine, which is what makes this string (plus a
     /// machine/options summary) a sound content-addressed cache key for
-    /// compiled programs. Expression bodies render through their canonical
+    /// compiled programs. `vectorize` is left out because no compiler pass
+    /// reads it, the way the machine half of the key leaves out the cycle
+    /// engine. Expression bodies render through their canonical
     /// [`fmt::Display`] form, so the summary is insensitive to how the
     /// expression tree was spelled at build time but sensitive to any
     /// change in what it computes.
@@ -394,7 +411,7 @@ impl Pipeline {
                 f.source,
                 f.extent.0,
                 f.extent.1,
-                f.schedule.summary(),
+                f.schedule.codegen_summary(),
                 f.body_summary(),
             );
         }
@@ -721,6 +738,25 @@ mod tests {
         p.define(f, input.at(x(), y()));
         let pipe = p.build(f).unwrap();
         assert_eq!(pipe.schedule_summary(), "f=tile=8x8 vec=4");
+    }
+
+    #[test]
+    fn content_summary_drops_only_vectorize() {
+        let s = Schedule { compute_root: true, tile: (32, 8), load_pgsm: true, vectorize: 2 };
+        assert_eq!(s.codegen_summary(), "root tile=32x8 pgsm");
+        let mut p = PipelineBuilder::new();
+        let input = p.input("in", 16, 16);
+        let f = p.func("f", 16, 16);
+        p.define(f, input.at(x(), y()));
+        let pipe = p.build(f).unwrap();
+        let under = |s: Schedule| pipe.reschedule(|_| s).unwrap().content_summary();
+        let base = Schedule::default();
+        for vectorize in [1, 2] {
+            assert_eq!(under(Schedule { vectorize, ..base }), pipe.content_summary());
+        }
+        assert_ne!(under(Schedule { load_pgsm: true, ..base }), pipe.content_summary());
+        assert_ne!(under(Schedule { tile: (4, 8), ..base }), pipe.content_summary());
+        assert_ne!(under(Schedule { compute_root: true, ..base }), pipe.content_summary());
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! effective schedule (e.g. `root=keep` vs `root=all` on a pipeline whose
 //! funcs are already all roots) are deduplicated by the rescheduled
 //! pipeline's canonical summary, keeping the space free of candidates
-//! that could only waste simulation budget.
+//! that could only waste simulation budget. Entries whose schedules
+//! differ only in knobs codegen ignores (today `vectorize`) stay separate
+//! entries but are one program: the program cache compiles it once, and
+//! enumeration predicts it once, keyed by the program's cache key.
 //!
 //! Backend knobs (register allocation, Algorithm 1 reordering, memory
 //! ordering) ride along as a small cross product when the tuner asks for
@@ -21,7 +24,11 @@
 //! *after* the compile filter. The unsafe combination — reordering
 //! without memory-order edges — is excluded by construction.
 
-use ipim_core::{ComputeRootPolicy, MachineConfig, RegAllocPolicy, ScheduleOverride, Workload};
+use std::collections::HashMap;
+
+use ipim_core::{
+    analytic, ComputeRootPolicy, MachineConfig, RegAllocPolicy, ScheduleOverride, Workload,
+};
 use ipim_serve::SimRequest;
 
 use crate::TuneConfig;
@@ -47,7 +54,8 @@ pub struct ScheduleEntry {
     pub summary: String,
     /// Predicted cycles from the analytic fast-forward engine
     /// (`ipim_core::analytic`), walked over the candidate's compiled
-    /// program. Approximate (measured ≤15% at Table II 128²) but
+    /// program. Approximate (per-workload divergence from the cycle
+    /// engine: `results/REPORT.md`, "Analytic divergence envelope") but
     /// rank-faithful — used for pruning and neighbour ordering, never
     /// reported as a result.
     pub est_cycles: u64,
@@ -154,6 +162,8 @@ impl ScheduleSpace {
         let (out_w, out_h) = workload.output_extent();
         let session = ipim_core::Session::new(machine.clone());
         let mut entries: Vec<ScheduleEntry> = Vec::new();
+        // Program key → analytic prediction (`None`: it failed).
+        let mut predictions: HashMap<u64, Option<u64>> = HashMap::new();
         let mut rejected = 0usize;
         for tw in divisors(out_w).into_iter().filter(|tw| tw.is_multiple_of(4)) {
             for th in divisors(out_h) {
@@ -197,16 +207,20 @@ impl ScheduleSpace {
                             // Rank by the analytic fast-forward model on
                             // the very program the workers would simulate,
                             // so the rank reflects the lowered SIMB code
-                            // (see DESIGN.md §11).
-                            let Ok(report) = ipim_core::analytic::predict(
-                                &compiled.program,
-                                machine,
-                                ESTIMATE_MAX_CYCLES,
-                            ) else {
+                            // (see DESIGN.md §11). Overrides that differ
+                            // only in knobs codegen ignores share one
+                            // program, walked once (a timeout included).
+                            let key = compiled.key();
+                            let predicted = *predictions.entry(key).or_insert_with(|| {
+                                analytic::predict(&compiled.program, machine, ESTIMATE_MAX_CYCLES)
+                                    .ok()
+                                    .map(|report| report.cycles)
+                            });
+                            let Some(est_cycles) = predicted else {
                                 rejected += 1;
                                 continue;
                             };
-                            entries.push(ScheduleEntry { ov, summary, est_cycles: report.cycles });
+                            entries.push(ScheduleEntry { ov, summary, est_cycles });
                         }
                     }
                 }
@@ -287,7 +301,7 @@ fn divisors(n: u32) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipim_core::{workload_by_name, WorkloadScale};
+    use ipim_core::{program_key, workload_by_name, WorkloadScale};
 
     fn space_for(name: &str) -> ScheduleSpace {
         let w = workload_by_name(name, WorkloadScale { width: 64, height: 64 }).unwrap();
@@ -313,6 +327,39 @@ mod tests {
             assert_eq!(tw % 4, 0, "tile width {tw} not a lane multiple");
             assert!(e.est_cycles > 0);
         }
+    }
+
+    #[test]
+    fn entries_predict_their_own_program_shared_only_across_vectorize() {
+        let w = workload_by_name("Blur", WorkloadScale { width: 64, height: 64 }).unwrap();
+        let machine = MachineConfig::vault_slice(1);
+        let space = ScheduleSpace::enumerate(&w, &machine, false).unwrap();
+        let session = ipim_core::Session::new(machine.clone());
+        let mut keys = Vec::new();
+        for e in &space.entries {
+            let candidate = w.with_override(&e.ov).unwrap();
+            // Cache-bypassing: the memoized estimate must equal a fresh
+            // compile and walk of this entry's own override.
+            let fresh = session.compile_only(&candidate.pipeline).unwrap();
+            let report = analytic::predict(&fresh.program, &machine, ESTIMATE_MAX_CYCLES).unwrap();
+            assert_eq!(e.est_cycles, report.cycles, "estimate of {}", e.ov);
+            keys.push(program_key(&candidate.pipeline, session.config(), session.options()));
+        }
+        let but_vectorize = |ov: &ScheduleOverride| ScheduleOverride { vectorize: None, ..*ov };
+        for (a, key_a) in space.entries.iter().zip(&keys) {
+            for (b, key_b) in space.entries.iter().zip(&keys) {
+                assert_eq!(
+                    key_a == key_b,
+                    but_vectorize(&a.ov) == but_vectorize(&b.ov),
+                    "{} and {} share a compile key iff they differ only in vectorize",
+                    a.ov,
+                    b.ov
+                );
+            }
+        }
+        // Each program is spelled once per vector width.
+        let distinct: std::collections::HashSet<_> = keys.iter().collect();
+        assert_eq!(space.entries.len(), 3 * distinct.len());
     }
 
     #[test]
