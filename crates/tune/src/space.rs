@@ -16,7 +16,9 @@
 //! that could only waste simulation budget. Entries whose schedules
 //! differ only in knobs codegen ignores (today `vectorize`) stay separate
 //! entries but are one program: the program cache compiles it once, and
-//! enumeration predicts it once, keyed by the program's cache key.
+//! enumeration predicts it once, keyed by the program's cache key. A
+//! program the compiler rejects is likewise compiled once per enumeration:
+//! its other spellings count as rejected without a compile.
 //!
 //! Backend knobs (register allocation, Algorithm 1 reordering, memory
 //! ordering) ride along as a small cross product when the tuner asks for
@@ -24,10 +26,11 @@
 //! *after* the compile filter. The unsafe combination — reordering
 //! without memory-order edges — is excluded by construction.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use ipim_core::{
-    analytic, ComputeRootPolicy, MachineConfig, RegAllocPolicy, ScheduleOverride, Workload,
+    analytic, program_key, ComputeRootPolicy, MachineConfig, RegAllocPolicy, ScheduleOverride,
+    Workload,
 };
 use ipim_serve::SimRequest;
 
@@ -162,8 +165,12 @@ impl ScheduleSpace {
         let (out_w, out_h) = workload.output_extent();
         let session = ipim_core::Session::new(machine.clone());
         let mut entries: Vec<ScheduleEntry> = Vec::new();
+        let mut summaries: HashSet<String> = HashSet::new();
         // Program key → analytic prediction (`None`: it failed).
         let mut predictions: HashMap<u64, Option<u64>> = HashMap::new();
+        // Program keys the compiler rejected: the keys leave out knobs
+        // codegen ignores, so every other spelling of one fails as well.
+        let mut failed: HashSet<String> = HashSet::new();
         let mut rejected = 0usize;
         for tw in divisors(out_w).into_iter().filter(|tw| tw.is_multiple_of(4)) {
             for th in divisors(out_h) {
@@ -193,14 +200,20 @@ impl ScheduleSpace {
                                 continue;
                             }
                             let summary = w.pipeline.schedule_summary();
-                            if entries.iter().any(|e| e.summary == summary) {
+                            if summaries.contains(&summary) {
                                 continue; // same effective schedule, not a rejection
+                            }
+                            let key = program_key(&w.pipeline, session.config(), session.options());
+                            if failed.contains(&key) {
+                                rejected += 1;
+                                continue;
                             }
                             // Compile through the process-wide program
                             // cache: enumeration is the cold pass, so the
                             // pool workers that later simulate surviving
                             // candidates find every program already built.
                             let Ok(compiled) = session.compile(&w.pipeline) else {
+                                failed.insert(key);
                                 rejected += 1;
                                 continue;
                             };
@@ -220,6 +233,7 @@ impl ScheduleSpace {
                                 rejected += 1;
                                 continue;
                             };
+                            summaries.insert(summary.clone());
                             entries.push(ScheduleEntry { ov, summary, est_cycles });
                         }
                     }

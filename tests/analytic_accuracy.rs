@@ -25,7 +25,10 @@
 //!   `skip_ahead` cell's `cycles`, `gbps` and `pj_per_op` exactly. The
 //!   legacy engine shares `Vault::tick` with skip-ahead, so
 //!   `engine_equivalence` cannot catch a change to the tick itself; this
-//!   check does.
+//!   check does. The fresh prediction must likewise reproduce the
+//!   committed `analytic` cell, so a speed-up of the analytic walk that
+//!   moves any prediction by a single cycle fails here, not only one that
+//!   breaks the envelope or the drift rule.
 //!
 //! The suite is registered under `ipim-report` so it reads the committed
 //! cells with [`read_matrix`], the parser the renderer and
@@ -151,26 +154,23 @@ fn check_scale(side: u32) -> usize {
             p.report.cycles,
             s.report.cycles,
         );
-        // The cycle engine itself is pinned to the committed matrix: the
-        // fresh skip-ahead cell must reproduce the committed one exactly.
-        let fresh = MatrixCell::from_engine_run(
-            &w,
-            Backend::SkipAhead,
-            &s.report,
-            s.report.energy.total_pj(),
-            0,
-        );
-        let recorded = find(&committed, w.name, side, Backend::SkipAhead, None);
-        assert!(
-            recorded
-                .is_some_and(|c| (c.cycles, c.gbps, c.pj_per_op)
+        // Both engines are pinned to the committed matrix: each fresh cell
+        // must reproduce the committed one exactly.
+        for (backend, report) in [(Backend::SkipAhead, &s.report), (Backend::Analytic, &p.report)] {
+            let fresh =
+                MatrixCell::from_engine_run(&w, backend, report, report.energy.total_pj(), 0);
+            let recorded = find(&committed, w.name, side, backend, None);
+            assert!(
+                recorded.is_some_and(|c| (c.cycles, c.gbps, c.pj_per_op)
                     == (fresh.cycles, fresh.gbps, fresh.pj_per_op)),
-            "{} {side}x{side}: skip-ahead cell (cycles, gbps, pj_per_op) = {:?} does not match \
-             the committed matrix cell {:?}{detail}",
-            w.name,
-            (fresh.cycles, fresh.gbps, fresh.pj_per_op),
-            recorded.map(|c| (c.cycles, c.gbps, c.pj_per_op)),
-        );
+                "{} {side}x{side}: {} cell (cycles, gbps, pj_per_op) = {:?} does not match the \
+                 committed matrix cell {:?}{detail}",
+                w.name,
+                backend.name(),
+                (fresh.cycles, fresh.gbps, fresh.pj_per_op),
+                recorded.map(|c| (c.cycles, c.gbps, c.pj_per_op)),
+            );
+        }
         let base = committed_divergence(&committed, w.name, side).unwrap_or_else(|| {
             panic!(
                 "{} {side}x{side}: no committed skip_ahead/analytic pair in results/matrix.jsonl \
