@@ -182,6 +182,58 @@ struct InFlightInst {
     mem_extra: u64,
 }
 
+/// Per-PE busy stamps of one fixed-latency unit (SIMD or integer ALU): a
+/// PE's unit is busy at tick `c` exactly when `c < until[pe]`. The mask of
+/// busy PEs is kept alongside and recounted only once the earliest stamp
+/// in it may have expired, so the per-tick busy count is one popcount.
+#[derive(Debug, Clone)]
+struct BusyStamps {
+    until: Vec<u64>,
+    // PEs busy at the last recount, plus those stamped since.
+    busy: u64,
+    // Lower bound on the earliest stamp in `busy` (`u64::MAX` when empty).
+    expires: u64,
+}
+
+impl BusyStamps {
+    fn new(pes: usize) -> Self {
+        Self { until: vec![0; pes], busy: 0, expires: u64::MAX }
+    }
+
+    fn clear(&mut self) {
+        self.until.iter_mut().for_each(|t| *t = 0);
+        self.busy = 0;
+        self.expires = u64::MAX;
+    }
+
+    /// Keeps every PE of `mask` busy until at least `done`.
+    fn stamp(&mut self, mask: SimbMask, done: u64) {
+        for g in mask.iter() {
+            self.until[g] = self.until[g].max(done);
+        }
+        self.busy |= mask.bits();
+        self.expires = self.expires.min(done);
+    }
+
+    /// PEs busy at `now`; `now` never decreases between calls.
+    fn count(&mut self, now: u64) -> u64 {
+        if now >= self.expires {
+            let (mut busy, mut expires) = (0, u64::MAX);
+            let mut pes = self.busy;
+            while pes != 0 {
+                let g = pes.trailing_zeros() as usize;
+                pes &= pes - 1;
+                if now < self.until[g] {
+                    busy |= 1 << g;
+                    expires = expires.min(self.until[g]);
+                }
+            }
+            (self.busy, self.expires) = (busy, expires);
+        }
+        u64::from(self.busy.count_ones())
+    }
+}
+
 /// Where the PE-side work of an instruction executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DispatchUnit {
@@ -238,10 +290,10 @@ pub struct Vault {
     writers: Vec<u32>,
     next_inst_id: u64,
     unit_ops: Vec<UnitOp>,
-    // Per PE: its SIMD unit (integer ALU) is busy at tick `c` exactly when
-    // `c < simd_busy_until[pe]` (`alu_busy_until[pe]`); see `UnitOp`.
-    simd_busy_until: Vec<u64>,
-    alu_busy_until: Vec<u64>,
+    // Per PE: when its SIMD unit and its integer ALU stop being busy; see
+    // `UnitOp`.
+    simd_busy: BusyStamps,
+    alu_busy: BusyStamps,
     // Bit `pe` set: the PE's memory queue holds requests / the PE has
     // requests outstanding at its MC / its VSM port holds an op.
     mem_queued: u64,
@@ -249,6 +301,8 @@ pub struct Vault {
     vsm_active: u64,
     // Completions collected during a tick: (inflight id, count).
     finished: Vec<(u64, u32)>,
+    // Memory-controller completions of one tick, buffer reused.
+    mc_done: Vec<Completion>,
     pes: Vec<Pe>,
     pub(crate) mcs: Vec<MemController>,
     pgsms: Vec<Scratchpad>,
@@ -316,12 +370,13 @@ impl Vault {
             writers: vec![0; RegTable::space(config)],
             next_inst_id: 0,
             unit_ops: Vec::new(),
-            simd_busy_until: vec![0; config.pes_per_vault()],
-            alu_busy_until: vec![0; config.pes_per_vault()],
+            simd_busy: BusyStamps::new(config.pes_per_vault()),
+            alu_busy: BusyStamps::new(config.pes_per_vault()),
             mem_queued: 0,
             mem_outstanding: 0,
             vsm_active: 0,
             finished: Vec::new(),
+            mc_done: Vec::new(),
             pes,
             mcs,
             pgsms,
@@ -397,8 +452,8 @@ impl Vault {
         self.readers.iter_mut().for_each(|c| *c = 0);
         self.writers.iter_mut().for_each(|c| *c = 0);
         self.unit_ops.clear();
-        self.simd_busy_until.iter_mut().for_each(|t| *t = 0);
-        self.alu_busy_until.iter_mut().for_each(|t| *t = 0);
+        self.simd_busy.clear();
+        self.alu_busy.clear();
         self.mem_queued = 0;
         self.mem_outstanding = 0;
         self.vsm_active = 0;
@@ -604,13 +659,15 @@ impl Vault {
         // 2. Memory controllers. A refresh sequence steps every cycle, so
         // it keeps the vault hot: probing for a jump mid-refresh is wasted
         // work (the bound is always `now`).
+        let mut mc_done = std::mem::take(&mut self.mc_done);
         for pg in 0..self.mcs.len() {
-            let completions = self.mcs[pg].tick(now);
-            progress |= !completions.is_empty() || self.mcs[pg].is_refreshing();
-            for c in completions {
+            self.mcs[pg].tick_into(now, &mut mc_done);
+            progress |= !mc_done.is_empty() || self.mcs[pg].is_refreshing();
+            for c in mc_done.drain(..) {
                 self.on_mc_completion(pg, c, now);
             }
         }
+        self.mc_done = mc_done;
 
         // 3. Issue new DRAM requests from PE mem queues (the MC's request
         // queue provides the real back-pressure; the per-PE cap only
@@ -800,9 +857,8 @@ impl Vault {
     /// integrators: a PE's SIMD unit or ALU is busy before its stamp, and
     /// its memory path while requests are queued or outstanding.
     fn account_busy(&mut self, now: u64, cycles: u64) {
-        let busy = |stamps: &[u64]| stamps.iter().filter(|&&t| now < t).count() as u64;
-        self.stats.simd_busy += busy(&self.simd_busy_until) * cycles;
-        self.stats.int_alu_busy += busy(&self.alu_busy_until) * cycles;
+        self.stats.simd_busy += self.simd_busy.count(now) * cycles;
+        self.stats.int_alu_busy += self.alu_busy.count(now) * cycles;
         self.stats.mem_busy +=
             u64::from((self.mem_queued | self.mem_outstanding).count_ones()) * cycles;
     }
@@ -1041,17 +1097,15 @@ impl Vault {
         }
     }
 
-    /// Applies the functional semantics of a broadcast instruction.
+    /// Applies the functional semantics of a broadcast instruction: one
+    /// decode, then the masked PEs in ascending order.
     fn execute_functional(&mut self, inst: &Instruction, mask: SimbMask) {
         let pes_per_pg = self.config.pes_per_pg;
-        for g in mask.iter() {
-            let pg = g / pes_per_pg;
-            let pe_in_pg = g % pes_per_pg;
-            match *inst {
-                Instruction::Comp { op, dtype, mode, dst, src1, src2, vec_mask, .. } => {
-                    let a = self.pes[g].data_rf[src1.index()];
-                    let b = self.pes[g].data_rf[src2.index()];
-                    let d0 = self.pes[g].data_rf[dst.index()];
+        match *inst {
+            Instruction::Comp { op, dtype, mode, dst, src1, src2, vec_mask, .. } => {
+                for g in mask.iter() {
+                    let rf = &mut self.pes[g].data_rf;
+                    let (a, b, d0) = (rf[src1.index()], rf[src2.index()], rf[dst.index()]);
                     let mut d = d0;
                     for l in 0..4 {
                         if !vec_mask.lane(l) {
@@ -1063,86 +1117,110 @@ impl Vault {
                         };
                         d[l] = apply_comp(op, dtype, a[l], rhs, d0[l]);
                     }
-                    self.pes[g].data_rf[dst.index()] = d;
+                    rf[dst.index()] = d;
                 }
-                Instruction::CalcArf { op, dst, src1, src2, .. } => {
-                    let a = self.pes[g].addr_rf[src1.index()];
+            }
+            Instruction::CalcArf { op, dst, src1, src2, .. } => {
+                for g in mask.iter() {
+                    let rf = &mut self.pes[g].addr_rf;
                     let b = match src2 {
                         ArfSrc::Imm(v) => v,
-                        ArfSrc::Reg(r) => self.pes[g].addr_rf[r.index()],
+                        ArfSrc::Reg(r) => rf[r.index()],
                     };
-                    self.pes[g].addr_rf[dst.index()] = op.apply(a, b);
+                    rf[dst.index()] = op.apply(rf[src1.index()], b);
                 }
-                Instruction::Mov { to_arf, arf, drf, lane, .. } => {
+            }
+            Instruction::Mov { to_arf, arf, drf, lane, .. } => {
+                for g in mask.iter() {
+                    let pe = &mut self.pes[g];
                     if to_arf {
-                        let v = self.pes[g].data_rf[drf.index()][lane as usize & 3];
-                        self.pes[g].addr_rf[arf.index()] = v as i32;
+                        pe.addr_rf[arf.index()] = pe.data_rf[drf.index()][lane as usize & 3] as i32;
                     } else {
-                        let v = self.pes[g].addr_rf[arf.index()] as u32;
-                        self.pes[g].data_rf[drf.index()][lane as usize & 3] = v;
+                        pe.data_rf[drf.index()][lane as usize & 3] = pe.addr_rf[arf.index()] as u32;
                     }
                 }
-                Instruction::LdRf { dram_addr, drf, .. } => {
+            }
+            Instruction::LdRf { dram_addr, drf, .. } => {
+                for g in mask.iter() {
                     let addr = self.resolve(g, dram_addr);
                     let mut buf = [0u8; 16];
-                    self.mcs[pg].bank(pe_in_pg).array().read(addr, &mut buf);
+                    self.mcs[g / pes_per_pg].bank(g % pes_per_pg).array().read(addr, &mut buf);
                     self.pes[g].data_rf[drf.index()] = bytes_to_vector(&buf);
                 }
-                Instruction::StRf { dram_addr, drf, .. } => {
+            }
+            Instruction::StRf { dram_addr, drf, .. } => {
+                for g in mask.iter() {
                     let addr = self.resolve(g, dram_addr);
                     let buf = vector_to_bytes(&self.pes[g].data_rf[drf.index()]);
-                    self.mcs[pg].bank_mut(pe_in_pg).array_mut().write(addr, &buf);
+                    self.mcs[g / pes_per_pg].bank_mut(g % pes_per_pg).array_mut().write(addr, &buf);
                 }
-                Instruction::LdPgsm { dram_addr, pgsm_addr, .. } => {
+            }
+            Instruction::LdPgsm { dram_addr, pgsm_addr, .. } => {
+                for g in mask.iter() {
+                    let (pg, pe_in_pg) = (g / pes_per_pg, g % pes_per_pg);
                     let da = self.resolve(g, dram_addr);
                     let pa = self.resolve(g, pgsm_addr);
                     let mut buf = [0u8; 16];
                     self.mcs[pg].bank(pe_in_pg).array().read(da, &mut buf);
                     self.pgsms[pg].write(pa, &buf);
                 }
-                Instruction::StPgsm { dram_addr, pgsm_addr, .. } => {
+            }
+            Instruction::StPgsm { dram_addr, pgsm_addr, .. } => {
+                for g in mask.iter() {
+                    let (pg, pe_in_pg) = (g / pes_per_pg, g % pes_per_pg);
                     let da = self.resolve(g, dram_addr);
                     let pa = self.resolve(g, pgsm_addr);
                     let mut buf = [0u8; 16];
                     self.pgsms[pg].read(pa, &mut buf);
                     self.mcs[pg].bank_mut(pe_in_pg).array_mut().write(da, &buf);
                 }
-                Instruction::RdPgsm { pgsm_addr, drf, .. } => {
+            }
+            Instruction::RdPgsm { pgsm_addr, drf, .. } => {
+                for g in mask.iter() {
                     let pa = self.resolve(g, pgsm_addr);
                     let mut buf = [0u8; 16];
-                    self.pgsms[pg].read(pa, &mut buf);
+                    self.pgsms[g / pes_per_pg].read(pa, &mut buf);
                     self.pes[g].data_rf[drf.index()] = bytes_to_vector(&buf);
                 }
-                Instruction::WrPgsm { pgsm_addr, drf, .. } => {
+            }
+            Instruction::WrPgsm { pgsm_addr, drf, .. } => {
+                for g in mask.iter() {
                     let pa = self.resolve(g, pgsm_addr);
                     let buf = vector_to_bytes(&self.pes[g].data_rf[drf.index()]);
-                    self.pgsms[pg].write(pa, &buf);
+                    self.pgsms[g / pes_per_pg].write(pa, &buf);
                 }
-                Instruction::RdVsm { vsm_addr, drf, .. } => {
+            }
+            Instruction::RdVsm { vsm_addr, drf, .. } => {
+                for g in mask.iter() {
                     let va = self.resolve(g, vsm_addr);
                     let mut buf = [0u8; 16];
                     self.vsm.read(va, &mut buf);
                     self.pes[g].data_rf[drf.index()] = bytes_to_vector(&buf);
                 }
-                Instruction::WrVsm { vsm_addr, drf, .. } => {
+            }
+            Instruction::WrVsm { vsm_addr, drf, .. } => {
+                for g in mask.iter() {
                     let va = self.resolve(g, vsm_addr);
                     let buf = vector_to_bytes(&self.pes[g].data_rf[drf.index()]);
                     self.vsm.write(va, &buf);
                 }
-                Instruction::Reset { drf, .. } => {
+            }
+            Instruction::Reset { drf, .. } => {
+                for g in mask.iter() {
                     self.pes[g].data_rf[drf.index()] = [0; 4];
                 }
-                Instruction::SetiDrf { drf, imm, vec_mask, .. } => {
-                    let mut d = self.pes[g].data_rf[drf.index()];
+            }
+            Instruction::SetiDrf { drf, imm, vec_mask, .. } => {
+                for g in mask.iter() {
+                    let d = &mut self.pes[g].data_rf[drf.index()];
                     for (l, lane) in d.iter_mut().enumerate() {
                         if vec_mask.lane(l) {
                             *lane = imm;
                         }
                     }
-                    self.pes[g].data_rf[drf.index()] = d;
                 }
-                _ => unreachable!("non-broadcast instruction in execute_functional"),
             }
+            _ => unreachable!("non-broadcast instruction in execute_functional"),
         }
     }
 
@@ -1194,15 +1272,10 @@ impl Vault {
                 let start = now + 1;
                 let done = start + latency.max(1);
                 // The PGSM port's busy time is not integrated.
-                let stamps = match unit {
-                    DispatchUnit::Simd => Some(&mut self.simd_busy_until),
-                    DispatchUnit::Alu => Some(&mut self.alu_busy_until),
-                    _ => None,
-                };
-                if let Some(stamps) = stamps {
-                    for g in mask.iter() {
-                        stamps[g] = stamps[g].max(done);
-                    }
+                match unit {
+                    DispatchUnit::Simd => self.simd_busy.stamp(mask, done),
+                    DispatchUnit::Alu => self.alu_busy.stamp(mask, done),
+                    _ => {}
                 }
                 self.unit_ops.push(UnitOp { start, done, inst_id, n });
             }
@@ -1471,6 +1544,27 @@ mod tests {
         assert_eq!(apply_comp(CompOp::CvtF2I, DataType::I32, 5.9f32.to_bits(), 0, 0), 5);
         assert_eq!(apply_comp(CompOp::CropLsb, DataType::I32, 0xABCD_1234, 0, 0), 0x1234);
         assert_eq!(apply_comp(CompOp::CropMsb, DataType::I32, 0xABCD_1234, 0, 0), 0xABCD);
+    }
+
+    #[test]
+    fn busy_stamps_count_matches_a_scan_of_every_stamp() {
+        use ipim_simkit::{check, Gen};
+        // Per step: cycles to advance, then a mask and latency to stamp.
+        let gen = Gen::from_fn(|rng| {
+            (0..64)
+                .map(|_| (rng.next_u64() % 4, rng.next_u64() as u32, 1 + rng.next_u64() % 12))
+                .collect::<Vec<_>>()
+        });
+        check("busy_count_equals_stamp_scan", &gen, |steps| {
+            let mut stamps = BusyStamps::new(32);
+            let mut now = 0;
+            for &(advance, bits, latency) in steps {
+                now += advance;
+                let scan = stamps.until.iter().filter(|&&t| now < t).count() as u64;
+                assert_eq!(stamps.count(now), scan, "busy PEs at cycle {now}");
+                stamps.stamp(SimbMask::from_bits(32, u64::from(bits)), now + latency);
+            }
+        });
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //!
 //! With `--shard N`, clients drive an `ipim-shard` router over N local
 //! streaming-TCP backends (each its own `ServePool` with `--workers`
-//! workers) — the end-to-end exercise of the distributed tier: consistent
-//! hashing, per-backend windows, retry machinery and all. `--verify` then
+//! workers) — the end-to-end exercise of the distributed tier: two-choice
+//! consistent hashing, per-backend windows, retry machinery and all. The
+//! summary prints the router's spill count (jobs sent to their second
+//! choice) and each backend's answered count. `--verify` then
 //! checks every unique request's output hash, **report hash** and echoed
 //! cache **fingerprint** against a serial in-process run, which is the
 //! sharded-equals-serial determinism gate CI leans on. The figures entry
@@ -506,14 +508,19 @@ fn main() {
         Some((sm, completed, errors, hits)) => {
             println!(
                 "loadgen: shard submitted {} / completed {} / shed {} / retries {} / \
-                 ejections {} / readmissions {}",
+                 ejections {} / readmissions {} / spills {}",
                 sm.counter("shard/submitted"),
                 sm.counter("shard/completed"),
                 sm.counter("shard/shed"),
                 sm.counter("shard/retries"),
                 sm.counter("shard/ejections"),
                 sm.counter("shard/readmissions"),
+                sm.counter("shard/spills"),
             );
+            let answered: Vec<String> = (0..opts.shard)
+                .map(|i| sm.counter(&format!("shard/backend{i}/answered")).to_string())
+                .collect();
+            println!("loadgen: answered per backend {}", answered.join(" / "));
             println!(
                 "loadgen: backends completed {completed} / errors {errors} / cache hits {hits}"
             );

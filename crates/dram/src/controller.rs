@@ -482,11 +482,19 @@ impl MemController {
     /// Advances the controller by one cycle: possibly issues one DRAM
     /// command and returns any completions that finished at `now`.
     pub fn tick(&mut self, now: u64) -> Vec<Completion> {
+        let mut done = Vec::new();
+        self.tick_into(now, &mut done);
+        done
+    }
+
+    /// [`tick`](Self::tick) appending the completions to `done`, so a
+    /// caller that ticks every cycle reuses one buffer.
+    pub fn tick_into(&mut self, now: u64, done: &mut Vec<Completion>) {
         if now < self.quiet_until {
             self.count_read_idle();
-            return Vec::new();
+            return;
         }
-        let mut done = Vec::new();
+        let start = done.len();
         let mut i = 0;
         while i < self.write_acks.len() {
             if self.write_acks[i].finished_at <= now {
@@ -517,11 +525,11 @@ impl MemController {
             self.refreshing = true;
             self.tracer.emit(now, self.comp, || TraceEvent::RefreshBegin);
         }
-        let mut quiet = done.is_empty();
+        let mut quiet = done.len() == start;
         if self.refreshing {
             if self.do_refresh_step(now) {
                 // Refresh sequence consumed this cycle's command slot.
-                return done;
+                return;
             }
             self.refreshing = false;
             self.next_refresh = now + self.timing.t_refi;
@@ -538,7 +546,6 @@ impl MemController {
                 self.quiet_until = self.bound(now + 1, writes_tried).unwrap_or(u64::MAX);
             }
         }
-        done
     }
 
     /// Progresses the refresh sequence; returns `true` while still busy.

@@ -129,10 +129,18 @@ impl SimbMask {
         self.bits
     }
 
-    /// Iterates over the indices of selected PEs in ascending order.
+    /// Iterates over the indices of selected PEs in ascending order, one
+    /// bit scan per selected PE (no bit beyond `width` is ever set).
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let bits = self.bits;
-        (0..self.width as usize).filter(move |&i| (bits >> i) & 1 == 1)
+        let mut bits = self.bits;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(i)
+        })
     }
 }
 
@@ -245,6 +253,18 @@ mod tests {
     fn iter_yields_selected() {
         let m = SimbMask::from_bits(8, 0b1010_0001);
         assert_eq!(m.iter().collect::<Vec<_>>(), vec![0, 5, 7]);
+    }
+
+    #[test]
+    fn iter_matches_contains_at_every_width() {
+        use ipim_simkit::prop::{check, Gen};
+        let gen = Gen::from_fn(|rng| (1 + (rng.next_u64() % 64) as usize, rng.next_u64()));
+        check("iter_lists_exactly_the_contained_pes", &gen, |&(width, bits)| {
+            let m = SimbMask::from_bits(width, bits);
+            let listed: Vec<usize> = m.iter().collect();
+            let expected: Vec<usize> = (0..width).filter(|&i| m.contains(i)).collect();
+            assert_eq!(listed, expected);
+        });
     }
 
     #[test]

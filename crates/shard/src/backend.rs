@@ -40,6 +40,10 @@ pub(crate) struct Backend {
     pub healthy: AtomicBool,
     /// Jobs the ring routed here (including ones later bounced away).
     pub dispatched: AtomicU64,
+    /// Jobs charged here and not yet finished or bounced: queued, in the
+    /// window or being served. The router's load signal; it publishes no
+    /// other data, so every access is `Relaxed`.
+    pub in_flight: AtomicU64,
     /// Response lines this backend answered.
     pub answered: AtomicU64,
 }
@@ -51,6 +55,7 @@ impl Backend {
             queue: JobQueue::bounded(queue_depth),
             healthy: AtomicBool::new(true),
             dispatched: AtomicU64::new(0),
+            in_flight: AtomicU64::new(0),
             answered: AtomicU64::new(0),
         }
     }

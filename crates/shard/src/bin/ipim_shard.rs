@@ -3,7 +3,9 @@
 //! Speaks the same ndjson protocol as `ipim_served` (one `SimRequest`
 //! JSON object per input line, one response line per request, in order)
 //! but routes every request over a fleet of `ipim_served --stream --tcp`
-//! backends by consistent-hashing its content fingerprint. Clients cannot
+//! backends by consistent-hashing its content fingerprint (to its ring
+//! owner, or to the next backend clockwise when that one has strictly
+//! fewer jobs in flight). Clients cannot
 //! tell the difference: the shard forwards backend response lines
 //! verbatim, answers protocol problems in-band, and blocks for
 //! backpressure exactly like the local pool.

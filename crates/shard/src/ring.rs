@@ -3,13 +3,15 @@
 //! Each backend contributes `replicas` points at
 //! `fnv1a("shard:{backend}:{replica}")`; a request's
 //! [`fingerprint`](ipim_serve::SimRequest::fingerprint) routes to the first
-//! point clockwise from its own position. Two properties fall out of this
-//! construction and are what the shard tier leans on:
+//! point clockwise from its own position (its *owner*); the next distinct
+//! backend clockwise is its *second choice*. Two properties fall out of
+//! this construction and are what the shard tier leans on:
 //!
-//! * **Determinism** — the ring is a pure function of (backend count,
-//!   replicas), so every shard front with the same config routes every
-//!   fingerprint identically. Combined with deterministic simulation this
-//!   makes a sharded run reproducible run-to-run.
+//! * **Determinism** — the ring, and both choices for every fingerprint,
+//!   are pure functions of (backend count, replicas), so every shard front
+//!   with the same config offers every job the same two backends. Which of
+//!   the two serves it depends on their in-flight counts at dispatch; the
+//!   answer does not, because simulation is deterministic.
 //! * **Minimal disruption** — ejecting a backend only moves the keys that
 //!   backend owned; everyone else's cache locality survives the failure.
 
@@ -85,6 +87,23 @@ impl HashRing {
         }
         fallback
     }
+
+    /// The job's two choices: the first two healthy backends in ring order
+    /// that it has not `tried`. The first always equals
+    /// [`route`](Self::route); the second is `None` when fewer than two
+    /// such backends exist. `None` only when nothing is healthy.
+    pub fn two_choices(
+        &self,
+        fingerprint: u64,
+        healthy: &[bool],
+        tried: &[usize],
+    ) -> Option<(usize, Option<usize>)> {
+        let mut eligible = self.walk(fingerprint).filter(|&b| healthy[b] && !tried.contains(&b));
+        match eligible.next() {
+            Some(first) => Some((first, eligible.next())),
+            None => self.route(fingerprint, healthy, tried).map(|b| (b, None)),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -146,6 +165,31 @@ mod tests {
             distinct.sort_unstable();
             assert_eq!(distinct, [0, 1, 2], "all three backends visited once each");
             assert_eq!(exhausted, first, "exhausted tried-list falls back, never refuses");
+        });
+    }
+
+    #[test]
+    fn two_choices_extend_route_with_a_distinct_eligible_second() {
+        let ring = HashRing::new(4, 8);
+        let gen = Gen::from_fn(|rng| {
+            let fp = rng.next_u64();
+            let healthy: Vec<bool> = (0..4).map(|_| rng.next_u64() % 4 != 0).collect();
+            let tried: Vec<usize> = (0..4).filter(|_| rng.next_u64() % 3 == 0).collect();
+            (fp, healthy, tried)
+        });
+        check("second_choice_is_distinct_and_eligible", &gen, |(fp, healthy, tried)| {
+            let choices = ring.two_choices(*fp, healthy, tried);
+            assert_eq!(choices.map(|c| c.0), ring.route(*fp, healthy, tried));
+            let eligible: Vec<usize> =
+                ring.walk(*fp).filter(|&b| healthy[b] && !tried.contains(&b)).collect();
+            match choices {
+                Some((first, Some(second))) => {
+                    assert_ne!(first, second);
+                    assert!(healthy[second] && !tried.contains(&second));
+                    assert_eq!(eligible[..2], [first, second], "the first two clockwise");
+                }
+                _ => assert!(eligible.len() < 2, "a second choice existed: {eligible:?}"),
+            }
         });
     }
 

@@ -3,9 +3,16 @@
 //! A [`ShardRouter`] owns one [`Backend`](crate::backend::Backend) per
 //! configured address, each with its own bounded queue and link thread.
 //! [`submit`](ShardRouter::submit) routes by the request's content
-//! fingerprint over the [`HashRing`] and blocks when the owning backend's
+//! fingerprint over the [`HashRing`] and blocks when the chosen backend's
 //! queue is full — backpressure reaches the caller, exactly as with a
 //! local [`ServePool`](ipim_serve::ServePool).
+//!
+//! Routing takes two choices on the ring: the fingerprint's owner, unless
+//! its second choice has strictly fewer jobs in flight. Each backend
+//! counts the jobs charged to it from dispatch until they are finished or
+//! bounced, so a busy owner no longer queues jobs while the other backend
+//! idles; an idle system routes every job to its owner, and a fingerprint
+//! has at most two warm caches.
 //!
 //! Retry lives in one place: a failed attempt (connect refused, connection
 //! died pre-response) *bounces* through an unbounded channel to the retry
@@ -93,6 +100,9 @@ pub(crate) struct ShardJob {
     /// Backends that already failed this job (ring skips them while
     /// alternatives exist).
     pub tried: Vec<usize>,
+    /// The backend whose in-flight count this job is charged to, from
+    /// dispatch until [`Shared::finish`] or [`Shared::bounce`].
+    pub backend: Option<usize>,
     /// Where the final response line goes.
     pub reply: mpsc::Sender<String>,
 }
@@ -107,6 +117,7 @@ pub(crate) struct Counters {
     pub backend_errors: AtomicU64,
     pub timeouts: AtomicU64,
     pub retries: AtomicU64,
+    pub spills: AtomicU64,
     pub ejections: AtomicU64,
     pub readmissions: AtomicU64,
     pub probes: AtomicU64,
@@ -164,9 +175,18 @@ impl Shared {
         self.finish(job, SimResponse::Error(msg.to_string()).to_json_string());
     }
 
+    /// Releases the job's in-flight charge, if it holds one.
+    fn release(&self, job: &mut ShardJob) {
+        if let Some(idx) = job.backend.take() {
+            self.backends[idx].in_flight.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
     /// Delivers the final line for a job. Every admitted job reaches this
-    /// exactly once; it is the only place `outstanding` decrements.
-    fn finish(&self, job: ShardJob, line: String) {
+    /// exactly once; it is the only place `outstanding` decrements. The
+    /// charge goes first, so a closed-loop caller's next job sees it gone.
+    fn finish(&self, mut job: ShardJob, line: String) {
+        self.release(&mut job);
         // A caller that dropped its ticket just doesn't hear the answer.
         let _ = job.reply.send(line);
         let mut g = self.outstanding.lock().expect("outstanding poisoned");
@@ -221,6 +241,8 @@ impl Shared {
     /// job to the retry thread. Never blocks — safe from link and reader
     /// threads.
     pub(crate) fn bounce(&self, from: usize, mut job: ShardJob) {
+        debug_assert_eq!(job.backend, Some(from), "a bounced job is charged to its backend");
+        self.release(&mut job);
         if !job.tried.contains(&from) {
             job.tried.push(from);
         }
@@ -247,18 +269,30 @@ impl Shared {
         }
     }
 
-    /// Routes one admitted job. May block on the owning backend's bounded
-    /// queue (backpressure) — called only from `submit` callers and the
-    /// retry thread, never from link or reader threads.
-    fn dispatch(&self, job: ShardJob) {
+    /// Routes one admitted job to the owner of its two choices, or to the
+    /// second when that one has strictly fewer jobs in flight, and charges
+    /// it there. May block on that backend's bounded queue (backpressure) —
+    /// called only from `submit` callers and the retry thread, never from
+    /// link or reader threads.
+    fn dispatch(&self, mut job: ShardJob) {
         if self.shed_if_expired(&job) {
             self.finish_shed(job);
             return;
         }
         let healthy: Vec<bool> =
             self.backends.iter().map(|b| b.healthy.load(Ordering::Acquire)).collect();
-        match self.ring.route(job.fingerprint, &healthy, &job.tried) {
-            Some(idx) => {
+        match self.ring.two_choices(job.fingerprint, &healthy, &job.tried) {
+            Some((owner, second)) => {
+                let load = |b: usize| self.backends[b].in_flight.load(Ordering::Relaxed);
+                let idx = match second {
+                    Some(b) if load(b) < load(owner) => {
+                        self.counters.spills.fetch_add(1, Ordering::Relaxed);
+                        b
+                    }
+                    _ => owner,
+                };
+                self.backends[idx].in_flight.fetch_add(1, Ordering::Relaxed);
+                job.backend = Some(idx);
                 self.backends[idx].dispatched.fetch_add(1, Ordering::Relaxed);
                 if let Err(job) = self.backends[idx].queue.push(job) {
                     self.finish_error(job, "shard is shutting down");
@@ -267,7 +301,6 @@ impl Shared {
             None => {
                 // Nothing healthy right now. Spend an attempt waiting out
                 // a backoff — a probe may readmit someone — or give up.
-                let mut job = job;
                 job.attempts += 1;
                 if job.attempts >= self.config.retry.max_attempts.max(1) {
                     self.finish_error(job, "shard: no healthy backend");
@@ -290,6 +323,7 @@ impl Shared {
             ("shard/backend_errors", &c.backend_errors),
             ("shard/timeouts", &c.timeouts),
             ("shard/retries", &c.retries),
+            ("shard/spills", &c.spills),
             ("shard/ejections", &c.ejections),
             ("shard/readmissions", &c.readmissions),
             ("shard/probes", &c.probes),
@@ -307,6 +341,10 @@ impl Shared {
             reg.counter_add(
                 &format!("shard/backend{i}/answered"),
                 b.answered.load(Ordering::Relaxed),
+            );
+            reg.gauge_set(
+                &format!("shard/backend{i}/in_flight"),
+                b.in_flight.load(Ordering::Relaxed) as f64,
             );
         }
         reg
@@ -335,9 +373,9 @@ impl PendingLine for ShardTicket {
     }
 }
 
-/// The distributed front tier: consistent-hash routing of [`SimRequest`]s
-/// over N TCP backends, with bounded in-flight windows, deterministic
-/// retry-with-backoff, health probing and graceful drain.
+/// The distributed front tier: two-choice consistent-hash routing of
+/// [`SimRequest`]s over N TCP backends, with bounded in-flight windows,
+/// deterministic retry-with-backoff, health probing and graceful drain.
 pub struct ShardRouter {
     shared: Arc<Shared>,
     links: Vec<JoinHandle<()>>,
@@ -400,7 +438,7 @@ impl ShardRouter {
         Self { shared, links, retry: Some(retry), probe: Some(probe) }
     }
 
-    /// Submits one request, blocking while the owning backend's queue is
+    /// Submits one request, blocking while the chosen backend's queue is
     /// full. The ticket resolves to the backend's response line verbatim
     /// (or an in-band shard line: shed, gave-up, shutting down).
     pub fn submit(&self, req: SimRequest) -> ShardTicket {
@@ -417,6 +455,7 @@ impl ShardRouter {
             admitted: Instant::now(),
             attempts: 0,
             tried: Vec::new(),
+            backend: None,
             reply: tx,
         };
         self.shared.dispatch(job);

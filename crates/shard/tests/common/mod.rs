@@ -17,6 +17,7 @@ use std::thread::JoinHandle;
 
 use ipim_serve::server::serve_stream;
 use ipim_serve::{PoolConfig, ServePool};
+use ipim_trace::{Metric, MetricsRegistry};
 
 pub struct TestBackend {
     pub addr: String,
@@ -68,5 +69,14 @@ impl TestBackend {
         for c in self.conns.lock().unwrap().drain(..) {
             let _ = c.shutdown(Shutdown::Both);
         }
+    }
+}
+
+/// Every backend's in-flight gauge must read 0 once the router drained:
+/// each charge taken at dispatch was released by a finish or a bounce.
+pub fn assert_nothing_in_flight(metrics: &MetricsRegistry, backends: usize) {
+    for i in 0..backends {
+        let key = format!("shard/backend{i}/in_flight");
+        assert_eq!(metrics.get(&key), Some(&Metric::Gauge(0.0)), "{key} after shutdown");
     }
 }

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::spawn_backend;
+use common::{assert_nothing_in_flight, spawn_backend};
 use ipim_serve::{PoolConfig, ServePool, SimRequest};
 use ipim_shard::{HashRing, RetryPolicy, ShardConfig, ShardRouter};
 
@@ -57,6 +57,9 @@ fn backend_killed_mid_wave_loses_no_jobs() {
     assert_eq!(metrics.counter("shard/errors"), 0, "no job may exhaust its retry budget");
     assert!(metrics.counter("shard/ejections") >= 1, "the crashed backend must have been ejected");
     assert_eq!(metrics.counter("shard/fingerprint_mismatches"), 0);
+    // The stranded jobs were charged to the victim and bounced: the
+    // bounce released those charges, their retries charged a survivor.
+    assert_nothing_in_flight(&metrics, 3);
 
     // Bit-identity with a serial run survives the failover.
     let serial_pool =
