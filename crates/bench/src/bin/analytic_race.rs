@@ -62,7 +62,6 @@ fn main() {
             let ov = ScheduleOverride {
                 tile: Some((tw, th)),
                 load_pgsm: Some(load_pgsm),
-                vectorize: Some(4),
                 ..ScheduleOverride::default()
             };
             let Ok(w) = base.with_override(&ov) else { continue };

@@ -286,14 +286,13 @@ pub fn compile(
 /// Content-addressed key of one stage's lowering: an FNV-1a hash over a
 /// canonical rendering of *every* input the per-stage codegen reads.
 ///
-/// That is: the stage itself (source id, extent, body, and the schedule
-/// knobs codegen reads — `Schedule::codegen_summary`, which leaves out
-/// `vectorize`), the logical extent and planned layout of every buffer the
-/// body references, the stage's own layout, the tile grid, the machine
-/// facts, the register-allocation policy, and — for histogram stages — the
-/// scratch base, the vault count and the incoming sync phase. Func *names*
-/// are deliberately absent: they only ever reach error messages, and
-/// errors are never cached.
+/// That is: the stage itself (source id, extent, body, and schedule —
+/// `Schedule::summary`), the logical extent and planned layout of every
+/// buffer the body references, the stage's own layout, the tile grid, the
+/// machine facts, the register-allocation policy, and — for histogram
+/// stages — the scratch base, the vault count and the incoming sync phase.
+/// Func *names* are deliberately absent: they only ever reach error
+/// messages, and errors are never cached.
 #[allow(clippy::too_many_arguments)]
 fn stage_key(
     pipeline: &Pipeline,
@@ -312,7 +311,7 @@ fn stage_key(
         stage.source,
         stage.extent.0,
         stage.extent.1,
-        stage.schedule.codegen_summary(),
+        stage.schedule.summary(),
         stage.body_summary(),
     );
     let mut sources: Vec<SourceId> = match stage.body.as_ref().expect("validated pipeline") {

@@ -8,13 +8,11 @@
 //! cover the 32 PEs, and Blur, BilateralGrid and StencilChain on 16- and
 //! 32-entry DataRFs. A configuration the compiler rejects pins the digest
 //! of its error message instead, so a change that turns an error into a
-//! program (or back) moves the table too. Every `opt` digest must also
-//! survive forcing `vectorize` to 1, 2 or 4, the invariant that lets the
-//! compile caches leave that knob out of their keys.
+//! program (or back) moves the table too.
 
 use ipim_arch::MachineConfig;
 use ipim_compiler::{compile, fnv1a, CompileOptions};
-use ipim_workloads::{all_workloads, workload_by_name, ScheduleOverride, Workload, WorkloadScale};
+use ipim_workloads::{all_workloads, workload_by_name, Workload, WorkloadScale};
 
 /// The Fig. 12 configurations, in the column order of [`DIGESTS`].
 const OPTIONS: [fn() -> CompileOptions; 5] = [
@@ -86,36 +84,6 @@ fn pinned_cases() -> Vec<(Workload, usize)> {
         }
     }
     cases
-}
-
-/// `vectorize` is validated and shown in schedule summaries, but no
-/// compiler pass reads it, so both compile caches leave it out of their
-/// keys (`Schedule::codegen_summary`). Forcing it to every legal width
-/// must therefore reproduce each pinned `opt` program. A change that
-/// lowers `vectorize` fails here first and must put the field back into
-/// the keys.
-///
-/// The per-stage lowering cache is process-wide and keyed without
-/// `vectorize`, so a lowering made for one width serves the others. The
-/// narrow widths therefore run first, and the name sorts this test ahead
-/// of the table check, so the stage lowerings this process keeps are the
-/// narrow widths' own.
-#[test]
-fn codegen_ignores_vectorize_on_every_pinned_case() {
-    let mut moved = Vec::new();
-    for (w, rf) in pinned_cases() {
-        let side = w.scale.width;
-        let pinned = DIGESTS.iter().find(|d| (d.0, d.1, d.2) == (w.name, side, rf));
-        let want = pinned.expect("every case is pinned").3[0];
-        for width in [1, 2, 4] {
-            let ov = ScheduleOverride { vectorize: Some(width), ..ScheduleOverride::default() };
-            let forced = w.with_override(&ov).expect("every legal width applies");
-            if digest(&forced, rf, &CompileOptions::opt()) != want {
-                moved.push(format!("{} {side}² rf={rf} vectorize({width})", w.name));
-            }
-        }
-    }
-    assert!(moved.is_empty(), "vectorize changed the opt program for {moved:?}");
 }
 
 #[test]

@@ -20,7 +20,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Algorithm: a 3-tap blur. Schedule: tile 8×8 across the PE hierarchy,
-//! // stage tiles in the process-group scratchpad, vectorize by 4.
+//! // stage tiles in the process-group scratchpad.
 //! let mut p = PipelineBuilder::new();
 //! let input = p.input("in", 64, 64);
 //! let blur = p.func("blur", 64, 64);
@@ -28,7 +28,7 @@
 //!     blur,
 //!     (input.at(x() - 1, y()) + input.at(x(), y()) + input.at(x() + 1, y())) / 3.0,
 //! );
-//! p.schedule(blur).compute_root().ipim_tile(8, 8).load_pgsm().vectorize(4);
+//! p.schedule(blur).compute_root().ipim_tile(8, 8).load_pgsm();
 //! let pipeline = p.build(blur)?;
 //!
 //! // Compile and run on a cycle-accurate one-vault slice.

@@ -279,7 +279,7 @@ mod tests {
         let input = p.input("in", 32, 32);
         let out = p.func("out", 32, 32);
         p.define(out, input.at(x(), y()) * mult);
-        p.schedule(out).compute_root().ipim_tile(4, 8).vectorize(4);
+        p.schedule(out).compute_root().ipim_tile(4, 8);
         p.build(out).unwrap()
     }
 

@@ -9,7 +9,8 @@
 //! * [`ScheduleMut::load_pgsm`] — stage each tile's input window in the
 //!   process-group scratchpad before computing (Fig. 3(b)),
 //!
-//! alongside the standard `compute_root` and `vectorize` schedules.
+//! alongside the standard `compute_root` schedule. Halide's `vectorize`
+//! (Sec. V-B) is not modelled: every SIMB operation is four lanes wide.
 //!
 //! The crate also contains a reference CPU interpreter ([`interpret`]) used
 //! as the golden model for compiler correctness tests, and an affine access
@@ -27,7 +28,7 @@
 //!     blur,
 //!     (input.at(x() - 1, y()) + input.at(x(), y()) + input.at(x() + 1, y())) / 3.0,
 //! );
-//! p.schedule(blur).compute_root().ipim_tile(8, 8).load_pgsm().vectorize(4);
+//! p.schedule(blur).compute_root().ipim_tile(8, 8).load_pgsm();
 //! let pipeline = p.build(blur).unwrap();
 //!
 //! let img = Image::gradient(64, 64);

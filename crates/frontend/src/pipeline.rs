@@ -64,16 +64,11 @@ pub struct Schedule {
     pub tile: (u32, u32),
     /// Stage each tile's input window in the PGSM before computing.
     pub load_pgsm: bool,
-    /// SIMD vector width (1 = scalar; 4 matches the 128-bit lanes).
-    /// Validated and shown in summaries, but no compiler pass reads it:
-    /// every program uses full-width vectors (see
-    /// [`codegen_summary`](Self::codegen_summary)).
-    pub vectorize: u32,
 }
 
 impl Default for Schedule {
     fn default() -> Self {
-        Self { compute_root: false, tile: (8, 8), load_pgsm: false, vectorize: 4 }
+        Self { compute_root: false, tile: (8, 8), load_pgsm: false }
     }
 }
 
@@ -87,31 +82,16 @@ impl Schedule {
                 what: "tile dimensions must be non-zero".into(),
             });
         }
-        if !matches!(self.vectorize, 1 | 2 | 4) {
-            return Err(PipelineError::BadSchedule {
-                func: func.to_string(),
-                what: format!("vectorize({}) must be 1, 2 or 4", self.vectorize),
-            });
-        }
         Ok(())
     }
 
     /// Compact one-line rendering of the knob settings, e.g.
-    /// `root tile=32x8 pgsm vec=4` — the canonical form tuner reports and
-    /// dedup keys use.
+    /// `root tile=32x8 pgsm` — the canonical form tuner dedup keys use and
+    /// the schedule half of the compile-cache keys.
     pub fn summary(&self) -> String {
-        format!("{} vec={}", self.codegen_summary(), self.vectorize)
-    }
-
-    /// [`summary`](Self::summary) restricted to the knobs code generation
-    /// reads, e.g. `root tile=32x8 pgsm` — the schedule half of the
-    /// compile-cache keys. No compiler pass reads `vectorize` (every
-    /// program uses full-width SIMB vectors), so schedules that differ
-    /// only in it compile to one program and share one key.
-    pub fn codegen_summary(&self) -> String {
         // Exhaustive on purpose: a new field fails to compile here until
-        // someone decides whether codegen reads it.
-        let Schedule { compute_root, tile, load_pgsm, vectorize: _ } = *self;
+        // someone decides how the keys render it.
+        let Schedule { compute_root, tile, load_pgsm } = *self;
         format!(
             "{}tile={}x{}{}",
             if compute_root { "root " } else { "" },
@@ -385,16 +365,13 @@ impl Pipeline {
     }
 
     /// Canonical full-content rendering: inputs, every func's extent, body
-    /// and the schedule knobs codegen reads ([`Schedule::codegen_summary`]),
-    /// and the output — everything that determines what the compiler
-    /// produces, in one stable line.
+    /// and schedule ([`Schedule::summary`]), and the output — everything
+    /// that determines what the compiler produces, in one stable line.
     ///
     /// Two pipelines with equal content summaries compile to the same
     /// program on the same machine, which is what makes this string (plus a
     /// machine/options summary) a sound content-addressed cache key for
-    /// compiled programs. `vectorize` is left out because no compiler pass
-    /// reads it, the way the machine half of the key leaves out the cycle
-    /// engine. Expression bodies render through their canonical
+    /// compiled programs. Expression bodies render through their canonical
     /// [`fmt::Display`] form, so the summary is insensitive to how the
     /// expression tree was spelled at build time but sensitive to any
     /// change in what it computes.
@@ -411,7 +388,7 @@ impl Pipeline {
                 f.source,
                 f.extent.0,
                 f.extent.1,
-                f.schedule.codegen_summary(),
+                f.schedule.summary(),
                 f.body_summary(),
             );
         }
@@ -602,12 +579,6 @@ impl ScheduleMut<'_> {
         self.schedule.load_pgsm = true;
         self
     }
-
-    /// Set the SIMD vector width.
-    pub fn vectorize(self, width: u32) -> Self {
-        self.schedule.vectorize = width;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -694,7 +665,7 @@ mod tests {
         let mut p = PipelineBuilder::new();
         let f = p.func("f", 8, 8);
         p.define(f, Expr::ConstF(1.0));
-        p.schedule(f).vectorize(3);
+        p.schedule(f).ipim_tile(8, 0);
         assert!(matches!(p.build(f), Err(PipelineError::BadSchedule { .. })));
     }
 
@@ -723,37 +694,25 @@ mod tests {
             Err(PipelineError::BadSchedule { .. })
         ));
         assert!(matches!(
-            pipe.reschedule(|_| Schedule { vectorize: 3, ..Schedule::default() }),
+            pipe.reschedule(|_| Schedule { tile: (8, 0), ..Schedule::default() }),
             Err(PipelineError::BadSchedule { .. })
         ));
     }
 
     #[test]
     fn schedule_summary_is_canonical() {
-        let s = Schedule { compute_root: true, tile: (32, 8), load_pgsm: true, vectorize: 4 };
-        assert_eq!(s.summary(), "root tile=32x8 pgsm vec=4");
+        let s = Schedule { compute_root: true, tile: (32, 8), load_pgsm: true };
+        assert_eq!(s.summary(), "root tile=32x8 pgsm");
         let mut p = PipelineBuilder::new();
         let input = p.input("in", 8, 8);
         let f = p.func("f", 8, 8);
         p.define(f, input.at(x(), y()));
         let pipe = p.build(f).unwrap();
-        assert_eq!(pipe.schedule_summary(), "f=tile=8x8 vec=4");
-    }
-
-    #[test]
-    fn content_summary_drops_only_vectorize() {
-        let s = Schedule { compute_root: true, tile: (32, 8), load_pgsm: true, vectorize: 2 };
-        assert_eq!(s.codegen_summary(), "root tile=32x8 pgsm");
-        let mut p = PipelineBuilder::new();
-        let input = p.input("in", 16, 16);
-        let f = p.func("f", 16, 16);
-        p.define(f, input.at(x(), y()));
-        let pipe = p.build(f).unwrap();
+        assert_eq!(pipe.schedule_summary(), "f=tile=8x8");
+        // Every schedule field reaches the compile-cache key.
         let under = |s: Schedule| pipe.reschedule(|_| s).unwrap().content_summary();
         let base = Schedule::default();
-        for vectorize in [1, 2] {
-            assert_eq!(under(Schedule { vectorize, ..base }), pipe.content_summary());
-        }
+        assert_eq!(under(base), pipe.content_summary());
         assert_ne!(under(Schedule { load_pgsm: true, ..base }), pipe.content_summary());
         assert_ne!(under(Schedule { tile: (4, 8), ..base }), pipe.content_summary());
         assert_ne!(under(Schedule { compute_root: true, ..base }), pipe.content_summary());

@@ -342,9 +342,6 @@ fn schedule_json(s: &ScheduleOverride) -> String {
     if let Some(p) = s.load_pgsm {
         fields.push(format!("\"load_pgsm\":{p}"));
     }
-    if let Some(v) = s.vectorize {
-        fields.push(format!("\"vectorize\":{v}"));
-    }
     if s.compute_root != ComputeRootPolicy::Keep {
         fields.push(format!("\"compute_root\":\"{}\"", s.compute_root.name()));
     }
@@ -352,7 +349,7 @@ fn schedule_json(s: &ScheduleOverride) -> String {
 }
 
 /// Parses the optional nested `"schedule"` object: `tile_w`/`tile_h` (both
-/// or neither), `load_pgsm`, `vectorize`, `compute_root`.
+/// or neither), `load_pgsm`, `compute_root`. Other keys are ignored.
 fn parse_schedule(v: &json::Value) -> Result<ScheduleOverride, String> {
     let opt_u32 = |key: &str| -> Result<Option<u32>, String> {
         match v.get(key) {
@@ -382,7 +379,7 @@ fn parse_schedule(v: &json::Value) -> Result<ScheduleOverride, String> {
             ComputeRootPolicy::parse(x.as_str().ok_or("schedule.compute_root must be a string")?)?
         }
     };
-    Ok(ScheduleOverride { tile, load_pgsm, vectorize: opt_u32("vectorize")?, compute_root })
+    Ok(ScheduleOverride { tile, load_pgsm, compute_root })
 }
 
 fn get_u64(v: &json::Value, key: &str, default: u64) -> Result<u64, String> {
@@ -575,7 +572,6 @@ mod tests {
         req.schedule = ScheduleOverride {
             tile: Some((16, 8)),
             load_pgsm: Some(true),
-            vectorize: None,
             compute_root: ComputeRootPolicy::All,
         };
         let back = SimRequest::from_json_str(&req.to_json_string()).unwrap();
@@ -587,6 +583,12 @@ mod tests {
         // schedule field at all.
         let empty = SimRequest::from_json_str(r#"{"workload":"Blur","schedule":{}}"#).unwrap();
         assert_eq!(empty.fingerprint(), SimRequest::named("Blur", 64, 64).fingerprint());
+        // `vectorize` is not a schedule knob: like any unknown key, it is
+        // ignored.
+        let vec2 =
+            SimRequest::from_json_str(r#"{"workload":"Blur","schedule":{"vectorize":2}}"#).unwrap();
+        assert_eq!(vec2, empty);
+        assert_eq!(vec2.fingerprint(), empty.fingerprint());
 
         // Malformed overrides are named-field errors.
         assert!(
@@ -609,7 +611,7 @@ mod tests {
         let (_, w) = req.instantiate().unwrap();
         assert!(w.pipeline.schedule_knobs().iter().all(|(_, s)| s.tile == (16, 4)));
         // An override the frontend rejects degrades to an instantiate error.
-        req.schedule = ScheduleOverride { vectorize: Some(3), ..ScheduleOverride::default() };
+        req.schedule = ScheduleOverride { tile: Some((0, 4)), ..ScheduleOverride::default() };
         assert!(req.instantiate().is_err());
     }
 

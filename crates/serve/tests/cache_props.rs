@@ -14,7 +14,7 @@
 use ipim_serve::{
     ComputeRootPolicy, PoolConfig, ScheduleOverride, ServePool, SimRequest, SimResponse,
 };
-use ipim_simkit::prop::{bool_any, tuple4, tuple6, u32_in, u64_any, usize_in, Config, Gen};
+use ipim_simkit::prop::{bool_any, tuple3, tuple6, u32_in, u64_any, usize_in, Config, Gen};
 use ipim_simkit::{check, check_with, Rng};
 
 /// A generator over wire-shaped requests: workload index, dimensions,
@@ -112,23 +112,20 @@ fn prop_identity_fields_change_the_fingerprint() {
 /// A generator over schedule overrides, spanning the empty override and
 /// every knob combination the tuner searches.
 fn gen_override() -> Gen<ScheduleOverride> {
-    tuple4(usize_in(0, 3), usize_in(0, 2), usize_in(0, 3), usize_in(0, 2)).map(|(t, p, v, r)| {
-        ScheduleOverride {
-            tile: [None, Some((8, 8)), Some((16, 8)), Some((32, 16))][t],
-            load_pgsm: [None, Some(false), Some(true)][p],
-            vectorize: [None, Some(1), Some(2), Some(4)][v],
-            compute_root: [
-                ComputeRootPolicy::Keep,
-                ComputeRootPolicy::All,
-                ComputeRootPolicy::OutputOnly,
-            ][r],
-        }
+    tuple3(usize_in(0, 3), usize_in(0, 2), usize_in(0, 2)).map(|(t, p, r)| ScheduleOverride {
+        tile: [None, Some((8, 8)), Some((16, 8)), Some((32, 16))][t],
+        load_pgsm: [None, Some(false), Some(true)][p],
+        compute_root: [
+            ComputeRootPolicy::Keep,
+            ComputeRootPolicy::All,
+            ComputeRootPolicy::OutputOnly,
+        ][r],
     })
 }
 
 #[test]
 fn prop_schedule_override_is_part_of_the_cache_identity() {
-    let gen = ipim_simkit::prop::tuple3(gen_request(), gen_override(), gen_override());
+    let gen = tuple3(gen_request(), gen_override(), gen_override());
     check("schedule_override_is_part_of_the_cache_identity", &gen, |(req, ov_a, ov_b)| {
         let plain = req.clone();
         let a = SimRequest { schedule: *ov_a, ..req.clone() };

@@ -6,9 +6,9 @@
 //! *client* of the existing stack, not a new simulator:
 //!
 //! - [`ScheduleSpace`] enumerates legal knob settings (tile extents over
-//!   output divisors, PGSM staging, SIMB vector widths, `compute_root`
-//!   policies, optional backend knobs), filtered through the real
-//!   compiler so every candidate is known-compilable.
+//!   output divisors, PGSM staging, `compute_root` policies, optional
+//!   backend knobs), filtered through the real compiler so every
+//!   candidate is known-compilable and a distinct program.
 //! - Candidate evaluation fans out across an
 //!   [`ServePool`](ipim_serve::ServePool) as ordinary
 //!   [`SimRequest`](ipim_serve::SimRequest)s carrying a

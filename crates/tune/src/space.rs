@@ -3,22 +3,19 @@
 //! A [`ScheduleSpace`] is built per workload × machine shape by
 //! *constructive enumeration*: candidate tile extents come from the
 //! divisors of the output image (tile widths additionally multiples of 4,
-//! the SIMB lane count), crossed with the PGSM staging choice, the
-//! vector width and the [`ComputeRootPolicy`]. Every raw combination is
-//! then pushed through the real legality boundary — the override is
-//! applied, the pipeline re-validated, **compiled** through the cached
-//! `Session::compile`, and ranked by the analytic tier's prediction
-//! (`analytic::predict`) — so a space never hands the tuner a candidate
-//! that the compiler would reject. Overrides that collapse to the same
-//! effective schedule (e.g. `root=keep` vs `root=all` on a pipeline whose
-//! funcs are already all roots) are deduplicated by the rescheduled
-//! pipeline's canonical summary, keeping the space free of candidates
-//! that could only waste simulation budget. Entries whose schedules
-//! differ only in knobs codegen ignores (today `vectorize`) stay separate
-//! entries but are one program: the program cache compiles it once, and
-//! enumeration predicts it once, keyed by the program's cache key. A
-//! program the compiler rejects is likewise compiled once per enumeration:
-//! its other spellings count as rejected without a compile.
+//! the SIMB lane count), crossed with the PGSM staging choice and the
+//! [`ComputeRootPolicy`]. Every raw combination is then pushed through the
+//! real legality boundary — the override is applied, the pipeline
+//! re-validated, **compiled** through the cached `Session::compile`, and
+//! ranked by the analytic tier's prediction (`analytic::predict`) — so a
+//! space never hands the tuner a candidate that the compiler would reject.
+//! Overrides that collapse to the same effective schedule (e.g.
+//! `root=keep` vs `root=all` on a pipeline whose funcs are already all
+//! roots) are deduplicated by the rescheduled pipeline's canonical
+//! summary, which is also the schedule half of the program's cache key:
+//! each summary is compiled and predicted once, every entry is its own
+//! program, and a repeat of a rejected summary counts as rejected without
+//! a compile.
 //!
 //! Backend knobs (register allocation, Algorithm 1 reordering, memory
 //! ordering) ride along as a small cross product when the tuner asks for
@@ -26,11 +23,10 @@
 //! *after* the compile filter. The unsafe combination — reordering
 //! without memory-order edges — is excluded by construction.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use ipim_core::{
-    analytic, program_key, ComputeRootPolicy, MachineConfig, RegAllocPolicy, ScheduleOverride,
-    Workload,
+    analytic, ComputeRootPolicy, MachineConfig, RegAllocPolicy, ScheduleOverride, Workload,
 };
 use ipim_serve::SimRequest;
 
@@ -121,12 +117,11 @@ impl Candidate {
         }
     }
 
-    /// How many knobs differ from `other` (tile, pgsm, vectorize, root,
+    /// How many knobs differ from `other` (tile, pgsm, root,
     /// backend-combo) — hill-climb neighbours are at distance 1.
     pub fn distance(&self, other: &Candidate) -> usize {
         usize::from(self.schedule.tile != other.schedule.tile)
             + usize::from(self.schedule.load_pgsm != other.schedule.load_pgsm)
-            + usize::from(self.schedule.vectorize != other.schedule.vectorize)
             + usize::from(self.schedule.compute_root != other.schedule.compute_root)
             + usize::from(
                 (self.reg_alloc, self.reorder, self.memory_order)
@@ -165,76 +160,41 @@ impl ScheduleSpace {
         let (out_w, out_h) = workload.output_extent();
         let session = ipim_core::Session::new(machine.clone());
         let mut entries: Vec<ScheduleEntry> = Vec::new();
-        let mut summaries: HashSet<String> = HashSet::new();
-        // Program key → analytic prediction (`None`: it failed).
-        let mut predictions: HashMap<u64, Option<u64>> = HashMap::new();
-        // Program keys the compiler rejected: the keys leave out knobs
-        // codegen ignores, so every other spelling of one fails as well.
-        let mut failed: HashSet<String> = HashSet::new();
+        // Rescheduled pipeline summary → whether it was legal. Equal
+        // summaries compile to one program, so each is judged once.
+        let mut legal: HashMap<String, bool> = HashMap::new();
         let mut rejected = 0usize;
         for tw in divisors(out_w).into_iter().filter(|tw| tw.is_multiple_of(4)) {
             for th in divisors(out_h) {
                 for load_pgsm in [false, true] {
-                    for vectorize in [1u32, 2, 4] {
-                        for compute_root in [
-                            ComputeRootPolicy::Keep,
-                            ComputeRootPolicy::All,
-                            ComputeRootPolicy::OutputOnly,
-                        ] {
-                            let ov = ScheduleOverride {
-                                tile: Some((tw, th)),
-                                load_pgsm: Some(load_pgsm),
-                                vectorize: Some(vectorize),
-                                compute_root,
-                            };
-                            let Ok(w) = workload.with_override(&ov) else {
-                                rejected += 1;
-                                continue;
-                            };
-                            // Compile-time guard: inlining a deep producer
-                            // chain (root=output_only on e.g. StencilChain)
-                            // grows expressions exponentially; bound the
-                            // size arithmetically before building anything.
-                            if w.pipeline.inlined_size_bound() > MAX_INLINED_NODES {
-                                rejected += 1;
-                                continue;
+                    for compute_root in [
+                        ComputeRootPolicy::Keep,
+                        ComputeRootPolicy::All,
+                        ComputeRootPolicy::OutputOnly,
+                    ] {
+                        let ov = ScheduleOverride {
+                            tile: Some((tw, th)),
+                            load_pgsm: Some(load_pgsm),
+                            compute_root,
+                        };
+                        let Ok(w) = workload.with_override(&ov) else {
+                            rejected += 1;
+                            continue;
+                        };
+                        let summary = w.pipeline.schedule_summary();
+                        if let Some(&was_legal) = legal.get(&summary) {
+                            // Same effective schedule: only a repeat of a
+                            // rejected one is a rejection.
+                            rejected += usize::from(!was_legal);
+                            continue;
+                        }
+                        let est_cycles = estimate(&session, &w, machine);
+                        legal.insert(summary.clone(), est_cycles.is_some());
+                        match est_cycles {
+                            Some(est_cycles) => {
+                                entries.push(ScheduleEntry { ov, summary, est_cycles });
                             }
-                            let summary = w.pipeline.schedule_summary();
-                            if summaries.contains(&summary) {
-                                continue; // same effective schedule, not a rejection
-                            }
-                            let key = program_key(&w.pipeline, session.config(), session.options());
-                            if failed.contains(&key) {
-                                rejected += 1;
-                                continue;
-                            }
-                            // Compile through the process-wide program
-                            // cache: enumeration is the cold pass, so the
-                            // pool workers that later simulate surviving
-                            // candidates find every program already built.
-                            let Ok(compiled) = session.compile(&w.pipeline) else {
-                                failed.insert(key);
-                                rejected += 1;
-                                continue;
-                            };
-                            // Rank by the analytic fast-forward model on
-                            // the very program the workers would simulate,
-                            // so the rank reflects the lowered SIMB code
-                            // (see DESIGN.md §11). Overrides that differ
-                            // only in knobs codegen ignores share one
-                            // program, walked once (a timeout included).
-                            let key = compiled.key();
-                            let predicted = *predictions.entry(key).or_insert_with(|| {
-                                analytic::predict(&compiled.program, machine, ESTIMATE_MAX_CYCLES)
-                                    .ok()
-                                    .map(|report| report.cycles)
-                            });
-                            let Some(est_cycles) = predicted else {
-                                rejected += 1;
-                                continue;
-                            };
-                            summaries.insert(summary.clone());
-                            entries.push(ScheduleEntry { ov, summary, est_cycles });
+                            None => rejected += 1,
                         }
                     }
                 }
@@ -307,6 +267,26 @@ impl ScheduleSpace {
     }
 }
 
+/// The analytic prediction for `w`'s schedule, or `None` when it is
+/// illegal: its inlined expressions would be too large, the compiler
+/// rejects it, or the predicted run exceeds the cycle budget.
+fn estimate(session: &ipim_core::Session, w: &Workload, machine: &MachineConfig) -> Option<u64> {
+    // Compile-time guard: inlining a deep producer chain (root=output_only
+    // on e.g. StencilChain) grows expressions exponentially; bound the size
+    // arithmetically before building anything.
+    if w.pipeline.inlined_size_bound() > MAX_INLINED_NODES {
+        return None;
+    }
+    // Compile through the process-wide program cache: enumeration is the
+    // cold pass, so the pool workers that later simulate surviving
+    // candidates find every program already built.
+    let compiled = session.compile(&w.pipeline).ok()?;
+    // Rank by the analytic fast-forward model on the very program the
+    // workers would simulate, so the rank reflects the lowered SIMB code
+    // (see DESIGN.md §11).
+    analytic::predict(&compiled.program, machine, ESTIMATE_MAX_CYCLES).ok().map(|r| r.cycles)
+}
+
 /// The divisors of `n` in increasing order.
 fn divisors(n: u32) -> Vec<u32> {
     (1..=n).filter(|d| n.is_multiple_of(*d)).collect()
@@ -344,36 +324,24 @@ mod tests {
     }
 
     #[test]
-    fn entries_predict_their_own_program_shared_only_across_vectorize() {
+    fn entries_are_distinct_programs_with_their_own_estimates() {
         let w = workload_by_name("Blur", WorkloadScale { width: 64, height: 64 }).unwrap();
         let machine = MachineConfig::vault_slice(1);
         let space = ScheduleSpace::enumerate(&w, &machine, false).unwrap();
         let session = ipim_core::Session::new(machine.clone());
-        let mut keys = Vec::new();
+        let mut keys = HashMap::new();
         for e in &space.entries {
             let candidate = w.with_override(&e.ov).unwrap();
-            // Cache-bypassing: the memoized estimate must equal a fresh
-            // compile and walk of this entry's own override.
+            // Cache-bypassing: the estimate must equal a fresh compile and
+            // walk of this entry's own override.
             let fresh = session.compile_only(&candidate.pipeline).unwrap();
             let report = analytic::predict(&fresh.program, &machine, ESTIMATE_MAX_CYCLES).unwrap();
             assert_eq!(e.est_cycles, report.cycles, "estimate of {}", e.ov);
-            keys.push(program_key(&candidate.pipeline, session.config(), session.options()));
-        }
-        let but_vectorize = |ov: &ScheduleOverride| ScheduleOverride { vectorize: None, ..*ov };
-        for (a, key_a) in space.entries.iter().zip(&keys) {
-            for (b, key_b) in space.entries.iter().zip(&keys) {
-                assert_eq!(
-                    key_a == key_b,
-                    but_vectorize(&a.ov) == but_vectorize(&b.ov),
-                    "{} and {} share a compile key iff they differ only in vectorize",
-                    a.ov,
-                    b.ov
-                );
+            let key = program_key(&candidate.pipeline, session.config(), session.options());
+            if let Some(other) = keys.insert(key, e.ov) {
+                panic!("{other} and {} compile to one program", e.ov);
             }
         }
-        // Each program is spelled once per vector width.
-        let distinct: std::collections::HashSet<_> = keys.iter().collect();
-        assert_eq!(space.entries.len(), 3 * distinct.len());
     }
 
     #[test]

@@ -161,9 +161,9 @@ impl Workload {
     /// # Errors
     ///
     /// Returns a message when the overridden schedule fails frontend
-    /// validation (zero tile, bad vectorize width). Deeper machine-specific
-    /// legality (divisibility, PGSM capacity) surfaces later, at compile
-    /// time, exactly as for hand schedules.
+    /// validation (a zero tile). Deeper machine-specific legality
+    /// (divisibility, PGSM capacity) surfaces later, at compile time,
+    /// exactly as for hand schedules.
     pub fn with_override(&self, ov: &ScheduleOverride) -> Result<Workload, String> {
         let output = self.pipeline.output().source;
         let pipeline = self
@@ -225,8 +225,6 @@ pub struct ScheduleOverride {
     pub tile: Option<(u32, u32)>,
     /// Replace every func's PGSM staging choice.
     pub load_pgsm: Option<bool>,
-    /// Replace every func's SIMD vector width (1, 2 or 4).
-    pub vectorize: Option<u32>,
     /// Rewrite the `compute_root` kernel-boundary structure.
     pub compute_root: ComputeRootPolicy,
 }
@@ -249,7 +247,6 @@ impl ScheduleOverride {
             },
             tile: self.tile.unwrap_or(base.tile),
             load_pgsm: self.load_pgsm.unwrap_or(base.load_pgsm),
-            vectorize: self.vectorize.unwrap_or(base.vectorize),
         }
     }
 }
@@ -267,9 +264,6 @@ impl fmt::Display for ScheduleOverride {
         }
         if let Some(p) = self.load_pgsm {
             parts.push(format!("pgsm={}", if p { "on" } else { "off" }));
-        }
-        if let Some(v) = self.vectorize {
-            parts.push(format!("vec={v}"));
         }
         if self.compute_root != ComputeRootPolicy::Keep {
             parts.push(format!("root={}", self.compute_root.name()));
@@ -472,21 +466,19 @@ mod tests {
         let ov = ScheduleOverride {
             tile: Some((16, 4)),
             load_pgsm: Some(false),
-            vectorize: None,
             compute_root: ComputeRootPolicy::OutputOnly,
         };
         let re = w.with_override(&ov).unwrap();
         for (name, s) in re.pipeline.schedule_knobs() {
             assert_eq!(s.tile, (16, 4), "{name}");
             assert!(!s.load_pgsm, "{name}");
-            assert_eq!(s.vectorize, 4, "{name} keeps the hand width");
         }
         // OutputOnly: blur_x is no longer a root, so it inlines.
         assert_eq!(re.pipeline.root_stages().len(), 1);
         // The original still has both roots.
         assert_eq!(w.pipeline.root_stages().len(), 2);
         // Bad overrides are rejected with the workload named.
-        let bad = ScheduleOverride { vectorize: Some(3), ..ScheduleOverride::default() };
+        let bad = ScheduleOverride { tile: Some((0, 4)), ..ScheduleOverride::default() };
         assert!(w.with_override(&bad).unwrap_err().contains("Blur"));
     }
 
@@ -501,11 +493,10 @@ mod tests {
         let full = ScheduleOverride {
             tile: Some((8, 8)),
             load_pgsm: Some(true),
-            vectorize: Some(4),
             compute_root: ComputeRootPolicy::All,
         };
         assert!(!full.is_empty());
-        assert_eq!(full.to_string(), "tile=8x8,pgsm=on,vec=4,root=all");
+        assert_eq!(full.to_string(), "tile=8x8,pgsm=on,root=all");
     }
 
     #[test]

@@ -31,15 +31,15 @@ pub fn bilateral_grid(scale: WorkloadScale) -> Workload {
             + input.at(2 * x() + 1, 2 * y() + 1))
             / 4.0,
     );
-    p.schedule(grid).compute_root().ipim_tile(8, 8).load_pgsm().vectorize(4);
+    p.schedule(grid).compute_root().ipim_tile(8, 8).load_pgsm();
 
     // Stages 2–3: blur the grid.
     let gx = p.func("grid_blur_x", w / 2, h / 2);
     p.define(gx, (grid.at(x() - 1, y()) + grid.at(x(), y()) + grid.at(x() + 1, y())) / 3.0);
-    p.schedule(gx).compute_root().ipim_tile(8, 8).load_pgsm().vectorize(4);
+    p.schedule(gx).compute_root().ipim_tile(8, 8).load_pgsm();
     let gy = p.func("grid_blur_y", w / 2, h / 2);
     p.define(gy, (gx.at(x(), y() - 1) + gx.at(x(), y()) + gx.at(x(), y() + 1)) / 3.0);
-    p.schedule(gy).compute_root().ipim_tile(8, 8).load_pgsm().vectorize(4);
+    p.schedule(gy).compute_root().ipim_tile(8, 8).load_pgsm();
 
     // Stage 4: slice — upsample the blurred grid and blend by the
     // range-kernel weight looked up from the pixel's own value.
@@ -47,7 +47,7 @@ pub fn bilateral_grid(scale: WorkloadScale) -> Workload {
     let base = gy.at(x() / 2, y() / 2);
     let weight = lut.at((input.at(x(), y()) * 63.9).cast_i32(), 0);
     p.define(out, base.clone() * weight.clone() + input.at(x(), y()) * (1.0 - weight));
-    p.schedule(out).compute_root().ipim_tile(8, 8).vectorize(4);
+    p.schedule(out).compute_root().ipim_tile(8, 8);
 
     let pipeline = p.build(out).expect("bilateral grid pipeline");
     Workload {
@@ -76,10 +76,10 @@ fn down_pair(
 ) -> SourceRef {
     let dx = p.func(&format!("{name}_x"), w / 2, h);
     p.define(dx, (src.at(2 * x(), y()) + src.at(2 * x() + 1, y())) / 2.0);
-    p.schedule(dx).compute_root().ipim_tile(tile.0, tile.1).load_pgsm().vectorize(4);
+    p.schedule(dx).compute_root().ipim_tile(tile.0, tile.1).load_pgsm();
     let d = p.func(name, w / 2, h / 2);
     p.define(d, (dx.at(x(), 2 * y()) + dx.at(x(), 2 * y() + 1)) / 2.0);
-    p.schedule(d).compute_root().ipim_tile(tile.0, tile.1).load_pgsm().vectorize(4);
+    p.schedule(d).compute_root().ipim_tile(tile.0, tile.1).load_pgsm();
     d
 }
 
@@ -95,7 +95,7 @@ pub fn interpolate(scale: WorkloadScale) -> Workload {
     // 1: alpha pre-weighting.
     let alpha = p.func("alpha", w, h);
     p.define(alpha, input.at(x(), y()) * 0.5 + 0.25);
-    p.schedule(alpha).compute_root().ipim_tile(tile.0, tile.1).vectorize(4);
+    p.schedule(alpha).compute_root().ipim_tile(tile.0, tile.1);
 
     // 2–3: level 1; 4–5: level 2.
     let d1 = down_pair(&mut p, "d1", alpha, w, h, tile);
@@ -104,31 +104,31 @@ pub fn interpolate(scale: WorkloadScale) -> Workload {
     // 6: coarse smooth.
     let s2 = p.func("s2", w / 4, h / 4);
     p.define(s2, (d2.at(x() - 1, y()) + d2.at(x(), y()) + d2.at(x() + 1, y())) / 3.0);
-    p.schedule(s2).compute_root().ipim_tile(tile.0, tile.1).load_pgsm().vectorize(4);
+    p.schedule(s2).compute_root().ipim_tile(tile.0, tile.1).load_pgsm();
 
     // 7–8: upsample-blend into level 1, then smooth.
     let u1 = p.func("u1", w / 2, h / 2);
     p.define(u1, (s2.at(x() / 2, y() / 2) + d1.at(x(), y())) / 2.0);
-    p.schedule(u1).compute_root().ipim_tile(tile.0, tile.1).vectorize(4);
+    p.schedule(u1).compute_root().ipim_tile(tile.0, tile.1);
     let s1 = p.func("s1", w / 2, h / 2);
     p.define(s1, (u1.at(x() - 1, y()) + u1.at(x(), y()) + u1.at(x() + 1, y())) / 3.0);
-    p.schedule(s1).compute_root().ipim_tile(tile.0, tile.1).load_pgsm().vectorize(4);
+    p.schedule(s1).compute_root().ipim_tile(tile.0, tile.1).load_pgsm();
 
     // 9–10: upsample-blend into level 0, then smooth.
     let u0 = p.func("u0", w, h);
     p.define(u0, (s1.at(x() / 2, y() / 2) + alpha.at(x(), y())) / 2.0);
-    p.schedule(u0).compute_root().ipim_tile(tile.0, tile.1).vectorize(4);
+    p.schedule(u0).compute_root().ipim_tile(tile.0, tile.1);
     let s0 = p.func("s0", w, h);
     p.define(s0, (u0.at(x(), y() - 1) + u0.at(x(), y()) + u0.at(x(), y() + 1)) / 3.0);
-    p.schedule(s0).compute_root().ipim_tile(tile.0, tile.1).load_pgsm().vectorize(4);
+    p.schedule(s0).compute_root().ipim_tile(tile.0, tile.1).load_pgsm();
 
     // 11: normalize by the alpha weight; 12: clamp.
     let norm = p.func("norm", w, h);
     p.define(norm, s0.at(x(), y()) / (alpha.at(x(), y()) + 0.5));
-    p.schedule(norm).compute_root().ipim_tile(tile.0, tile.1).vectorize(4);
+    p.schedule(norm).compute_root().ipim_tile(tile.0, tile.1);
     let out = p.func("out", w, h);
     p.define(out, norm.at(x(), y()).clamp(0.0, 1.0));
-    p.schedule(out).compute_root().ipim_tile(tile.0, tile.1).vectorize(4);
+    p.schedule(out).compute_root().ipim_tile(tile.0, tile.1);
 
     let pipeline = p.build(out).expect("interpolate pipeline");
     assert_eq!(pipeline.stage_count(), 12, "stage count matches Table II");
@@ -160,7 +160,7 @@ pub fn local_laplacian(scale: WorkloadScale) -> Workload {
     let mut p = PipelineBuilder::new();
     let input = p.input("in", w, h);
     let root = |p: &mut PipelineBuilder, f: SourceRef, pgsm: bool| {
-        let s = p.schedule(f).compute_root().ipim_tile(tile.0, tile.1).vectorize(4);
+        let s = p.schedule(f).compute_root().ipim_tile(tile.0, tile.1);
         if pgsm {
             s.load_pgsm();
         }
@@ -298,7 +298,7 @@ pub fn stencil_chain(scale: WorkloadScale) -> Workload {
                 + prev.at(x() + 1, y() + 1))
                 / 9.0,
         );
-        p.schedule(f).compute_root().ipim_tile(tile.0, tile.1).load_pgsm().vectorize(4);
+        p.schedule(f).compute_root().ipim_tile(tile.0, tile.1).load_pgsm();
         prev = f;
         last = f;
     }

@@ -69,7 +69,7 @@ pub fn gemm(scale: WorkloadScale) -> Workload {
             e = e + product(t);
         }
         p.define(f, e);
-        p.schedule(f).compute_root().ipim_tile(w, th).vectorize(4);
+        p.schedule(f).compute_root().ipim_tile(w, th);
         prev = Some(f);
     }
     let out = prev.expect("at least one accumulation stage");
@@ -128,10 +128,10 @@ pub fn conv3x3(scale: WorkloadScale) -> Workload {
         e = e + tap(i);
     }
     p.define(acc, e);
-    p.schedule(acc).compute_root().ipim_tile(tile.0, tile.1).load_pgsm().vectorize(4);
+    p.schedule(acc).compute_root().ipim_tile(tile.0, tile.1).load_pgsm();
     let out = p.func("act", w, h);
     p.define(out, lut.at((acc.at(x(), y()) * 63.9).cast_i32(), 0));
-    p.schedule(out).compute_root().ipim_tile(tile.0, tile.1).vectorize(4);
+    p.schedule(out).compute_root().ipim_tile(tile.0, tile.1);
     let pipeline = p.build(out).expect("conv3x3 pipeline");
     Workload {
         name: "Conv3x3",
@@ -181,7 +181,7 @@ pub fn row_softmax(scale: WorkloadScale) -> Workload {
     let mut p = PipelineBuilder::new();
     let input = p.input("in", w, h);
     let root = |p: &mut PipelineBuilder, f: SourceRef, fw: u32| {
-        p.schedule(f).compute_root().ipim_tile(fw, th).vectorize(4);
+        p.schedule(f).compute_root().ipim_tile(fw, th);
     };
 
     // Max-reduction tree.

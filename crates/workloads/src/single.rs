@@ -24,7 +24,7 @@ pub fn brighten(scale: WorkloadScale) -> Workload {
     let out = p.func("out", w, h);
     p.define(out, input.at(x(), y()) * 1.5);
     let t = simple_tile(w);
-    p.schedule(out).compute_root().ipim_tile(t.0, t.1).vectorize(4);
+    p.schedule(out).compute_root().ipim_tile(t.0, t.1);
     let pipeline = p.build(out).expect("brighten pipeline");
     Workload {
         name: "Brighten",
@@ -48,10 +48,10 @@ pub fn blur(scale: WorkloadScale) -> Workload {
     let bx = p.func("blur_x", w, h);
     p.define(bx, (input.at(x(), y()) + input.at(x() + 1, y()) + input.at(x() + 2, y())) / 3.0);
     let t = simple_tile(w);
-    p.schedule(bx).compute_root().ipim_tile(t.0, t.1).load_pgsm().vectorize(4);
+    p.schedule(bx).compute_root().ipim_tile(t.0, t.1).load_pgsm();
     let out = p.func("blur_y", w, h);
     p.define(out, (bx.at(x(), y()) + bx.at(x(), y() + 1) + bx.at(x(), y() + 2)) / 3.0);
-    p.schedule(out).compute_root().ipim_tile(t.0, t.1).load_pgsm().vectorize(4);
+    p.schedule(out).compute_root().ipim_tile(t.0, t.1).load_pgsm();
     let pipeline = p.build(out).expect("blur pipeline");
     Workload {
         name: "Blur",
@@ -79,13 +79,13 @@ pub fn downsample(scale: WorkloadScale) -> Workload {
             / 4.0,
     );
     let t = simple_tile(w / 2);
-    p.schedule(d).compute_root().ipim_tile(t.0, t.1).load_pgsm().vectorize(4);
+    p.schedule(d).compute_root().ipim_tile(t.0, t.1).load_pgsm();
     let out = p.func("out", w / 2, h / 2);
     p.define(
         out,
         (d.at(x(), 2 * y() - 1) + d.at(x(), 2 * y()) * 2.0 + d.at(x(), 2 * y() + 1)) / 4.0,
     );
-    p.schedule(out).compute_root().ipim_tile(t.0, t.1).load_pgsm().vectorize(4);
+    p.schedule(out).compute_root().ipim_tile(t.0, t.1).load_pgsm();
     let pipeline = p.build(out).expect("downsample pipeline");
     Workload {
         name: "Downsample",
@@ -112,10 +112,10 @@ pub fn upsample(scale: WorkloadScale) -> Workload {
     let u = p.func("u", ow, ih);
     p.define(u, (input.at(x() / 2, y()) + input.at((x() + 1) / 2, y())) / 2.0);
     let t = simple_tile(ow);
-    p.schedule(u).compute_root().ipim_tile(t.0, t.1).vectorize(4);
+    p.schedule(u).compute_root().ipim_tile(t.0, t.1);
     let out = p.func("out", ow, oh);
     p.define(out, (u.at(x(), y() / 2) + u.at(x(), (y() + 1) / 2)) / 2.0);
-    p.schedule(out).compute_root().ipim_tile(t.0, t.1).vectorize(4);
+    p.schedule(out).compute_root().ipim_tile(t.0, t.1);
     let pipeline = p.build(out).expect("upsample pipeline");
     Workload {
         name: "Upsample",
@@ -139,7 +139,7 @@ pub fn shift(scale: WorkloadScale) -> Workload {
     let out = p.func("out", w, h);
     p.define(out, input.at(x() - 4, y() - 4));
     let t = simple_tile(w);
-    p.schedule(out).compute_root().ipim_tile(t.0, t.1).vectorize(4);
+    p.schedule(out).compute_root().ipim_tile(t.0, t.1);
     let pipeline = p.build(out).expect("shift pipeline");
     Workload {
         name: "Shift",

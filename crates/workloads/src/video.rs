@@ -20,7 +20,7 @@ pub fn frame_delta(scale: WorkloadScale) -> Workload {
     let prev = p.input("prev", w, h);
     let out = p.func("delta", w, h);
     p.define(out, (cur.at(x(), y()) - prev.at(x(), y())).abs());
-    p.schedule(out).compute_root().ipim_tile(tile.0, tile.1).vectorize(4);
+    p.schedule(out).compute_root().ipim_tile(tile.0, tile.1);
     let pipeline = p.build(out).expect("frame delta pipeline");
     Workload {
         name: "FrameDelta",
@@ -47,7 +47,7 @@ pub fn temporal_blur(scale: WorkloadScale) -> Workload {
     let f2 = p.input("frame2", w, h);
     let out = p.func("tblur", w, h);
     p.define(out, (f0.at(x(), y()) + f1.at(x(), y()) * 2.0 + f2.at(x(), y())) / 4.0);
-    p.schedule(out).compute_root().ipim_tile(tile.0, tile.1).vectorize(4);
+    p.schedule(out).compute_root().ipim_tile(tile.0, tile.1);
     let pipeline = p.build(out).expect("temporal blur pipeline");
     Workload {
         name: "TemporalBlur",
@@ -82,7 +82,7 @@ pub fn motion_energy(scale: WorkloadScale) -> Workload {
     let d = p.func("d2", w, h);
     let diff = cur.at(x(), y()) - prev.at(x(), y());
     p.define(d, diff.clone() * diff);
-    p.schedule(d).compute_root().ipim_tile(tile.0, tile.1).vectorize(4);
+    p.schedule(d).compute_root().ipim_tile(tile.0, tile.1);
     let out = p.func("energy", w, h);
     p.define(
         out,
@@ -97,7 +97,7 @@ pub fn motion_energy(scale: WorkloadScale) -> Workload {
             + d.at(x() + 1, y() + 1))
             / 9.0,
     );
-    p.schedule(out).compute_root().ipim_tile(tile.0, tile.1).load_pgsm().vectorize(4);
+    p.schedule(out).compute_root().ipim_tile(tile.0, tile.1).load_pgsm();
     let pipeline = p.build(out).expect("motion energy pipeline");
     Workload {
         name: "MotionEnergy",

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let v = input.at(x(), y());
     let remapped = lut.at((v.clone() * (N as f32 - 0.5)).cast_i32(), 0);
     p.define(out, v * 0.3 + remapped * 0.7);
-    p.schedule(out).compute_root().ipim_tile(8, 8).vectorize(4);
+    p.schedule(out).compute_root().ipim_tile(8, 8);
     let pipeline = p.build(out)?;
 
     // An S-shaped tone curve.

@@ -16,8 +16,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     p.define(out, (blurx.at(x(), y() - 1) + blurx.at(x(), y()) + blurx.at(x(), y() + 1)) / 3.0);
 
     // --- Schedule (paper Listing 1): tile over the PE hierarchy, stage
-    //     tiles in the process-group scratchpad, vectorize by 4 lanes. ---
-    p.schedule(out).compute_root().ipim_tile(8, 8).load_pgsm().vectorize(4);
+    //     tiles in the process-group scratchpad. ---
+    p.schedule(out).compute_root().ipim_tile(8, 8).load_pgsm();
     let pipeline = p.build(out)?;
 
     // --- Compile and run on a one-vault slice (32 near-bank PEs). ---

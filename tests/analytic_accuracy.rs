@@ -220,8 +220,8 @@ fn slow_analytic_accuracy_128() {
 
 #[test]
 fn analytic_preserves_recorded_tuning_ranks() {
-    // PR 5's sweep found tile=32x8 + PGSM staging beating Blur's hand
-    // schedule 1.79× at 128² (16272 → 9084 cycles, results/tuning.jsonl).
+    // A tuner sweep found tile=32x8 + PGSM staging beating Blur's hand
+    // schedule 1.79× at 128² (16272 → 9084 cycles on the cycle engine).
     // The analytic model must reproduce that order from the compiled
     // programs alone — this is the property the hill-climb short-list
     // stands on.
@@ -230,7 +230,6 @@ fn analytic_preserves_recorded_tuning_ranks() {
         .with_override(&ScheduleOverride {
             tile: Some((32, 8)),
             load_pgsm: Some(true),
-            vectorize: Some(4),
             ..ScheduleOverride::default()
         })
         .expect("recorded winner override applies");

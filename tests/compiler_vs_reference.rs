@@ -33,7 +33,7 @@ fn build_pipeline(taps: &[Tap]) -> (ipim_core::frontend::Pipeline, Image) {
     }
     let out = p.func("out", 64, 64);
     p.define(out, e.expect("at least one tap"));
-    p.schedule(out).compute_root().ipim_tile(8, 8).load_pgsm().vectorize(4);
+    p.schedule(out).compute_root().ipim_tile(8, 8).load_pgsm();
     (p.build(out).expect("valid pipeline"), Image::gradient(64, 64))
 }
 
