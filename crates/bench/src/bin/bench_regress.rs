@@ -1,147 +1,186 @@
-//! CI perf-regression gate for the cycle engines.
+//! CI perf gate: every host-speed verdict in one binary, each comparing
+//! two readings taken through one measurement path. Exits non-zero when
+//! any verdict fails.
 //!
-//! Re-measures the `end_to_end/legacy` and `end_to_end/skip_ahead` kernels
-//! (the same compile+simulate+verify loop `benches/figures.rs` records) and
-//! diffs their `min_ns` against the committed baseline in
-//! `results/figures.jsonl`. Because CI machines differ from the machine
-//! that recorded the baseline, both sides are normalized by the
-//! `fig01_gpu_profile` entry — a pure-computation kernel that tracks
-//! machine speed but not simulator regressions, measured fresh by
-//! `ipim_report::measure_anchor` (the matrix anchor's own estimator).
-//!
-//! Exits non-zero when a gated entry's normalized `min_ns` regresses by
-//! more than the threshold (default 25 %), or when the engine race fails:
-//! both kernels run StencilChain 128² on the same 1-vault slice, so
-//! skip-ahead's fresh `min_ns` must be strictly below legacy's and the two
-//! engines must report equal simulated cycles.
+//! * **Engines +25 %.** Compile+simulate+verify of StencilChain 128² on a
+//!   1-vault slice under the legacy and skip-ahead engines, normalized by
+//!   the `fig01_gpu_profile` machine-speed anchor (a pure-computation
+//!   kernel that tracks host speed but not simulator regressions), against
+//!   `results/figures.jsonl`. When that file does not exist, this run's
+//!   measurement is written to it and gated against itself: re-recording
+//!   the baseline is "delete the file, run the gate".
+//! * **Engine race.** From the same measurement, skip-ahead must be
+//!   strictly faster than legacy, with equal simulated cycles.
+//! * **Analytic race.** On a tuner-shaped StencilChain 64² candidate wave,
+//!   the analytic tier must be at least 100× faster than skip-ahead and
+//!   pick the bit-exact winner: the two properties the tuner's short-list
+//!   depends on.
+//! * **Matrix drift** (`--matrix`). A fresh `matrix.jsonl` against the
+//!   committed `results/matrix.jsonl` ([`gate_matrix`]).
 //!
 //! ```text
-//! cargo run --release -p ipim-bench --bin bench_regress -- \
-//!     --baseline results/figures.jsonl [--threshold 25] [--fresh new.jsonl] \
-//!     [--serve-fresh serve.jsonl] [--matrix matrix.jsonl]
+//! cargo run --release -p ipim-bench --bin bench_regress -- [--matrix matrix_fresh.jsonl]
 //! ```
-//!
-//! With `--fresh`, no measurement runs: the two files are diffed directly
-//! (useful for comparing two recorded runs), and the engine race is
-//! checked on the fresh file's entries. Entries without a `cycles` field
-//! (the bench-recorded ones) carry no cycles to compare.
-//!
-//! With `--serve-fresh`, `serve/throughput/*` and `shard/throughput/*`
-//! entries from a just-measured loadgen run are gated against the baseline
-//! too — but **only** baseline
-//! entries whose recorded `cores` field matches this machine's core count
-//! (and whose `mix`/`transport` match the fresh entry's). Throughput
-//! numbers depend on physical parallelism in a way the single-core
-//! normalizer cannot correct for, so cross-machine comparisons are skipped
-//! with a message instead of producing false regressions.
-//!
-//! With `--matrix`, a fresh `matrix.jsonl` (from `ipim-report`'s `matrix`
-//! bin) is gated against the committed `results/matrix.jsonl` (override
-//! with `--matrix-baseline`): a schema-version mismatch fails outright;
-//! per cell, simulated `cycles` are deterministic and fail on >threshold
-//! upward drift un-normalized, while `wall_ns` is normalized by the
-//! `fig01_gpu_profile` anchor *recorded inside each matrix file* and
-//! gated only for cells whose baseline wall time clears the 50 ms noise
-//! floor (`MATRIX_WALL_FLOOR_NS`). Cells present on only one side
-//! loud-skip.
+
+use std::time::Instant;
 
 use ipim_core::experiments::verify_against_reference;
 use ipim_core::trace::json;
-use ipim_core::{workload_by_name, Engine, MachineConfig, Session, WorkloadScale};
-use ipim_report::{measure_anchor, min_ns_of};
+use ipim_core::{
+    workload_by_name, Engine, Fidelity, MachineConfig, ScheduleOverride, Session, WorkloadScale,
+};
+use ipim_report::measure_anchor;
 
-/// The entries the gate enforces.
-const GATED: [&str; 2] = ["end_to_end/legacy", "end_to_end/skip_ahead"];
+/// The committed engine baselines, read and written only by this gate.
+const BASELINE: &str = "results/figures.jsonl";
+/// The committed matrix the `--matrix` gate compares against.
+const MATRIX_BASELINE: &str = "results/matrix.jsonl";
 /// The machine-speed normalizer entry.
 const NORMALIZER: &str = ipim_report::ANCHOR_NAME;
+/// The engine entries, legacy first.
+const ENGINES: [&str; 2] = ["end_to_end/legacy", "end_to_end/skip_ahead"];
+/// Upward drift past which a timed entry or a matrix cell fails, in percent.
+const THRESHOLD_PCT: f64 = 25.0;
+/// Timed rounds of the engine measurement, after one warm-up round.
+const ROUNDS: u32 = 3;
+/// Cycle budget of every gated simulation.
+const MAX_CYCLES: u64 = 4_000_000_000;
+/// Image side of the analytic race's StencilChain wave.
+const RACE_SCALE: u32 = 64;
+/// How many times faster than skip-ahead the analytic wave must run.
+const RACE_FLOOR: f64 = 100.0;
 
-/// One figures-file entry, with the context fields the serve gate needs.
+/// One timed entry of `results/figures.jsonl`.
+#[derive(Debug, Clone, PartialEq)]
 struct Entry {
     name: String,
     min_ns: u64,
-    /// Core count the entry was recorded on (serve entries only).
-    cores: Option<u64>,
-    /// Workload mix (serve entries only).
-    mix: Option<String>,
-    /// Transport: "inproc" | "stream" | "shard" (absent = inproc).
-    transport: String,
-    /// Simulated cycles (engine entries this gate measured itself).
+    /// Simulated cycles (the engine entries).
     cycles: Option<u64>,
 }
 
-/// Parses a `results/figures.jsonl` file.
-fn parse_jsonl(path: &str) -> Vec<Entry> {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path:?}: {e}"));
+/// Renders entries as the baseline file: one JSON object per line.
+fn render_baseline(entries: &[Entry]) -> String {
+    entries
+        .iter()
+        .map(|e| {
+            let cycles = e.cycles.map_or(String::new(), |c| format!(",\"cycles\":{c}"));
+            format!("{{\"name\":\"{}\",\"min_ns\":{}{cycles}}}\n", e.name, e.min_ns)
+        })
+        .collect()
+}
+
+/// Parses the baseline file. A present-but-corrupt baseline is a bug,
+/// not a gap, so it panics.
+fn parse_baseline(text: &str) -> Vec<Entry> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let v = json::parse(line).unwrap_or_else(|e| panic!("{path}:{}: bad JSON: {e}", i + 1));
+        let at = i + 1;
+        let v = json::parse(line).unwrap_or_else(|e| panic!("{BASELINE}:{at}: bad JSON: {e}"));
         let name = v
             .get("name")
             .and_then(json::Value::as_str)
-            .unwrap_or_else(|| panic!("{path}:{}: no name", i + 1));
+            .unwrap_or_else(|| panic!("{BASELINE}:{at}: no name"));
         let min_ns = v
             .get("min_ns")
             .and_then(json::Value::as_f64)
-            .unwrap_or_else(|| panic!("{path}:{}: no min_ns", i + 1));
+            .unwrap_or_else(|| panic!("{BASELINE}:{at}: no min_ns"));
         out.push(Entry {
             name: name.to_string(),
             min_ns: min_ns as u64,
-            cores: v.get("cores").and_then(json::Value::as_f64).map(|c| c as u64),
-            mix: v.get("mix").and_then(json::Value::as_str).map(str::to_string),
-            transport: v
-                .get("transport")
-                .and_then(json::Value::as_str)
-                .unwrap_or("inproc")
-                .to_string(),
             cycles: v.get("cycles").and_then(json::Value::as_f64).map(|c| c as u64),
         });
     }
     out
 }
 
-fn lookup(entries: &[Entry], name: &str) -> Option<u64> {
-    entries.iter().find(|e| e.name == name).map(|e| e.min_ns)
+fn find<'a>(entries: &'a [Entry], name: &str) -> Option<&'a Entry> {
+    entries.iter().find(|e| e.name == name)
 }
 
-/// Measures fresh `min_ns` for the normalizer and both gated entries.
-fn measure_fresh() -> Vec<Entry> {
-    let mut out = Vec::new();
-    let plain = |name: String, min_ns: u64, cycles: Option<u64>| Entry {
-        name,
-        min_ns,
-        cores: None,
-        mix: None,
-        transport: "inproc".to_string(),
-        cycles,
-    };
-    out.push(plain(NORMALIZER.to_string(), measure_anchor().min_ns, None));
+/// Measures the normalizer and both engine entries, each the minimum over
+/// [`ROUNDS`] rounds after a warm-up round. A round runs each engine once,
+/// with an anchor reading before each run. The host's speed drifts over
+/// seconds, and an anchor read only once samples a different stretch of
+/// it than the engines do.
+fn measure_engines() -> Vec<Entry> {
     let scale = WorkloadScale { width: 128, height: 128 };
     let w = workload_by_name("StencilChain", scale).expect("Table II workload");
-    for (label, engine) in [("legacy", Engine::Legacy), ("skip_ahead", Engine::SkipAhead)] {
-        let session = Session::new(MachineConfig { engine, ..MachineConfig::vault_slice(1) });
-        let mut cycles = 0;
-        let min = min_ns_of(1, 2, || {
-            let o = session.run_workload(&w, 4_000_000_000).expect("run");
+    let sessions = [Engine::Legacy, Engine::SkipAhead]
+        .map(|engine| Session::new(MachineConfig { engine, ..MachineConfig::vault_slice(1) }));
+    let mut anchor_ns = u64::MAX;
+    let mut engine_ns = [u64::MAX; 2];
+    let mut cycles = [0; 2];
+    for round in 0..=ROUNDS {
+        for (i, session) in sessions.iter().enumerate() {
+            anchor_ns = anchor_ns.min(measure_anchor().min_ns);
+            let start = Instant::now();
+            let o = session.run_workload(&w, MAX_CYCLES).expect("run");
             verify_against_reference(&w, &o);
-            cycles = o.report.cycles;
-        });
-        out.push(plain(format!("end_to_end/{label}"), min, Some(cycles)));
+            if round > 0 {
+                engine_ns[i] = engine_ns[i].min(start.elapsed().as_nanos() as u64);
+            }
+            cycles[i] = o.report.cycles;
+        }
     }
-    out
+    let engines = ENGINES.into_iter().zip(engine_ns).zip(cycles).map(|((name, min_ns), c)| Entry {
+        name: name.to_string(),
+        min_ns,
+        cycles: Some(c),
+    });
+    std::iter::once(Entry { name: NORMALIZER.to_string(), min_ns: anchor_ns, cycles: None })
+        .chain(engines)
+        .collect()
 }
 
-/// The engine race over the fresh `end_to_end/*` entries: skip-ahead's
-/// `min_ns` must be strictly below legacy's, and both must report the
-/// same cycles. Returns whether the race failed.
-fn gate_race(fresh: &[Entry]) -> bool {
-    let find = |name: &str| fresh.iter().find(|e| e.name == name);
-    let (Some(legacy), Some(skip)) = (find(GATED[0]), find(GATED[1])) else {
-        return false; // a missing entry already failed the per-entry gate
+/// Gates every timed entry against its baseline: a fresh `min_ns` more
+/// than [`THRESHOLD_PCT`] over the anchor-normalized baseline fails, and
+/// so does an entry on only one side or a missing anchor. Returns whether
+/// any entry failed.
+fn gate_entries(baseline: &[Entry], fresh: &[Entry]) -> bool {
+    let norm = match (find(baseline, NORMALIZER), find(fresh, NORMALIZER)) {
+        (Some(b), Some(f)) if b.min_ns > 0 && f.min_ns > 0 => f.min_ns as f64 / b.min_ns as f64,
+        _ => {
+            println!(
+                "FAIL: no {NORMALIZER} entry on both sides; machine speed cannot be factored out"
+            );
+            return true;
+        }
     };
+    println!("machine-speed normalizer ({NORMALIZER}): {norm:.3}x baseline");
+    let mut failed = false;
+    for base in baseline.iter().filter(|e| e.name != NORMALIZER) {
+        let Some(new) = find(fresh, &base.name) else {
+            println!("FAIL: {}: baseline entry has no fresh measurement", base.name);
+            failed = true;
+            continue;
+        };
+        let expected = base.min_ns as f64 * norm;
+        let delta_pct = (new.min_ns as f64 / expected - 1.0) * 100.0;
+        let verdict = if delta_pct > THRESHOLD_PCT { "FAIL" } else { "ok" };
+        println!(
+            "{verdict}: {}: min_ns {} vs normalized baseline {expected:.0} ({delta_pct:+.1} %, \
+             gate +{THRESHOLD_PCT:.0} %)",
+            base.name, new.min_ns
+        );
+        failed |= delta_pct > THRESHOLD_PCT;
+    }
+    for new in fresh.iter().filter(|e| find(baseline, &e.name).is_none()) {
+        println!("FAIL: {}: no baseline entry; delete {BASELINE} and rerun to re-record", new.name);
+        failed = true;
+    }
+    failed
+}
+
+/// The engine race over the fresh engine entries: skip-ahead's `min_ns`
+/// must be strictly below legacy's, and both must report the same
+/// cycles. Returns whether the race failed.
+fn gate_engine_race(fresh: &[Entry]) -> bool {
+    let legacy = find(fresh, ENGINES[0]).expect("legacy was measured");
+    let skip = find(fresh, ENGINES[1]).expect("skip-ahead was measured");
     let faster = skip.min_ns < legacy.min_ns;
     let agree = skip.cycles == legacy.cycles;
     println!(
@@ -157,53 +196,94 @@ fn gate_race(fresh: &[Entry]) -> bool {
     !(faster && agree)
 }
 
-/// Gates `serve/throughput/*` and `shard/throughput/*` entries: compares
-/// a fresh loadgen run against baseline entries recorded on an identical
-/// setup (same core count as this machine, same mix and transport),
-/// skipping — loudly — anything recorded elsewhere. Returns whether any
-/// comparison failed.
-fn gate_serve(baseline: &[Entry], serve_fresh: &[Entry], norm: f64, threshold_pct: f64) -> bool {
-    let machine_cores = std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1);
-    let mut failed = false;
-    for base in baseline.iter().filter(|e| {
-        e.name.starts_with("serve/throughput/") || e.name.starts_with("shard/throughput/")
-    }) {
-        match base.cores {
-            Some(c) if c == machine_cores => {}
-            Some(c) => {
-                println!(
-                    "skip: {}: baseline recorded on {c} core(s), this machine has \
-                     {machine_cores} — not comparable",
-                    base.name
-                );
-                continue;
-            }
-            None => {
-                println!("skip: {}: baseline has no cores field", base.name);
-                continue;
-            }
+/// One analytic-race candidate: its schedule key and both engines' cycles.
+struct Candidate {
+    key: String,
+    skip_cycles: u64,
+    pred_cycles: u64,
+}
+
+/// Runs the analytic race's wave and returns its candidates with the
+/// summed skip-ahead and analytic wall-clock seconds.
+fn measure_analytic_race() -> (Vec<Candidate>, f64, f64) {
+    let base =
+        workload_by_name("StencilChain", WorkloadScale { width: RACE_SCALE, height: RACE_SCALE })
+            .expect("StencilChain is a Table II workload");
+    let skip =
+        Session::new(MachineConfig { engine: Engine::SkipAhead, ..MachineConfig::vault_slice(1) });
+    let analytic =
+        Session::new(MachineConfig { engine: Engine::Analytic, ..MachineConfig::vault_slice(1) });
+
+    // A hill-climb-shaped wave: tile/pgsm neighbours of the hand
+    // schedule, compiled up front (process-wide program cache) so both
+    // engines race on simulation alone — the tuner pays compilation once
+    // at enumeration time for the same reason. Combinations the compiler
+    // rejects are dropped the same way the tuner's legality filter drops
+    // them.
+    let mut compiled = Vec::new();
+    for (tw, th) in [(16u32, 8u32), (8, 16), (8, 8), (16, 16), (32, 8), (8, 32)] {
+        for load_pgsm in [true, false] {
+            let ov = ScheduleOverride {
+                tile: Some((tw, th)),
+                load_pgsm: Some(load_pgsm),
+                ..ScheduleOverride::default()
+            };
+            let Ok(w) = base.with_override(&ov) else { continue };
+            let Ok(p) = skip.compile(&w.pipeline) else { continue };
+            let key = format!("tile={tw}x{th},pgsm={}", if load_pgsm { "on" } else { "off" });
+            compiled.push((key, w, p));
         }
-        let Some(fresh) = serve_fresh
-            .iter()
-            .find(|f| f.name == base.name && f.mix == base.mix && f.transport == base.transport)
-        else {
-            println!(
-                "skip: {}: no fresh entry with mix {:?} / transport {:?}",
-                base.name, base.mix, base.transport
-            );
-            continue;
-        };
-        let expected = base.min_ns as f64 * norm;
-        let delta_pct = (fresh.min_ns as f64 / expected - 1.0) * 100.0;
-        let verdict = if delta_pct > threshold_pct { "FAIL" } else { "ok" };
-        println!(
-            "{verdict}: {}: p50_ns {} vs normalized baseline {:.0} ({delta_pct:+.1} %, \
-             gate +{threshold_pct:.0} %)",
-            base.name, fresh.min_ns, expected
-        );
-        failed |= delta_pct > threshold_pct;
     }
-    failed
+    assert!(compiled.len() >= 4, "candidate wave collapsed to {} legal entries", compiled.len());
+
+    let mut skip_wall = 0.0f64;
+    let mut analytic_wall = 0.0f64;
+    let mut wave = Vec::new();
+    println!(
+        "{:<22} {:>12} {:>12} {:>11} {:>11}",
+        "candidate", "skip_cycles", "pred_cycles", "skip_wall", "pred_wall"
+    );
+    for (key, w, program) in compiled {
+        let t0 = Instant::now();
+        let s = skip.simulate(&program, &w.inputs, MAX_CYCLES).expect("skip-ahead run");
+        let st = t0.elapsed().as_secs_f64();
+        let t1 = Instant::now();
+        let p = analytic.simulate(&program, &w.inputs, MAX_CYCLES).expect("analytic predict");
+        let pt = t1.elapsed().as_secs_f64();
+        assert_eq!(p.fidelity, Fidelity::Approximate);
+        skip_wall += st;
+        analytic_wall += pt;
+        println!(
+            "{:<22} {:>12} {:>12} {:>10.3}s {:>10.6}s",
+            key, s.report.cycles, p.report.cycles, st, pt
+        );
+        wave.push(Candidate { key, skip_cycles: s.report.cycles, pred_cycles: p.report.cycles });
+    }
+    (wave, skip_wall, analytic_wall)
+}
+
+/// The analytic race's verdict: the analytic wave must be at least
+/// [`RACE_FLOOR`]× faster, and its best candidate must be the wave's true
+/// best (ties by key, the rule the tuner applies). Returns whether the
+/// race failed.
+fn gate_analytic_race(wave: &[Candidate], skip_wall: f64, analytic_wall: f64) -> bool {
+    let speedup = skip_wall / analytic_wall.max(1e-9);
+    println!(
+        "wave of {}: skip-ahead {skip_wall:.3} s, analytic {analytic_wall:.6} s — {speedup:.0}x",
+        wave.len()
+    );
+    let true_best = wave.iter().min_by_key(|c| (c.skip_cycles, &c.key)).expect("non-empty wave");
+    let pred_best = wave.iter().min_by_key(|c| (c.pred_cycles, &c.key)).expect("non-empty wave");
+    let agree = true_best.key == pred_best.key;
+    let fast = speedup >= RACE_FLOOR;
+    println!(
+        "{}: analytic race: {speedup:.0}x over skip-ahead (must be >= {RACE_FLOOR:.0}x); \
+         analytic picks {}, the bit-exact winner is {} (must agree)",
+        if fast && agree { "ok" } else { "FAIL" },
+        pred_best.key,
+        true_best.key,
+    );
+    !(fast && agree)
 }
 
 /// The wall-clock noise floor for matrix cells. A cell's `wall_ns` spans
@@ -216,9 +296,12 @@ const MATRIX_WALL_FLOOR_NS: u64 = 50_000_000;
 
 /// Gates a fresh benchmark matrix against the committed baseline. Both
 /// files are schema-checked by the shared `ipim-report` parser (a version
-/// mismatch fails before any comparison). Returns whether any cell
-/// failed.
-fn gate_matrix(baseline_path: &str, fresh_path: &str, threshold_pct: f64) -> bool {
+/// mismatch fails before any comparison). Per cell, simulated `cycles`
+/// fail on more than [`THRESHOLD_PCT`] upward drift, un-normalized;
+/// `wall_ns` is normalized by the anchor recorded inside each file and
+/// gated only above [`MATRIX_WALL_FLOOR_NS`]. Cells on one side only
+/// loud-skip. Returns whether any cell failed.
+fn gate_matrix(fresh_path: &str) -> bool {
     let parse = |path: &str| match ipim_report::read_matrix(std::path::Path::new(path)) {
         Ok(m) => m,
         Err(e) => {
@@ -226,7 +309,7 @@ fn gate_matrix(baseline_path: &str, fresh_path: &str, threshold_pct: f64) -> boo
             std::process::exit(1);
         }
     };
-    let base = parse(baseline_path);
+    let base = parse(MATRIX_BASELINE);
     let fresh = parse(fresh_path);
     // Each matrix file carries its own machine-speed anchor, so the gate
     // needs no entry from figures.jsonl.
@@ -249,26 +332,26 @@ fn gate_matrix(baseline_path: &str, fresh_path: &str, threshold_pct: f64) -> boo
         // normalizer needed (downward drift is an improvement).
         if let (Some(bc), Some(fc)) = (b.cycles, f.cycles) {
             let delta_pct = (fc as f64 / bc as f64 - 1.0) * 100.0;
-            let verdict = if delta_pct > threshold_pct { "FAIL" } else { "ok" };
+            let verdict = if delta_pct > THRESHOLD_PCT { "FAIL" } else { "ok" };
             println!(
                 "{verdict}: matrix {}: cycles {fc} vs baseline {bc} ({delta_pct:+.1} %, \
-                 gate +{threshold_pct:.0} %)",
+                 gate +{THRESHOLD_PCT:.0} %)",
                 b.canonical_key()
             );
-            failed |= delta_pct > threshold_pct;
+            failed |= delta_pct > THRESHOLD_PCT;
         }
         if b.wall_ns >= MATRIX_WALL_FLOOR_NS {
             let expected = b.wall_ns as f64 * norm;
             let delta_pct = (f.wall_ns as f64 / expected - 1.0) * 100.0;
-            let verdict = if delta_pct > threshold_pct { "FAIL" } else { "ok" };
+            let verdict = if delta_pct > THRESHOLD_PCT { "FAIL" } else { "ok" };
             println!(
                 "{verdict}: matrix {}: wall_ns {} vs normalized baseline {:.0} \
-                 ({delta_pct:+.1} %, gate +{threshold_pct:.0} %)",
+                 ({delta_pct:+.1} %, gate +{THRESHOLD_PCT:.0} %)",
                 b.canonical_key(),
                 f.wall_ns,
                 expected
             );
-            failed |= delta_pct > threshold_pct;
+            failed |= delta_pct > THRESHOLD_PCT;
         } else {
             println!(
                 "skip: matrix {}: baseline wall {} ns under the {} ns gate floor",
@@ -293,94 +376,39 @@ fn gate_matrix(baseline_path: &str, fresh_path: &str, threshold_pct: f64) -> boo
 }
 
 fn main() {
-    let mut baseline_path = "results/figures.jsonl".to_string();
-    let mut fresh_path: Option<String> = None;
-    let mut serve_fresh_path: Option<String> = None;
     let mut matrix_fresh_path: Option<String> = None;
-    let mut matrix_baseline_path = "results/matrix.jsonl".to_string();
-    let mut threshold_pct = 25.0f64;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut val = |flag: &str| args.next().unwrap_or_else(|| panic!("{flag} needs a value"));
         match a.as_str() {
-            "--baseline" => baseline_path = val("--baseline"),
-            "--fresh" => fresh_path = Some(val("--fresh")),
-            "--serve-fresh" => serve_fresh_path = Some(val("--serve-fresh")),
-            "--matrix" => matrix_fresh_path = Some(val("--matrix")),
-            "--matrix-baseline" => matrix_baseline_path = val("--matrix-baseline"),
-            "--threshold" => {
-                threshold_pct = val("--threshold").parse().expect("--threshold needs a number");
-            }
-            other => panic!(
-                "unknown argument {other:?} (supported: --baseline FILE --fresh FILE \
-                 --serve-fresh FILE --matrix FILE --matrix-baseline FILE --threshold PCT)"
-            ),
+            "--matrix" => matrix_fresh_path = Some(args.next().expect("--matrix needs a value")),
+            other => panic!("unknown argument {other:?} (supported: --matrix FILE)"),
         }
     }
 
-    // A missing baseline is a recording gap, not a regression: skip the
-    // gate loudly (the same degradation the cores-matched serve gate uses)
-    // instead of panicking, so CI stays green until a baseline lands.
-    if !std::path::Path::new(&baseline_path).exists() {
-        println!(
-            "skip: baseline {baseline_path:?} does not exist — record one with \
-             `cargo bench -p ipim-bench` and commit it; perf gate skipped"
-        );
-        return;
-    }
-    let baseline = parse_jsonl(&baseline_path);
-    let fresh = match &fresh_path {
-        Some(p) => parse_jsonl(p),
-        None => measure_fresh(),
-    };
-
-    // Normalize out machine-speed differences when both sides carry the
-    // normalizer entry; otherwise compare raw.
-    let norm = match (lookup(&baseline, NORMALIZER), lookup(&fresh, NORMALIZER)) {
-        (Some(b), Some(f)) if b > 0 && f > 0 => f as f64 / b as f64,
-        _ => {
-            eprintln!("warning: no {NORMALIZER} entry on both sides; comparing raw min_ns");
-            1.0
+    let fresh = measure_engines();
+    let baseline = match std::fs::read_to_string(BASELINE) {
+        Ok(text) => parse_baseline(&text),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            std::fs::write(BASELINE, render_baseline(&fresh))
+                .unwrap_or_else(|e| panic!("cannot record {BASELINE}: {e}"));
+            println!("recorded: {BASELINE} did not exist; wrote this run's measurement to it");
+            fresh.clone()
         }
+        Err(e) => panic!("cannot read {BASELINE}: {e}"),
     };
-    println!("machine-speed normalizer ({NORMALIZER}): {norm:.3}x baseline");
-
-    let mut failed = false;
-    for name in GATED {
-        let Some(base) = lookup(&baseline, name) else {
-            eprintln!("warning: baseline has no {name:?} entry; skipping");
-            continue;
-        };
-        let Some(new) = lookup(&fresh, name) else {
-            eprintln!("FAIL: fresh results have no {name:?} entry");
-            failed = true;
-            continue;
-        };
-        let expected = base as f64 * norm;
-        let delta_pct = (new as f64 / expected - 1.0) * 100.0;
-        let verdict = if delta_pct > threshold_pct { "FAIL" } else { "ok" };
-        println!(
-            "{verdict}: {name}: min_ns {new} vs normalized baseline {:.0} ({delta_pct:+.1} %, \
-             gate +{threshold_pct:.0} %)",
-            expected
-        );
-        failed |= delta_pct > threshold_pct;
-    }
-    failed |= gate_race(&fresh);
-
-    if let Some(p) = &serve_fresh_path {
-        failed |= gate_serve(&baseline, &parse_jsonl(p), norm, threshold_pct);
-    }
+    let mut failed = gate_entries(&baseline, &fresh);
+    failed |= gate_engine_race(&fresh);
+    let (wave, skip_wall, analytic_wall) = measure_analytic_race();
+    failed |= gate_analytic_race(&wave, skip_wall, analytic_wall);
 
     if let Some(p) = &matrix_fresh_path {
-        // Mirror the figures-baseline degradation: a missing committed
-        // matrix is a recording gap, not a regression.
-        if std::path::Path::new(&matrix_baseline_path).exists() {
-            failed |= gate_matrix(&matrix_baseline_path, p, threshold_pct);
+        // A missing committed matrix is a recording gap, not a regression.
+        if std::path::Path::new(MATRIX_BASELINE).exists() {
+            failed |= gate_matrix(p);
         } else {
             println!(
-                "skip: matrix baseline {matrix_baseline_path:?} does not exist — record one \
-                 with `cargo run --release -p ipim-report --bin matrix` and commit it"
+                "skip: matrix baseline {MATRIX_BASELINE:?} does not exist — record one with \
+                 `cargo run --release -p ipim-report --bin matrix` and commit it"
             );
         }
     }
@@ -388,5 +416,86 @@ fn main() {
     if failed {
         eprintln!("bench_regress: performance gate failed");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(name: &str, min_ns: u64, cycles: Option<u64>) -> Entry {
+        Entry { name: name.to_string(), min_ns, cycles }
+    }
+
+    /// A baseline with anchor 100 ns and both engines at 1000 ns.
+    fn baseline() -> Vec<Entry> {
+        vec![
+            entry(NORMALIZER, 100, None),
+            entry(ENGINES[0], 1000, Some(7)),
+            entry(ENGINES[1], 1000, Some(7)),
+        ]
+    }
+
+    #[test]
+    fn gate_allows_exactly_the_threshold_over_the_normalized_baseline() {
+        // The fresh anchor doubles, so each engine may take 2000 ns × 1.25.
+        let fresh = |skip_ns| {
+            vec![
+                entry(NORMALIZER, 200, None),
+                entry(ENGINES[0], 2000, Some(7)),
+                entry(ENGINES[1], skip_ns, Some(7)),
+            ]
+        };
+        assert!(!gate_entries(&baseline(), &fresh(2500)), "+25 % exactly passes");
+        assert!(gate_entries(&baseline(), &fresh(2501)), "just over +25 % fails");
+    }
+
+    #[test]
+    fn gate_fails_an_entry_on_one_side_or_a_missing_anchor() {
+        let mut fresh = baseline();
+        fresh.retain(|e| e.name != ENGINES[1]);
+        assert!(gate_entries(&baseline(), &fresh), "baseline entry with no fresh partner");
+        let mut base = baseline();
+        base.retain(|e| e.name != ENGINES[1]);
+        assert!(gate_entries(&base, &baseline()), "fresh entry with no baseline");
+        let mut fresh = baseline();
+        fresh.retain(|e| e.name != NORMALIZER);
+        assert!(gate_entries(&baseline(), &fresh), "no anchor to normalize by");
+        assert!(!gate_entries(&baseline(), &baseline()), "a baseline passes against itself");
+    }
+
+    #[test]
+    fn engine_race_needs_a_strictly_faster_skip_ahead_with_equal_cycles() {
+        let race = |skip_ns, skip_cycles| {
+            gate_engine_race(&[
+                entry(ENGINES[0], 1000, Some(7)),
+                entry(ENGINES[1], skip_ns, Some(skip_cycles)),
+            ])
+        };
+        assert!(!race(999, 7), "faster with equal cycles passes");
+        assert!(race(1000, 7), "a tie is not faster");
+        assert!(race(999, 8), "cycles must agree");
+    }
+
+    #[test]
+    fn analytic_race_needs_the_floor_and_the_same_winner_ties_broken_by_key() {
+        let cand = |key: &str, skip_cycles, pred_cycles| Candidate {
+            key: key.to_string(),
+            skip_cycles,
+            pred_cycles,
+        };
+        // Tied bit-exact cycles: the smaller key wins on both sides.
+        let agree = [cand("tile=8x8", 50, 60), cand("tile=16x8", 50, 60)];
+        assert!(!gate_analytic_race(&agree, 25.0, 0.25), "100x exactly with agreement passes");
+        assert!(gate_analytic_race(&agree, 24.0, 0.25), "96x is under the floor");
+        // The tie-break picks tile=16x8 as the true best; analytic picks tile=8x8.
+        let disagree = [cand("tile=8x8", 50, 59), cand("tile=16x8", 50, 60)];
+        assert!(gate_analytic_race(&disagree, 100.0, 0.25), "winner disagreement fails");
+    }
+
+    #[test]
+    fn a_recorded_baseline_reads_back_as_the_same_entries() {
+        let entries = baseline();
+        assert_eq!(parse_baseline(&render_baseline(&entries)), entries);
     }
 }

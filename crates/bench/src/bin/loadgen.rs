@@ -4,10 +4,7 @@
 //! `ServePool` with `--workers` workers. Each client draws `--requests`
 //! jobs from a seeded simkit PRNG over the chosen `--mix`, submits one at a
 //! time, and records the response latency. At the end it reports throughput
-//! and p50/p95/p99 latency, and (with `--append-figures`) appends a
-//! `serve/throughput/...` JSONL entry compatible with
-//! `results/figures.jsonl` (`min_ns` carries the p50 so `bench_regress` can
-//! parse the file).
+//! and p50/p95/p99 latency.
 //!
 //! The run **fails** (exit 1) on any `Error` response or any timeout that
 //! is not an explicit deadline shed — a deadlock or a lost reply can only
@@ -20,17 +17,14 @@
 //!
 //! With `--shard N`, clients drive an `ipim-shard` router over N local
 //! streaming-TCP backends (each its own `ServePool` with `--workers`
-//! workers) — the end-to-end exercise of the distributed tier: two-choice
+//! workers behind `serve_tcp`, the `ipim_served --stream --tcp` shape) —
+//! the end-to-end exercise of the distributed tier: two-choice
 //! consistent hashing, per-backend windows, retry machinery and all. The
 //! summary prints the router's spill count (jobs sent to their second
 //! choice) and each backend's answered count. `--verify` then
 //! checks every unique request's output hash, **report hash** and echoed
 //! cache **fingerprint** against a serial in-process run, which is the
-//! sharded-equals-serial determinism gate CI leans on. The figures entry
-//! becomes `shard/throughput/backendsN`; as with the serve entries, the
-//! recorded `cores` field is what makes numbers comparable (a single-core
-//! container serializes all backends, so absolute throughput there is not
-//! comparable to multi-core runs).
+//! sharded-equals-serial determinism gate CI leans on.
 //!
 //! Flags: `--workers N` (default 4) · `--clients N` (default = workers) ·
 //! `--requests M` per client (default 8) · `--seed S` (default 7) ·
@@ -38,8 +32,7 @@
 //! traffic: workload × size spread with per-class deadlines) · `--cache N`
 //! (default 0: caching off so throughput numbers are honest) · `--stream` ·
 //! `--shard N` · `--verify` re-run each unique request serially and compare
-//! bit-for-bit · `--watchdog-secs T` (default 600) ·
-//! `--append-figures PATH`.
+//! bit-for-bit · `--watchdog-secs T` (default 600).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -49,7 +42,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ipim_core::trace::json;
-use ipim_serve::server::serve_stream;
+use ipim_serve::server::{serve_stream, serve_tcp};
 use ipim_serve::{
     image_hash, report_hash, PoolConfig, ServePool, SimRequest, SimResponse, TimeoutKind,
 };
@@ -66,7 +59,6 @@ struct Options {
     shard: usize,
     verify: bool,
     watchdog_secs: u64,
-    append_figures: Option<String>,
 }
 
 /// What one request came back as, seen from the client side — the common
@@ -169,7 +161,6 @@ fn parse_args() -> Options {
         shard: 0,
         verify: false,
         watchdog_secs: 600,
-        append_figures: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -186,7 +177,6 @@ fn parse_args() -> Options {
             "--watchdog-secs" => {
                 opts.watchdog_secs = num("--watchdog-secs", val("--watchdog-secs"));
             }
-            "--append-figures" => opts.append_figures = Some(val("--append-figures")),
             "--stream" => opts.stream = true,
             "--shard" => opts.shard = num("--shard", val("--shard")) as usize,
             "--verify" => opts.verify = true,
@@ -201,7 +191,7 @@ fn parse_args() -> Options {
             other => panic!(
                 "unknown argument {other:?} (supported: --workers N --clients N --requests M \
                  --seed S --mix fast|mixed|table2 --cache N --stream --shard N --verify \
-                 --watchdog-secs T --append-figures PATH)"
+                 --watchdog-secs T)"
             ),
         }
     }
@@ -275,11 +265,6 @@ fn mix_requests(mix: &str) -> Vec<SimRequest> {
     }
 }
 
-/// One local shard backend: a `ServePool` behind a loopback listener,
-/// serving every accepted connection in streaming mode on its own thread
-/// (the `ipim_served --stream --tcp` shape, in-process). The accept
-/// thread is detached — backends live until the process exits; the
-/// returned pool handle is kept for end-of-run metrics.
 /// A spawned local backend: its listen address and its pool handle (kept
 /// for end-of-run metrics).
 type LocalBackend = (String, Arc<ServePool>);
@@ -288,21 +273,17 @@ type LocalBackend = (String, Arc<ServePool>);
 /// and (when the transport carries one) its report hash.
 type Witness = (SimRequest, u64, Option<u64>);
 
+/// One local shard backend: a `ServePool` behind a loopback listener,
+/// served by `serve_tcp` in streaming mode (the `ipim_served --stream
+/// --tcp` shape, in-process). The accept thread is detached — backends
+/// live until the process exits.
 fn spawn_shard_backend(pool_config: &PoolConfig) -> LocalBackend {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind shard backend");
     let addr = listener.local_addr().expect("local addr").to_string();
     let pool = Arc::new(ServePool::start(pool_config));
     let served = pool.clone();
     std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { break };
-            let served = served.clone();
-            std::thread::spawn(move || {
-                stream.set_nodelay(true).expect("set TCP_NODELAY");
-                let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-                let _ = serve_stream(reader, &stream, &*served);
-            });
-        }
+        let _ = serve_tcp(&listener, &*served, true);
     });
     (addr, pool)
 }
@@ -493,7 +474,6 @@ fn main() {
     let p50 = percentile(&latencies, 0.50);
     let p95 = percentile(&latencies, 0.95);
     let p99 = percentile(&latencies, 0.99);
-    let mean = latencies.iter().sum::<u64>() / latencies.len().max(1) as u64;
     let throughput = total_requests as f64 / wall.as_secs_f64();
     println!(
         "loadgen: {} response(s) in {:.2}s -> {throughput:.2} req/s; latency p50 {:.1}ms \
@@ -571,36 +551,6 @@ fn main() {
                 }
             }
         }
-    }
-
-    if let Some(path) = &opts.append_figures {
-        let (suite, name, transport) = if opts.shard > 0 {
-            ("shard", format!("shard/throughput/backends{}", opts.shard), "shard")
-        } else {
-            let transport = if opts.stream { "stream" } else { "inproc" };
-            ("serve", format!("serve/throughput/workers{}", opts.pool.workers), transport)
-        };
-        let line = format!(
-            r#"{{"suite":"{suite}","name":"{name}","iters":{},"min_ns":{},"median_ns":{},"p95_ns":{},"mean_ns":{},"p99_ns":{},"throughput_rps":{:.3},"clients":{},"cores":{},"mix":"{}","transport":"{transport}","seed":{}}}"#,
-            total_requests,
-            p50,
-            p50,
-            p95,
-            mean,
-            p99,
-            throughput,
-            opts.clients,
-            cores,
-            opts.mix,
-            opts.seed,
-        );
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .unwrap_or_else(|e| panic!("loadgen: cannot open {path}: {e}"));
-        writeln!(file, "{line}").unwrap_or_else(|e| panic!("loadgen: cannot write {path}: {e}"));
-        println!("loadgen: appended {name} to {path}");
     }
 
     let failures = failures.into_inner().unwrap();

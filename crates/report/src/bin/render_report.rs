@@ -38,9 +38,8 @@ fn main() {
     }
     std::fs::write(&out_path, &text).unwrap_or_else(|e| panic!("cannot write {out_path:?}: {e}"));
     println!(
-        "report: {} matrix cells, {} figure entries, {} tune runs -> {out_path}",
+        "report: {} matrix cells, {} tune runs -> {out_path}",
         streams.cells.len(),
-        streams.figures.len(),
         streams.tuning.len(),
     );
 }

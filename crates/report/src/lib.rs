@@ -17,11 +17,10 @@
 //!   (Sec. VII) as a pure view over matrix cells or the model constants,
 //!   next to the paper's numbers, behind one slice-to-machine
 //!   normalization ([`scale_out`]).
-//! * [`render`] — folds `matrix.jsonl`, `figures.jsonl`,
-//!   `serve_fresh.jsonl` and `tuning.jsonl` into one deterministic
-//!   `results/REPORT.md` (paper comparison, matrix, divergence envelope,
-//!   serve/shard throughput, tuner leaderboard). Byte-identical on
-//!   identical inputs — CI regenerates and `cmp`s it.
+//! * [`render`] — folds `matrix.jsonl` and `tuning.jsonl` into one
+//!   deterministic `results/REPORT.md` (paper comparison, matrix,
+//!   divergence envelope, tuner leaderboard). Byte-identical on identical
+//!   inputs — CI regenerates and `cmp`s it.
 //!
 //! See DESIGN.md §14 for the schema and normalization rules.
 
@@ -33,8 +32,8 @@ pub mod paper;
 pub mod render;
 
 pub use matrix::{
-    arith_ops, measure_anchor, min_ns_of, parse_matrix, read_matrix, run_matrix, Anchor, Backend,
-    Bound, MatrixCell, MatrixFile, MatrixPlan, MatrixRun, ANCHOR_NAME, CONFIGS, SCHEMA_VERSION,
+    arith_ops, measure_anchor, parse_matrix, read_matrix, run_matrix, Anchor, Backend, Bound,
+    MatrixCell, MatrixFile, MatrixPlan, MatrixRun, ANCHOR_NAME, CONFIGS, SCHEMA_VERSION,
 };
 pub use paper::{geomean, gpu_profile_rows, paper_scale, scale_out};
-pub use render::{render, FigLine, Streams, TuneBest};
+pub use render::{render, Streams, TuneBest};

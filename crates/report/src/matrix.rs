@@ -680,8 +680,8 @@ impl MatrixRun {
 }
 
 /// Minimum wall-clock of `iters` calls after `warmup` discarded calls:
-/// the estimator behind the anchor and `bench_regress`'s engine timings.
-pub fn min_ns_of<R>(warmup: u32, iters: u32, mut f: impl FnMut() -> R) -> u64 {
+/// the anchor's estimator.
+fn min_ns_of<R>(warmup: u32, iters: u32, mut f: impl FnMut() -> R) -> u64 {
     for _ in 0..warmup {
         std::hint::black_box(f());
     }

@@ -1,14 +1,12 @@
-//! The trajectory report renderer: folds the repo's four JSONL result
+//! The trajectory report renderer: folds the repo's two JSONL result
 //! streams into one deterministic `results/REPORT.md`.
 //!
-//! Inputs (all optional — a missing stream is a *loud skip*: the report
+//! Inputs (both optional — a missing stream is a *loud skip*: the report
 //! names it and renders the remaining sections):
 //!
 //! * `matrix.jsonl` — the benchmark matrix ([`crate::matrix`]); its cells
 //!   also give the paper comparison ([`crate::paper`]) and, from the
 //!   `skip_ahead`/`analytic` pairs, the divergence table.
-//! * `figures.jsonl` — the recorded bench baselines.
-//! * `serve_fresh.jsonl` — serve/shard throughput soaks.
 //! * `tuning.jsonl` — autotuner `tune_eval`/`tune_best` records.
 //!
 //! Determinism contract: the rendered bytes are a pure function of the
@@ -27,26 +25,6 @@ use ipim_core::{all_workloads, WorkloadFamily, WorkloadScale};
 
 use crate::matrix::{read_matrix, Backend, MatrixCell, CONFIGS};
 use crate::paper::{find, render_paper};
-
-/// One parsed line of `figures.jsonl` / `serve_fresh.jsonl` (the fields
-/// the report uses; everything else is ignored).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FigLine {
-    /// Entry name (e.g. `serve/throughput/workers4`).
-    pub name: String,
-    /// Minimum (serve: p50) wall nanoseconds.
-    pub min_ns: Option<f64>,
-    /// Requests per second (throughput entries only).
-    pub throughput_rps: Option<f64>,
-    /// p99 latency (throughput entries only).
-    pub p99_ns: Option<f64>,
-    /// Core count the entry was recorded on.
-    pub cores: Option<u64>,
-    /// Workload mix label.
-    pub mix: Option<String>,
-    /// Transport: `inproc` | `stream` | `shard`.
-    pub transport: Option<String>,
-}
 
 /// One parsed `tune_best` line of `tuning.jsonl`.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,42 +58,12 @@ pub type TuneEvalCount = (String, String, u64, u64);
 pub struct Streams {
     /// The benchmark matrix cells.
     pub cells: Vec<MatrixCell>,
-    /// `figures.jsonl` entries.
-    pub figures: Vec<FigLine>,
-    /// `serve_fresh.jsonl` entries.
-    pub serve: Vec<FigLine>,
     /// `tuning.jsonl` `tune_best` entries.
     pub tuning: Vec<TuneBest>,
     /// Evaluation-line count per (workload, strategy, seed) leaderboard row.
     pub tune_evals: Vec<TuneEvalCount>,
     /// Names of streams that were missing (rendered as loud skips).
     pub missing: Vec<String>,
-}
-
-fn parse_fig_line(v: &json::Value) -> Option<FigLine> {
-    Some(FigLine {
-        name: v.get("name")?.as_str()?.to_string(),
-        min_ns: v.get("min_ns").and_then(json::Value::as_f64),
-        throughput_rps: v.get("throughput_rps").and_then(json::Value::as_f64),
-        p99_ns: v.get("p99_ns").and_then(json::Value::as_f64),
-        cores: v.get("cores").and_then(json::Value::as_f64).map(|c| c as u64),
-        mix: v.get("mix").and_then(json::Value::as_str).map(str::to_string),
-        transport: v.get("transport").and_then(json::Value::as_str).map(str::to_string),
-    })
-}
-
-fn parse_fig_file(text: &str, path: &str) -> Result<Vec<FigLine>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|e| format!("{path}:{}: bad JSON: {e}", i + 1))?;
-        if let Some(f) = parse_fig_line(&v) {
-            out.push(f);
-        }
-    }
-    Ok(out)
 }
 
 /// Parses `tuning.jsonl` into the leaderboard rows + eval counts.
@@ -176,14 +124,6 @@ impl Streams {
             Some(_) => s.cells = read_matrix(&dir.join("matrix.jsonl"))?.cells,
             None => s.missing.push("matrix.jsonl".into()),
         }
-        match read("figures.jsonl") {
-            Some(text) => s.figures = parse_fig_file(&text, "figures.jsonl")?,
-            None => s.missing.push("figures.jsonl".into()),
-        }
-        match read("serve_fresh.jsonl") {
-            Some(text) => s.serve = parse_fig_file(&text, "serve_fresh.jsonl")?,
-            None => s.missing.push("serve_fresh.jsonl".into()),
-        }
         match read("tuning.jsonl") {
             Some(text) => (s.tuning, s.tune_evals) = parse_tuning(&text, "tuning.jsonl")?,
             None => s.missing.push("tuning.jsonl".into()),
@@ -236,7 +176,7 @@ pub fn render(streams: &Streams) -> String {
     out.push_str("# iPIM trajectory report\n\n");
     out.push_str(
         "One deterministic view over the repo's recorded result streams \
-         (`matrix.jsonl`, `figures.jsonl`, `serve_fresh.jsonl`, `tuning.jsonl`), and the \
+         (`matrix.jsonl`, `tuning.jsonl`), and the \
          one place the paper comparison is computed. \
          Regenerate with `cargo run --release -p ipim-report --bin render_report`; \
          CI diffs the regenerated bytes against this file.\n\n",
@@ -253,7 +193,6 @@ pub fn render(streams: &Streams) -> String {
     render_paper(&mut out, &cells);
     render_matrix(&mut out, &cells);
     render_divergence(&mut out, &cells);
-    render_throughput(&mut out, streams);
     render_tuning(&mut out, streams);
     out
 }
@@ -366,46 +305,6 @@ fn render_divergence(out: &mut String, cells: &[MatrixCell]) {
     out.push_str(&format!("\nEnvelope (worst calibrated cell): **{worst:.2}%**.\n\n"));
 }
 
-fn render_throughput(out: &mut String, streams: &Streams) {
-    out.push_str("## Serve / shard throughput\n\n");
-    let mut rows: Vec<&FigLine> = streams
-        .figures
-        .iter()
-        .chain(streams.serve.iter())
-        .filter(|f| {
-            f.name.starts_with("serve/throughput/") || f.name.starts_with("shard/throughput/")
-        })
-        .collect();
-    if rows.is_empty() {
-        out.push_str("_No throughput entries recorded._\n\n");
-        return;
-    }
-    rows.sort_by(|a, b| {
-        (&a.name, &a.transport, &a.mix, a.cores).cmp(&(&b.name, &b.transport, &b.mix, b.cores))
-    });
-    out.push_str(
-        "Closed-loop loadgen soaks (`figures.jsonl` baselines + `serve_fresh.jsonl` \
-         fresh runs). Throughput entries are cores-matched by the regression gate.\n\n",
-    );
-    out.push_str(
-        "| entry | transport | mix | cores | rps | p50 µs | p99 µs |\n\
-         |---|---|---|---:|---:|---:|---:|\n",
-    );
-    for f in rows {
-        out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} | {} |\n",
-            f.name,
-            f.transport.as_deref().unwrap_or("inproc"),
-            f.mix.as_deref().unwrap_or("—"),
-            f.cores.map_or("—".to_string(), |c| c.to_string()),
-            f.throughput_rps.map_or("—".to_string(), |r| format!("{r:.1}")),
-            f.min_ns.map_or("—".to_string(), us),
-            f.p99_ns.map_or("—".to_string(), us),
-        ));
-    }
-    out.push('\n');
-}
-
 fn render_tuning(out: &mut String, streams: &Streams) {
     out.push_str("## Tuner leaderboard\n\n");
     if streams.tuning.is_empty() {
@@ -505,9 +404,9 @@ mod tests {
         let dir = std::env::temp_dir().join("ipim-report-empty-stream-test");
         std::fs::create_dir_all(&dir).unwrap();
         let s = Streams::load(&dir).unwrap();
-        assert_eq!(s.missing.len(), 4, "{:?}", s.missing);
+        assert_eq!(s.missing.len(), 2, "{:?}", s.missing);
         let text = render(&s);
-        for stream in ["matrix.jsonl", "figures.jsonl", "serve_fresh.jsonl", "tuning.jsonl"] {
+        for stream in ["matrix.jsonl", "tuning.jsonl"] {
             assert!(text.contains(&format!("**missing stream:** `{stream}`")), "{text}");
         }
         assert!(text.contains("_No matrix cells recorded._"), "{text}");

@@ -14,9 +14,9 @@
 
 use ipim_report::paper::table2;
 use ipim_report::{
-    parse_matrix, render, Anchor, Backend, Bound, FigLine, MatrixCell, MatrixFile, Streams, CONFIGS,
+    parse_matrix, render, Anchor, Backend, Bound, MatrixCell, MatrixFile, Streams, CONFIGS,
 };
-use ipim_simkit::prop::{bool_any, tuple6, u32_in, u64_any, usize_in, Gen};
+use ipim_simkit::prop::{bool_any, tuple4, tuple6, u32_in, u64_any, usize_in, Gen};
 use ipim_simkit::{check, Rng};
 
 const NAMES: [&str; 6] = ["Brighten", "Blur", "Histogram", "Gemm", "RowSoftmax", "MotionEnergy"];
@@ -92,15 +92,8 @@ fn cell_jsonl_round_trips_exactly() {
 
 #[test]
 fn renderer_is_deterministic_and_order_invariant() {
-    let gen = tuple6(
-        u64_any(),
-        usize_in(2, 10),
-        u32_in(32, 128),
-        u64_any().map(|c| c % (1 << 40)),
-        bool_any(),
-        bool_any(),
-    );
-    check("report/render_determinism", &gen, |&(seed, n, scale, cycles, with_fig, with_serve)| {
+    let gen = tuple4(u64_any(), usize_in(2, 10), u32_in(32, 128), u64_any().map(|c| c % (1 << 40)));
+    check("report/render_determinism", &gen, |&(seed, n, scale, cycles)| {
         let mut rng = Rng::new(seed);
         let mut cells = Vec::new();
         let mut push = |name: &str, scale: u32, backend: Backend, config, cycles: u64| {
@@ -154,39 +147,11 @@ fn renderer_is_deterministic_and_order_invariant() {
                 }
             }
         }
-        let figures = if with_fig {
-            vec![FigLine {
-                name: "serve/throughput/workers4".into(),
-                min_ns: Some(52_000_000.0),
-                throughput_rps: Some(53.5),
-                cores: Some(1),
-                mix: Some("fast".into()),
-                transport: Some("inproc".into()),
-                ..FigLine::default()
-            }]
-        } else {
-            Vec::new()
-        };
-        let serve = if with_serve {
-            vec![FigLine {
-                name: "shard/throughput/backends3".into(),
-                min_ns: Some(9_000_000.0),
-                throughput_rps: Some(21.0),
-                cores: Some(1),
-                mix: Some("mixed".into()),
-                transport: Some("shard".into()),
-                ..FigLine::default()
-            }]
-        } else {
-            Vec::new()
-        };
-        let mut streams = Streams { cells, figures, serve, ..Streams::default() };
+        let mut streams = Streams { cells, ..Streams::default() };
         let a = render(&streams);
         assert_eq!(a, render(&streams), "same input, same bytes");
         assert_eq!(a.contains("**skipped:**"), seed % 2 != 0, "paper scale iff Table II cells");
         rng.shuffle(&mut streams.cells);
-        rng.shuffle(&mut streams.figures);
-        rng.shuffle(&mut streams.serve);
         assert_eq!(a, render(&streams), "line order must not matter");
     });
 }

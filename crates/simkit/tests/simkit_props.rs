@@ -1,10 +1,10 @@
 //! Self-tests for the determinism toolkit: the PRNG contract, generator
-//! bounds, shrinker convergence, seed replay, and the bench timer.
+//! bounds, shrinker convergence and seed replay.
 
 use ipim_simkit::prop::{
     self, bool_any, i32_in, tuple2, u32_in, u8_any, usize_in, vec_of, Config, Gen,
 };
-use ipim_simkit::{check, check_with, Bench, BenchConfig, Rng, Stats};
+use ipim_simkit::{check, check_with, Rng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 #[test]
@@ -182,46 +182,6 @@ fn usize_gen_shrinks_within_bounds() {
             assert!((4..40).contains(&cand), "shrink {cand} of {v} left range");
         }
     }
-}
-
-#[test]
-fn stats_are_order_statistics() {
-    let stats = Stats::from_samples(&[5, 1, 9, 3, 7]);
-    assert_eq!(stats.min_ns, 1);
-    assert_eq!(stats.median_ns, 5);
-    assert_eq!(stats.p95_ns, 9);
-    assert_eq!(stats.iters, 5);
-    // Monotone by construction: min ≤ median ≤ p95.
-    assert!(stats.min_ns <= stats.median_ns && stats.median_ns <= stats.p95_ns);
-}
-
-#[test]
-fn bench_timer_is_monotone_and_writes_jsonl() {
-    let dir = std::env::temp_dir().join(format!("ipim_simkit_bench_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    std::env::set_var("IPIM_RESULTS_DIR", &dir);
-    let stats = {
-        let mut bench = Bench::new("selftest").with_config(BenchConfig { warmup: 1, iters: 15 });
-        let stats = bench.bench("spin", || {
-            // A short but non-trivial deterministic workload.
-            let mut acc = 0u64;
-            for i in 0..20_000u64 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-            }
-            acc
-        });
-        bench.finish().unwrap();
-        stats
-    };
-    std::env::remove_var("IPIM_RESULTS_DIR");
-    assert!(stats.min_ns > 0, "timed work cannot take zero time");
-    assert!(stats.min_ns <= stats.median_ns, "min must not exceed median");
-    assert!(stats.median_ns <= stats.p95_ns, "median must not exceed p95");
-    let written = std::fs::read_to_string(dir.join("selftest.jsonl")).unwrap();
-    let line = written.lines().next().expect("one JSON line");
-    assert!(line.starts_with('{') && line.ends_with('}'), "not a JSON object: {line}");
-    assert!(line.contains(r#""name":"spin""#) && line.contains(r#""median_ns""#));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Properties under `check` default to at least 64 cases (the workspace

@@ -8,9 +8,8 @@
 //!
 //! Per workload the run prints a leaderboard to stdout and appends one
 //! `tune_eval` JSONL line per evaluation plus a `tune_best` summary to
-//! `--out` (skipped with `--no-append`). `--gate-default` exits non-zero
-//! if any workload's best schedule is *worse* than the hand default —
-//! the CI smoke gate.
+//! `--out`. `--gate-default` exits non-zero if any workload's best
+//! schedule is *worse* than the hand default — the CI smoke gate.
 //!
 //! Flags: `--workloads A,B` (default Blur) · `--width/--height` (128) ·
 //! `--vaults N` (1) · `--seed N` (0x1915) · `--strategy
@@ -18,8 +17,7 @@
 //! `--restarts N`/`--steps N` (hill, 2/8) · `--workers N` (pool, 2) ·
 //! `--max-cycles N` · `--prune-ratio X` (8.0) · `--frontier N` (4; 0 =
 //! simulate every hill-climb neighbour) · `--include-backend` ·
-//! `--top N` (10) · `--out PATH` (results/tuning.jsonl) · `--no-append` ·
-//! `--gate-default`.
+//! `--top N` (10) · `--out PATH` (results/tuning.jsonl) · `--gate-default`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -37,7 +35,6 @@ fn main() -> ExitCode {
     let mut workers = 2usize;
     let mut top = 10usize;
     let mut out_path = PathBuf::from("results/tuning.jsonl");
-    let mut no_append = false;
     let mut gate_default = false;
 
     let mut args = std::env::args().skip(1);
@@ -66,14 +63,12 @@ fn main() -> ExitCode {
             "--include-backend" => base.include_backend = true,
             "--top" => top = parse(&val("--top"), "--top"),
             "--out" => out_path = PathBuf::from(val("--out")),
-            "--no-append" => no_append = true,
             "--gate-default" => gate_default = true,
             other => panic!(
                 "unknown argument {other:?} (supported: --workloads A,B --width N --height N \
                  --vaults N --seed N --max-cycles N --strategy exhaustive|random|hill \
                  --samples N --restarts N --steps N --workers N --prune-ratio X \
-                 --frontier N --include-backend --top N --out PATH --no-append \
-                 --gate-default)"
+                 --frontier N --include-backend --top N --out PATH --gate-default)"
             ),
         }
     }
@@ -99,13 +94,11 @@ fn main() -> ExitCode {
             }
         };
         print!("{}", leaderboard(&outcome, top));
-        if !no_append {
-            if let Err(e) = append_jsonl(&out_path, &jsonl_lines(&outcome)) {
-                eprintln!("tune: cannot write {}: {e}", out_path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("appended {} line(s) to {}", outcome.evals.len() + 1, out_path.display());
+        if let Err(e) = append_jsonl(&out_path, &jsonl_lines(&outcome)) {
+            eprintln!("tune: cannot write {}: {e}", out_path.display());
+            return ExitCode::FAILURE;
         }
+        println!("appended {} line(s) to {}", outcome.evals.len() + 1, out_path.display());
         if gate_default {
             match (outcome.default_cycles, outcome.best.cycles) {
                 (Some(d), Some(b)) if b <= d => {
