@@ -15,13 +15,12 @@
 //!   the analytic tier must be at least 100× faster than skip-ahead and
 //!   pick the bit-exact winner: the two properties the tuner's short-list
 //!   depends on.
-//! * **Matrix drift** (`--matrix`). A fresh `matrix.jsonl` against the
-//!   committed `results/matrix.jsonl` ([`gate_matrix`]).
 //!
 //! ```text
-//! cargo run --release -p ipim-bench --bin bench_regress -- [--matrix matrix_fresh.jsonl]
+//! cargo run --release -p ipim-bench --bin bench_regress
 //! ```
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use ipim_core::experiments::verify_against_reference;
@@ -29,17 +28,15 @@ use ipim_core::trace::json;
 use ipim_core::{
     workload_by_name, Engine, Fidelity, MachineConfig, ScheduleOverride, Session, WorkloadScale,
 };
-use ipim_report::measure_anchor;
+use ipim_report::gpu_profile_rows;
 
 /// The committed engine baselines, read and written only by this gate.
 const BASELINE: &str = "results/figures.jsonl";
-/// The committed matrix the `--matrix` gate compares against.
-const MATRIX_BASELINE: &str = "results/matrix.jsonl";
 /// The machine-speed normalizer entry.
-const NORMALIZER: &str = ipim_report::ANCHOR_NAME;
+const NORMALIZER: &str = "fig01_gpu_profile";
 /// The engine entries, legacy first.
 const ENGINES: [&str; 2] = ["end_to_end/legacy", "end_to_end/skip_ahead"];
-/// Upward drift past which a timed entry or a matrix cell fails, in percent.
+/// Upward drift past which a timed entry fails, in percent.
 const THRESHOLD_PCT: f64 = 25.0;
 /// Timed rounds of the engine measurement, after one warm-up round.
 const ROUNDS: u32 = 3;
@@ -101,6 +98,22 @@ fn find<'a>(entries: &'a [Entry], name: &str) -> Option<&'a Entry> {
     entries.iter().find(|e| e.name == name)
 }
 
+/// Reads the machine-speed anchor: the Fig. 1 GPU-profile kernel
+/// ([`gpu_profile_rows`]), the minimum of 10 runs after 3 warm-ups.
+fn measure_anchor() -> u64 {
+    for _ in 0..3 {
+        black_box(gpu_profile_rows());
+    }
+    (0..10)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(gpu_profile_rows());
+            start.elapsed().as_nanos() as u64
+        })
+        .min()
+        .expect("ten runs")
+}
+
 /// Measures the normalizer and both engine entries, each the minimum over
 /// [`ROUNDS`] rounds after a warm-up round. A round runs each engine once,
 /// with an anchor reading before each run. The host's speed drifts over
@@ -116,7 +129,7 @@ fn measure_engines() -> Vec<Entry> {
     let mut cycles = [0; 2];
     for round in 0..=ROUNDS {
         for (i, session) in sessions.iter().enumerate() {
-            anchor_ns = anchor_ns.min(measure_anchor().min_ns);
+            anchor_ns = anchor_ns.min(measure_anchor());
             let start = Instant::now();
             let o = session.run_workload(&w, MAX_CYCLES).expect("run");
             verify_against_reference(&w, &o);
@@ -286,103 +299,9 @@ fn gate_analytic_race(wave: &[Candidate], skip_wall: f64, analytic_wall: f64) ->
     !(fast && agree)
 }
 
-/// The wall-clock noise floor for matrix cells. A cell's `wall_ns` spans
-/// submit→completion through the serve pool, so it includes
-/// queue-position wait — which shifts with `--workers` and OS scheduling
-/// jitter (2× swings on millisecond cells in practice). Only cells long
-/// enough to amortize that (≥ 50 ms) gate wall; quicker baselines are
-/// loud-skipped and their deterministic `cycles` gated exactly instead.
-const MATRIX_WALL_FLOOR_NS: u64 = 50_000_000;
-
-/// Gates a fresh benchmark matrix against the committed baseline. Both
-/// files are schema-checked by the shared `ipim-report` parser (a version
-/// mismatch fails before any comparison). Per cell, simulated `cycles`
-/// fail on more than [`THRESHOLD_PCT`] upward drift, un-normalized;
-/// `wall_ns` is normalized by the anchor recorded inside each file and
-/// gated only above [`MATRIX_WALL_FLOOR_NS`]. Cells on one side only
-/// loud-skip. Returns whether any cell failed.
-fn gate_matrix(fresh_path: &str) -> bool {
-    let parse = |path: &str| match ipim_report::read_matrix(std::path::Path::new(path)) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("FAIL: matrix gate: {e}");
-            std::process::exit(1);
-        }
-    };
-    let base = parse(MATRIX_BASELINE);
-    let fresh = parse(fresh_path);
-    // Each matrix file carries its own machine-speed anchor, so the gate
-    // needs no entry from figures.jsonl.
-    let norm = match (base.anchor_ns(), fresh.anchor_ns()) {
-        (Some(b), Some(f)) if b > 0 && f > 0 => f as f64 / b as f64,
-        _ => {
-            eprintln!("warning: matrix anchor missing on one side; comparing raw wall_ns");
-            1.0
-        }
-    };
-    println!("matrix machine-speed normalizer: {norm:.3}x baseline");
-    let mut failed = false;
-    for b in &base.cells {
-        let Some(f) = fresh.cells.iter().find(|f| f.fingerprint() == b.fingerprint()) else {
-            println!("skip: matrix {}: no fresh cell (not re-measured)", b.canonical_key());
-            continue;
-        };
-        // Simulated cycles are deterministic: any upward drift beyond
-        // the threshold is a real simulated-performance regression, no
-        // normalizer needed (downward drift is an improvement).
-        if let (Some(bc), Some(fc)) = (b.cycles, f.cycles) {
-            let delta_pct = (fc as f64 / bc as f64 - 1.0) * 100.0;
-            let verdict = if delta_pct > THRESHOLD_PCT { "FAIL" } else { "ok" };
-            println!(
-                "{verdict}: matrix {}: cycles {fc} vs baseline {bc} ({delta_pct:+.1} %, \
-                 gate +{THRESHOLD_PCT:.0} %)",
-                b.canonical_key()
-            );
-            failed |= delta_pct > THRESHOLD_PCT;
-        }
-        if b.wall_ns >= MATRIX_WALL_FLOOR_NS {
-            let expected = b.wall_ns as f64 * norm;
-            let delta_pct = (f.wall_ns as f64 / expected - 1.0) * 100.0;
-            let verdict = if delta_pct > THRESHOLD_PCT { "FAIL" } else { "ok" };
-            println!(
-                "{verdict}: matrix {}: wall_ns {} vs normalized baseline {:.0} \
-                 ({delta_pct:+.1} %, gate +{THRESHOLD_PCT:.0} %)",
-                b.canonical_key(),
-                f.wall_ns,
-                expected
-            );
-            failed |= delta_pct > THRESHOLD_PCT;
-        } else {
-            println!(
-                "skip: matrix {}: baseline wall {} ns under the {} ns gate floor",
-                b.canonical_key(),
-                b.wall_ns,
-                MATRIX_WALL_FLOOR_NS
-            );
-        }
-    }
-    for f in &fresh.cells {
-        if !base.cells.iter().any(|b| b.fingerprint() == f.fingerprint()) {
-            println!(
-                "skip: matrix {}: fresh cell has no committed baseline yet — record one",
-                f.canonical_key()
-            );
-        }
-    }
-    if base.cells.is_empty() {
-        println!("skip: matrix baseline has no cells");
-    }
-    failed
-}
-
 fn main() {
-    let mut matrix_fresh_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--matrix" => matrix_fresh_path = Some(args.next().expect("--matrix needs a value")),
-            other => panic!("unknown argument {other:?} (supported: --matrix FILE)"),
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        panic!("bench_regress takes no arguments (got {arg:?})");
     }
 
     let fresh = measure_engines();
@@ -400,19 +319,6 @@ fn main() {
     failed |= gate_engine_race(&fresh);
     let (wave, skip_wall, analytic_wall) = measure_analytic_race();
     failed |= gate_analytic_race(&wave, skip_wall, analytic_wall);
-
-    if let Some(p) = &matrix_fresh_path {
-        // A missing committed matrix is a recording gap, not a regression.
-        if std::path::Path::new(MATRIX_BASELINE).exists() {
-            failed |= gate_matrix(p);
-        } else {
-            println!(
-                "skip: matrix baseline {MATRIX_BASELINE:?} does not exist — record one with \
-                 `cargo run --release -p ipim-report --bin matrix` and commit it"
-            );
-        }
-    }
-
     if failed {
         eprintln!("bench_regress: performance gate failed");
         std::process::exit(1);

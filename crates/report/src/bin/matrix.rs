@@ -3,18 +3,17 @@
 //! ```text
 //! cargo run --release -p ipim-report --bin matrix -- \
 //!     [--out results/matrix.jsonl] [--scales 32,64,128] \
-//!     [--workloads Blur,Histogram] [--backends skip_ahead,gpu] \
-//!     [--workers 1] [--max-cycles N] [--smoke]
+//!     [--workloads Blur,Histogram] [--backends skip_ahead,gpu] [--max-cycles N]
 //! ```
 //!
-//! `--smoke` is the CI shape: one workload per family (Histogram,
-//! RowSoftmax, MotionEnergy) at 32² across every backend. The output file
-//! is truncated, not appended — a matrix file is one coherent recording.
+//! The output file is truncated, not appended — a matrix file is one
+//! coherent recording.
 //!
-//! Skipped cells print loudly to stdout and never fail the run; an
-//! unwritable output path does.
+//! Skipped cells print loudly to stdout and never fail the run; a workload
+//! name outside the suite and an unwritable output path do, and the former
+//! writes nothing.
 
-use ipim_report::{run_matrix, Backend, MatrixPlan};
+use ipim_report::{run_matrix, to_jsonl, Backend, MatrixPlan};
 
 fn main() {
     let mut out_path = "results/matrix.jsonl".to_string();
@@ -39,25 +38,20 @@ fn main() {
                     .map(|s| Backend::parse(s.trim()).unwrap_or_else(|e| panic!("{e}")))
                     .collect();
             }
-            "--workers" => {
-                plan.workers = val("--workers").parse().expect("--workers needs a number");
-            }
             "--max-cycles" => {
                 plan.max_cycles = val("--max-cycles").parse().expect("--max-cycles needs a number");
             }
-            "--smoke" => {
-                plan.workloads =
-                    vec!["Histogram".into(), "RowSoftmax".into(), "MotionEnergy".into()];
-                plan.scales = vec![32];
-            }
             other => panic!(
                 "unknown argument {other:?} (supported: --out FILE --scales LIST \
-                 --workloads LIST --backends LIST --workers N --max-cycles N --smoke)"
+                 --workloads LIST --backends LIST --max-cycles N)"
             ),
         }
     }
 
-    let run = run_matrix(&plan);
+    let run = run_matrix(&plan).unwrap_or_else(|e| {
+        eprintln!("matrix: {e}");
+        std::process::exit(2);
+    });
     for skip in &run.skips {
         println!("{skip}");
     }
@@ -66,12 +60,7 @@ fn main() {
             std::fs::create_dir_all(parent).expect("create results dir");
         }
     }
-    std::fs::write(&out_path, run.to_file().to_jsonl())
+    std::fs::write(&out_path, to_jsonl(&run.cells))
         .unwrap_or_else(|e| panic!("cannot write {out_path:?}: {e}"));
-    println!(
-        "matrix: {} cells, {} skips, anchor {} ns -> {out_path}",
-        run.cells.len(),
-        run.skips.len(),
-        run.to_file().anchor_ns().unwrap_or(0),
-    );
+    println!("matrix: {} cells, {} skips -> {out_path}", run.cells.len(), run.skips.len());
 }

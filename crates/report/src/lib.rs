@@ -4,15 +4,14 @@
 //! Three modules, all std-only and hermetic:
 //!
 //! * [`matrix`] — runs every workload × scale × backend ({skip-ahead,
-//!   legacy, analytic, PonB, GPU roofline, golden CPU interpreter}), plus
-//!   the `config` sweep cells of Figs. 10 and 12 and the ablation, and
-//!   emits one normalized record per cell to the schema-versioned
-//!   `results/matrix.jsonl`. Cycle backends fan across the serve pool and
-//!   share one compiled program per workload×scale (the global
-//!   `ProgramCache`'s key excludes engine and placement); unmappable
-//!   cells loud-skip. A `fig01_gpu_profile` machine-speed anchor is
-//!   recorded in the same file, making it self-contained for the
-//!   `bench_regress --matrix` drift gate.
+//!   analytic, PonB, GPU roofline}), plus the `config` sweep cells of
+//!   Figs. 10 and 12 and the ablation, and emits one normalized record
+//!   per cell to the schema-versioned `results/matrix.jsonl`. A cell holds
+//!   only deterministic model outputs, so a re-recording reproduces the
+//!   file byte for byte. Cycle cells simulate through their own
+//!   `Session` and share one compiled program per workload×scale (the
+//!   global `ProgramCache`'s key excludes engine and placement);
+//!   unmappable cells loud-skip.
 //! * [`paper`] — every figure and table of the paper's evaluation
 //!   (Sec. VII) as a pure view over matrix cells or the model constants,
 //!   next to the paper's numbers, behind one slice-to-machine
@@ -32,8 +31,8 @@ pub mod paper;
 pub mod render;
 
 pub use matrix::{
-    arith_ops, measure_anchor, parse_matrix, read_matrix, run_matrix, Anchor, Backend, Bound,
-    MatrixCell, MatrixFile, MatrixPlan, MatrixRun, ANCHOR_NAME, CONFIGS, SCHEMA_VERSION,
+    arith_ops, parse_matrix, read_matrix, run_matrix, to_jsonl, Backend, Bound, MatrixCell,
+    MatrixPlan, MatrixRun, CONFIGS, SCHEMA_VERSION,
 };
 pub use paper::{geomean, gpu_profile_rows, paper_scale, scale_out};
 pub use render::{render, Streams, TuneBest};

@@ -1,23 +1,22 @@
 //! The benchmark matrix: every workload × scale × backend, one normalized
 //! record per cell.
 //!
-//! A cell carries the quantities every backend can be compared on — a
-//! modeled kernel time (`kernel_ns`), the self-measured wall time of
-//! producing the cell (`wall_ns`), and, where the backend's model defines
-//! them, cycles, effective bandwidth, energy, the roofline position
-//! (arithmetic intensity vs. the backend's ridge point) and the counters
-//! the paper's figures divide (energy split, instruction mix, busy
-//! PE-cycles). The normalization rules:
+//! A cell carries only what the backend's model computes, so recording it
+//! again on any host reproduces it byte for byte: a modeled kernel time
+//! (`kernel_ns`) and, where the model defines them, cycles, effective
+//! bandwidth, energy, the roofline position (arithmetic intensity vs. the
+//! backend's ridge point) and the counters the paper's figures divide
+//! (energy split, instruction mix, busy PE-cycles). Host time is not a
+//! model output; `bench_regress` is the one place it is measured. The
+//! normalization rules:
 //!
-//! * **cycle engines** (`skip_ahead`, `legacy`, `analytic`, `ponb`) run at
+//! * **cycle engines** (`skip_ahead`, `analytic`, `ponb`) run at
 //!   1 GHz, so `kernel_ns` = simulated cycles, `gbps` =
 //!   [`ExecutionReport::dram_bandwidth_gbs`] (bytes/cycle ≡ GB/s), and
 //!   `pj_per_op` divides the composed [`EnergyBook`] total by the
 //!   workload's arithmetic op count (`flops_per_pixel × output_pixels`).
 //! * **`gpu`** is the calibrated V100 roofline: `kernel_ns` = modeled
 //!   seconds × 1e9, energy = seconds × board power, same op count.
-//! * **`cpu_ref`** is the golden interpreter — a correctness oracle with
-//!   no machine model, so its only number is the measured wall time.
 //!
 //! A `skip_ahead` cell may also carry a `config` coordinate naming one
 //! entry of [`CONFIGS`]: a sweep variant of the default 1-vault slice and
@@ -30,31 +29,20 @@
 //! silently shrinking the matrix.
 //!
 //! The file format is schema-versioned JSONL (see [`SCHEMA_VERSION`]): one
-//! `"kind":"cell"` line per cell plus one `"kind":"anchor"` line carrying
-//! this machine's `fig01_gpu_profile` timing, the same machine-speed
-//! normalizer `bench_regress` uses — so a matrix file is self-contained
-//! for cross-machine wall-clock comparison.
-
-use std::time::Instant;
+//! `"kind":"cell"` line per cell.
 
 use ipim_core::baselines::{gpu_profile, run_gpu, GpuModel};
 use ipim_core::dram::{PagePolicy, SchedPolicy};
 use ipim_core::trace::json;
 use ipim_core::{
-    all_workloads, CategoryCounts, CompileOptions, Engine, MachineConfig, Placement, Session,
-    Workload, WorkloadFamily, WorkloadScale,
+    all_workloads, workload_by_name, CategoryCounts, CompileOptions, Engine, MachineConfig,
+    Placement, Session, Workload, WorkloadFamily, WorkloadScale,
 };
-use ipim_serve::{fnv1a, PoolConfig, ServePool, SimRequest, SimResponse};
-
-use crate::paper::gpu_profile_rows;
 
 /// Version of the `matrix.jsonl` line schema. Any change to the cell
-/// field set bumps this, and `bench_regress --matrix` refuses to compare
-/// files whose versions differ.
-pub const SCHEMA_VERSION: u64 = 2;
-
-/// The machine-speed anchor entry's name (shared with `bench_regress`).
-pub const ANCHOR_NAME: &str = "fig01_gpu_profile";
+/// field set bumps this, and [`parse_matrix`] rejects every other
+/// version.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// One comparison backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -62,8 +50,6 @@ pub enum Backend {
     /// The skip-ahead cycle engine (the default iPIM simulator).
     #[default]
     SkipAhead,
-    /// The legacy per-cycle engine (bit-identical, slower host time).
-    Legacy,
     /// The analytic prediction tier (`fidelity: approximate`).
     Analytic,
     /// Process-on-base-die: skip-ahead engine, `Placement::BaseDie`
@@ -71,30 +57,20 @@ pub enum Backend {
     Ponb,
     /// The calibrated V100 roofline model (Sec. III / Fig. 1).
     Gpu,
-    /// The golden CPU reference interpreter (correctness oracle).
-    CpuRef,
 }
 
 impl Backend {
     /// Every backend, in canonical matrix-column order.
-    pub const ALL: [Backend; 6] = [
-        Backend::SkipAhead,
-        Backend::Legacy,
-        Backend::Analytic,
-        Backend::Ponb,
-        Backend::Gpu,
-        Backend::CpuRef,
-    ];
+    pub const ALL: [Backend; 4] =
+        [Backend::SkipAhead, Backend::Analytic, Backend::Ponb, Backend::Gpu];
 
     /// Canonical wire/report spelling.
     pub fn name(self) -> &'static str {
         match self {
             Backend::SkipAhead => "skip_ahead",
-            Backend::Legacy => "legacy",
             Backend::Analytic => "analytic",
             Backend::Ponb => "ponb",
             Backend::Gpu => "gpu",
-            Backend::CpuRef => "cpu_ref",
         }
     }
 
@@ -104,20 +80,20 @@ impl Backend {
     ///
     /// Returns a message listing the accepted spellings.
     pub fn parse(s: &str) -> Result<Self, String> {
-        Backend::ALL.into_iter().find(|b| b.name() == s).ok_or_else(|| {
-            format!("unknown backend {s:?} (skip_ahead | legacy | analytic | ponb | gpu | cpu_ref)")
-        })
+        Backend::ALL
+            .into_iter()
+            .find(|b| b.name() == s)
+            .ok_or_else(|| format!("unknown backend {s:?} (skip_ahead | analytic | ponb | gpu)"))
     }
 
     /// The simulated engine + placement this backend selects, or `None`
-    /// for the modeled/interpreted backends.
+    /// for the GPU model.
     pub fn engine_placement(self) -> Option<(Engine, Placement)> {
         match self {
             Backend::SkipAhead => Some((Engine::SkipAhead, Placement::NearBank)),
-            Backend::Legacy => Some((Engine::Legacy, Placement::NearBank)),
             Backend::Analytic => Some((Engine::Analytic, Placement::NearBank)),
             Backend::Ponb => Some((Engine::SkipAhead, Placement::BaseDie)),
-            Backend::Gpu | Backend::CpuRef => None,
+            Backend::Gpu => None,
         }
     }
 }
@@ -126,12 +102,10 @@ impl Backend {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Bound {
     /// Bandwidth-limited (arithmetic intensity below the ridge point).
+    #[default]
     Memory,
     /// Compute-limited.
     Compute,
-    /// The backend has no roofline model (`cpu_ref`).
-    #[default]
-    NotApplicable,
 }
 
 impl Bound {
@@ -140,7 +114,6 @@ impl Bound {
         match self {
             Bound::Memory => "memory",
             Bound::Compute => "compute",
-            Bound::NotApplicable => "n/a",
         }
     }
 
@@ -148,8 +121,7 @@ impl Bound {
         match s {
             "memory" => Ok(Bound::Memory),
             "compute" => Ok(Bound::Compute),
-            "n/a" => Ok(Bound::NotApplicable),
-            other => Err(format!("unknown bound {other:?} (memory | compute | n/a)")),
+            other => Err(format!("unknown bound {other:?} (memory | compute)")),
         }
     }
 }
@@ -246,11 +218,8 @@ pub struct MatrixCell {
     /// Simulated cycles (cycle engines only).
     pub cycles: Option<u64>,
     /// Modeled kernel time in nanoseconds — cycles at 1 GHz for the cycle
-    /// engines, roofline seconds for the GPU, measured wall for `cpu_ref`.
+    /// engines, roofline seconds for the GPU.
     pub kernel_ns: f64,
-    /// Wall-clock nanoseconds this cell took to produce on this machine
-    /// (the number the drift gate normalizes by the anchor).
-    pub wall_ns: u64,
     /// Effective DRAM bandwidth in GB/s (backends with a memory model).
     pub gbps: Option<f64>,
     /// Energy per arithmetic operation in picojoules.
@@ -280,26 +249,6 @@ pub struct MatrixCell {
 }
 
 impl MatrixCell {
-    /// Canonical textual identity of the cell's *coordinates* (not its
-    /// measurements): what the drift gate joins baseline and fresh rows
-    /// on. Independent of the order backends were enumerated in — the key
-    /// is built from the cell's own fields only. A `config` appends
-    /// itself; the default appends nothing.
-    pub fn canonical_key(&self) -> String {
-        format!(
-            "workload={};scale={};backend={}{}",
-            self.workload.to_ascii_lowercase(),
-            self.scale,
-            self.backend.name(),
-            self.config.map_or(String::new(), |c| format!(";config={c}")),
-        )
-    }
-
-    /// 64-bit FNV-1a of [`canonical_key`](Self::canonical_key).
-    pub fn fingerprint(&self) -> u64 {
-        fnv1a(self.canonical_key().as_bytes())
-    }
-
     /// Renders the cell as one schema-versioned JSONL line. `None` fields
     /// are omitted (the same invisible-optional convention `SimRequest`
     /// uses); f64 fields print in shortest-round-trip form so a parse of
@@ -321,7 +270,7 @@ impl MatrixCell {
         format!(
             "{{\"schema\":{SCHEMA_VERSION},\"kind\":\"cell\",\"workload\":\"{}\",\
              \"family\":\"{}\",\"scale\":{},\"backend\":\"{}\"{}{}{}{}{}{}{}{}{}{}{}{},\
-             \"kernel_ns\":{:?},\"wall_ns\":{},\"bound\":\"{}\"}}",
+             \"kernel_ns\":{:?},\"bound\":\"{}\"}}",
             self.workload,
             self.family,
             self.scale,
@@ -339,7 +288,6 @@ impl MatrixCell {
             list("insts", self.insts.map(|a| a.iter().map(u64::to_string).collect())),
             list("busy", self.busy.map(|a| a.iter().map(u64::to_string).collect())),
             self.kernel_ns,
-            self.wall_ns,
             self.bound.name(),
         )
     }
@@ -385,7 +333,6 @@ impl MatrixCell {
             busy: opt_array::<3>(v, "busy")?.map(|a| a.map(|x| x as u64)),
             cycles: opt_f64("cycles").map(|c| c as u64),
             kernel_ns: req_f64("kernel_ns")?,
-            wall_ns: req_f64("wall_ns")? as u64,
             gbps: opt_f64("gbps"),
             pj_per_op: opt_f64("pj_per_op"),
             ai: opt_f64("ai"),
@@ -409,53 +356,10 @@ fn opt_array<const N: usize>(v: &json::Value, k: &str) -> Result<Option<[f64; N]
     items.try_into().map(Some).map_err(|_| bad())
 }
 
-/// The machine-speed anchor recorded alongside the cells.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Anchor {
-    /// Anchor kernel name (always [`ANCHOR_NAME`] today).
-    pub name: String,
-    /// Its minimum wall time on the recording machine.
-    pub min_ns: u64,
-}
-
-impl Anchor {
-    /// Renders the anchor as one schema-versioned JSONL line.
-    pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"schema\":{SCHEMA_VERSION},\"kind\":\"anchor\",\"name\":\"{}\",\"min_ns\":{}}}",
-            self.name, self.min_ns
-        )
-    }
-}
-
-/// A parsed `matrix.jsonl`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MatrixFile {
-    /// Every cell, in file order.
-    pub cells: Vec<MatrixCell>,
-    /// Every anchor, in file order.
-    pub anchors: Vec<Anchor>,
-}
-
-impl MatrixFile {
-    /// The anchor's `min_ns`, when recorded.
-    pub fn anchor_ns(&self) -> Option<u64> {
-        self.anchors.iter().find(|a| a.name == ANCHOR_NAME).map(|a| a.min_ns)
-    }
-
-    /// Renders the whole file (anchors first, then cells, in order).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for a in &self.anchors {
-            out.push_str(&a.to_json_line());
-            out.push('\n');
-        }
-        for c in &self.cells {
-            out.push_str(&c.to_json_line());
-            out.push('\n');
-        }
-        out
-    }
+/// Renders cells as a whole `matrix.jsonl` text, one line per cell, in
+/// order.
+pub fn to_jsonl(cells: &[MatrixCell]) -> String {
+    cells.iter().map(|c| c.to_json_line() + "\n").collect()
 }
 
 /// Parses a `matrix.jsonl` text. Enforces the schema version on every
@@ -464,9 +368,9 @@ impl MatrixFile {
 /// # Errors
 ///
 /// Returns a message with the offending line number for malformed JSON,
-/// unknown `kind`s, or a schema-version mismatch.
-pub fn parse_matrix(text: &str) -> Result<MatrixFile, String> {
-    let mut out = MatrixFile::default();
+/// a `kind` other than `"cell"`, or a schema-version mismatch.
+pub fn parse_matrix(text: &str) -> Result<Vec<MatrixCell>, String> {
+    let mut cells = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let at = |msg: String| format!("matrix line {}: {msg}", i + 1);
         if line.trim().is_empty() {
@@ -484,23 +388,11 @@ pub fn parse_matrix(text: &str) -> Result<MatrixFile, String> {
             )));
         }
         match v.get("kind").and_then(json::Value::as_str) {
-            Some("cell") => out.cells.push(MatrixCell::from_json(&v).map_err(at)?),
-            Some("anchor") => out.anchors.push(Anchor {
-                name: v
-                    .get("name")
-                    .and_then(json::Value::as_str)
-                    .ok_or_else(|| at("anchor needs a name".into()))?
-                    .to_string(),
-                min_ns: v
-                    .get("min_ns")
-                    .and_then(json::Value::as_f64)
-                    .ok_or_else(|| at("anchor needs min_ns".into()))?
-                    as u64,
-            }),
-            other => return Err(at(format!("unknown kind {other:?} (cell | anchor)"))),
+            Some("cell") => cells.push(MatrixCell::from_json(&v).map_err(at)?),
+            other => return Err(at(format!("unknown kind {other:?} (cell)"))),
         }
     }
-    Ok(out)
+    Ok(cells)
 }
 
 /// Reads and parses a `matrix.jsonl` file from disk.
@@ -508,7 +400,7 @@ pub fn parse_matrix(text: &str) -> Result<MatrixFile, String> {
 /// # Errors
 ///
 /// Returns a message for I/O or parse failures.
-pub fn read_matrix(path: &std::path::Path) -> Result<MatrixFile, String> {
+pub fn read_matrix(path: &std::path::Path) -> Result<Vec<MatrixCell>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     parse_matrix(&text)
@@ -532,8 +424,6 @@ impl MatrixCell {
         w: &Workload,
         backend: Backend,
         report: &ipim_core::ExecutionReport,
-        energy_pj: f64,
-        wall_ns: u64,
     ) -> MatrixCell {
         let (_, placement) = backend.engine_placement().expect("cycle backend");
         let config = ipim_core::MachineConfig {
@@ -547,6 +437,7 @@ impl MatrixCell {
         let ai = if bytes > 0.0 { ops / bytes } else { 0.0 };
         let ridge = peak_flops / peak_bytes_per_cycle;
         let (e, s) = (&report.energy, &report.stats);
+        let energy_pj = e.total_pj();
         MatrixCell {
             workload: w.name.to_string(),
             family: w.family.name().to_string(),
@@ -555,7 +446,6 @@ impl MatrixCell {
             config: None,
             cycles: Some(report.cycles),
             kernel_ns: report.cycles as f64,
-            wall_ns,
             gbps: Some(report.dram_bandwidth_gbs()),
             // Pure data-movement workloads (Shift) perform zero arithmetic:
             // pJ/op has no denominator there, so the field goes absent
@@ -582,7 +472,7 @@ impl MatrixCell {
     }
 
     /// Builds the GPU cell from the V100 roofline model.
-    pub fn from_gpu(w: &Workload, wall_ns: u64) -> MatrixCell {
+    pub fn from_gpu(w: &Workload) -> MatrixCell {
         let model = GpuModel::default();
         let profile = gpu_profile(w.name);
         let r = run_gpu(&model, w);
@@ -597,7 +487,6 @@ impl MatrixCell {
             scale: w.scale.width,
             backend: Backend::Gpu,
             kernel_ns: r.seconds * 1e9,
-            wall_ns,
             gbps: Some(r.achieved_bw / 1e9),
             pj_per_op: (ops > 0.0).then(|| r.energy_j * 1e12 / ops),
             ai: Some(w.flops_per_pixel / w.gpu_bytes_per_pixel),
@@ -605,20 +494,6 @@ impl MatrixCell {
             bound: if memory_bound { Bound::Memory } else { Bound::Compute },
             pixels: Some(w.output_pixels),
             energy_pj: Some(r.energy_j * 1e12),
-            ..MatrixCell::default()
-        }
-    }
-
-    /// Builds the golden-interpreter cell: a correctness oracle with no
-    /// machine model, so wall time is its only measurement.
-    pub fn from_cpu_ref(w: &Workload, wall_ns: u64) -> MatrixCell {
-        MatrixCell {
-            workload: w.name.to_string(),
-            family: w.family.name().to_string(),
-            scale: w.scale.width,
-            backend: Backend::CpuRef,
-            kernel_ns: wall_ns as f64,
-            wall_ns,
             ..MatrixCell::default()
         }
     }
@@ -637,13 +512,6 @@ pub struct MatrixPlan {
     pub scales: Vec<u32>,
     /// Backends to run.
     pub backends: Vec<Backend>,
-    /// Serve-pool workers. A row's cycle cells are all submitted at once
-    /// and each cell's `wall_ns` runs from its own submit to its reply, so
-    /// with 1 worker (the default) it includes the wait behind the row's
-    /// earlier-submitted cells, not only the cell's own job. More workers
-    /// fan a workload×scale's cycle cells out concurrently, trading
-    /// wall-clock fidelity for throughput.
-    pub workers: usize,
     /// Cycle budget per simulation.
     pub max_cycles: u64,
 }
@@ -654,7 +522,6 @@ impl Default for MatrixPlan {
             workloads: Vec::new(),
             scales: vec![32, 64, 128],
             backends: Backend::ALL.to_vec(),
-            workers: 1,
             max_cycles: 4_000_000_000,
         }
     }
@@ -666,198 +533,98 @@ pub struct MatrixRun {
     /// The produced cells, in canonical (workload, scale, backend, config)
     /// order.
     pub cells: Vec<MatrixCell>,
-    /// The machine-speed anchors.
-    pub anchors: Vec<Anchor>,
     /// Human-readable loud-skip notes for every unproduced cell.
     pub skips: Vec<String>,
 }
 
-impl MatrixRun {
-    /// The run as a [`MatrixFile`] (what gets written to disk).
-    pub fn to_file(&self) -> MatrixFile {
-        MatrixFile { cells: self.cells.clone(), anchors: self.anchors.clone() }
+/// Runs the plan: every selected workload × scale × backend, in canonical
+/// order, the GPU roofline inline and every cycle cell through its own
+/// [`Session`]. When `skip_ahead` is selected, each row also gets its
+/// [`CONFIGS`] cells. The process-wide `ProgramCache` compiles each
+/// workload×scale once for every default cycle cell (its key excludes
+/// engine and placement).
+///
+/// # Errors
+///
+/// Returns a message naming the first plan workload that is not in the
+/// suite, before running anything.
+pub fn run_matrix(plan: &MatrixPlan) -> Result<MatrixRun, String> {
+    let suite = all_workloads(WorkloadScale::default());
+    let in_suite = |name: &String| suite.iter().any(|w| w.name.eq_ignore_ascii_case(name));
+    if let Some(unknown) = plan.workloads.iter().find(|n| !in_suite(n)) {
+        return Err(format!("unknown workload {unknown:?}"));
     }
-}
-
-/// Minimum wall-clock of `iters` calls after `warmup` discarded calls:
-/// the anchor's estimator.
-fn min_ns_of<R>(warmup: u32, iters: u32, mut f: impl FnMut() -> R) -> u64 {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let mut min = u64::MAX;
-    for _ in 0..iters {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        min = min.min(start.elapsed().as_nanos() as u64);
-    }
-    min
-}
-
-/// Measures the machine-speed anchor: the Fig. 1 GPU-profile kernel, min
-/// of 10 runs after 3 warm-ups (`bench_regress` normalizes by it too).
-pub fn measure_anchor() -> Anchor {
-    Anchor { name: ANCHOR_NAME.to_string(), min_ns: min_ns_of(3, 10, gpu_profile_rows) }
-}
-
-/// Runs the plan: every selected workload × scale × backend, fanned
-/// across a [`ServePool`] for the cycle engines, with the GPU roofline
-/// and the golden interpreter evaluated inline. Compiles each
-/// workload×scale once up front (the global `ProgramCache` then serves
-/// every cycle backend, whose program key excludes engine and placement).
-/// When `skip_ahead` is selected, each row also gets its [`CONFIGS`]
-/// cells, simulated inline through their own [`Session`].
-pub fn run_matrix(plan: &MatrixPlan) -> MatrixRun {
-    let mut run = MatrixRun { anchors: vec![measure_anchor()], ..MatrixRun::default() };
-    let pool = ServePool::start(&PoolConfig {
-        workers: plan.workers.max(1),
-        queue_depth: Backend::ALL.len() * 2,
-        cache_capacity: 0, // every cell is unique; no memoization wanted
-    });
     let wanted = |name: &str| {
         plan.workloads.is_empty() || plan.workloads.iter().any(|w| w.eq_ignore_ascii_case(name))
     };
     let mut scales = plan.scales.clone();
     scales.sort_unstable();
     scales.dedup();
+    let mut run = MatrixRun::default();
     // Workload-major, then scale, then canonical backend order — the
-    // deterministic cell order the renderer and gate expect.
-    for w in all_workloads(WorkloadScale::default()) {
-        if !wanted(w.name) {
-            continue;
-        }
+    // deterministic cell order the renderer and the smoke test expect.
+    for w in suite.iter().filter(|w| wanted(w.name)) {
         for &scale in &scales {
-            let ws = WorkloadScale { width: scale, height: scale };
-            let w = match ipim_core::workload_by_name(w.name, ws) {
-                Some(w) => w,
-                None => unreachable!("suite workload renamed mid-run"),
-            };
-            run_cells(&mut run, &pool, plan, &w);
+            let w = workload_by_name(w.name, WorkloadScale { width: scale, height: scale })
+                .expect("suite workload");
+            run_cells(&mut run, plan, &w);
         }
     }
-    pool.shutdown();
-    run
+    Ok(run)
 }
 
-/// Runs one workload×scale row: cold-compiles once, then produces a cell
-/// (or a loud skip) per selected backend and config variant.
-fn run_cells(run: &mut MatrixRun, pool: &ServePool, plan: &MatrixPlan, w: &Workload) {
-    let scale = w.scale.width;
-    let base = SimRequest {
-        max_cycles: plan.max_cycles,
-        ..SimRequest::named(w.name, w.scale.width, w.scale.height)
-    };
-    // One cold compile per workload×scale. The program key excludes the
-    // engine and the placement, so this single lowering serves SkipAhead,
-    // Legacy, Analytic and Ponb alike; a compile failure here means the
-    // schedule does not map at this scale, which loud-skips every cycle
-    // backend (the GPU model and the interpreter still produce cells).
-    let cycle_backends: Vec<Backend> =
-        plan.backends.iter().copied().filter(|b| b.engine_placement().is_some()).collect();
-    let compiled = if cycle_backends.is_empty() {
-        Ok(())
-    } else {
-        base.instantiate()
-            .and_then(|(session, w)| session.compile(&w.pipeline).map_err(|e| e.to_string()))
-            .map(|_| ())
-    };
-    match compiled {
-        Ok(()) => {
-            // Fan the row's cycle cells across the pool: submit every
-            // ticket, then collect in canonical order. Each cell's wall
-            // clock starts at its own submit, so with one worker it also
-            // counts the queue wait behind the cells submitted before it.
-            let tickets: Vec<_> = cycle_backends
-                .iter()
-                .map(|&b| {
-                    let (engine, placement) = b.engine_placement().expect("cycle backend");
-                    let req = SimRequest { engine, placement, ..base.clone() };
-                    (b, Instant::now(), pool.submit(req))
-                })
-                .collect();
-            for (b, submitted, ticket) in tickets {
-                let response = ticket.wait();
-                let wall_ns = submitted.elapsed().as_nanos() as u64;
-                match response {
-                    SimResponse::Done(d) => run.cells.push(MatrixCell::from_engine_run(
-                        w,
-                        b,
-                        &d.report,
-                        d.energy_pj,
-                        wall_ns,
-                    )),
-                    SimResponse::Timeout(t) => run.skips.push(format!(
-                        "skip: {}/{scale}/{}: cycle budget exhausted ({t:?})",
-                        w.name,
-                        b.name()
-                    )),
-                    SimResponse::Error(e) => {
-                        run.skips.push(format!("skip: {}/{scale}/{}: {e}", w.name, b.name()))
-                    }
-                }
+/// Runs one workload×scale row: a cell (or a loud skip) per selected
+/// backend, then the row's config cells.
+fn run_cells(run: &mut MatrixRun, plan: &MatrixPlan, w: &Workload) {
+    for backend in Backend::ALL.into_iter().filter(|b| plan.backends.contains(b)) {
+        match backend.engine_placement() {
+            Some((engine, placement)) => {
+                let machine = MachineConfig { engine, placement, ..MachineConfig::vault_slice(1) };
+                simulate_cell(run, plan, w, backend, None, &Session::new(machine));
             }
-        }
-        Err(e) => {
-            for b in &cycle_backends {
-                run.skips.push(format!(
-                    "skip: {}/{scale}/{}: does not map at this scale ({e})",
-                    w.name,
-                    b.name()
-                ));
-            }
-        }
-    }
-    if plan.backends.contains(&Backend::Gpu) {
-        let start = Instant::now();
-        std::hint::black_box(run_gpu(&GpuModel::default(), w));
-        run.cells.push(MatrixCell::from_gpu(w, start.elapsed().as_nanos() as u64));
-    }
-    if plan.backends.contains(&Backend::CpuRef) {
-        let images: Vec<_> = w.inputs.iter().map(|(_, img)| img.clone()).collect();
-        let start = Instant::now();
-        let out = ipim_core::frontend::interpret(&w.pipeline, &images);
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        match out {
-            Ok(_) => run.cells.push(MatrixCell::from_cpu_ref(w, wall_ns)),
-            Err(e) => run.skips.push(format!("skip: {}/{scale}/cpu_ref: {e}", w.name)),
+            None => run.cells.push(MatrixCell::from_gpu(w)),
         }
     }
     if !plan.backends.contains(&Backend::SkipAhead) {
         return;
     }
     for variant in CONFIGS.iter().filter(|v| v.applies(w)) {
-        // Compile cold and untimed, as the row's default cells do, so
-        // `wall_ns` times the simulation only.
-        let session = variant.session();
-        let at = format!("{}/{scale}/skip_ahead/{}", w.name, variant.name);
-        let program = match session.compile(&w.pipeline) {
-            Ok(p) => p,
-            Err(e) => {
-                run.skips.push(format!("skip: {at}: does not map at this scale ({e})"));
-                continue;
-            }
-        };
-        let start = Instant::now();
-        match session.simulate(&program, &w.inputs, plan.max_cycles) {
-            Ok(o) => run.cells.push(MatrixCell {
-                config: Some(variant.name),
-                ..MatrixCell::from_engine_run(
-                    w,
-                    Backend::SkipAhead,
-                    &o.report,
-                    o.report.energy.total_pj(),
-                    start.elapsed().as_nanos() as u64,
-                )
-            }),
-            Err(e) => run.skips.push(format!("skip: {at}: {e}")),
+        simulate_cell(run, plan, w, Backend::SkipAhead, Some(variant.name), &variant.session());
+    }
+}
+
+/// Compiles and simulates one cycle cell. A compile failure means the
+/// schedule does not map at this scale; it and an exhausted cycle budget
+/// are loud skips.
+fn simulate_cell(
+    run: &mut MatrixRun,
+    plan: &MatrixPlan,
+    w: &Workload,
+    backend: Backend,
+    config: Option<&'static str>,
+    session: &Session,
+) {
+    let at = format!("{}/{}/{}", w.name, w.scale.width, backend.name())
+        + &config.map_or(String::new(), |c| format!("/{c}"));
+    let program = match session.compile(&w.pipeline) {
+        Ok(p) => p,
+        Err(e) => {
+            run.skips.push(format!("skip: {at}: does not map at this scale ({e})"));
+            return;
         }
+    };
+    match session.simulate(&program, &w.inputs, plan.max_cycles) {
+        Ok(o) => {
+            let cell = MatrixCell::from_engine_run(w, backend, &o.report);
+            run.cells.push(MatrixCell { config, ..cell });
+        }
+        Err(e) => run.skips.push(format!("skip: {at}: {e}")),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipim_core::workload_by_name;
 
     fn sample_cell() -> MatrixCell {
         MatrixCell {
@@ -867,7 +634,6 @@ mod tests {
             backend: Backend::SkipAhead,
             cycles: Some(3768),
             kernel_ns: 3768.0,
-            wall_ns: 1_234_567,
             gbps: Some(12.25),
             pj_per_op: Some(33.7),
             ai: Some(0.625),
@@ -896,12 +662,7 @@ mod tests {
         for cell in [
             sample_cell(),
             MatrixCell { config: Some("baseline3"), ..sample_cell() },
-            MatrixCell {
-                backend: Backend::CpuRef,
-                kernel_ns: 3768.0,
-                wall_ns: 1_234_567,
-                ..MatrixCell::default()
-            },
+            MatrixCell { backend: Backend::Gpu, kernel_ns: 13.4, ..MatrixCell::default() },
         ] {
             let line = cell.to_json_line();
             let back = MatrixCell::from_json(&json::parse(&line).unwrap()).unwrap();
@@ -930,14 +691,9 @@ mod tests {
 
     #[test]
     fn matrix_file_round_trips_and_checks_schema() {
-        let file = MatrixFile {
-            cells: vec![sample_cell()],
-            anchors: vec![Anchor { name: ANCHOR_NAME.into(), min_ns: 42 }],
-        };
-        let text = file.to_jsonl();
-        let back = parse_matrix(&text).unwrap();
-        assert_eq!(file, back);
-        assert_eq!(back.anchor_ns(), Some(42));
+        let cells = vec![sample_cell(), MatrixCell { config: Some("rf16"), ..sample_cell() }];
+        let text = to_jsonl(&cells);
+        assert_eq!(parse_matrix(&text).unwrap(), cells);
 
         let next = SCHEMA_VERSION + 1;
         let drifted =
@@ -945,81 +701,70 @@ mod tests {
         let err = parse_matrix(&drifted).unwrap_err();
         assert!(err.contains(&format!("schema version {next}")), "{err}");
         assert!(parse_matrix("{\"kind\":\"cell\"}").is_err(), "missing schema must fail");
-    }
-
-    #[test]
-    fn fingerprint_ignores_measurements() {
-        let a = sample_cell();
-        let mut b = sample_cell();
-        b.wall_ns = 999;
-        b.cycles = Some(1);
-        b.kernel_ns = 1.0;
-        assert_eq!(a.fingerprint(), b.fingerprint(), "coordinates only");
-        let mut c = sample_cell();
-        c.backend = Backend::Legacy;
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        // A config is a coordinate; the default appends nothing to the key.
-        assert_eq!(a.canonical_key(), "workload=blur;scale=64;backend=skip_ahead");
-        let d = MatrixCell { config: Some("rf16"), ..sample_cell() };
-        assert_eq!(d.canonical_key(), "workload=blur;scale=64;backend=skip_ahead;config=rf16");
+        let other = format!("{{\"schema\":{SCHEMA_VERSION},\"kind\":\"anchor\"}}");
+        assert!(parse_matrix(&other).unwrap_err().contains("unknown kind"));
     }
 
     #[test]
     fn smoke_matrix_produces_all_backends() {
-        // Histogram maps at 32² (the only Table II kernel that does, with
-        // StencilChain); every backend must produce a cell.
+        // One workload per family at 32² on every backend, plus
+        // Histogram's four Fig. 12 compiler-baseline cells. Every field is
+        // a deterministic model output, so each rendered line must appear
+        // byte for byte in the committed matrix.
         let plan = MatrixPlan {
-            workloads: vec!["Histogram".into()],
+            workloads: ["Histogram", "RowSoftmax", "MotionEnergy"].map(String::from).to_vec(),
             scales: vec![32],
             ..MatrixPlan::default()
         };
-        let run = run_matrix(&plan);
+        let run = run_matrix(&plan).unwrap();
         assert_eq!(run.skips, Vec::<String>::new());
-        let (defaults, configs): (Vec<_>, Vec<_>) =
-            run.cells.iter().partition(|c| c.config.is_none());
-        let backends: Vec<_> = defaults.iter().map(|c| c.backend).collect();
-        assert_eq!(backends, Backend::ALL.to_vec(), "canonical order");
-        assert_eq!(run.to_file().anchor_ns().map(|n| n > 0), Some(true));
-        // PonB serializes bank traffic on the TSVs: strictly more cycles.
-        let cycles = |b: Backend| defaults.iter().find(|c| c.backend == b).unwrap().cycles.unwrap();
-        assert!(cycles(Backend::Ponb) > cycles(Backend::SkipAhead));
-        // Legacy and skip-ahead are bit-identical in simulated time.
-        assert_eq!(cycles(Backend::Legacy), cycles(Backend::SkipAhead));
-        // Histogram is a Table II workload: the four Fig. 12 compiler
-        // baselines come along on the skip-ahead engine, and the backend
-        // table leaves them out.
-        let names: Vec<_> = configs.iter().map(|c| (c.backend, c.config.unwrap())).collect();
-        let skip = Backend::SkipAhead;
-        let expected = ["baseline1", "baseline2", "baseline3", "baseline4"].map(|n| (skip, n));
-        assert_eq!(names, expected.to_vec());
-        let report = crate::render(&crate::Streams {
-            cells: run.cells.clone(),
-            ..crate::Streams::default()
-        });
-        let table = report.split("## Benchmark matrix").nth(1).unwrap();
-        let table = &table[..table.find("\n## ").unwrap()];
-        assert_eq!(table.matches("| Histogram |").count(), 1, "{table}");
-        let row = table.lines().find(|l| l.starts_with("| Histogram |")).unwrap();
-        assert!(row.contains(&format!(" {:.2} |", cycles(Backend::SkipAhead) as f64 / 1e3)));
+        let coordinates: Vec<_> =
+            run.cells.iter().map(|c| (c.workload.as_str(), c.backend, c.config)).collect();
+        let mut expected = Vec::new();
+        for w in &plan.workloads {
+            expected.extend(Backend::ALL.map(|b| (w.as_str(), b, None)));
+            if w == "Histogram" {
+                let baselines = ["baseline1", "baseline2", "baseline3", "baseline4"];
+                expected.extend(baselines.map(|n| (w.as_str(), Backend::SkipAhead, Some(n))));
+            }
+        }
+        assert_eq!(coordinates, expected, "canonical order");
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/matrix.jsonl");
+        let committed = std::fs::read_to_string(path).expect("committed matrix");
+        for line in run.cells.iter().map(MatrixCell::to_json_line) {
+            assert!(
+                committed.lines().any(|l| l == line),
+                "not in results/matrix.jsonl (re-record it with `--bin matrix`):\n{line}"
+            );
+        }
     }
 
     #[test]
     fn unmappable_cells_loud_skip_not_panic() {
         // Blur's hand schedule does not map at 32²: the cycle backends and
-        // every config variant skip loudly, the GPU model and interpreter
-        // still report.
+        // every config variant skip loudly, the GPU model still reports.
         let plan = MatrixPlan {
             workloads: vec!["Blur".into()],
             scales: vec![32],
             ..MatrixPlan::default()
         };
-        let run = run_matrix(&plan);
+        let run = run_matrix(&plan).unwrap();
         let blur = workload_by_name("Blur", WorkloadScale { width: 32, height: 32 }).unwrap();
         let variants = CONFIGS.iter().filter(|v| v.applies(&blur)).count();
         assert_eq!(variants, 13, "Fig. 10, Fig. 12 and ablation variants");
-        assert_eq!(run.skips.len(), 4 + variants, "{:?}", run.skips);
+        assert_eq!(run.skips.len(), 3 + variants, "{:?}", run.skips);
         assert!(run.skips.iter().all(|s| s.contains("does not map")), "{:?}", run.skips);
         let backends: Vec<_> = run.cells.iter().map(|c| c.backend).collect();
-        assert_eq!(backends, vec![Backend::Gpu, Backend::CpuRef]);
+        assert_eq!(backends, vec![Backend::Gpu]);
+    }
+
+    #[test]
+    fn unknown_workloads_fail_by_name() {
+        let plan = MatrixPlan {
+            workloads: vec!["Histogram".into(), "Blurr".into()],
+            ..MatrixPlan::default()
+        };
+        let err = run_matrix(&plan).unwrap_err();
+        assert!(err.contains("\"Blurr\""), "{err}");
     }
 }

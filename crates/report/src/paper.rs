@@ -327,10 +327,11 @@ pub struct GpuProfileRow {
     pub index_fraction: f64,
 }
 
-/// Fig. 1 from the calibrated V100 model. Also the machine-speed anchor's
-/// kernel: building the Table II suite dominates its time, so it tracks
-/// host speed but not simulator changes. Keep it unchanged, or committed
-/// anchors stop being comparable.
+/// Fig. 1 from the calibrated V100 model. Also the kernel of
+/// `bench_regress`'s machine-speed anchor: building the Table II suite
+/// dominates its time, so it tracks host speed but not simulator changes.
+/// Keep it unchanged, or the anchor in `results/figures.jsonl` stops being
+/// comparable.
 pub fn gpu_profile_rows() -> Vec<GpuProfileRow> {
     let model = GpuModel::default();
     workloads_in_family(WorkloadFamily::Image, WorkloadScale::tiny())

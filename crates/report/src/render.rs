@@ -121,7 +121,7 @@ impl Streams {
         let mut s = Streams::default();
         let read = |name: &str| -> Option<String> { std::fs::read_to_string(dir.join(name)).ok() };
         match read("matrix.jsonl") {
-            Some(_) => s.cells = read_matrix(&dir.join("matrix.jsonl"))?.cells,
+            Some(_) => s.cells = read_matrix(&dir.join("matrix.jsonl"))?,
             None => s.missing.push("matrix.jsonl".into()),
         }
         match read("tuning.jsonl") {
@@ -201,7 +201,7 @@ pub fn render(streams: &Streams) -> String {
 /// whatever the input line order.
 fn sorted_cells(streams: &Streams) -> Vec<MatrixCell> {
     let mut cells = streams.cells.clone();
-    // Coordinates first; the measurement fields break ties so that even
+    // Coordinates first; the modeled time breaks ties so that even
     // a degenerate input with duplicate coordinates renders identically
     // regardless of line order.
     cells.sort_by_key(|c| {
@@ -210,7 +210,6 @@ fn sorted_cells(streams: &Streams) -> Vec<MatrixCell> {
             c.scale,
             backend_rank(c.backend),
             config_rank(c.config),
-            c.wall_ns,
             c.kernel_ns.to_bits(),
         )
     });
@@ -225,8 +224,8 @@ fn render_matrix(out: &mut String, cells: &[MatrixCell]) {
     }
     out.push_str(
         "Modeled kernel time per default-config cell in µs (cycle engines: simulated cycles \
-         at 1 GHz; gpu: V100 roofline; cpu_ref: measured interpreter wall time). \
-         `—` marks a cell whose schedule does not map at that scale.\n\n",
+         at 1 GHz; gpu: V100 roofline). `—` marks a cell whose schedule does not map at that \
+         scale.\n\n",
     );
     out.push_str("| workload | family | scale |");
     for b in Backend::ALL {
@@ -361,7 +360,6 @@ mod tests {
             cycles: cycle_engine.then_some(kernel_ns as u64),
             pes: cycle_engine.then_some(32),
             kernel_ns,
-            wall_ns: 1000,
             ..MatrixCell::default()
         }
     }

@@ -1,6 +1,6 @@
 //! Property tests for the matrix/report subsystem (simkit harness).
 //!
-//! Three contracts:
+//! Two contracts:
 //!
 //! 1. **Wire round-trip** — any cell serialized to its JSONL line and
 //!    parsed back compares exactly equal (f64 fields use
@@ -8,15 +8,10 @@
 //! 2. **Renderer determinism** — `render` is a pure function of stream
 //!    *contents*: shuffling the input line order produces byte-identical
 //!    markdown, config cells and the paper sections included.
-//! 3. **Fingerprint stability** — a cell's fingerprint depends only on
-//!    its own coordinates, never on the order backends were enumerated
-//!    in when the matrix was produced.
 
 use ipim_report::paper::table2;
-use ipim_report::{
-    parse_matrix, render, Anchor, Backend, Bound, MatrixCell, MatrixFile, Streams, CONFIGS,
-};
-use ipim_simkit::prop::{bool_any, tuple4, tuple6, u32_in, u64_any, usize_in, Gen};
+use ipim_report::{parse_matrix, render, to_jsonl, Backend, Bound, MatrixCell, Streams, CONFIGS};
+use ipim_simkit::prop::{bool_any, tuple4, tuple5, u32_in, u64_any, usize_in, Gen};
 use ipim_simkit::{check, Rng};
 
 const NAMES: [&str; 6] = ["Brighten", "Blur", "Histogram", "Gemm", "RowSoftmax", "MotionEnergy"];
@@ -39,16 +34,15 @@ fn with_counters(cell: MatrixCell, cycles: u64) -> MatrixCell {
 /// A generator over arbitrary (not necessarily physical) matrix cells:
 /// the wire format must round-trip whatever the runner can emit.
 fn gen_cell() -> Gen<MatrixCell> {
-    tuple6(
+    tuple5(
         usize_in(0, NAMES.len() - 1),
         usize_in(0, Backend::ALL.len() - 1),
         u32_in(8, 8192),
         // Keep integers within f64's exact range (the wire is f64).
         u64_any().map(|c| c % (1 << 53)),
-        u64_any().map(|c| c % (1 << 53)),
         bool_any(),
     )
-    .map(|(wi, bi, scale, cycles, wall_ns, with_model)| {
+    .map(|(wi, bi, scale, cycles, with_model)| {
         let backend = Backend::ALL[bi];
         // Derive float fields from the integers so the generator stays
         // deterministic under simkit replay.
@@ -61,12 +55,11 @@ fn gen_cell() -> Gen<MatrixCell> {
             config: (cycles % 3 == 0).then(|| CONFIGS[(wi + bi) % CONFIGS.len()].name),
             cycles: with_model.then_some(cycles),
             kernel_ns: f(3),
-            wall_ns,
             gbps: with_model.then(|| f(5)),
             pj_per_op: with_model.then(|| f(7)),
             ai: with_model.then(|| f(11)),
             peak_gbps: with_model.then(|| f(13)),
-            bound: if with_model { Bound::Memory } else { Bound::NotApplicable },
+            bound: if cycles % 2 == 0 { Bound::Memory } else { Bound::Compute },
             ..MatrixCell::default()
         };
         if with_model {
@@ -80,13 +73,10 @@ fn gen_cell() -> Gen<MatrixCell> {
 #[test]
 fn cell_jsonl_round_trips_exactly() {
     check("report/cell_round_trip", &gen_cell(), |cell| {
-        let file = MatrixFile {
-            cells: vec![cell.clone()],
-            anchors: vec![Anchor { name: "fig01_gpu_profile".into(), min_ns: cell.wall_ns }],
-        };
-        let back = parse_matrix(&file.to_jsonl()).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(&file, &back, "serialize→parse must be the identity");
-        assert_eq!(file.to_jsonl(), back.to_jsonl(), "parse→serialize must reproduce the bytes");
+        let cells = vec![cell.clone()];
+        let back = parse_matrix(&to_jsonl(&cells)).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(&cells, &back, "serialize→parse must be the identity");
+        assert_eq!(to_jsonl(&cells), to_jsonl(&back), "parse→serialize must reproduce the bytes");
     });
 }
 
@@ -105,7 +95,6 @@ fn renderer_is_deterministic_and_order_invariant() {
                 config,
                 cycles: Some(cycles),
                 kernel_ns: cycles as f64,
-                wall_ns: rng.next_u64() % (1 << 40),
                 gbps: Some(1.5),
                 pj_per_op: Some(2.5),
                 ai: Some(0.5),
@@ -153,44 +142,5 @@ fn renderer_is_deterministic_and_order_invariant() {
         assert_eq!(a.contains("**skipped:**"), seed % 2 != 0, "paper scale iff Table II cells");
         rng.shuffle(&mut streams.cells);
         assert_eq!(a, render(&streams), "line order must not matter");
-    });
-}
-
-#[test]
-fn fingerprints_ignore_backend_enumeration_order() {
-    let gen = tuple6(
-        u64_any(),
-        usize_in(0, NAMES.len() - 1),
-        u32_in(8, 8192),
-        u64_any(),
-        bool_any(),
-        bool_any(),
-    );
-    check("report/fingerprint_stability", &gen, |&(seed, wi, scale, _, _, _)| {
-        let cell = |backend: Backend| MatrixCell {
-            workload: NAMES[wi].to_string(),
-            family: "image".to_string(),
-            scale,
-            backend,
-            ..MatrixCell::default()
-        };
-        // Enumerate the backends in a seed-shuffled order: the
-        // fingerprint each cell gets must match the canonical-order run
-        // cell-for-cell (a fingerprint is a function of the cell's own
-        // coordinates, not of its position in the file).
-        let canonical: Vec<(Backend, u64)> =
-            Backend::ALL.into_iter().map(|b| (b, cell(b).fingerprint())).collect();
-        let mut shuffled = Backend::ALL;
-        Rng::new(seed).shuffle(&mut shuffled);
-        for b in shuffled {
-            let fp = cell(b).fingerprint();
-            let expected = canonical.iter().find(|(cb, _)| *cb == b).unwrap().1;
-            assert_eq!(fp, expected, "{}", b.name());
-        }
-        // And distinct coordinates never collide within one row.
-        let mut fps: Vec<u64> = canonical.iter().map(|(_, fp)| *fp).collect();
-        fps.sort_unstable();
-        fps.dedup();
-        assert_eq!(fps.len(), Backend::ALL.len(), "fingerprint collision across backends");
     });
 }

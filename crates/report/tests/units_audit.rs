@@ -36,7 +36,7 @@ fn cycle_engine_bandwidth_is_bytes_per_cycle() {
     let bw_si = r.dram_bytes() as f64 / r.seconds();
     assert!((bw_si / 1e9 - gbs).abs() < 1e-9, "SI path disagrees: {bw_si} vs {gbs}");
 
-    let cell = MatrixCell::from_engine_run(&w, Backend::SkipAhead, r, r.energy.total_pj(), 1);
+    let cell = MatrixCell::from_engine_run(&w, Backend::SkipAhead, r);
     assert_eq!(cell.gbps, Some(gbs));
     assert_eq!(cell.cycles, Some(r.cycles));
     assert_eq!(cell.kernel_ns, r.cycles as f64, "1 GHz: cycles ≡ ns");
@@ -58,7 +58,7 @@ fn cycle_engine_energy_is_composed_picojoules() {
     assert!((o.report.energy.total_j() - total_pj * 1e-12).abs() < 1e-18, "pJ ↔ J");
     let ops = arith_ops(&w);
     assert_eq!(ops, w.flops_per_pixel * w.output_pixels as f64);
-    let cell = MatrixCell::from_engine_run(&w, Backend::SkipAhead, &o.report, total_pj, 1);
+    let cell = MatrixCell::from_engine_run(&w, Backend::SkipAhead, &o.report);
     let pj_per_op = cell.pj_per_op.expect("engine cells carry energy");
     assert_eq!(pj_per_op, total_pj / ops);
     assert!(
@@ -78,7 +78,7 @@ fn gpu_model_agrees_on_units_and_direction() {
     let model = GpuModel::default();
     let r = run_gpu(&model, &w);
     assert!((r.energy_j - r.seconds * model.power_w).abs() < 1e-15, "E = P × t");
-    let cell = MatrixCell::from_gpu(&w, 1);
+    let cell = MatrixCell::from_gpu(&w);
     let ops = arith_ops(&w);
     let gpu_pj_per_op = cell.pj_per_op.expect("gpu cells carry energy");
     assert!((gpu_pj_per_op - r.energy_j * 1e12 / ops).abs() < 1e-6);
@@ -96,7 +96,7 @@ fn gpu_model_agrees_on_units_and_direction() {
     let b = run_gpu(&model, &brighten);
     let b_roof = model.peak_bw * gpu_profile(brighten.name).dram_util;
     assert!((b.achieved_bw - b_roof).abs() <= b_roof * 1e-9);
-    assert_eq!(MatrixCell::from_gpu(&brighten, 1).bound, Bound::Memory);
+    assert_eq!(MatrixCell::from_gpu(&brighten).bound, Bound::Memory);
 
     let session = Session::new(MachineConfig::vault_slice(1));
     let o = session.run_workload(&w, 2_000_000_000).expect("run");
@@ -123,15 +123,8 @@ fn ponb_placement_shrinks_the_roof_not_the_units() {
     let b = ponb.run_workload(&w, 4_000_000_000).expect("base-die run");
     assert!(b.report.cycles > a.report.cycles, "TSV serialization must cost cycles");
 
-    let near_cell = MatrixCell::from_engine_run(
-        &w,
-        Backend::SkipAhead,
-        &a.report,
-        a.report.energy.total_pj(),
-        1,
-    );
-    let ponb_cell =
-        MatrixCell::from_engine_run(&w, Backend::Ponb, &b.report, b.report.energy.total_pj(), 1);
+    let near_cell = MatrixCell::from_engine_run(&w, Backend::SkipAhead, &a.report);
+    let ponb_cell = MatrixCell::from_engine_run(&w, Backend::Ponb, &b.report);
     assert_eq!(near_cell.peak_gbps, Some(512.0));
     assert_eq!(ponb_cell.peak_gbps, Some(16.0), "base-die: vault TSV bundle only");
     assert_eq!(
@@ -153,7 +146,7 @@ fn ponb_placement_shrinks_the_roof_not_the_units() {
 #[test]
 fn fig6_speedup_matches_a_live_div8k_comparison() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/matrix.jsonl");
-    let cells = read_matrix(&path).unwrap_or_else(|e| panic!("committed matrix: {e}")).cells;
+    let cells = read_matrix(&path).unwrap_or_else(|e| panic!("committed matrix: {e}"));
     let row = versus(&cells).into_iter().find(|v| v.skip.workload == "Blur" && v.skip.scale == 128);
     let rendered = row.expect("committed Blur 128² cells").speedup_vs_gpu().expect("gpu partner");
     assert!(find(&cells, "Blur", 128, Backend::Gpu, None).is_some());

@@ -193,8 +193,9 @@ fn write_line<W: Write>(output: &mut W, mut line: String) -> std::io::Result<()>
 /// client half-closes its write side to mark end-of-input either way).
 /// Every accepted connection gets `TCP_NODELAY`: a client pipelining
 /// several requests must not see response *n*+1 held back until response
-/// *n* is acknowledged. Connection errors are logged to stderr and do not
-/// stop the accept loop.
+/// *n* is acknowledged. A connection that fails or carries unparseable
+/// lines is logged to stderr ([`connection_note`]); a clean one is not.
+/// Neither stops the accept loop.
 ///
 /// # Errors
 ///
@@ -215,15 +216,24 @@ pub fn serve_tcp<S: LineService>(
                 serve_batch(reader, &stream, service)
             }
         });
-        match served {
-            Ok(s) => eprintln!(
-                "ipim_served: {peer}: {} request(s), {} parse error(s)",
-                s.requests, s.parse_errors
-            ),
-            Err(e) => eprintln!("ipim_served: {peer}: {e}"),
+        if let Some(note) = connection_note(&peer, &served) {
+            eprintln!("{note}");
         }
     }
     Ok(())
+}
+
+/// The stderr line a closed connection earns: none for a clean one, a
+/// `serve_tcp:` note for one that failed or carried unparseable lines.
+fn connection_note(peer: &str, served: &std::io::Result<ServeSummary>) -> Option<String> {
+    match served {
+        Ok(s) if s.parse_errors == 0 => None,
+        Ok(s) => Some(format!(
+            "serve_tcp: {peer}: {} of {} request line(s) did not parse",
+            s.parse_errors, s.requests
+        )),
+        Err(e) => Some(format!("serve_tcp: {peer}: {e}")),
+    }
 }
 
 #[cfg(test)]
@@ -341,6 +351,18 @@ this is not json\n\
             }
         }
         pool.shutdown();
+    }
+
+    #[test]
+    fn only_failed_or_malformed_connections_are_logged() {
+        let summary = |parse_errors| Ok(ServeSummary { requests: 3, parse_errors });
+        assert_eq!(connection_note("peer", &summary(0)), None);
+        assert_eq!(
+            connection_note("peer", &summary(1)).as_deref(),
+            Some("serve_tcp: peer: 1 of 3 request line(s) did not parse")
+        );
+        let failed = Err(std::io::Error::other("reset"));
+        assert_eq!(connection_note("peer", &failed).as_deref(), Some("serve_tcp: peer: reset"));
     }
 
     #[test]

@@ -21,18 +21,18 @@
 //!   with no committed pair fails too: re-record the matrix with
 //!   `cargo run --release -p ipim-report --bin matrix`.
 //! * **Exactness.** The fresh skip-ahead run, folded into a cell by
-//!   [`MatrixCell::from_engine_run`], must reproduce the committed
-//!   `skip_ahead` cell's `cycles`, `gbps` and `pj_per_op` exactly. The
-//!   legacy engine shares `Vault::tick` with skip-ahead, so
-//!   `engine_equivalence` cannot catch a change to the tick itself; this
-//!   check does. The fresh prediction must likewise reproduce the
+//!   [`MatrixCell::from_engine_run`], must equal the committed
+//!   `skip_ahead` cell as a whole: cycles, bandwidth, energy and its
+//!   split, instruction mix, busy PE-cycles, arithmetic intensity and
+//!   roofline side. The legacy engine shares `Vault::tick` with
+//!   skip-ahead, so `engine_equivalence` cannot catch a change to the tick
+//!   itself; this check does. The fresh prediction must likewise equal the
 //!   committed `analytic` cell, so a speed-up of the analytic walk that
-//!   moves any prediction by a single cycle fails here, not only one that
-//!   breaks the envelope or the drift rule.
+//!   moves any prediction by a single cycle or picojoule fails here, not
+//!   only one that breaks the envelope or the drift rule.
 //!
 //! The suite is registered under `ipim-report` so it reads the committed
-//! cells with [`read_matrix`], the parser the renderer and
-//! `bench_regress --matrix` use.
+//! cells with [`read_matrix`], the parser the renderer uses.
 //!
 //! The suite also pins the property the tuner actually relies on:
 //! *rank preservation*. The analytic model must order the recorded
@@ -60,7 +60,7 @@ const DRIFT_PTS: f64 = 10.0;
 /// The committed matrix cells every scale is checked against.
 fn committed_cells() -> Vec<MatrixCell> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/matrix.jsonl");
-    read_matrix(&path).unwrap_or_else(|e| panic!("committed matrix: {e}")).cells
+    read_matrix(&path).unwrap_or_else(|e| panic!("committed matrix: {e}"))
 }
 
 /// Divergence of the committed `skip_ahead`/`analytic` cell pair for
@@ -157,18 +157,14 @@ fn check_scale(side: u32) -> usize {
         // Both engines are pinned to the committed matrix: each fresh cell
         // must reproduce the committed one exactly.
         for (backend, report) in [(Backend::SkipAhead, &s.report), (Backend::Analytic, &p.report)] {
-            let fresh =
-                MatrixCell::from_engine_run(&w, backend, report, report.energy.total_pj(), 0);
-            let recorded = find(&committed, w.name, side, backend, None);
-            assert!(
-                recorded.is_some_and(|c| (c.cycles, c.gbps, c.pj_per_op)
-                    == (fresh.cycles, fresh.gbps, fresh.pj_per_op)),
-                "{} {side}x{side}: {} cell (cycles, gbps, pj_per_op) = {:?} does not match the \
-                 committed matrix cell {:?}{detail}",
+            let fresh = MatrixCell::from_engine_run(&w, backend, report);
+            assert_eq!(
+                find(&committed, w.name, side, backend, None),
+                Some(&fresh),
+                "{} {side}x{side}: the fresh {} cell (right) does not match the committed \
+                 matrix cell (left){detail}",
                 w.name,
                 backend.name(),
-                (fresh.cycles, fresh.gbps, fresh.pj_per_op),
-                recorded.map(|c| (c.cycles, c.gbps, c.pj_per_op)),
             );
         }
         let base = committed_divergence(&committed, w.name, side).unwrap_or_else(|| {

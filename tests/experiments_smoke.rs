@@ -14,7 +14,7 @@ use ipim_report::{
 
 fn committed_cells() -> Vec<MatrixCell> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/matrix.jsonl");
-    read_matrix(&path).unwrap_or_else(|e| panic!("committed matrix: {e}")).cells
+    read_matrix(&path).unwrap_or_else(|e| panic!("committed matrix: {e}"))
 }
 
 #[test]
