@@ -88,19 +88,11 @@ pub struct TraceConfig {
     /// once the buffer fills (the `dropped` count in the capture reports
     /// how many).
     pub ring_capacity: usize,
-    /// Keep 1-in-`sample_every` records (0 or 1 keeps everything). Large
-    /// multi-cube machines emit far more events than any practical ring
-    /// holds; sampling trades per-record fidelity for a statistically
-    /// representative capture instead of silently keeping only the tail.
-    pub sample_every: u64,
-    /// Seed for the sampling decision PRNG (simkit xoshiro256++), so a
-    /// sampled capture is reproducible run-to-run.
-    pub sample_seed: u64,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        Self { enabled: false, ring_capacity: 1 << 20, sample_every: 0, sample_seed: 0 }
+        Self { enabled: false, ring_capacity: 1 << 20 }
     }
 }
 

@@ -36,7 +36,7 @@ fn main() {
         .unwrap_or_else(|| panic!("{workload:?} is not a Table II workload"));
 
     let config = MachineConfig {
-        trace: TraceConfig { enabled: true, ring_capacity: ring, ..TraceConfig::default() },
+        trace: TraceConfig { enabled: true, ring_capacity: ring },
         ..MachineConfig::vault_slice(vaults)
     };
     let session = Session::new(config);

@@ -133,14 +133,6 @@ impl KernelBuilder {
         self.items.push(Item::EndStraight);
     }
 
-    /// Labels allocated so far. A finished item list is label-self-contained
-    /// over `0..labels_used()`, which is what lets a per-stage item list be
-    /// spliced into a larger one by offsetting every label (see
-    /// [`offset_labels`]).
-    pub fn labels_used(&self) -> u32 {
-        self.next_label
-    }
-
     /// Finishes, returning the item list.
     ///
     /// # Panics
@@ -150,22 +142,6 @@ impl KernelBuilder {
         assert!(!self.in_straight, "unclosed straight region");
         self.items
     }
-}
-
-/// Rebases every label in `items` by `base`, so an independently built
-/// (label-self-contained) item list can be appended to one that already
-/// used labels `0..base` without collisions. Instructions carry no labels —
-/// only `Bind`/`JumpTo`/`CJumpTo` items are rewritten.
-pub fn offset_labels(items: &[Item], base: u32) -> Vec<Item> {
-    items
-        .iter()
-        .map(|item| match item {
-            Item::Bind(l) => Item::Bind(KLabel(l.0 + base)),
-            Item::JumpTo(l) => Item::JumpTo(KLabel(l.0 + base)),
-            Item::CJumpTo(c, l) => Item::CJumpTo(*c, KLabel(l.0 + base)),
-            other => other.clone(),
-        })
-        .collect()
 }
 
 /// The straight-line regions of an item list, as index ranges (instructions

@@ -31,20 +31,17 @@ pub mod kb;
 pub mod layout;
 pub mod regalloc;
 pub mod reorder;
-mod stagecache;
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fmt::Write as _;
 
 use ipim_arch::MachineConfig;
-use ipim_frontend::{Expr, FuncBody, FuncDef, Pipeline, SourceId};
+use ipim_frontend::{Expr, FuncBody, Pipeline};
 use ipim_isa::Program;
 
 use codegen::{pinned_dregs, MachineFacts, StageCtx};
 pub use layout::{BufferLayout, LayoutError, MemoryMap, TileGrid};
 pub use regalloc::{RegAllocError, RegAllocPolicy};
-pub use stagecache::{fnv1a, stage_cache_stats};
 
 /// Backend optimization switches (the Fig. 12 configuration space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,70 +197,35 @@ pub fn compile(
         addr_rf: config.addr_rf_entries as u32,
     };
 
-    // Lower each root stage into its own label-self-contained item list,
-    // memoized process-wide: the stage key captures everything the lowering
-    // reads (see `stage_key`), so sibling schedule candidates and repeated
-    // compilations of the same pipeline re-lower only stages whose inputs
-    // actually changed. Lists are spliced with labels rebased, which yields
-    // exactly the item stream a single shared builder would have produced.
-    let mut items: Vec<kb::Item> = Vec::new();
-    let mut label_base = 0u32;
+    // Lower every root stage into one item stream; the backend passes below
+    // then run over the whole program.
+    let mut kbuilder = kb::KernelBuilder::new();
     let mut sync_phase = 0u32;
     let total_vaults = config.total_vaults() as u32;
     for stage in &roots {
-        let key = stage_key(
-            pipeline,
-            stage,
-            &map,
-            facts,
-            options.reg_alloc,
-            hist_scratch.get(&stage.source).copied(),
-            total_vaults,
-            sync_phase,
-        );
-        let lowered = match stagecache::lookup(key) {
-            Some(hit) => hit,
-            None => {
-                let mut kbuilder = kb::KernelBuilder::new();
-                let mut phase = sync_phase;
-                {
-                    let mut ctx =
-                        StageCtx::new(&mut kbuilder, pipeline, &map, facts, options.reg_alloc);
-                    ctx.emit_setup();
-                    match stage.body.as_ref().expect("validated pipeline") {
-                        FuncBody::Pure(e) => {
-                            ctx.hoist_constants(e)?;
-                            codegen::emit_pure_stage(&mut ctx, stage, e)?;
-                        }
-                        FuncBody::Histogram { source, bins, min, max } => {
-                            histogram::emit_histogram_stage(
-                                &mut ctx,
-                                stage.source,
-                                *source,
-                                *bins,
-                                *min,
-                                *max,
-                                hist_scratch[&stage.source],
-                                total_vaults,
-                                &mut phase,
-                            )?;
-                        }
-                    }
-                }
-                let labels = kbuilder.labels_used();
-                let lowered = stagecache::LoweredStage {
-                    items: kbuilder.finish(),
-                    labels,
-                    sync_phase_after: phase,
-                };
-                stagecache::insert(key, lowered.clone());
-                lowered
+        let mut ctx = StageCtx::new(&mut kbuilder, pipeline, &map, facts, options.reg_alloc);
+        ctx.emit_setup();
+        match stage.body.as_ref().expect("validated pipeline") {
+            FuncBody::Pure(e) => {
+                ctx.hoist_constants(e)?;
+                codegen::emit_pure_stage(&mut ctx, stage, e)?;
             }
-        };
-        items.extend(kb::offset_labels(&lowered.items, label_base));
-        label_base += lowered.labels;
-        sync_phase = lowered.sync_phase_after;
+            FuncBody::Histogram { source, bins, min, max } => {
+                histogram::emit_histogram_stage(
+                    &mut ctx,
+                    stage.source,
+                    *source,
+                    *bins,
+                    *min,
+                    *max,
+                    hist_scratch[&stage.source],
+                    total_vaults,
+                    &mut sync_phase,
+                )?;
+            }
+        }
     }
+    let mut items = kbuilder.finish();
     let spill_slots = regalloc::allocate(
         &mut items,
         pinned_dregs(config.data_rf_entries as u32),
@@ -283,55 +245,16 @@ pub fn compile(
     Ok(CompiledPipeline { program, map, spill_slots, static_instructions })
 }
 
-/// Content-addressed key of one stage's lowering: an FNV-1a hash over a
-/// canonical rendering of *every* input the per-stage codegen reads.
-///
-/// That is: the stage itself (source id, extent, body, and schedule —
-/// `Schedule::summary`), the logical extent and planned layout of every
-/// buffer the body references, the stage's own layout, the tile grid, the
-/// machine facts, the register-allocation policy, and — for histogram
-/// stages — the scratch base, the vault count and the incoming sync phase.
-/// Func *names* are deliberately absent: they only ever reach error
-/// messages, and errors are never cached.
-#[allow(clippy::too_many_arguments)]
-fn stage_key(
-    pipeline: &Pipeline,
-    stage: &FuncDef,
-    map: &MemoryMap,
-    facts: MachineFacts,
-    reg_alloc: RegAllocPolicy,
-    hist_scratch: Option<u32>,
-    total_vaults: u32,
-    sync_phase: u32,
-) -> u64 {
-    let mut key = String::new();
-    let _ = write!(
-        key,
-        "stage {}={}x{}[{}]{{{}}};",
-        stage.source,
-        stage.extent.0,
-        stage.extent.1,
-        stage.schedule.summary(),
-        stage.body_summary(),
-    );
-    let mut sources: Vec<SourceId> = match stage.body.as_ref().expect("validated pipeline") {
-        FuncBody::Pure(e) => e.sources(),
-        FuncBody::Histogram { source, .. } => vec![*source],
-    };
-    sources.push(stage.source);
-    sources.sort_unstable();
-    sources.dedup();
-    for s in sources {
-        let (w, h) = pipeline.extent(s);
-        let _ = write!(key, "buf {s}={w}x{h}:{:?};", map.layout(s));
+/// 64-bit FNV-1a: stable across platforms and processes, so it keys the
+/// program cache, serve's request fingerprints and output hashes, and the
+/// pinned program digests alike.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    let _ = write!(
-        key,
-        "grid {:?};facts {facts:?};reg_alloc {reg_alloc:?};\
-         hist {hist_scratch:?}/{total_vaults};phase {sync_phase}",
-        map.grid,
-    );
-    fnv1a(key.as_bytes())
+    h
 }
 
 impl StageCtx<'_> {

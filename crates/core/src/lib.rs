@@ -52,9 +52,11 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+mod lru;
 mod progcache;
 mod session;
 
+pub use lru::Lru;
 pub use progcache::{program_key, CompiledProgram, ProgramCache};
 pub use session::{RunOutcome, Session, SessionError};
 
@@ -63,7 +65,7 @@ pub use ipim_arch::{
     Fidelity, Machine, MachineConfig, Placement, TraceConfig,
 };
 pub use ipim_compiler::{
-    compile, host, CompileOptions, CompiledPipeline, MemoryMap, RegAllocPolicy,
+    compile, fnv1a, host, CompileOptions, CompiledPipeline, MemoryMap, RegAllocPolicy,
 };
 pub use ipim_workloads::{
     all_workloads, workload_by_name, workloads_in_family, ComputeRootPolicy, ScheduleOverride,

@@ -7,29 +7,32 @@
 //! machine shape, and the backend [`CompileOptions`]. Simulation-only
 //! knobs — the cycle engine, the cycle budget, tracing — are deliberately
 //! *not* part of the key, so one compiled program serves every engine and
-//! budget, exactly mirroring how the serve `ResultCache` key excludes the
-//! deadline.
+//! budget, exactly mirroring how the serve pool's result-cache key
+//! excludes the deadline.
 //!
-//! [`ProgramCache`] memoizes compilation behind that key: a thread-safe
-//! bounded LRU whose hit/miss/eviction counters export under
+//! [`ProgramCache`] memoizes compilation behind that key: the crate's
+//! [`Lru`] behind a `Mutex`, whose hit/miss/eviction counters export under
 //! `serve/progcache/...`. Compilation is deterministic, so a cache hit is
 //! bit-identical to the compile it replaces and memoization is
 //! semantically invisible; what it buys is the wall-clock — serve workers,
 //! tuner search waves and CI measurements compile each distinct
-//! (workload × schedule × machine) key exactly once per process.
+//! (workload × schedule × machine) key exactly once per process. It is the
+//! only compile memo: beneath it, [`compile`] lowers every stage afresh.
 //!
 //! The process-wide instance ([`ProgramCache::global`]) sizes itself from
 //! `IPIM_PROGCACHE_CAPACITY` (default 256 programs; `0` disables caching —
-//! useful for A/B-measuring the cache itself).
+//! useful for A/B-measuring the cache itself), which bounds a long-running
+//! server's memory.
 
-use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use ipim_arch::MachineConfig;
 use ipim_compiler::{compile, fnv1a, CompileError, CompileOptions, CompiledPipeline};
 use ipim_frontend::{Pipeline, SourceId};
 use ipim_trace::MetricsRegistry;
+
+use crate::Lru;
 
 /// A lowered pipeline as a shareable, content-addressed artifact.
 ///
@@ -120,39 +123,16 @@ fn machine_compile_summary(config: &MachineConfig) -> String {
     )
 }
 
-struct Entry {
-    program: Arc<CompiledProgram>,
-    touched: u64,
-}
-
-struct Inner {
-    tick: u64,
-    entries: HashMap<u64, Entry>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
 /// A thread-safe LRU cache of compiled programs with observable counters.
 pub struct ProgramCache {
-    capacity: usize,
-    inner: Mutex<Inner>,
+    lru: Mutex<Lru<Arc<CompiledProgram>>>,
 }
 
 impl ProgramCache {
     /// Creates a cache holding at most `capacity` programs. A capacity of
     /// 0 disables caching (every compile is fresh, counted as a miss).
     pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            inner: Mutex::new(Inner {
-                tick: 0,
-                entries: HashMap::new(),
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
-        }
+        Self { lru: Mutex::new(Lru::new(capacity)) }
     }
 
     /// The process-wide cache every [`Session`](crate::Session) compiles
@@ -185,7 +165,7 @@ impl ProgramCache {
     ) -> Result<Arc<CompiledProgram>, CompileError> {
         let canonical_key = program_key(pipeline, config, options);
         let key = fnv1a(canonical_key.as_bytes());
-        if let Some(hit) = self.lookup(key) {
+        if let Some(hit) = self.lru().get(key) {
             return Ok(hit);
         }
         let inner = compile(pipeline, config, options)?;
@@ -195,52 +175,17 @@ impl ProgramCache {
             output_source: pipeline.output().source,
             inner,
         });
-        self.insert(key, program.clone());
+        self.lru().insert(key, program.clone());
         Ok(program)
     }
 
-    fn lookup(&self, key: u64) -> Option<Arc<CompiledProgram>> {
-        let mut c = self.inner.lock().expect("program cache poisoned");
-        c.tick += 1;
-        let tick = c.tick;
-        let found = c.entries.get_mut(&key).map(|e| {
-            e.touched = tick;
-            e.program.clone()
-        });
-        match found {
-            Some(p) => {
-                c.hits += 1;
-                Some(p)
-            }
-            None => {
-                c.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn insert(&self, key: u64, program: Arc<CompiledProgram>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut c = self.inner.lock().expect("program cache poisoned");
-        if c.entries.contains_key(&key) {
-            return; // a racing worker compiled the same key: keep the first
-        }
-        if c.entries.len() >= self.capacity {
-            if let Some(&lru) = c.entries.iter().min_by_key(|(_, e)| e.touched).map(|(k, _)| k) {
-                c.entries.remove(&lru);
-                c.evictions += 1;
-            }
-        }
-        c.tick += 1;
-        let tick = c.tick;
-        c.entries.insert(key, Entry { program, touched: tick });
+    fn lru(&self) -> MutexGuard<'_, Lru<Arc<CompiledProgram>>> {
+        self.lru.lock().expect("program cache poisoned")
     }
 
     /// Cached programs right now.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("program cache poisoned").entries.len()
+        self.lru().len()
     }
 
     /// Whether the cache holds nothing.
@@ -250,22 +195,12 @@ impl ProgramCache {
 
     /// Snapshot of `(hits, misses, evictions)`.
     pub fn stats(&self) -> (u64, u64, u64) {
-        let c = self.inner.lock().expect("program cache poisoned");
-        (c.hits, c.misses, c.evictions)
+        self.lru().stats()
     }
 
-    /// Registers the program-cache counters (and the compiler's per-stage
-    /// lowering-cache counters) under `serve/progcache/...`.
+    /// Registers the program-cache counters under `serve/progcache/...`.
     pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        let (hits, misses, evictions) = self.stats();
-        reg.counter_add("serve/progcache/hits", hits);
-        reg.counter_add("serve/progcache/misses", misses);
-        reg.counter_add("serve/progcache/evictions", evictions);
-        reg.gauge_set("serve/progcache/entries", self.len() as f64);
-        let (sh, sm, se) = ipim_compiler::stage_cache_stats();
-        reg.counter_add("serve/progcache/stage_hits", sh);
-        reg.counter_add("serve/progcache/stage_misses", sm);
-        reg.counter_add("serve/progcache/stage_evictions", se);
+        self.lru().export_metrics(reg, "serve/progcache");
     }
 }
 

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use ipim_arch::{analytic, Engine, ExecutionReport, Fidelity, Machine, MachineConfig, SimTimeout};
 use ipim_compiler::{compile, host, CompileError, CompileOptions, CompiledPipeline};
 use ipim_frontend::{Image, Pipeline, SourceId};
-use ipim_trace::{MetricsRegistry, SamplingSink, TraceCapture};
+use ipim_trace::{MetricsRegistry, RingSink, TraceCapture};
 use ipim_workloads::Workload;
 
 use crate::progcache::{CompiledProgram, ProgramCache};
@@ -200,16 +200,10 @@ impl Session {
         }
         let compiled = program.compiled();
         let mut machine = Machine::new(self.config.clone());
-        // When tracing is on, wire a shared ring through every component
-        // (behind a 1-in-N sampler when `sample_every` asks for one);
+        // When tracing is on, wire a shared ring through every component;
         // otherwise every tracer stays detached (one-branch emit path).
         let capture = if self.config.trace.enabled {
-            let t = &self.config.trace;
-            let sink = Rc::new(RefCell::new(SamplingSink::new(
-                t.ring_capacity,
-                t.sample_every,
-                t.sample_seed,
-            )));
+            let sink = Rc::new(RefCell::new(RingSink::new(self.config.trace.ring_capacity)));
             let components = machine.attach_trace(sink.clone());
             Some((sink, components))
         } else {
@@ -223,15 +217,12 @@ impl Session {
         let output = host::read_back(&machine, &compiled.map, program.output_source());
         let metrics = machine.metrics();
         let trace = capture.map(|(sink, components)| {
-            let mut sampler = sink.borrow_mut();
-            let (sampled_out, total) = (sampler.sampled_out(), sampler.total());
-            let ring = sampler.ring_mut();
+            let mut ring = sink.borrow_mut();
             TraceCapture {
                 records: ring.drain(),
                 components,
                 dropped: ring.dropped(),
-                sampled_out,
-                total,
+                total: ring.total(),
             }
         });
         Ok(RunOutcome {

@@ -87,7 +87,7 @@ impl Schedule {
 
     /// Compact one-line rendering of the knob settings, e.g.
     /// `root tile=32x8 pgsm` — the canonical form tuner dedup keys use and
-    /// the schedule half of the compile-cache keys.
+    /// the schedule half of the program key.
     pub fn summary(&self) -> String {
         // Exhaustive on purpose: a new field fails to compile here until
         // someone decides how the keys render it.

@@ -13,10 +13,11 @@
 //! - **[`ServePool`]** — a fixed set of worker threads, each owning its
 //!   machines outright, with per-job deadline/cycle-budget degradation
 //!   (a timed-out job answers `Timeout`, the worker lives on).
-//! - **[`ResultCache`]** — content-addressed LRU memoization of `Done`
-//!   responses; hits are bit-identical to cold runs because simulation is
-//!   deterministic. Counters export into the `ipim-trace`
-//!   [`MetricsRegistry`](ipim_trace::MetricsRegistry) under `serve/...`.
+//!   Its result cache, keyed by [`SimRequest::fingerprint`], memoizes `Done`
+//!   responses in an [`Lru`](ipim_core::Lru); hits are bit-identical to
+//!   cold runs because simulation is deterministic. Counters export into
+//!   the `ipim-trace` [`MetricsRegistry`](ipim_trace::MetricsRegistry)
+//!   under `serve/...`.
 //! - **[`server`]** — the ndjson request/response protocol behind the
 //!   `ipim_served` binary (stdin/stdout or TCP) and the `loadgen`
 //!   closed-loop load generator (both in `ipim-bench`).
@@ -39,17 +40,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod pool;
 mod queue;
 mod request;
 mod response;
 pub mod server;
 
-pub use cache::ResultCache;
-pub use ipim_core::{ComputeRootPolicy, ScheduleOverride};
+pub use ipim_core::{fnv1a, ComputeRootPolicy, ScheduleOverride};
 pub use pool::{PoolConfig, ServePool, Ticket};
 pub use queue::JobQueue;
-pub use request::{fnv1a, SimRequest};
+pub use request::SimRequest;
 pub use response::{image_hash, report_hash, DoneResponse, SimResponse, TimeoutKind};
 pub use server::{LineService, PendingLine};

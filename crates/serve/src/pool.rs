@@ -16,6 +16,14 @@
 //!   `Timeout(CycleBudget {..})` with the partial-progress picture (how
 //!   many vaults were still running). The worker thread survives both
 //!   cases and simply takes the next job.
+//!
+//! The result cache is an [`Lru`] keyed by
+//! [`SimRequest::fingerprint`], a canonical hash of every
+//! result-determining field, so two requests that merely spell their JSON
+//! differently (field order, workload name case, a deadline) share one
+//! entry. Only `Done` responses are stored: timeouts depend on wall-clock
+//! circumstances and errors are cheap to recompute. Its counters export
+//! under `serve/cache/...`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -23,9 +31,9 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
+use ipim_core::Lru;
 use ipim_trace::MetricsRegistry;
 
-use crate::cache::ResultCache;
 use crate::queue::JobQueue;
 use crate::request::SimRequest;
 use crate::response::{SimResponse, TimeoutKind};
@@ -80,7 +88,7 @@ impl Ticket {
 /// result cache.
 pub struct ServePool {
     queue: Arc<JobQueue<Job>>,
-    cache: Arc<Mutex<ResultCache>>,
+    cache: Arc<Mutex<Lru<SimResponse>>>,
     counters: Arc<PoolCounters>,
     workers: Vec<thread::JoinHandle<u64>>,
 }
@@ -89,7 +97,7 @@ impl ServePool {
     /// Starts `config.workers` worker threads.
     pub fn start(config: &PoolConfig) -> Self {
         let queue = Arc::new(JobQueue::bounded(config.queue_depth));
-        let cache = Arc::new(Mutex::new(ResultCache::new(config.cache_capacity)));
+        let cache = Arc::new(Mutex::new(Lru::new(config.cache_capacity)));
         let counters = Arc::new(PoolCounters::default());
         let workers = (0..config.workers.max(1))
             .map(|i| {
@@ -134,7 +142,7 @@ impl ServePool {
         reg.counter_add("serve/pool/timeouts", self.counters.timeouts.load(Ordering::Relaxed));
         reg.counter_add("serve/pool/errors", self.counters.errors.load(Ordering::Relaxed));
         reg.gauge_set("serve/pool/workers", self.workers.len() as f64);
-        self.cache.lock().expect("cache poisoned").export_metrics(&mut reg);
+        self.cache.lock().expect("cache poisoned").export_metrics(&mut reg, "serve/cache");
         ipim_core::ProgramCache::global().export_metrics(&mut reg);
         reg
     }
@@ -154,14 +162,18 @@ impl ServePool {
         for (i, jobs) in jobs_by_worker.iter().enumerate() {
             reg.counter_add(&format!("serve/pool/worker{i}/jobs"), *jobs);
         }
-        self.cache.lock().expect("cache poisoned").export_metrics(&mut reg);
+        self.cache.lock().expect("cache poisoned").export_metrics(&mut reg, "serve/cache");
         ipim_core::ProgramCache::global().export_metrics(&mut reg);
         reg
     }
 }
 
 /// One worker: pop, shed-or-serve, reply, repeat until the queue ends.
-fn worker_loop(queue: &JobQueue<Job>, cache: &Mutex<ResultCache>, counters: &PoolCounters) -> u64 {
+fn worker_loop(
+    queue: &JobQueue<Job>,
+    cache: &Mutex<Lru<SimResponse>>,
+    counters: &PoolCounters,
+) -> u64 {
     let mut jobs = 0u64;
     while let Some(job) = queue.pop() {
         jobs += 1;
@@ -177,7 +189,7 @@ fn worker_loop(queue: &JobQueue<Job>, cache: &Mutex<ResultCache>, counters: &Poo
     jobs
 }
 
-fn serve_one(job: &Job, cache: &Mutex<ResultCache>) -> SimResponse {
+fn serve_one(job: &Job, cache: &Mutex<Lru<SimResponse>>) -> SimResponse {
     let req = &job.request;
     if let Some(deadline_ms) = req.deadline_ms {
         if job.admitted.elapsed().as_millis() as u64 > deadline_ms {
@@ -185,7 +197,7 @@ fn serve_one(job: &Job, cache: &Mutex<ResultCache>) -> SimResponse {
         }
     }
     let fingerprint = req.fingerprint();
-    if let Some(hit) = cache.lock().expect("cache poisoned").lookup(fingerprint) {
+    if let Some(hit) = cache.lock().expect("cache poisoned").get(fingerprint) {
         return hit;
     }
     let response = match req.instantiate() {
@@ -195,7 +207,9 @@ fn serve_one(job: &Job, cache: &Mutex<ResultCache>) -> SimResponse {
         },
         Err(msg) => SimResponse::Error(msg),
     };
-    cache.lock().expect("cache poisoned").insert(fingerprint, &response);
+    if response.is_done() {
+        cache.lock().expect("cache poisoned").insert(fingerprint, response.clone());
+    }
     response
 }
 
@@ -238,6 +252,19 @@ mod tests {
         assert!(ok.is_done());
         let metrics = pool.shutdown();
         assert_eq!(metrics.counter("serve/pool/errors"), 1);
+    }
+
+    #[test]
+    fn errors_are_not_cached() {
+        let pool = ServePool::start(&PoolConfig { workers: 1, queue_depth: 4, cache_capacity: 4 });
+        for _ in 0..2 {
+            let r = pool.submit(small("NoSuchKernel")).wait();
+            assert!(matches!(r, SimResponse::Error(_)), "{r:?}");
+        }
+        let metrics = pool.shutdown();
+        assert_eq!(metrics.counter("serve/pool/errors"), 2);
+        assert_eq!(metrics.counter("serve/cache/hits"), 0);
+        assert_eq!(metrics.counter("serve/cache/misses"), 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! only in deadline share one cache entry.
 
 use ipim_core::{
-    workload_by_name, CompileOptions, ComputeRootPolicy, Engine, MachineConfig, Placement,
+    fnv1a, workload_by_name, CompileOptions, ComputeRootPolicy, Engine, MachineConfig, Placement,
     RegAllocPolicy, ScheduleOverride, Session, Workload, WorkloadScale,
 };
 use ipim_trace::json;
@@ -196,7 +196,7 @@ impl SimRequest {
             "{{\"workload\":\"{}\",\"width\":{},\"height\":{},\"vaults\":{},\
              \"engine\":\"{}\",\"reg_alloc\":\"{}\",\"reorder\":{},\"memory_order\":{},\
              \"max_cycles\":{}{cubes}{schedule}{placement}{deadline}}}",
-            json_escape(&self.workload),
+            json::escape(&self.workload),
             self.width,
             self.height,
             self.vaults,
@@ -418,33 +418,6 @@ fn get_bool(v: &json::Value, key: &str, default: bool) -> Result<bool, String> {
         Some(json::Value::Bool(b)) => Ok(*b),
         Some(_) => Err(format!("{key} must be a boolean")),
     }
-}
-
-/// 64-bit FNV-1a: tiny, dependency-free, and stable across platforms —
-/// exactly what a content-addressed cache key needs.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Escapes a string for a JSON literal (the subset our own field values
-/// need; full unescaping lives in `ipim_trace::json`).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

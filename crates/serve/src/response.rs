@@ -8,9 +8,10 @@
 //! serial one.
 
 use ipim_core::frontend::Image;
-use ipim_core::{ExecutionReport, Fidelity, RunOutcome, SessionError};
+use ipim_core::{fnv1a, ExecutionReport, Fidelity, RunOutcome, SessionError};
+use ipim_trace::json;
 
-use crate::request::{fnv1a, json_escape, SimRequest};
+use crate::request::SimRequest;
 
 /// A successfully completed simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,7 +136,7 @@ impl SimResponse {
                      \"energy_pj\":{:?},\"output_width\":{},\"output_height\":{},\
                      \"output_hash\":\"{:016x}\",\"report_hash\":\"{:016x}\",\
                      \"fingerprint\":\"{:016x}\"{fidelity}}}",
-                    json_escape(&d.workload),
+                    json::escape(&d.workload),
                     d.cycles,
                     d.issued,
                     d.energy_pj,
@@ -154,7 +155,7 @@ impl SimResponse {
                  \"stuck_vaults\":{stuck_vaults}}}"
             ),
             SimResponse::Error(msg) => {
-                format!("{{\"status\":\"error\",\"message\":\"{}\"}}", json_escape(msg))
+                format!("{{\"status\":\"error\",\"message\":\"{}\"}}", json::escape(msg))
             }
         }
     }
@@ -173,7 +174,6 @@ impl SimResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipim_trace::json;
 
     #[test]
     fn image_hash_tracks_content() {

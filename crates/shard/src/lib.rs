@@ -4,8 +4,8 @@
 //! streams over N `ipim_served --stream` backends across real TCP:
 //!
 //! - **[`HashRing`]** — consistent hashing of the request's
-//!   content-addressed fingerprint (the same key the backend
-//!   `ResultCache` uses). Each fingerprint has two choices: its owner and
+//!   content-addressed fingerprint (the same key the backend pool's
+//!   result cache uses). Each fingerprint has two choices: its owner and
 //!   the next backend clockwise, both pure functions of the config.
 //! - **[`ShardRouter`]** — two-choice, load-aware routing: a job goes to
 //!   its owner unless the second choice has strictly fewer jobs in flight,

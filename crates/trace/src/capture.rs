@@ -17,10 +17,7 @@ pub struct TraceCapture {
     pub components: CompRegistry,
     /// Records evicted because the ring filled.
     pub dropped: u64,
-    /// Records rejected up front by a sampling sink (0 when the capture
-    /// recorded every event).
-    pub sampled_out: u64,
-    /// Records emitted in total (`records.len() + dropped + sampled_out`).
+    /// Records emitted in total (`records.len() + dropped`).
     pub total: u64,
 }
 
@@ -50,7 +47,7 @@ mod tests {
             Record { now: 2, comp, event: TraceEvent::BarrierEnter { phase: 0 } },
             Record { now: 9, comp, event: TraceEvent::BarrierRelease },
         ];
-        let cap = TraceCapture { records, components, dropped: 0, sampled_out: 0, total: 3 };
+        let cap = TraceCapture { records, components, dropped: 0, total: 3 };
         let json = cap.to_chrome_json();
         let report = chrome::lint(&json).expect("valid trace");
         // One metadata row for the component plus the three records.

@@ -33,23 +33,6 @@ pub struct LintReport {
     pub args_checked: usize,
 }
 
-/// Escapes `s` for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// How one event renders: a span boundary, an instant, or a complete event.
 enum Render {
     Begin { name: &'static str, args: Option<String> },
@@ -86,11 +69,11 @@ fn render_of(ev: &TraceEvent) -> Render {
         TraceEvent::CreditStall => Render::Instant { name: "credit_stall", args: None },
         TraceEvent::SimbIssue { pc, category } => Render::Instant {
             name: "simb_issue",
-            args: Some(format!("{{\"pc\":{pc},\"category\":\"{}\"}}", escape(category))),
+            args: Some(format!("{{\"pc\":{pc},\"category\":\"{}\"}}", json::escape(category))),
         },
         TraceEvent::SimbStall { reason } => Render::Instant {
             name: "simb_stall",
-            args: Some(format!("{{\"reason\":\"{}\"}}", escape(reason))),
+            args: Some(format!("{{\"reason\":\"{}\"}}", json::escape(reason))),
         },
         TraceEvent::SpadAccess { kind, count } => Render::Instant {
             name: "spad_access",
@@ -114,7 +97,7 @@ pub fn export(records: &[Record], comps: &CompRegistry) -> String {
             "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":{},\
              \"args\":{{\"name\":\"{}\"}}}}",
             id.0,
-            escape(path)
+            json::escape(path)
         ));
     }
     // Per-component stack of open span names, for orphan-E drop and
@@ -447,7 +430,7 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json::escape("\u{1}"), "\\u0001");
     }
 }

@@ -1,5 +1,6 @@
 //! A minimal std-only JSON parser, used by the Chrome-export lint and the
-//! exporter tests (the hermetic policy rules out serde).
+//! exporter tests (the hermetic policy rules out serde), and the one string
+//! escape every hand-written JSON writer uses ([`escape`]).
 //!
 //! Supports the full JSON grammar the exporter can produce: objects,
 //! arrays, strings with `\uXXXX`/standard escapes, numbers, booleans and
@@ -74,6 +75,25 @@ pub fn parse(input: &str) -> Result<Value, String> {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
+}
+
+/// Escapes `s` for a JSON string literal: `"`, `\` and newline by their
+/// short escapes, every other control character as `\u00XX` (so a tab is
+/// `\u0009`). The serve wire, the Chrome exporter and the tuner's JSONL
+/// records all write strings through it; serve's byte-equality checks
+/// rely on the spelling staying fixed.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 struct Parser<'a> {
@@ -261,6 +281,14 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escape_round_trips_every_control_character() {
+        let s: String = (0u8..0x20).map(char::from).chain("\"\\é".chars()).collect();
+        let quoted = format!("\"{}\"", escape(&s));
+        assert_eq!(parse(&quoted), Ok(Value::String(s)));
+        assert_eq!(escape("\t\r"), "\\u0009\\u000d");
+    }
 
     #[test]
     fn parses_nested_document() {

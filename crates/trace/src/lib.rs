@@ -9,9 +9,8 @@
 //!   credit stalls, SIMB issue/stall transitions, scratchpad traffic,
 //!   barrier entry/release, and the skip-ahead engine's jumped windows.
 //! - **Sinks** ([`TraceSink`]): where events go. [`RingSink`] keeps the
-//!   last *N* records in memory; [`SamplingSink`] keeps a seeded 1-in-N
-//!   subset for runs whose event volume would overflow any practical ring;
-//!   [`NullSink`] discards everything. The
+//!   last *N* records in memory and counts what it drops; [`NullSink`]
+//!   discards everything. The
 //!   [`Tracer`] handle each component holds makes the disabled path one
 //!   branch on an `Option` — no sink, no formatting, no allocation.
 //! - **Metrics** ([`MetricsRegistry`]): a deterministic hierarchical
@@ -42,4 +41,4 @@ mod sink;
 pub use capture::TraceCapture;
 pub use event::{CompId, CompRegistry, DramCmdKind, SpadKind, TraceEvent};
 pub use metrics::{Histogram, Metric, MetricsRegistry};
-pub use sink::{NullSink, Record, RingSink, SamplingSink, SharedSink, TraceSink, Tracer};
+pub use sink::{NullSink, Record, RingSink, SharedSink, TraceSink, Tracer};

@@ -5,8 +5,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
-use ipim_simkit::Rng;
-
 use crate::event::{CompId, TraceEvent};
 
 /// One recorded event: when, where, what.
@@ -102,75 +100,6 @@ impl TraceSink for RingSink {
             self.dropped += 1;
         }
         self.buf.push_back(rec);
-    }
-}
-
-/// A 1-in-N sampling front-end over a [`RingSink`].
-///
-/// Multi-cube machines emit orders of magnitude more events than any
-/// practical ring holds; recording everything into a full ring silently
-/// keeps only the tail of the run. Sampling instead keeps a statistically
-/// representative 1-in-`every` subset across the *whole* run, with the
-/// decision driven by a seeded simkit PRNG so two identically configured
-/// captures sample the same records.
-///
-/// `every <= 1` keeps every record (the sink degenerates to its inner
-/// ring). Records rejected by the sampler are counted in
-/// [`sampled_out`](SamplingSink::sampled_out), and `total()` still counts
-/// every record ever offered, so a consumer can rescale sampled counts by
-/// `total / kept`.
-#[derive(Debug, Clone)]
-pub struct SamplingSink {
-    inner: RingSink,
-    every: u64,
-    rng: Rng,
-    sampled_out: u64,
-    total: u64,
-}
-
-impl SamplingSink {
-    /// Creates a sampler keeping 1-in-`every` records (deterministically,
-    /// from `seed`) in a ring of `capacity` records.
-    pub fn new(capacity: usize, every: u64, seed: u64) -> Self {
-        Self {
-            inner: RingSink::new(capacity),
-            every,
-            rng: Rng::new(seed),
-            sampled_out: 0,
-            total: 0,
-        }
-    }
-
-    /// The wrapped ring, for draining a finished capture.
-    pub fn ring_mut(&mut self) -> &mut RingSink {
-        &mut self.inner
-    }
-
-    /// Records rejected by the sampling decision (never offered to the
-    /// ring).
-    pub fn sampled_out(&self) -> u64 {
-        self.sampled_out
-    }
-
-    /// Records ever offered to the sampler (kept + sampled out).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Records kept (offered to the inner ring).
-    pub fn kept(&self) -> u64 {
-        self.total - self.sampled_out
-    }
-}
-
-impl TraceSink for SamplingSink {
-    fn record(&mut self, rec: Record) {
-        self.total += 1;
-        if self.every <= 1 || self.rng.next_u64().is_multiple_of(self.every) {
-            self.inner.record(rec);
-        } else {
-            self.sampled_out += 1;
-        }
     }
 }
 
@@ -293,55 +222,5 @@ mod tests {
     fn null_sink_discards() {
         let mut s = NullSink;
         s.record(rec(0));
-    }
-
-    #[test]
-    fn sampler_keeps_roughly_one_in_n() {
-        const OFFERED: u64 = 100_000;
-        const EVERY: u64 = 8;
-        let mut s = SamplingSink::new(OFFERED as usize, EVERY, 42);
-        for t in 0..OFFERED {
-            s.record(rec(t));
-        }
-        assert_eq!(s.total(), OFFERED);
-        assert_eq!(s.kept() + s.sampled_out(), OFFERED);
-        let expected = OFFERED / EVERY;
-        let kept = s.kept();
-        // A binomial(100_000, 1/8) sample has σ ≈ 105; ±5 % is ~60σ of
-        // headroom, tight enough to catch an off-by-one in the modulus.
-        let tolerance = expected / 20;
-        assert!(
-            kept.abs_diff(expected) <= tolerance,
-            "kept {kept}, expected {expected} ± {tolerance}"
-        );
-        // The kept subset spans the whole run, not just the tail.
-        let first = s.ring_mut().records().next().unwrap().now;
-        assert!(first < EVERY * 16, "first kept record at {first}");
-    }
-
-    #[test]
-    fn sampler_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let mut s = SamplingSink::new(4096, 4, seed);
-            for t in 0..1000 {
-                s.record(rec(t));
-            }
-            let kept: Vec<u64> = s.ring_mut().records().map(|r| r.now).collect();
-            kept
-        };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8));
-    }
-
-    #[test]
-    fn sampler_every_one_keeps_everything() {
-        for every in [0, 1] {
-            let mut s = SamplingSink::new(64, every, 0);
-            for t in 0..32 {
-                s.record(rec(t));
-            }
-            assert_eq!(s.kept(), 32);
-            assert_eq!(s.sampled_out(), 0);
-        }
     }
 }

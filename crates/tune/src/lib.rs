@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use ipim_core::{workload_by_name, MachineConfig, Workload, WorkloadScale};
 use ipim_serve::{ServePool, SimResponse};
@@ -135,9 +134,6 @@ pub struct EvalRecord {
     pub cache_hit: bool,
     /// Skipped by the analytic-prediction pruner.
     pub pruned: bool,
-    /// Wall-clock nanoseconds from submission to response (report-only;
-    /// never part of the search decision).
-    pub wall_ns: u64,
     /// In-band failure (timeout / compile error), if any.
     pub error: Option<String>,
 }
@@ -217,7 +213,6 @@ impl<'a> Tuner<'a> {
                 output_hash: None,
                 cache_hit: false,
                 pruned,
-                wall_ns: 0,
                 error: None,
             });
             if !pruned {
@@ -228,14 +223,10 @@ impl<'a> Tuner<'a> {
         // Phase 2: submit the whole wave, then collect in order.
         let tickets: Vec<_> = to_run
             .iter()
-            .map(|&i| {
-                (i, Instant::now(), self.pool.submit(self.evals[i].candidate.request(self.cfg)))
-            })
+            .map(|&i| (i, self.pool.submit(self.evals[i].candidate.request(self.cfg))))
             .collect();
-        for (i, submitted, ticket) in tickets {
-            let response = ticket.wait();
-            self.evals[i].wall_ns = submitted.elapsed().as_nanos() as u64;
-            match response {
+        for (i, ticket) in tickets {
+            match ticket.wait() {
                 SimResponse::Done(d) => {
                     self.evals[i].cycles = Some(d.cycles);
                     self.evals[i].energy_pj = Some(d.energy_pj);

@@ -2,12 +2,15 @@
 //! human-readable leaderboard.
 //!
 //! One `tune_eval` line per evaluation (candidate, estimate, cycles,
-//! energy, cache-hit, wall-ns) plus one `tune_best` summary line per run.
-//! Every string field is a canonical rendering from this crate (no user
-//! text), so the writer needs no general JSON escaping.
+//! energy, cache-hit, pruned, error) plus one `tune_best` summary line per
+//! run. No line holds host time, so a re-run of the same search reproduces
+//! the file byte for byte. The `error` field carries compiler and serve
+//! messages and goes through the shared JSON escape.
 
 use std::io::Write;
 use std::path::Path;
+
+use ipim_core::trace::json;
 
 use crate::TuneOutcome;
 
@@ -19,7 +22,7 @@ pub fn jsonl_lines(outcome: &TuneOutcome) -> Vec<String> {
             "{{\"kind\":\"tune_eval\",\"workload\":\"{}\",\"width\":{},\"height\":{},\
              \"seed\":{},\"strategy\":\"{}\",\"candidate\":\"{}\",\"est_cycles\":{},\
              \"cycles\":{},\"energy_pj\":{},\"output_hash\":{},\"cache_hit\":{},\
-             \"pruned\":{},\"wall_ns\":{},\"error\":{}}}",
+             \"pruned\":{},\"error\":{}}}",
             outcome.workload,
             outcome.width,
             outcome.height,
@@ -32,10 +35,7 @@ pub fn jsonl_lines(outcome: &TuneOutcome) -> Vec<String> {
             e.output_hash.map_or("null".to_string(), |h| format!("\"{h:016x}\"")),
             e.cache_hit,
             e.pruned,
-            e.wall_ns,
-            e.error.as_ref().map_or("null".to_string(), |m| {
-                format!("\"{}\"", m.replace('\\', "\\\\").replace('"', "\\\""))
-            }),
+            e.error.as_ref().map_or("null".to_string(), |m| format!("\"{}\"", json::escape(m))),
         ));
     }
     lines.push(format!(

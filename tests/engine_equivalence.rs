@@ -13,7 +13,9 @@
 
 use ipim_core::experiments::verify_output_against_reference;
 use ipim_core::trace::{Record, TraceEvent};
-use ipim_core::{Engine, Fidelity, MachineConfig, Session, TraceConfig, Workload, WorkloadScale};
+use ipim_core::{
+    fnv1a, Engine, Fidelity, MachineConfig, Session, TraceConfig, Workload, WorkloadScale,
+};
 
 /// 64×64 keeps each pair of runs comfortably sub-second in debug builds.
 fn scale() -> WorkloadScale {
@@ -36,11 +38,6 @@ fn at_supported_scale(w: Workload) -> Workload {
         }
         _ => w,
     }
-}
-
-/// 64-bit FNV-1a, the hash `ipim_serve::report_hash` and `image_hash` use.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
 /// Expected `(report, output)` FNV-1a digests of the skip-ahead run of each
@@ -136,7 +133,7 @@ fn assert_engines_agree(w: &Workload, vaults: usize) -> ipim_core::frontend::Ima
 fn assert_traces_agree(w: &Workload, vaults: usize) {
     let traced = |engine| MachineConfig {
         engine,
-        trace: TraceConfig { enabled: true, ring_capacity: 1 << 20, ..TraceConfig::default() },
+        trace: TraceConfig { enabled: true, ring_capacity: 1 << 20 },
         ..MachineConfig::vault_slice(vaults)
     };
     let legacy = Session::new(traced(Engine::Legacy))
