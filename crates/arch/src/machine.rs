@@ -98,7 +98,6 @@ impl ExecutionReport {
 #[derive(Debug, Clone)]
 pub struct Machine {
     config: MachineConfig,
-    energy_params: EnergyParams,
     vaults: Vec<Vault>,
     meshes: Vec<Mesh<NetMsg>>,
     mesh_shape: (u8, u8),
@@ -135,7 +134,6 @@ impl Machine {
             .collect();
         Self {
             config,
-            energy_params: EnergyParams::default(),
             vaults,
             meshes,
             mesh_shape: (width, height),
@@ -191,11 +189,6 @@ impl Machine {
     /// The machine configuration.
     pub fn config(&self) -> &MachineConfig {
         &self.config
-    }
-
-    /// Overrides the energy constants (defaults are Table III).
-    pub fn set_energy_params(&mut self, params: EnergyParams) {
-        self.energy_params = params;
     }
 
     /// Current simulation time in cycles.
@@ -601,7 +594,7 @@ impl Machine {
     ) -> EnergyBook {
         let noc_hops = self.meshes.iter().map(Mesh::flit_hops).sum::<u64>();
         compose_energy(
-            &self.energy_params,
+            &EnergyParams::default(),
             &self.config,
             stats,
             bank_stats,

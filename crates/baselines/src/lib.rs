@@ -1,6 +1,8 @@
 //! Baselines: the calibrated NVIDIA Tesla V100 GPU model (Sec. III /
-//! Fig. 1) and the process-on-base-die (PonB) machine configuration
-//! (Sec. VII-C1).
+//! Fig. 1). The process-on-base-die (PonB) baseline (Sec. VII-C1) is not
+//! a separate model: it is any `MachineConfig` with
+//! `placement: Placement::BaseDie`, identical to iPIM in every other
+//! respect.
 //!
 //! The GPU is *modeled*, not simulated: the paper's own profiling shows the
 //! workloads are DRAM-bandwidth-bound on the V100 (57.55 % average DRAM
@@ -13,7 +15,5 @@
 #![warn(missing_docs)]
 
 mod gpu;
-mod ponb;
 
 pub use gpu::{gpu_profile, run_gpu, GpuModel, GpuProfile, GpuResult};
-pub use ponb::ponb_config;

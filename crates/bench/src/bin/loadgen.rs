@@ -10,39 +10,33 @@
 //! is not an explicit deadline shed — a deadlock or a lost reply can only
 //! show up as the watchdog firing (exit 2 after `--watchdog-secs`).
 //!
-//! With `--stream`, clients talk to the pool over real loopback-TCP ndjson
-//! connections in per-response-flush streaming mode (`serve_stream`)
-//! instead of in-process `submit` calls — the end-to-end exercise of the
-//! `ipim_served --stream` protocol path, wire parsing included.
-//!
 //! With `--shard N`, clients drive an `ipim-shard` router over N local
-//! streaming-TCP backends (each its own `ServePool` with `--workers`
-//! workers behind `serve_tcp`, the `ipim_served --stream --tcp` shape) —
-//! the end-to-end exercise of the distributed tier: two-choice
-//! consistent hashing, per-backend windows, retry machinery and all. The
-//! summary prints the router's spill count (jobs sent to their second
-//! choice) and each backend's answered count. `--verify` then
-//! checks every unique request's output hash, **report hash** and echoed
-//! cache **fingerprint** against a serial in-process run, which is the
-//! sharded-equals-serial determinism gate CI leans on.
+//! TCP backends (each its own `ServePool` with `--workers` workers behind
+//! `serve_tcp`, the `ipim_served --tcp` shape) — the end-to-end exercise
+//! of the deployed path, wire parsing included, and of the distributed
+//! tier: two-choice consistent hashing, per-backend windows, retry
+//! machinery and all. The summary prints the router's spill count (jobs
+//! sent to their second choice) and each backend's answered count.
+//! `--verify` then checks every unique request's output hash, **report
+//! hash** and echoed cache **fingerprint** against a serial in-process
+//! run, which is the sharded-equals-serial determinism gate CI leans on.
 //!
 //! Flags: `--workers N` (default 4) · `--clients N` (default = workers) ·
 //! `--requests M` per client (default 8) · `--seed S` (default 7) ·
 //! `--mix fast|mixed|table2` (default fast; `mixed` is the shard-soak
 //! traffic: workload × size spread with per-class deadlines) · `--cache N`
-//! (default 0: caching off so throughput numbers are honest) · `--stream` ·
-//! `--shard N` · `--verify` re-run each unique request serially and compare
-//! bit-for-bit · `--watchdog-secs T` (default 600).
+//! (default 0: caching off so throughput numbers are honest) ·
+//! `--shard N` · `--verify` re-run each unique request serially and
+//! compare bit-for-bit · `--watchdog-secs T` (default 600).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ipim_core::trace::json;
-use ipim_serve::server::{serve_stream, serve_tcp};
+use ipim_serve::server::serve_tcp;
 use ipim_serve::{
     image_hash, report_hash, PoolConfig, ServePool, SimRequest, SimResponse, TimeoutKind,
 };
@@ -55,14 +49,13 @@ struct Options {
     requests: usize,
     seed: u64,
     mix: &'static str,
-    stream: bool,
     shard: usize,
     verify: bool,
     watchdog_secs: u64,
 }
 
 /// What one request came back as, seen from the client side — the common
-/// shape of the in-process and wire transports.
+/// shape of the in-process pool's responses and the router's wire lines.
 enum Reply {
     Done { output_hash: u64, report_hash: Option<u64>, fingerprint: Option<u64> },
     DeadlineShed,
@@ -117,35 +110,18 @@ impl Reply {
     }
 }
 
-/// One client's transport: in-process pool submission, an ndjson
-/// streaming TCP connection, or the shard router (which itself talks
-/// streaming TCP to every backend).
+/// One client's transport: in-process pool submission, or the shard
+/// router (which talks TCP to every backend).
 enum Transport<'p> {
     InProcess(&'p ServePool),
     Shard(&'p ShardRouter),
-    Stream { write: TcpStream, read: BufReader<TcpStream> },
 }
 
 impl Transport<'_> {
-    fn round_trip(&mut self, req: &SimRequest) -> Reply {
+    fn round_trip(&self, req: &SimRequest) -> Reply {
         match self {
             Transport::InProcess(pool) => Reply::from_response(pool.submit(req.clone()).wait()),
             Transport::Shard(router) => Reply::from_wire(router.submit(req.clone()).wait().trim()),
-            Transport::Stream { write, read } => {
-                // One write per request line, newline included: a separate
-                // `\n` segment would wait on Nagle for the server's ACK.
-                let mut wire = req.to_json_string();
-                wire.push('\n');
-                if let Err(e) = write.write_all(wire.as_bytes()) {
-                    return Reply::Error(format!("wire write: {e}"));
-                }
-                let mut line = String::new();
-                match read.read_line(&mut line) {
-                    Ok(0) => Reply::Error("server closed the stream early".to_string()),
-                    Ok(_) => Reply::from_wire(line.trim()),
-                    Err(e) => Reply::Error(format!("wire read: {e}")),
-                }
-            }
         }
     }
 }
@@ -157,7 +133,6 @@ fn parse_args() -> Options {
         requests: 8,
         seed: 7,
         mix: "fast",
-        stream: false,
         shard: 0,
         verify: false,
         watchdog_secs: 600,
@@ -177,7 +152,6 @@ fn parse_args() -> Options {
             "--watchdog-secs" => {
                 opts.watchdog_secs = num("--watchdog-secs", val("--watchdog-secs"));
             }
-            "--stream" => opts.stream = true,
             "--shard" => opts.shard = num("--shard", val("--shard")) as usize,
             "--verify" => opts.verify = true,
             "--mix" => {
@@ -190,7 +164,7 @@ fn parse_args() -> Options {
             }
             other => panic!(
                 "unknown argument {other:?} (supported: --workers N --clients N --requests M \
-                 --seed S --mix fast|mixed|table2 --cache N --stream --shard N --verify \
+                 --seed S --mix fast|mixed|table2 --cache N --shard N --verify \
                  --watchdog-secs T)"
             ),
         }
@@ -198,10 +172,6 @@ fn parse_args() -> Options {
     if opts.clients == 0 {
         opts.clients = opts.pool.workers;
     }
-    assert!(
-        !(opts.stream && opts.shard > 0),
-        "--stream and --shard are mutually exclusive (the shard already talks TCP to backends)"
-    );
     opts
 }
 
@@ -274,9 +244,8 @@ type LocalBackend = (String, Arc<ServePool>);
 type Witness = (SimRequest, u64, Option<u64>);
 
 /// One local shard backend: a `ServePool` behind a loopback listener,
-/// served by `serve_tcp` in streaming mode (the `ipim_served --stream
-/// --tcp` shape, in-process). The accept thread is detached — backends
-/// live until the process exits.
+/// served by `serve_tcp` (the `ipim_served --tcp` shape, in-process). The
+/// accept thread is detached — backends live until the process exits.
 fn spawn_shard_backend(pool_config: &PoolConfig) -> LocalBackend {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind shard backend");
     let addr = listener.local_addr().expect("local addr").to_string();
@@ -313,9 +282,7 @@ fn main() {
         opts.mix,
         opts.pool.cache_capacity,
         opts.seed,
-        if opts.stream {
-            ", streaming over TCP".to_string()
-        } else if opts.shard > 0 {
+        if opts.shard > 0 {
             format!(", sharded over {} TCP backend(s)", opts.shard)
         } else {
             String::new()
@@ -338,7 +305,7 @@ fn main() {
     }
 
     let pool = ServePool::start(&opts.pool);
-    // In shard mode the router fans out over `opts.shard` local streaming
+    // In shard mode the router fans out over `opts.shard` local TCP
     // backends, each with its own `--workers`-worker pool (the main pool
     // above sits idle; clients never touch it). Seeded from `--seed` so
     // retry jitter and probe timing are reproducible.
@@ -355,34 +322,8 @@ fn main() {
     let observed: Mutex<HashMap<u64, Witness>> = Mutex::new(HashMap::new());
     let failures: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
-    // In streaming mode every client gets its own long-lived loopback-TCP
-    // connection served by `serve_stream` (the `ipim_served --stream`
-    // code path); otherwise clients submit in-process.
-    let listener = if opts.stream {
-        Some(TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-    } else {
-        None
-    };
-    let addr = listener.as_ref().map(|l| l.local_addr().expect("local addr"));
-
     let started = Instant::now();
     let mut latencies: Vec<u64> = std::thread::scope(|scope| {
-        if let Some(listener) = &listener {
-            let pool = &pool;
-            let n = opts.clients;
-            scope.spawn(move || {
-                // One streaming server per connection; exactly `clients`
-                // connections, then stop accepting so the scope can join.
-                for _ in 0..n {
-                    let (stream, _) = listener.accept().expect("accept client");
-                    scope.spawn(move || {
-                        stream.set_nodelay(true).expect("set TCP_NODELAY");
-                        let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-                        serve_stream(reader, &stream, pool).expect("serve stream");
-                    });
-                }
-            });
-        }
         let handles: Vec<_> = (0..opts.clients)
             .map(|c| {
                 let pool = &pool;
@@ -392,15 +333,9 @@ fn main() {
                 let failures = &failures;
                 let mut rng = Rng::new(splitmix64(&mut (opts.seed ^ c as u64)));
                 scope.spawn(move || {
-                    let mut transport = match (shard, addr) {
-                        (Some((router, _)), _) => Transport::Shard(router),
-                        (None, None) => Transport::InProcess(pool),
-                        (None, Some(addr)) => {
-                            let write = TcpStream::connect(addr).expect("connect");
-                            write.set_nodelay(true).expect("set TCP_NODELAY");
-                            let read = BufReader::new(write.try_clone().expect("clone"));
-                            Transport::Stream { write, read }
-                        }
+                    let transport = match shard {
+                        Some((router, _)) => Transport::Shard(router),
+                        None => Transport::InProcess(pool),
                     };
                     let mut lat = Vec::with_capacity(opts.requests);
                     for _ in 0..opts.requests {
@@ -445,11 +380,6 @@ fn main() {
                                 failures.lock().unwrap().push(format!("{}: {msg}", req.workload));
                             }
                         }
-                    }
-                    if let Transport::Stream { write, .. } = &transport {
-                        // Half-close marks end-of-input so the per-client
-                        // server thread sees EOF and joins.
-                        let _ = write.shutdown(Shutdown::Write);
                     }
                     lat
                 })

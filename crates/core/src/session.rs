@@ -138,14 +138,6 @@ impl Session {
         Self { config, options }
     }
 
-    /// Cheap per-worker constructor for the serving layer: a session is
-    /// just the configuration pair, so a pool worker can build one per job
-    /// from borrowed specs without threading machines (which are `!Send`)
-    /// across the pool.
-    pub fn for_worker(config: &MachineConfig, options: &CompileOptions) -> Self {
-        Self { config: config.clone(), options: *options }
-    }
-
     /// The machine configuration.
     pub fn config(&self) -> &MachineConfig {
         &self.config

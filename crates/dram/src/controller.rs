@@ -81,7 +81,6 @@ struct Pending {
     req: Request,
     /// The request's row in its bank, decoded once at enqueue.
     row: u32,
-    enqueued_at: u64,
     /// Arrival order, used to keep same-address reads and writes ordered.
     seq: u64,
     /// Whether servicing this request required an ACT (row was closed).
@@ -257,11 +256,6 @@ impl MemController {
     pub fn set_refresh_enabled(&mut self, enabled: bool) {
         self.refresh_enabled = enabled;
         self.quiet_until = 0;
-    }
-
-    /// Number of banks served.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
     }
 
     /// Access to a bank (host upload/readback and statistics).
@@ -445,7 +439,6 @@ impl MemController {
                 self.write_buffer.push_back(Pending {
                     req,
                     row,
-                    enqueued_at: now,
                     seq,
                     saw_act: false,
                     saw_pre: false,
@@ -465,14 +458,7 @@ impl MemController {
                 }
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                self.queue.push_back(Pending {
-                    req,
-                    row,
-                    enqueued_at: now,
-                    seq,
-                    saw_act: false,
-                    saw_pre: false,
-                });
+                self.queue.push_back(Pending { req, row, seq, saw_act: false, saw_pre: false });
                 self.quiet_until = 0;
                 true
             }
@@ -897,11 +883,6 @@ impl MemController {
             s.refs += b.stats.refs;
         }
         s
-    }
-
-    /// Waiting time of the oldest queued request, in cycles.
-    pub fn oldest_wait(&self, now: u64) -> u64 {
-        self.queue.front().map_or(0, |p| now.saturating_sub(p.enqueued_at))
     }
 }
 

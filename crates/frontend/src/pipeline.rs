@@ -200,11 +200,6 @@ impl Pipeline {
         &self.funcs[self.output.0 as usize]
     }
 
-    /// The output func's id.
-    pub fn output_id(&self) -> FuncId {
-        self.output
-    }
-
     /// Looks up a func by source id.
     pub fn func_by_source(&self, s: SourceId) -> Option<&FuncDef> {
         self.funcs.iter().find(|f| f.source == s)

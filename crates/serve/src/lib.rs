@@ -18,9 +18,10 @@
 //!   cold runs because simulation is deterministic. Counters export into
 //!   the `ipim-trace` [`MetricsRegistry`](ipim_trace::MetricsRegistry)
 //!   under `serve/...`.
-//! - **[`server`]** — the ndjson request/response protocol behind the
-//!   `ipim_served` binary (stdin/stdout or TCP) and the `loadgen`
-//!   closed-loop load generator (both in `ipim-bench`).
+//! - **[`server`]** — the ndjson request/response protocol, one streaming
+//!   pacing for every transport, behind the `ipim_served` binary
+//!   (stdin/stdout or TCP, in front of a local pool or a shard router) and
+//!   the `loadgen` closed-loop load generator (both in `ipim-bench`).
 //!
 //! ## Quickstart
 //!

@@ -131,7 +131,7 @@ impl SimRequest {
         } else {
             workload.with_override(&self.schedule)?
         };
-        Ok((Session::for_worker(&config, &self.options()), workload))
+        Ok((Session::with_options(config, self.options()), workload))
     }
 
     /// Canonical textual identity: every result-determining field in one

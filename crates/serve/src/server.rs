@@ -1,23 +1,18 @@
 //! Newline-delimited-JSON request/response serving.
 //!
 //! The wire protocol is one JSON object per line: each line of the input is
-//! parsed as a [`SimRequest`], submitted to the pool, and answered with one
-//! [`SimResponse`] line in the same order. A malformed line yields an
+//! parsed as a [`SimRequest`], submitted to the service, and answered with
+//! one [`SimResponse`] line in the same order. A malformed line yields an
 //! `{"status":"error",...}` line rather than killing the stream — the
 //! client's line *n* always pairs with response line *n*.
 //!
-//! Two pacing modes share that framing:
-//!
-//! * **batch** ([`serve_batch`]) — read until EOF, then answer. Right for
-//!   shell pipelines, where the input ends before anyone reads output.
-//! * **stream** ([`serve_stream`]) — a reader thread keeps admitting lines
-//!   while the writer flushes each response the moment it (and all its
-//!   predecessors) resolve. Right for long-lived TCP connections, where a
-//!   client pipelines requests and consumes answers as they land.
-//!
-//! The same functions serve both transports the `ipim_served` binary
-//! offers: stdin/stdout (shell pipelines, test harnesses) and a
-//! `std::net::TcpListener` accept loop (one batch/stream per connection).
+//! [`serve_stream`] is the one pacing: a reader thread keeps admitting
+//! lines while the writer flushes each response the moment it (and all
+//! its predecessors) resolve. A client may pipeline requests and read
+//! answers as they land, or write everything, half-close and then read:
+//! both see the same bytes. The `ipim_served` binary runs it over
+//! stdin/stdout and, through [`serve_tcp`], over a `std::net::TcpListener`
+//! accept loop that serves one connection at a time.
 //!
 //! Each response line reaches the transport in **one** write, newline
 //! included, and [`serve_tcp`] sets `TCP_NODELAY` on every connection.
@@ -25,12 +20,12 @@
 //! holds the second until the peer ACKs the first, and a peer that delays
 //! its ACK (~40 ms on Linux) stalls every response by that much.
 //!
-//! Both pacing modes are generic over a [`LineService`]: anything that
-//! admits a parsed request and eventually resolves it to one response
-//! line. [`ServePool`] is the local implementation; the `ipim-shard`
-//! front tier implements the same trait over a fleet of TCP backends, so
-//! the wire framing, ordering guarantee and in-band error handling are
-//! written exactly once.
+//! Serving is generic over a [`LineService`]: anything that admits a
+//! parsed request and eventually resolves it to one response line.
+//! [`ServePool`] is the local implementation; the `ipim-shard` front tier
+//! implements the same trait over a fleet of TCP backends, so the wire
+//! framing, ordering guarantee and in-band error handling are written
+//! exactly once.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -72,7 +67,7 @@ impl LineService for ServePool {
     }
 }
 
-/// What one served batch did.
+/// What one served connection did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeSummary {
     /// Request lines read (blank lines are skipped, not counted).
@@ -81,65 +76,18 @@ pub struct ServeSummary {
     pub parse_errors: usize,
 }
 
-/// Serves one batch: reads request lines until EOF, fans them out across
-/// `pool`, then writes response lines in request order.
-///
-/// Submission happens while reading — the pool's bounded queue provides the
-/// backpressure — so a batch larger than the queue depth streams through
-/// the workers rather than being buffered whole.
+/// Serves one connection: a reader thread parses and submits request
+/// lines as they arrive, while this thread writes each response line **as
+/// soon as it completes**, flushing per line. Response order matches
+/// request order — line *n* is written the moment jobs 1..=n have all
+/// resolved. A client that pipelines K requests reads answers while later
+/// requests are still being produced; one that writes every line and
+/// half-closes before reading gets the same bytes once it reads.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the transport; protocol-level problems
 /// (malformed JSON, unknown workloads) are reported in-band.
-pub fn serve_batch<R: BufRead, W: Write, S: LineService>(
-    input: R,
-    mut output: W,
-    service: &S,
-) -> std::io::Result<ServeSummary> {
-    let mut summary = ServeSummary::default();
-    // A pending response per line, Err carrying the in-band parse failure.
-    let mut pending: Vec<Result<S::Pending, String>> = Vec::new();
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        summary.requests += 1;
-        match SimRequest::from_json_str(&line) {
-            Ok(req) => pending.push(Ok(service.dispatch(req))),
-            Err(msg) => {
-                summary.parse_errors += 1;
-                pending.push(Err(msg));
-            }
-        }
-    }
-    for entry in pending {
-        let line = match entry {
-            Ok(p) => p.into_line(),
-            Err(msg) => SimResponse::Error(format!("bad request: {msg}")).to_json_string(),
-        };
-        write_line(&mut output, line)?;
-    }
-    output.flush()?;
-    Ok(summary)
-}
-
-/// Serves one connection in streaming mode: a reader thread parses and
-/// submits request lines as they arrive, while this thread writes each
-/// response line **as soon as it completes**, flushing per line. Response
-/// order still matches request order — streaming changes *when* line *n*
-/// is written (the moment jobs 1..=n have all resolved), never which line
-/// pairs with which.
-///
-/// This is the long-lived-connection mode: a client that pipelines K
-/// requests starts consuming answers while later requests are still being
-/// produced, instead of waiting for its own EOF as in [`serve_batch`].
-///
-/// # Errors
-///
-/// Propagates I/O errors from the transport; protocol-level problems are
-/// reported in-band, exactly as in batch mode.
 pub fn serve_stream<R, W, S>(input: R, mut output: W, service: &S) -> std::io::Result<ServeSummary>
 where
     R: BufRead + Send,
@@ -174,7 +122,7 @@ where
                 }
             };
             write_line(&mut output, line)?;
-            // The per-response flush is the whole point of this mode.
+            // Flush per response: a pipelining client must not wait on EOF.
             output.flush()?;
         }
         Ok(summary)
@@ -188,14 +136,18 @@ fn write_line<W: Write>(output: &mut W, mut line: String) -> std::io::Result<()>
     output.write_all(line.as_bytes())
 }
 
-/// Accepts TCP connections forever, serving each as one ndjson batch — or,
-/// with `streaming`, in per-response-flush [`serve_stream`] mode (the
-/// client half-closes its write side to mark end-of-input either way).
-/// Every accepted connection gets `TCP_NODELAY`: a client pipelining
-/// several requests must not see response *n*+1 held back until response
-/// *n* is acknowledged. A connection that fails or carries unparseable
-/// lines is logged to stderr ([`connection_note`]); a clean one is not.
-/// Neither stops the accept loop.
+/// Accepts TCP connections forever and serves each with
+/// [`serve_stream`], one connection at a time: a second client waits in
+/// the listen backlog until the first disconnects. Every accepted
+/// connection gets `TCP_NODELAY`: a client pipelining several requests
+/// must not see response *n*+1 held back until response *n* is
+/// acknowledged. A connection that fails or carries unparseable lines is
+/// logged to stderr ([`connection_note`]); a clean one is not. Neither
+/// stops the accept loop.
+///
+/// `_streaming` is not read: every connection streams. It stays in the
+/// signature only for callers built against the two-pacing server, and
+/// goes with the next change to the repository benchmark.
 ///
 /// # Errors
 ///
@@ -203,19 +155,14 @@ fn write_line<W: Write>(output: &mut W, mut line: String) -> std::io::Result<()>
 pub fn serve_tcp<S: LineService>(
     listener: &TcpListener,
     service: &S,
-    streaming: bool,
+    _streaming: bool,
 ) -> std::io::Result<()> {
     for stream in listener.incoming() {
         let stream = stream?;
         let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into());
-        let served = stream.set_nodelay(true).and_then(|()| {
-            let reader = BufReader::new(stream.try_clone()?);
-            if streaming {
-                serve_stream(reader, &stream, service)
-            } else {
-                serve_batch(reader, &stream, service)
-            }
-        });
+        let served = stream
+            .set_nodelay(true)
+            .and_then(|()| serve_stream(BufReader::new(stream.try_clone()?), &stream, service));
         if let Some(note) = connection_note(&peer, &served) {
             eprintln!("{note}");
         }
@@ -251,7 +198,7 @@ mod tests {
 this is not json\n\
 {\"workload\":\"Shift\",\"width\":64,\"height\":64}\n";
         let mut out = Vec::new();
-        let summary = serve_batch(input.as_bytes(), &mut out, &pool).unwrap();
+        let summary = serve_stream(input.as_bytes(), &mut out, &pool).unwrap();
         assert_eq!(summary, ServeSummary { requests: 3, parse_errors: 1 });
         let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().trim().lines().collect();
         assert_eq!(lines.len(), 3, "one response line per request line");
@@ -300,22 +247,6 @@ this is not json\n\
         assert_eq!(summary, ServeSummary { requests: 2, parse_errors: 1 });
     }
 
-    #[test]
-    fn stream_and_batch_agree_on_responses() {
-        let pool = ServePool::start(&PoolConfig { workers: 2, queue_depth: 8, cache_capacity: 8 });
-        let input = "{\"workload\":\"Brighten\"}\nbad\n{\"workload\":\"Shift\"}\n";
-        let mut batch_out = Vec::new();
-        serve_batch(input.as_bytes(), &mut batch_out, &pool).unwrap();
-        let mut stream_out = Vec::new();
-        serve_stream(input.as_bytes(), &mut stream_out, &pool).unwrap();
-        assert_eq!(
-            std::str::from_utf8(&batch_out).unwrap(),
-            std::str::from_utf8(&stream_out).unwrap(),
-            "pacing must not change the answers"
-        );
-        pool.shutdown();
-    }
-
     /// A transport that records every `write` call it is handed.
     #[derive(Default)]
     struct CountingWriter {
@@ -339,16 +270,12 @@ this is not json\n\
         // and Nagle holds the second for the peer's delayed ACK.
         let pool = ServePool::start(&PoolConfig { workers: 1, queue_depth: 4, cache_capacity: 4 });
         let input = "{\"workload\":\"Brighten\"}\nnot json\n{\"workload\":\"Shift\"}\n";
-        let mut batch = CountingWriter::default();
-        serve_batch(input.as_bytes(), &mut batch, &pool).unwrap();
-        let mut stream = CountingWriter::default();
-        serve_stream(input.as_bytes(), &mut stream, &pool).unwrap();
-        for (mode, out) in [("batch", batch), ("stream", stream)] {
-            assert_eq!(out.writes.len(), 3, "{mode}: one write per response line");
-            for w in &out.writes {
-                assert_eq!(w.iter().filter(|&&b| b == b'\n').count(), 1, "{mode}: {w:?}");
-                assert_eq!(w.last(), Some(&b'\n'), "{mode}: the write must end the line");
-            }
+        let mut out = CountingWriter::default();
+        serve_stream(input.as_bytes(), &mut out, &pool).unwrap();
+        assert_eq!(out.writes.len(), 3, "one write per response line");
+        for w in &out.writes {
+            assert_eq!(w.iter().filter(|&&b| b == b'\n').count(), 1, "{w:?}");
+            assert_eq!(w.last(), Some(&b'\n'), "the write must end the line");
         }
         pool.shutdown();
     }
@@ -378,9 +305,11 @@ this is not json\n\
             // Serve exactly one connection, then stop.
             let (stream, _) = listener.accept().unwrap();
             let reader = BufReader::new(stream.try_clone().unwrap());
-            serve_batch(reader, &stream, &pool).unwrap();
+            serve_stream(reader, &stream, &pool).unwrap();
             pool.shutdown();
         });
+        // A batch-style client: write everything, half-close, then read to
+        // EOF. The streaming server answers it unchanged.
         let mut client = TcpStream::connect(addr).unwrap();
         client.write_all(b"{\"workload\":\"Brighten\"}\n").unwrap();
         client.shutdown(Shutdown::Write).unwrap();

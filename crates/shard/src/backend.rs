@@ -30,7 +30,7 @@ use crate::router::{ShardJob, Shared};
 
 /// Per-backend state shared between the router front and the link thread.
 pub(crate) struct Backend {
-    /// `host:port` of the `ipim_served --stream` process.
+    /// `host:port` of the `ipim_served --tcp` process.
     pub addr: String,
     /// Jobs routed here but not yet written to the connection.
     pub queue: JobQueue<ShardJob>,

@@ -1,7 +1,7 @@
 //! # ipim-shard — the distributed serve tier for the iPIM reproduction
 //!
 //! A std-only front tier that shards [`SimRequest`](ipim_serve::SimRequest)
-//! streams over N `ipim_served --stream` backends across real TCP:
+//! streams over N `ipim_served --tcp` backends across real TCP:
 //!
 //! - **[`HashRing`]** — consistent hashing of the request's
 //!   content-addressed fingerprint (the same key the backend pool's
@@ -17,9 +17,10 @@
 //!   probing with ejection/readmission, and graceful drain on shutdown.
 //!   Counters export under `shard/...`.
 //! - **Protocol reuse** — [`ShardRouter`] implements
-//!   [`LineService`](ipim_serve::LineService), so the `ipim_shard` binary
-//!   serves the identical ndjson protocol as `ipim_served`: clients don't
-//!   know (or care) whether they talk to one machine or a fleet.
+//!   [`LineService`](ipim_serve::LineService), so `ipim_served --backend`
+//!   serves a fleet with the identical ndjson protocol `ipim_served`
+//!   serves a local pool with: clients don't know (or care) whether they
+//!   talk to one machine or a fleet.
 //!
 //! Determinism contract: which of a job's two choices serves it depends
 //! on in-flight counts, but its answer does not — simulation is

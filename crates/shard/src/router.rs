@@ -57,7 +57,7 @@ impl Default for RetryPolicy {
 /// Shard front configuration.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Backend addresses (`host:port` of `ipim_served --stream --tcp`).
+    /// Backend addresses (`host:port` of `ipim_served --tcp`).
     pub backends: Vec<String>,
     /// Virtual nodes per backend on the hash ring.
     pub replicas: usize,

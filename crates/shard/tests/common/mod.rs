@@ -4,9 +4,9 @@
 //! refused).
 //!
 //! Each test binary compiles its own copy of this module and uses a
-//! different subset of it (only `failover.rs` kills backends, only the
-//! cache tests read `pool`), so the unused-item lints are per-binary
-//! noise here.
+//! different subset of it (only `failover.rs` kills and restarts
+//! backends, only the cache tests read `pool`), so the unused-item lints
+//! are per-binary noise here.
 #![allow(dead_code)]
 
 use std::io::BufReader;
@@ -28,7 +28,13 @@ pub struct TestBackend {
 }
 
 pub fn spawn_backend(workers: usize, cache_capacity: usize) -> TestBackend {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind test backend");
+    spawn_backend_at("127.0.0.1:0", workers, cache_capacity)
+}
+
+/// A backend listening on `addr`: a fresh process on a killed backend's
+/// address is how a test brings that backend back.
+pub fn spawn_backend_at(addr: &str, workers: usize, cache_capacity: usize) -> TestBackend {
+    let listener = TcpListener::bind(addr).expect("bind test backend");
     let addr = listener.local_addr().unwrap().to_string();
     let pool = Arc::new(ServePool::start(&PoolConfig { workers, queue_depth: 64, cache_capacity }));
     let stop = Arc::new(AtomicBool::new(false));

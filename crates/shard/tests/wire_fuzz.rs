@@ -11,7 +11,7 @@ use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 use common::spawn_backend;
-use ipim_serve::server::serve_batch;
+use ipim_serve::server::serve_stream;
 use ipim_serve::SimRequest;
 use ipim_shard::{ShardConfig, ShardRouter};
 use ipim_simkit::prop::{check_with, Config, Gen};
@@ -95,7 +95,7 @@ fn prop_shard_front_answers_garbage_without_dispatching() {
         let before = router.metrics().counter("shard/submitted");
         let input = format!("{payload}\n");
         let mut out = Vec::new();
-        serve_batch(input.as_bytes(), &mut out, &router).unwrap();
+        serve_stream(input.as_bytes(), &mut out, &router).unwrap();
         let reply = String::from_utf8(out).unwrap();
         assert!(reply.contains("\"status\":\"error\""), "{payload:?} → {reply}");
         assert_eq!(

@@ -2,7 +2,7 @@
 //! mappings, using the serving pool for parallel candidate evaluation.
 //!
 //! ```text
-//! tune --workloads Blur,StencilChain --seed 7 --strategy hill \
+//! tune --workloads Blur,StencilChain --seed 7 --restarts 2 --steps 8 \
 //!      --out results/tuning.jsonl
 //! ```
 //!
@@ -12,26 +12,21 @@
 //! schedule is *worse* than the hand default — the CI smoke gate.
 //!
 //! Flags: `--workloads A,B` (default Blur) · `--width/--height` (128) ·
-//! `--vaults N` (1) · `--seed N` (0x1915) · `--strategy
-//! exhaustive|random|hill` (hill) · `--samples N` (random, 24) ·
-//! `--restarts N`/`--steps N` (hill, 2/8) · `--workers N` (pool, 2) ·
-//! `--max-cycles N` · `--prune-ratio X` (8.0) · `--frontier N` (4; 0 =
-//! simulate every hill-climb neighbour) · `--include-backend` ·
-//! `--top N` (10) · `--out PATH` (results/tuning.jsonl) · `--gate-default`.
+//! `--vaults N` (1) · `--seed N` (0x1915) · `--restarts N`/`--steps N`
+//! (hill-climb, 2/8) · `--workers N` (pool, 2) · `--max-cycles N` ·
+//! `--prune-ratio X` (8.0) · `--frontier N` (4; 0 = simulate every
+//! hill-climb neighbour) · `--include-backend` · `--top N` (10) ·
+//! `--out PATH` (results/tuning.jsonl) · `--gate-default`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ipim_serve::{PoolConfig, ServePool};
-use ipim_tune::{append_jsonl, jsonl_lines, leaderboard, run_search, Strategy, TuneConfig};
+use ipim_tune::{append_jsonl, jsonl_lines, leaderboard, run_search, TuneConfig};
 
 fn main() -> ExitCode {
     let mut workloads = vec!["Blur".to_string()];
     let mut base = TuneConfig::new("Blur");
-    let mut strategy_name = "hill".to_string();
-    let mut samples = 24usize;
-    let mut restarts = 2usize;
-    let mut steps = 8usize;
     let mut workers = 2usize;
     let mut top = 10usize;
     let mut out_path = PathBuf::from("results/tuning.jsonl");
@@ -49,10 +44,8 @@ fn main() -> ExitCode {
             "--vaults" => base.vaults = parse(&val("--vaults"), "--vaults"),
             "--seed" => base.seed = parse(&val("--seed"), "--seed"),
             "--max-cycles" => base.max_cycles = parse(&val("--max-cycles"), "--max-cycles"),
-            "--strategy" => strategy_name = val("--strategy"),
-            "--samples" => samples = parse(&val("--samples"), "--samples"),
-            "--restarts" => restarts = parse(&val("--restarts"), "--restarts"),
-            "--steps" => steps = parse(&val("--steps"), "--steps"),
+            "--restarts" => base.climb.restarts = parse(&val("--restarts"), "--restarts"),
+            "--steps" => base.climb.steps = parse(&val("--steps"), "--steps"),
             "--workers" => workers = parse(&val("--workers"), "--workers"),
             "--prune-ratio" => {
                 base.prune_ratio = val("--prune-ratio")
@@ -66,19 +59,12 @@ fn main() -> ExitCode {
             "--gate-default" => gate_default = true,
             other => panic!(
                 "unknown argument {other:?} (supported: --workloads A,B --width N --height N \
-                 --vaults N --seed N --max-cycles N --strategy exhaustive|random|hill \
-                 --samples N --restarts N --steps N --workers N --prune-ratio X \
-                 --frontier N --include-backend --top N --out PATH --gate-default)"
+                 --vaults N --seed N --max-cycles N --restarts N --steps N --workers N \
+                 --prune-ratio X --frontier N --include-backend --top N --out PATH \
+                 --gate-default)"
             ),
         }
     }
-    base.strategy = match strategy_name.as_str() {
-        "exhaustive" => Strategy::Exhaustive,
-        "random" => Strategy::Random { samples },
-        "hill" => Strategy::HillClimb { restarts, steps },
-        other => panic!("unknown strategy {other:?} (exhaustive | random | hill)"),
-    };
-
     // One pool serves every workload's candidate fleet; the cache makes
     // revisited candidates (hill restarts, the verification re-run) free.
     let pool = ServePool::start(&PoolConfig { workers, queue_depth: 256, cache_capacity: 1024 });

@@ -20,10 +20,9 @@
 //!   hill-climb waves simulate only the top-`frontier` neighbours by
 //!   predicted rank, with the bit-exact SkipAhead engine verifying that
 //!   short-list.
-//! - Search strategies ([`Strategy`]) — exhaustive, seeded random
-//!   sampling, greedy hill-climb with restarts — all draw randomness from
-//!   the in-tree `ipim-simkit` PRNG, so the same seed finds the same best
-//!   schedule on every machine.
+//! - The search ([`HillClimb`]) is a greedy hill-climb with restarts that
+//!   draws its randomness from the in-tree `ipim-simkit` PRNG, so the same
+//!   seed finds the same best schedule on every machine.
 //! - The winning schedule is re-run and checked against the golden CPU
 //!   interpreter (`ipim_core::experiments::output_divergence`) before it
 //!   is reported.
@@ -44,7 +43,7 @@ mod search;
 mod space;
 
 pub use report::{append_jsonl, jsonl_lines, leaderboard};
-pub use search::{run_search, Strategy, TuneOutcome};
+pub use search::{run_search, HillClimb, TuneOutcome};
 pub use space::{Candidate, ScheduleEntry, ScheduleSpace};
 
 /// Everything one tuning run needs to know.
@@ -62,8 +61,8 @@ pub struct TuneConfig {
     pub max_cycles: u64,
     /// PRNG seed — the *only* source of randomness in a run.
     pub seed: u64,
-    /// Search strategy.
-    pub strategy: Strategy,
+    /// Hill-climb restarts and steps.
+    pub climb: HillClimb,
     /// Candidates whose analytic prediction exceeds `prune_ratio` × the
     /// space-wide minimum prediction are recorded but never simulated.
     pub prune_ratio: f64,
@@ -88,7 +87,7 @@ impl TuneConfig {
             vaults: 1,
             max_cycles: 2_000_000_000,
             seed: 0x1915,
-            strategy: Strategy::HillClimb { restarts: 2, steps: 8 },
+            climb: HillClimb { restarts: 2, steps: 8 },
             prune_ratio: 8.0,
             frontier: 4,
             include_backend: false,

@@ -1,7 +1,6 @@
-//! Search strategies over a [`ScheduleSpace`].
+//! Seeded hill-climb over a [`ScheduleSpace`](crate::ScheduleSpace).
 //!
-//! All three strategies share the same contract: randomness comes only
-//! from the in-tree `ipim-simkit` PRNG seeded by
+//! Randomness comes only from the in-tree `ipim-simkit` PRNG seeded by
 //! [`TuneConfig::seed`](crate::TuneConfig), evaluation order is
 //! deterministic, and the winner is picked by `(cycles, candidate key)` —
 //! so one seed reproduces one best schedule, bit for bit, on any machine
@@ -13,35 +12,21 @@ use crate::space::Candidate;
 use crate::{EvalRecord, TuneConfig, Tuner};
 use ipim_serve::ServePool;
 
-/// How to walk the space.
+/// How hard to climb: greedy hill-climb over 1-knob neighbourhoods,
+/// restarting from seeded random points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Simulate every candidate (small spaces only).
-    Exhaustive,
-    /// Seeded sampling without replacement.
-    Random {
-        /// Candidates to draw.
-        samples: usize,
-    },
-    /// Greedy hill-climb over 1-knob neighbourhoods, restarting from
-    /// seeded random points.
-    HillClimb {
-        /// Independent climbs: the first starts from the best *estimated*
-        /// candidate, later ones from seeded random picks.
-        restarts: usize,
-        /// Maximum moves per climb.
-        steps: usize,
-    },
+pub struct HillClimb {
+    /// Independent climbs: the first starts from the best *estimated*
+    /// candidate, later ones from seeded random picks.
+    pub restarts: usize,
+    /// Maximum moves per climb.
+    pub steps: usize,
 }
 
-impl Strategy {
-    /// Canonical report spelling.
+impl HillClimb {
+    /// Canonical report spelling, e.g. `hill:1x3`.
     pub fn name(&self) -> String {
-        match self {
-            Strategy::Exhaustive => "exhaustive".to_string(),
-            Strategy::Random { samples } => format!("random:{samples}"),
-            Strategy::HillClimb { restarts, steps } => format!("hill:{restarts}x{steps}"),
-        }
+        format!("hill:{}x{}", self.restarts, self.steps)
     }
 }
 
@@ -56,7 +41,7 @@ pub struct TuneOutcome {
     pub height: u32,
     /// The seed that reproduces this run.
     pub seed: u64,
-    /// Strategy spelling (see [`Strategy::name`]).
+    /// Search spelling (see [`HillClimb::name`]).
     pub strategy: String,
     /// Total legal candidates (entries × backend combos).
     pub space_size: usize,
@@ -81,7 +66,7 @@ pub struct TuneOutcome {
     pub evals: Vec<EvalRecord>,
 }
 
-/// Runs `cfg`'s strategy over `pool` and returns the full outcome.
+/// Runs `cfg`'s hill-climb over `pool` and returns the full outcome.
 ///
 /// The hand-written default schedule is always evaluated first (it is the
 /// baseline the leaderboard compares against and the CI gate's floor),
@@ -101,61 +86,47 @@ pub fn run_search(cfg: &TuneConfig, pool: &ServePool) -> Result<TuneOutcome, Str
 
     let candidates = tuner.space.candidates();
     let mut rng = Rng::new(cfg.seed);
-    match cfg.strategy {
-        Strategy::Exhaustive => {
-            tuner.evaluate(&candidates);
-        }
-        Strategy::Random { samples } => {
-            let mut order: Vec<usize> = (0..candidates.len()).collect();
-            rng.shuffle(&mut order);
-            let picks: Vec<Candidate> =
-                order.into_iter().take(samples.max(1)).map(|i| candidates[i].clone()).collect();
-            tuner.evaluate(&picks);
-        }
-        Strategy::HillClimb { restarts, steps } => {
-            for restart in 0..restarts.max(1) {
-                let mut current = if restart == 0 {
-                    tuner.space.best_estimated()
-                } else {
-                    candidates[rng.range_usize(0, candidates.len())].clone()
-                };
-                let mut current_cycles = cycles_of(&mut tuner, &current).unwrap_or(u64::MAX);
-                for _ in 0..steps.max(1) {
-                    let mut neighbours: Vec<Candidate> =
-                        candidates.iter().filter(|c| current.distance(c) == 1).cloned().collect();
-                    if neighbours.is_empty() {
-                        break;
-                    }
-                    // Analytic short-list: rank the wave by predicted
-                    // cycles (key tie-break keeps the order seedless) and
-                    // let the bit-exact engine verify only the top
-                    // `frontier`. frontier == 0 simulates every
-                    // neighbour.
-                    if cfg.frontier > 0 && neighbours.len() > cfg.frontier {
-                        neighbours.sort_by_cached_key(|c| {
-                            (tuner.space.estimate_for(c).unwrap_or(u64::MAX), c.key())
-                        });
-                        neighbours.truncate(cfg.frontier);
-                    }
-                    let idxs = tuner.evaluate(&neighbours);
-                    // Deterministic move: best (cycles, key) among
-                    // strictly improving neighbours.
-                    let step = idxs
-                        .into_iter()
-                        .filter(|&i| tuner.evals[i].cycles.is_some_and(|c| c < current_cycles))
-                        .min_by(|&a, &b| {
-                            let ea = &tuner.evals[a];
-                            let eb = &tuner.evals[b];
-                            (ea.cycles, &ea.key).cmp(&(eb.cycles, &eb.key))
-                        });
-                    match step {
-                        Some(i) => {
-                            current = tuner.evals[i].candidate.clone();
-                            current_cycles = tuner.evals[i].cycles.expect("filtered Some");
-                        }
-                        None => break, // local optimum
-                    }
+    let HillClimb { restarts, steps } = cfg.climb;
+    for restart in 0..restarts.max(1) {
+        let mut current = if restart == 0 {
+            tuner.space.best_estimated()
+        } else {
+            candidates[rng.range_usize(0, candidates.len())].clone()
+        };
+        let mut current_cycles = cycles_of(&mut tuner, &current).unwrap_or(u64::MAX);
+        for _ in 0..steps.max(1) {
+            let mut neighbours: Vec<Candidate> =
+                candidates.iter().filter(|c| current.distance(c) == 1).cloned().collect();
+            if neighbours.is_empty() {
+                break;
+            }
+            // Analytic short-list: rank the wave by predicted cycles (key
+            // tie-break keeps the order seedless) and let the bit-exact
+            // engine verify only the top `frontier`. frontier == 0
+            // simulates every neighbour.
+            if cfg.frontier > 0 && neighbours.len() > cfg.frontier {
+                neighbours.sort_by_cached_key(|c| {
+                    (tuner.space.estimate_for(c).unwrap_or(u64::MAX), c.key())
+                });
+                neighbours.truncate(cfg.frontier);
+            }
+            let idxs = tuner.evaluate(&neighbours);
+            // Deterministic move: best (cycles, key) among strictly
+            // improving neighbours.
+            let step = idxs
+                .into_iter()
+                .filter(|&i| tuner.evals[i].cycles.is_some_and(|c| c < current_cycles))
+                .min_by(|&a, &b| {
+                    let ea = &tuner.evals[a];
+                    let eb = &tuner.evals[b];
+                    (ea.cycles, &ea.key).cmp(&(eb.cycles, &eb.key))
+                });
+            match step {
+                Some(i) => {
+                    current = tuner.evals[i].candidate.clone();
+                    current_cycles = tuner.evals[i].cycles.expect("filtered Some");
                 }
+                None => break, // local optimum
             }
         }
     }
@@ -178,7 +149,7 @@ pub fn run_search(cfg: &TuneConfig, pool: &ServePool) -> Result<TuneOutcome, Str
         width: cfg.width,
         height: cfg.height,
         seed: cfg.seed,
-        strategy: cfg.strategy.name(),
+        strategy: cfg.climb.name(),
         space_size: tuner.space.len(),
         rejected: tuner.space.rejected,
         pruned: tuner.evals.iter().filter(|e| e.pruned).count(),

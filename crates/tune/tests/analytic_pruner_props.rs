@@ -14,13 +14,10 @@
 //!    full-wave climb finds, while simulating strictly fewer candidates.
 
 use ipim_serve::{PoolConfig, ServePool};
-use ipim_tune::{run_search, Strategy, TuneConfig};
+use ipim_tune::{run_search, HillClimb, TuneConfig};
 
 fn cfg_128(workload: &str) -> TuneConfig {
-    TuneConfig {
-        strategy: Strategy::HillClimb { restarts: 1, steps: 3 },
-        ..TuneConfig::new(workload)
-    }
+    TuneConfig { climb: HillClimb { restarts: 1, steps: 3 }, ..TuneConfig::new(workload) }
 }
 
 #[test]
@@ -30,7 +27,7 @@ fn same_seed_same_winner_with_analytic_pruner_at_any_pool_width() {
     let cfg = TuneConfig {
         width: 64,
         height: 64,
-        strategy: Strategy::HillClimb { restarts: 1, steps: 3 },
+        climb: HillClimb { restarts: 1, steps: 3 },
         ..TuneConfig::new("Blur")
     };
     assert!(cfg.frontier > 0, "default config must exercise the short-list");

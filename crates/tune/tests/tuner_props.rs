@@ -12,13 +12,13 @@ use ipim_core::experiments::{output_divergence, REFERENCE_TOLERANCE};
 use ipim_core::{workload_by_name, MachineConfig, Session, WorkloadScale};
 use ipim_serve::{PoolConfig, ServePool, SimResponse};
 use ipim_simkit::Rng;
-use ipim_tune::{run_search, ScheduleSpace, Strategy, TuneConfig};
+use ipim_tune::{run_search, HillClimb, ScheduleSpace, TuneConfig};
 
 fn small_cfg(workload: &str) -> TuneConfig {
     TuneConfig {
         width: 64,
         height: 64,
-        strategy: Strategy::HillClimb { restarts: 1, steps: 3 },
+        climb: HillClimb { restarts: 1, steps: 3 },
         ..TuneConfig::new(workload)
     }
 }
