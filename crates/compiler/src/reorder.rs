@@ -23,8 +23,17 @@
 //! few register operands and its memory tag). Building therefore costs
 //! `O(|V| + |E|)`. `|E|` itself can grow quadratically in region length,
 //! because a RAW edge runs from *every* earlier writer of a register, not
-//! only the last. The scheduler scans its ready set once per step:
-//! `O(|V|·R + |E|)`, with `R` the largest ready set.
+//! only the last. The scheduler keeps its ready set in two binary heaps
+//! keyed by `(T(v), v)`, ready loads and every ready node, and drops a
+//! node scheduled from one heap when it surfaces in the other:
+//! `O(|V| log |V| + |E|)`. One [`reorder`] call builds and schedules
+//! every region in the same buffers (the region copy, access lists,
+//! successor lists, indegrees, weights and scheduler arrays): a region
+//! grows what earlier regions of the call allocated instead of
+//! allocating its own.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use ipim_isa::{Instruction, RegRef};
 
@@ -65,7 +74,7 @@ fn is_load(inst: &Instruction) -> bool {
 /// estimated latency into the consumer's ready time `T(v)`, while pure
 /// *ordering* edges (memory-order enforcement) only force schedule order
 /// (weight 1) — they must not spread the memory stream apart.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DepGraph {
     /// `succ[i]` = (follower, latency weight) pairs.
     pub succ: Vec<Vec<(usize, u64)>>,
@@ -75,13 +84,31 @@ pub struct DepGraph {
     pub edges: usize,
 }
 
+impl DepGraph {
+    /// Empties the graph to `n` edgeless nodes. Successor lists keep their
+    /// allocations: surplus ones wait in `spare` for a larger region.
+    fn reset(&mut self, n: usize, spare: &mut Vec<Vec<(usize, u64)>>) {
+        spare.extend(self.succ.drain(n.min(self.succ.len())..));
+        let missing = n - self.succ.len();
+        self.succ.extend((0..missing).map(|_| spare.pop().unwrap_or_default()));
+        for succ in &mut self.succ {
+            succ.clear();
+        }
+        self.indegree.clear();
+        self.indegree.resize(n, 0);
+        self.edges = 0;
+    }
+}
+
 /// Builds the dependency graph of `block`; when `enforce_memory_order` is
 /// set, DRAM accesses are additionally chained in program order.
 pub fn build_dep_graph(
     block: &[(Instruction, Option<MemTag>)],
     enforce_memory_order: bool,
 ) -> DepGraph {
-    AccessLists::new().build(block, enforce_memory_order)
+    let mut graph = DepGraph::default();
+    AccessLists::new().build(block, enforce_memory_order, &mut graph);
+    graph
 }
 
 /// Registers per file in [`AccessLists`]' flat numbering.
@@ -98,9 +125,10 @@ fn flat(r: RegRef) -> usize {
 }
 
 /// The earlier accesses of the region being built, per register and per
-/// self-conflicting memory tag. One value serves every region of a
-/// [`reorder`] call: after each region only the lists it touched are
-/// emptied.
+/// self-conflicting memory tag, and the builder's per-node arrays. One
+/// value serves every region of a [`reorder`] call: after each region only
+/// the lists it touched are emptied, and every array is left as it was
+/// found.
 struct AccessLists {
     /// Per flat register: the earlier instructions that wrote it.
     writers: Vec<Vec<usize>>,
@@ -111,6 +139,16 @@ struct AccessLists {
     /// Per self-conflicting tag: the earlier accesses, and the earlier ones
     /// that write its memory.
     mem: Vec<(MemTag, Vec<usize>, Vec<usize>)>,
+    /// Per node: the weight of its edge into the current instruction found
+    /// so far (0: none yet; every weight is at least 1). All 0 between
+    /// instructions.
+    weight: Vec<u64>,
+    /// The sources of the current instruction's edges.
+    preds: Vec<usize>,
+    /// Memory-order edges `(p, j)` no dependence already implies.
+    chain: Vec<(usize, usize)>,
+    /// Successor lists of larger regions than the current one.
+    spare: Vec<Vec<(usize, u64)>>,
 }
 
 impl AccessLists {
@@ -120,6 +158,10 @@ impl AccessLists {
             readers: vec![Vec::new(); 3 * FILE_REGS],
             touched: Vec::new(),
             mem: Vec::new(),
+            weight: Vec::new(),
+            preds: Vec::new(),
+            chain: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -129,22 +171,25 @@ impl AccessLists {
         }
     }
 
-    /// [`build_dep_graph`] over these lists, which it leaves empty.
+    /// [`build_dep_graph`] over these lists into `graph`, whose previous
+    /// contents it replaces.
     fn build(
         &mut self,
         block: &[(Instruction, Option<MemTag>)],
         enforce_memory_order: bool,
-    ) -> DepGraph {
+        graph: &mut DepGraph,
+    ) {
         let n = block.len();
-        let mut succ: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-        let mut indegree = vec![0usize; n];
-        let mut edges = 0usize;
-        // The weight of each edge into the current instruction found so far
-        // (0: none yet; every weight is at least 1), and their sources.
-        let mut weight = vec![0u64; n];
-        let mut preds: Vec<usize> = Vec::new();
+        graph.reset(n, &mut self.spare);
+        if self.weight.len() < n {
+            self.weight.resize(n, 0);
+        }
+        // The last load and the last store, which memory-order enforcement
+        // chains to the next access of the same kind.
+        let (mut prev_load, mut prev_store) = (None, None);
 
         for (j, (inst, tag)) in block.iter().enumerate() {
+            let (weight, preds) = (&mut self.weight, &mut self.preds);
             let mut found = |i: usize, w: u64| {
                 if weight[i] == 0 {
                     preds.push(i);
@@ -182,12 +227,24 @@ impl AccessLists {
                     found(i, 1);
                 }
             }
+            // Memory-order enforcement (Fig. 5's added edges) chains DRAM
+            // accesses of the same kind in program order: the load stream
+            // and the store stream each keep the input program's
+            // row-buffer-friendly order, while the write buffer decouples
+            // the two streams from each other. A dependence edge already
+            // orders the pair and weighs at least 1.
+            if enforce_memory_order && is_dram(inst) {
+                let prev = if is_load(inst) { &mut prev_load } else { &mut prev_store };
+                if let Some(p) = prev.replace(j).filter(|&p| self.weight[p] == 0) {
+                    self.chain.push((p, j));
+                }
+            }
 
-            indegree[j] = preds.len();
-            edges += preds.len();
-            for i in preds.drain(..) {
-                succ[i].push((j, weight[i]));
-                weight[i] = 0;
+            graph.indegree[j] = self.preds.len();
+            graph.edges += self.preds.len();
+            for i in self.preds.drain(..) {
+                graph.succ[i].push((j, self.weight[i]));
+                self.weight[i] = 0;
             }
 
             inst.for_each_read(|r| {
@@ -213,30 +270,12 @@ impl AccessLists {
             self.readers[r].clear();
         }
         self.mem.clear();
-
-        if enforce_memory_order {
-            // Chain DRAM accesses of the same kind in program order (Fig.
-            // 5's added edges): the load stream and the store stream each
-            // keep the input program's row-buffer-friendly order, while the
-            // write buffer decouples the two streams from each other.
-            let mut prev_load: Option<usize> = None;
-            let mut prev_store: Option<usize> = None;
-            for (j, (inst, _)) in block.iter().enumerate() {
-                if !is_dram(inst) {
-                    continue;
-                }
-                let prev = if is_load(inst) { &mut prev_load } else { &mut prev_store };
-                // An existing edge already weighs at least 1.
-                if let Some(p) = prev.filter(|&p| succ[p].iter().all(|&(t, _)| t != j)) {
-                    succ[p].push((j, 1));
-                    indegree[j] += 1;
-                    edges += 1;
-                }
-                *prev = Some(j);
-            }
+        // The ordering edges follow every dependence edge of their source.
+        for (p, j) in self.chain.drain(..) {
+            graph.succ[p].push((j, 1));
+            graph.indegree[j] += 1;
+            graph.edges += 1;
         }
-
-        DepGraph { succ, indegree, edges }
     }
 }
 
@@ -253,62 +292,114 @@ fn mem_writes(inst: &Instruction) -> bool {
     )
 }
 
+/// A ready node, keyed by `(T(v), v)`: the smallest key is the earliest
+/// ready time, original position breaking ties for determinism.
+type Ready = Reverse<(u64, usize)>;
+
+/// Algorithm 1's list scheduler, with arrays that one [`reorder`] call
+/// reuses for every region.
+#[derive(Default)]
+struct Scheduler {
+    /// Ready-time estimate `T(v)`.
+    t: Vec<u64>,
+    /// Predecessors not yet scheduled.
+    left: Vec<usize>,
+    scheduled: Vec<bool>,
+    /// Ready loads, and every ready node (loads included). A node
+    /// scheduled from one heap stays in the other until it surfaces.
+    loads: BinaryHeap<Ready>,
+    ready: BinaryHeap<Ready>,
+    order: Vec<usize>,
+}
+
+impl Scheduler {
+    /// Paper Algorithm 1 over `block` and its `graph`: the new order, as
+    /// indices into `block`.
+    fn schedule(&mut self, block: &[(Instruction, Option<MemTag>)], graph: &DepGraph) -> &[usize] {
+        let n = block.len();
+        self.t.clear();
+        self.t.resize(n, 0);
+        self.left.clone_from(&graph.indegree);
+        self.scheduled.clear();
+        self.scheduled.resize(n, false);
+        self.loads.clear();
+        self.ready.clear();
+        self.order.clear();
+        for v in 0..n {
+            if self.left[v] == 0 {
+                self.push_ready(block, v);
+            }
+        }
+        for step in 1..=n as u64 {
+            // Priority: a ready load whose T has passed, else smallest T.
+            // A ready node's T is final (all its predecessors are
+            // scheduled), so each heap's top is the linear scan's minimum.
+            while let Some(&Reverse((_, v))) = self.loads.peek() {
+                if !self.scheduled[v] {
+                    break;
+                }
+                self.loads.pop();
+            }
+            let v = match self.loads.peek() {
+                Some(&Reverse((t, v))) if t <= step => {
+                    self.loads.pop();
+                    v
+                }
+                _ => loop {
+                    let Reverse((_, v)) =
+                        self.ready.pop().expect("graph is acyclic so ready is non-empty");
+                    if !self.scheduled[v] {
+                        break v;
+                    }
+                },
+            };
+            self.scheduled[v] = true;
+            self.t[v] = self.t[v].max(step);
+            self.order.push(v);
+            for &(u, w) in &graph.succ[v] {
+                self.t[u] = self.t[u].max(self.t[v] + w);
+                self.left[u] -= 1;
+                if self.left[u] == 0 {
+                    self.push_ready(block, u);
+                }
+            }
+        }
+        &self.order
+    }
+
+    fn push_ready(&mut self, block: &[(Instruction, Option<MemTag>)], v: usize) {
+        let key = Reverse((self.t[v], v));
+        if is_load(&block[v].0) {
+            self.loads.push(key);
+        }
+        self.ready.push(key);
+    }
+}
+
 /// Paper Algorithm 1: list-schedules `block` against its dependency graph,
 /// returning the new order as indices into the original block.
 pub fn schedule_order(block: &[(Instruction, Option<MemTag>)], graph: &DepGraph) -> Vec<usize> {
-    let n = block.len();
-    let mut t = vec![0u64; n];
-    let mut indegree = graph.indegree.clone();
-    let mut ready: Vec<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    for step in 1..=n as u64 {
-        // Priority: a ready load whose T has passed, else smallest T
-        // (original position breaks ties for determinism).
-        let pick = ready
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| is_load(&block[v].0) && t[v] <= step)
-            .min_by_key(|(_, &v)| (t[v], v))
-            .map(|(i, _)| i)
-            .unwrap_or_else(|| {
-                ready
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &v)| (t[v], v))
-                    .map(|(i, _)| i)
-                    .expect("graph is acyclic so ready is non-empty")
-            });
-        let v = ready.swap_remove(pick);
-        t[v] = t[v].max(step);
-        order.push(v);
-        for &(u, w) in &graph.succ[v] {
-            t[u] = t[u].max(t[v] + w);
-            indegree[u] -= 1;
-            if indegree[u] == 0 {
-                ready.push(u);
-            }
-        }
-    }
-    order
+    Scheduler::default().schedule(block, graph).to_vec()
 }
 
 /// Applies memory-order enforcement + reordering to every straight region.
 pub fn reorder(items: &mut [Item], enforce_memory_order: bool) {
     let mut lists = AccessLists::new();
+    let mut graph = DepGraph::default();
+    let mut scheduler = Scheduler::default();
+    let mut block: Vec<(Instruction, Option<MemTag>)> = Vec::new();
     for range in straight_regions(items) {
-        let block: Vec<(Instruction, Option<MemTag>)> = items[range.clone()]
-            .iter()
-            .map(|it| match it {
-                Item::Inst(i, t) => (*i, *t),
-                _ => unreachable!("straight regions contain only instructions"),
-            })
-            .collect();
-        if block.len() < 2 {
+        if range.len() < 2 {
             continue;
         }
-        let graph = lists.build(&block, enforce_memory_order);
-        let order = schedule_order(&block, &graph);
-        for (slot, &src) in range.clone().zip(order.iter()) {
+        block.clear();
+        block.extend(items[range.clone()].iter().map(|it| match it {
+            Item::Inst(i, t) => (*i, *t),
+            _ => unreachable!("straight regions contain only instructions"),
+        }));
+        lists.build(&block, enforce_memory_order, &mut graph);
+        let order = scheduler.schedule(&block, &graph);
+        for (slot, &src) in range.zip(order) {
             items[slot] = Item::Inst(block[src].0, block[src].1);
         }
     }
@@ -539,18 +630,86 @@ mod tests {
         });
     }
 
+    /// The linear-scan scheduler [`Scheduler`] replaced: it scans the
+    /// whole ready set at every step. The heap scheduler must pick exactly
+    /// what it picks.
+    fn reference_schedule_order(
+        block: &[(Instruction, Option<MemTag>)],
+        graph: &DepGraph,
+    ) -> Vec<usize> {
+        let n = block.len();
+        let mut t = vec![0u64; n];
+        let mut indegree = graph.indegree.clone();
+        let mut ready: Vec<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        for step in 1..=n as u64 {
+            // Priority: a ready load whose T has passed, else smallest T
+            // (original position breaks ties for determinism).
+            let pick = ready
+                .iter()
+                .enumerate()
+                .filter(|(_, &v)| is_load(&block[v].0) && t[v] <= step)
+                .min_by_key(|(_, &v)| (t[v], v))
+                .map(|(i, _)| i)
+                .unwrap_or_else(|| {
+                    ready
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, &v)| (t[v], v))
+                        .map(|(i, _)| i)
+                        .expect("graph is acyclic so ready is non-empty")
+                });
+            let v = ready.swap_remove(pick);
+            t[v] = t[v].max(step);
+            order.push(v);
+            for &(u, w) in &graph.succ[v] {
+                t[u] = t[u].max(t[v] + w);
+                indegree[u] -= 1;
+                if indegree[u] == 0 {
+                    ready.push(u);
+                }
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn schedule_matches_linear_scan_reference() {
+        check("schedule_matches_linear_scan_reference", &arb_block(), |raw| {
+            let block = materialize(raw);
+            for memory_order in [false, true] {
+                let graph = build_dep_graph(&block, memory_order);
+                assert_eq!(
+                    schedule_order(&block, &graph),
+                    reference_schedule_order(&block, &graph),
+                    "memory_order={memory_order}"
+                );
+            }
+        });
+    }
+
     #[test]
     fn access_lists_carry_nothing_across_regions() {
-        // `reorder` builds every region with one `AccessLists`: a region's
-        // graph must not depend on the regions built before it.
+        // `reorder` builds and schedules every region with one
+        // `AccessLists`, one `DepGraph` and one `Scheduler`: a region's
+        // graph (every edge, weight and indegree) and order must not depend
+        // on the regions before it, larger or smaller.
         check(
             "access_lists_carry_nothing_across_regions",
-            &tuple2(arb_block(), arb_block()),
-            |(a, b)| {
+            &tuple3(arb_block(), arb_block(), arb_block()),
+            |(a, b, c)| {
                 let mut lists = AccessLists::new();
-                for raw in [a, b] {
+                let mut graph = DepGraph::default();
+                let mut scheduler = Scheduler::default();
+                for (raw, memory_order) in [(a, true), (b, false), (c, true)] {
                     let block = materialize(raw);
-                    assert_eq!(lists.build(&block, true), reference_dep_graph(&block, true));
+                    let reference = reference_dep_graph(&block, memory_order);
+                    lists.build(&block, memory_order, &mut graph);
+                    assert_eq!(graph, reference, "memory_order={memory_order}");
+                    assert_eq!(
+                        scheduler.schedule(&block, &graph),
+                        reference_schedule_order(&block, &reference)
+                    );
                 }
             },
         );

@@ -25,6 +25,7 @@
 
 use std::collections::HashMap;
 
+use ipim_core::frontend::Pipeline;
 use ipim_core::{
     analytic, ComputeRootPolicy, MachineConfig, RegAllocPolicy, ScheduleOverride, Workload,
 };
@@ -177,18 +178,18 @@ impl ScheduleSpace {
                             load_pgsm: Some(load_pgsm),
                             compute_root,
                         };
-                        let Ok(w) = workload.with_override(&ov) else {
+                        let Ok(pipeline) = workload.rescheduled(&ov) else {
                             rejected += 1;
                             continue;
                         };
-                        let summary = w.pipeline.schedule_summary();
+                        let summary = pipeline.schedule_summary();
                         if let Some(&was_legal) = legal.get(&summary) {
                             // Same effective schedule: only a repeat of a
                             // rejected one is a rejection.
                             rejected += usize::from(!was_legal);
                             continue;
                         }
-                        let est_cycles = estimate(&session, &w, machine);
+                        let est_cycles = estimate(&session, &pipeline, machine);
                         legal.insert(summary.clone(), est_cycles.is_some());
                         match est_cycles {
                             Some(est_cycles) => {
@@ -267,20 +268,24 @@ impl ScheduleSpace {
     }
 }
 
-/// The analytic prediction for `w`'s schedule, or `None` when it is
-/// illegal: its inlined expressions would be too large, the compiler
+/// The analytic prediction for `pipeline`'s schedule, or `None` when it
+/// is illegal: its inlined expressions would be too large, the compiler
 /// rejects it, or the predicted run exceeds the cycle budget.
-fn estimate(session: &ipim_core::Session, w: &Workload, machine: &MachineConfig) -> Option<u64> {
+fn estimate(
+    session: &ipim_core::Session,
+    pipeline: &Pipeline,
+    machine: &MachineConfig,
+) -> Option<u64> {
     // Compile-time guard: inlining a deep producer chain (root=output_only
     // on e.g. StencilChain) grows expressions exponentially; bound the size
     // arithmetically before building anything.
-    if w.pipeline.inlined_size_bound() > MAX_INLINED_NODES {
+    if pipeline.inlined_size_bound() > MAX_INLINED_NODES {
         return None;
     }
     // Compile through the process-wide program cache: enumeration is the
     // cold pass, so the pool workers that later simulate surviving
     // candidates find every program already built.
-    let compiled = session.compile(&w.pipeline).ok()?;
+    let compiled = session.compile(pipeline).ok()?;
     // Rank by the analytic fast-forward model on the very program the
     // workers would simulate, so the rank reflects the lowered SIMB code
     // (see DESIGN.md §11).

@@ -154,9 +154,10 @@ impl Workload {
         self.pipeline.output().extent
     }
 
-    /// Rebuilds this workload with `ov` applied over the hand-written
-    /// schedule (see [`ScheduleOverride`]). Inputs, metadata and the
-    /// algorithm are unchanged — only the mapping moves.
+    /// This workload's pipeline with `ov` applied over the hand-written
+    /// schedule (see [`ScheduleOverride`]): the algorithm is unchanged,
+    /// only the mapping moves. Everything a compile needs, without copying
+    /// the inputs.
     ///
     /// # Errors
     ///
@@ -164,13 +165,22 @@ impl Workload {
     /// validation (a zero tile). Deeper machine-specific legality
     /// (divisibility, PGSM capacity) surfaces later, at compile time,
     /// exactly as for hand schedules.
-    pub fn with_override(&self, ov: &ScheduleOverride) -> Result<Workload, String> {
+    pub fn rescheduled(&self, ov: &ScheduleOverride) -> Result<Pipeline, String> {
         let output = self.pipeline.output().source;
-        let pipeline = self
-            .pipeline
+        self.pipeline
             .reschedule(|f| ov.apply(&f.schedule, f.source == output))
-            .map_err(|e| format!("{}: {e}", self.name))?;
-        Ok(Workload { pipeline, ..self.clone() })
+            .map_err(|e| format!("{}: {e}", self.name))
+    }
+
+    /// Rebuilds this workload with its pipeline
+    /// [`rescheduled`](Self::rescheduled) by `ov`. Inputs and metadata are
+    /// unchanged.
+    ///
+    /// # Errors
+    ///
+    /// As [`rescheduled`](Self::rescheduled).
+    pub fn with_override(&self, ov: &ScheduleOverride) -> Result<Workload, String> {
+        Ok(Workload { pipeline: self.rescheduled(ov)?, inputs: self.inputs.clone(), ..*self })
     }
 }
 
