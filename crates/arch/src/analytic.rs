@@ -38,26 +38,27 @@
 //!   with an open-row register: addresses are recovered by abstractly
 //!   interpreting PE 0's AddrRF (identity registers and `CalcArf` chains
 //!   are exact; a `Mov` from the data RF poisons the target register),
-//!   classified hit/miss/conflict against [`DramTiming`]'s latencies, and
-//!   periodically displaced by refresh windows;
+//!   classified hit/miss/conflict against
+//!   [`DramTiming`](ipim_dram::DramTiming)'s latencies, and periodically
+//!   displaced by refresh windows;
 //! * **barriers** — `Sync` parks when the in-flight window drains and
-//!   releases after the machine's `2 × mesh diameter + 4` coordination
-//!   delay, exactly as `Machine::coordinate_barrier` does.
+//!   releases `MachineConfig::barrier_delay` cycles later, the delay the
+//!   machine's barrier coordination reads too.
 //!
-//! Counter accounting (issue counts, categories, RF/PGSM/VSM accesses,
-//! TSV transfers, DRAM accesses) mirrors `Vault::account_accesses`
-//! instruction for instruction, so the energy book — composed by the same
-//! `compose_energy` the cycle engines use — inherits near-exact activity
-//! counts; only the *cycles* term (background + control-core energy) and
-//! the modelled DRAM row behaviour are approximate.
+//! Each instruction's unit, latency, category and RF/scratchpad/SIMD/ALU
+//! counters come from the program's cost table (`CostTable`), the one the
+//! cycle engines' issue stage reads, so the energy book — composed by the
+//! same `compose_energy` the cycle engines use — inherits near-exact
+//! activity counts; only the *cycles* term (background + control-core
+//! energy) and the modelled DRAM row behaviour are approximate.
 //!
 //! Everything the walk reads about a static instruction is decoded once
-//! per program into a [`Decoded`] record: the masked-PE count, the busiest
+//! per program into a `Decoded` record: the masked-PE count, the busiest
 //! PG's request count (popcounts over each PG's field of the SIMB mask),
 //! how the instruction issues and what it occupies, its read and write
 //! register sets held inline (at most three reads and one write, asserted
 //! at decode), and its exact CtrlRF or abstract AddrRF update. The walk
-//! never goes back to the [`Instruction`] or the [`RegTable`]. AddrRF
+//! never goes back to the [`Instruction`] or the cost table. AddrRF
 //! updates are kept only for the registers a DRAM read's address depends
 //! on, directly or through other `calc_arf`s; no other register's value
 //! can reach a row class.
@@ -115,16 +116,17 @@
 //! suite, compare against SkipAhead, adjust, re-run the divergence table)
 //! is documented in DESIGN.md §11. Everything not in [`cal`] is either
 //! exact (instruction stream, counters) or taken directly from
-//! [`MachineConfig`]/[`DramTiming`] (latencies).
+//! [`MachineConfig`]/[`DramTiming`](ipim_dram::DramTiming) (latencies).
 
+use ipim_dram::AccessKind;
 use ipim_isa::{
-    AddrOperand, AddrReg, ArfOp, ArfSrc, Category, CompOp, CrfOp, CrfSrc, CtrlReg, Instruction,
-    Program, SimbMask, ARF_CHIP_ID, ARF_PE_ID, ARF_PG_ID, ARF_VAULT_ID,
+    AddrOperand, AddrReg, ArfOp, ArfSrc, Category, CrfOp, CrfSrc, CtrlReg, Instruction, Program,
+    SimbMask, ARF_CHIP_ID, ARF_PE_ID, ARF_PG_ID, ARF_VAULT_ID,
 };
 
-use crate::config::{LatencyParams, MachineConfig};
+use crate::config::MachineConfig;
+use crate::cost::{CostTable, ExecUnit, InstCost};
 use crate::machine::{compose_energy, ExecutionReport, SimTimeout};
-use crate::regs::RegTable;
 use crate::stats::{StallCounts, StallReason, VaultStats};
 use crate::EnergyParams;
 
@@ -197,8 +199,8 @@ enum Kind {
     Pe(Unit),
 }
 
-/// What a broadcast occupies, and so when it completes (mirrors
-/// `Vault::dispatch`'s latency table).
+/// What a broadcast occupies, and so when it completes, with the unit
+/// latency of its [`InstCost`].
 #[derive(Clone, Copy)]
 enum Unit {
     /// Completes a fixed number of cycles after issue.
@@ -209,8 +211,9 @@ enum Unit {
     Read { addr: AddrOperand, extra: u64 },
     /// A posted DRAM write.
     Write,
-    /// `rd_vsm` (`read`) or `wr_vsm`: one TSV grant per masked PE.
-    Vsm { read: bool },
+    /// `rd_vsm` (`read`) or `wr_vsm`: one TSV grant per masked PE, then
+    /// `latency` cycles.
+    Vsm { read: bool, latency: u64 },
 }
 
 /// The exact CtrlRF update of a `calc_crf` (`op` is `Some`) or `seti_crf`
@@ -242,7 +245,7 @@ const MAX_READS: usize = 3;
 
 /// Per-static-instruction facts hoisted out of the dynamic walk, so the
 /// hot loop touches no allocator, never goes back to the [`Instruction`]
-/// or the [`RegTable`], and dispatches once: the SIMB mask population,
+/// or the [`CostTable`], and dispatches once: the SIMB mask population,
 /// the busiest-PG request count, how the instruction issues, its register
 /// sets and the loop it closes.
 struct Decoded {
@@ -264,17 +267,6 @@ struct Decoded {
 impl Decoded {
     fn reads(&self) -> &[u16] {
         &self.reads[..usize::from(self.n_reads)]
-    }
-}
-
-/// SIMD-unit latency of a `comp` operation.
-fn comp_latency(op: CompOp, lat: &LatencyParams) -> u64 {
-    match op {
-        CompOp::Add | CompOp::Sub => lat.add,
-        CompOp::Mul => lat.mul,
-        CompOp::Mac => lat.mac,
-        CompOp::Div => lat.div,
-        _ => lat.logic,
     }
 }
 
@@ -326,10 +318,8 @@ fn tracked_addr_regs(insts: &[Instruction], config: &MachineConfig) -> Vec<bool>
     tracked
 }
 
-fn decode(insts: &[Instruction], config: &MachineConfig) -> Vec<Decoded> {
-    let lat = &config.latency;
+fn decode(insts: &[Instruction], costs: &CostTable, config: &MachineConfig) -> Vec<Decoded> {
     let fields = pg_fields(config);
-    let regs = RegTable::decode(insts, config);
     let tracked = tracked_addr_regs(insts, config);
     insts
         .iter()
@@ -342,8 +332,8 @@ fn decode(insts: &[Instruction], config: &MachineConfig) -> Vec<Decoded> {
                 }
                 None => (0, 0),
             };
-            let unit = |l| Kind::Pe(Unit::Fixed(cal::UNIT_START + l));
-            let arf = |effect| Kind::Pe(Unit::Arf(cal::UNIT_START + lat.logic + lat.rf, effect));
+            let InstCost { unit, latency, .. } = *costs.cost(pc);
+            let arf = |effect| Kind::Pe(Unit::Arf(cal::UNIT_START + latency, effect));
             let ctrl = |op, dst, src1, src2| Kind::Ctrl(CtrlEffect { op, dst, src1, src2 });
             let kind = match *inst {
                 Instruction::Jump { target } => Kind::Jump(target),
@@ -353,29 +343,29 @@ fn decode(insts: &[Instruction], config: &MachineConfig) -> Vec<Decoded> {
                 Instruction::SetiVsm { .. } => Kind::SetiVsm,
                 Instruction::Req { .. } => Kind::Req,
                 Instruction::Sync { .. } => Kind::Sync,
-                Instruction::Comp { op, .. } => unit(comp_latency(op, lat) + lat.rf),
                 Instruction::CalcArf { op, dst, src1, src2, .. } if tracked[dst.index()] => {
                     arf(ArfEffect::Calc { op, dst, src1, src2 })
                 }
                 Instruction::Mov { to_arf: true, arf: dst, .. } if tracked[dst.index()] => {
                     arf(ArfEffect::Poison(dst))
                 }
-                Instruction::CalcArf { .. } | Instruction::Mov { .. } => arf(ArfEffect::None),
-                Instruction::Reset { .. } | Instruction::SetiDrf { .. } => unit(lat.rf),
-                Instruction::RdPgsm { .. } | Instruction::WrPgsm { .. } => {
-                    unit(lat.pgsm + lat.pe_bus)
+                Instruction::LdRf { dram_addr, .. } | Instruction::LdPgsm { dram_addr, .. } => {
+                    Kind::Pe(Unit::Read { addr: dram_addr, extra: latency })
                 }
-                Instruction::LdRf { dram_addr, .. } => {
-                    Kind::Pe(Unit::Read { addr: dram_addr, extra: lat.pe_bus })
-                }
-                Instruction::LdPgsm { dram_addr, .. } => {
-                    Kind::Pe(Unit::Read { addr: dram_addr, extra: lat.pe_bus + lat.pgsm })
-                }
-                Instruction::StRf { .. } | Instruction::StPgsm { .. } => Kind::Pe(Unit::Write),
-                Instruction::RdVsm { .. } => Kind::Pe(Unit::Vsm { read: true }),
-                Instruction::WrVsm { .. } => Kind::Pe(Unit::Vsm { read: false }),
+                _ => match unit {
+                    ExecUnit::Simd | ExecUnit::PgsmPort => {
+                        Kind::Pe(Unit::Fixed(cal::UNIT_START + latency))
+                    }
+                    ExecUnit::Alu => arf(ArfEffect::None),
+                    ExecUnit::Mem(_) => Kind::Pe(Unit::Write),
+                    ExecUnit::VsmPort => {
+                        let read = matches!(inst, Instruction::RdVsm { .. });
+                        Kind::Pe(Unit::Vsm { read, latency })
+                    }
+                    ExecUnit::Core => unreachable!("{inst}: every control instruction is matched"),
+                },
             };
-            let (read_set, write_set) = (regs.reads(pc), regs.writes(pc));
+            let (read_set, write_set) = (costs.reads(pc), costs.writes(pc));
             assert!(read_set.len() <= MAX_READS && write_set.len() <= 1, "{inst}: operand count");
             let mut reads = [0; MAX_READS];
             reads[..read_set.len()].copy_from_slice(read_set);
@@ -778,8 +768,8 @@ impl<'a> Walk<'a> {
             addr0,
             cursor: 0,
             branch_bubble_until: 0,
-            write_done: vec![0; RegTable::space(config)],
-            read_done: vec![0; RegTable::space(config)],
+            write_done: vec![0; CostTable::space(config)],
+            read_done: vec![0; CostTable::space(config)],
             inflight: Vec::with_capacity(config.inst_queue + 1),
             tsv_free_at: 0,
             mc_free: 0,
@@ -919,108 +909,46 @@ impl<'a> Walk<'a> {
         arrival + 1
     }
 
-    /// Adds what `times` issues of `inst` on `n` masked PEs contribute to
-    /// the counters that do not depend on timing: the instruction mix, the
-    /// RF/scratchpad accesses `Vault::account_accesses` counts, unit busy
-    /// time, TSV slots, and DRAM requests (posted writes always hit and
-    /// complete one cycle after reaching the controller).
-    fn account(&mut self, inst: &Instruction, n: u64, times: u64) {
-        let lat = &self.config.latency;
+    /// Adds what `times` issues of an instruction of cost `cost` on `n`
+    /// masked PEs contribute to the counters that do not depend on timing:
+    /// the instruction mix and access counters the cost table gives, unit
+    /// busy time, TSV slots, and DRAM requests (posted writes always hit
+    /// and complete one cycle after reaching the controller).
+    fn account(&mut self, cost: &InstCost, n: u64, times: u64) {
         let s = &mut self.stats;
-        let c = &mut s.by_category;
-        *match inst.category() {
-            Category::Computation => &mut c.computation,
-            Category::IndexCalc => &mut c.index_calc,
-            Category::IntraVault => &mut c.intra_vault,
-            Category::InterVault => &mut c.inter_vault,
-            Category::ControlFlow => &mut c.control_flow,
-            Category::Synchronization => &mut c.synchronization,
-        } += times;
+        s.by_category.bump_by(cost.category, times);
+        cost.add_accesses(s, times);
         let tn = times * n;
-        let indirect = |a: &AddrOperand| u64::from(matches!(a, AddrOperand::Indirect(_)));
-        // Every broadcast takes the cycle's TSV slot.
-        if inst.simb_mask().is_some() {
+        if cost.unit != ExecUnit::Core {
+            // Every broadcast takes the cycle's TSV slot.
             s.tsv_transfers += times;
         }
-        match inst {
-            Instruction::Comp { op, .. } => {
-                s.simd_ops += tn;
-                s.data_rf_accesses += 3 * tn;
-                s.simd_busy += tn * (comp_latency(*op, lat) + lat.rf);
-            }
-            Instruction::CalcArf { .. } => {
-                s.int_alu_ops += tn;
-                s.addr_rf_accesses += 3 * tn;
-                s.int_alu_busy += tn * (lat.logic + lat.rf);
-            }
-            Instruction::Mov { .. } => {
-                s.int_alu_ops += tn;
-                s.addr_rf_accesses += tn;
-                s.data_rf_accesses += tn;
-                s.int_alu_busy += tn * (lat.logic + lat.rf);
-            }
-            Instruction::LdRf { dram_addr, .. } => {
-                s.data_rf_accesses += tn;
-                s.addr_rf_accesses += indirect(dram_addr) * tn;
+        match cost.unit {
+            ExecUnit::Simd => s.simd_busy += tn * cost.latency,
+            ExecUnit::Alu => s.int_alu_busy += tn * cost.latency,
+            ExecUnit::Mem(AccessKind::Read) => {
                 s.dram_accesses += tn;
                 self.bank_reads += tn;
             }
-            Instruction::StRf { dram_addr, .. } => {
-                s.data_rf_accesses += tn;
-                s.addr_rf_accesses += indirect(dram_addr) * tn;
+            ExecUnit::Mem(AccessKind::Write) => {
                 s.dram_accesses += tn;
                 s.mem_busy += tn;
                 self.bank_writes += tn;
                 self.row_hits += tn;
             }
-            Instruction::LdPgsm { dram_addr, pgsm_addr, .. } => {
-                s.pgsm_accesses += tn;
-                s.addr_rf_accesses += (indirect(dram_addr) + indirect(pgsm_addr)) * tn;
-                s.dram_accesses += tn;
-                self.bank_reads += tn;
-            }
-            Instruction::StPgsm { dram_addr, pgsm_addr, .. } => {
-                s.pgsm_accesses += tn;
-                s.addr_rf_accesses += (indirect(dram_addr) + indirect(pgsm_addr)) * tn;
-                s.dram_accesses += tn;
-                s.mem_busy += tn;
-                self.bank_writes += tn;
-                self.row_hits += tn;
-            }
-            Instruction::RdPgsm { pgsm_addr, .. } | Instruction::WrPgsm { pgsm_addr, .. } => {
-                s.pgsm_accesses += tn;
-                s.data_rf_accesses += tn;
-                s.addr_rf_accesses += indirect(pgsm_addr) * tn;
-            }
-            Instruction::RdVsm { vsm_addr, .. } | Instruction::WrVsm { vsm_addr, .. } => {
-                s.vsm_accesses += tn;
-                s.data_rf_accesses += tn;
-                s.addr_rf_accesses += indirect(vsm_addr) * tn;
-                // One TSV grant per masked PE on top of the broadcast.
-                s.tsv_transfers += tn;
-            }
-            Instruction::Reset { .. } | Instruction::SetiDrf { .. } => {
-                s.data_rf_accesses += tn;
-                s.simd_busy += tn * lat.rf;
-            }
-            Instruction::SetiVsm { .. } => {
-                s.vsm_accesses += times;
-            }
-            Instruction::Req { .. } => {
-                // The served read lands in this vault's DRAM accounting
-                // symmetrically (each vault serves what it sends under
-                // SPMD), charged as a row miss.
+            // One TSV grant per masked PE on top of the broadcast.
+            ExecUnit::VsmPort => s.tsv_transfers += tn,
+            // A `req`: the served read lands in this vault's DRAM accounting
+            // symmetrically (each vault serves what it sends under SPMD),
+            // charged as a row miss.
+            ExecUnit::Core if cost.category == Category::InterVault => {
                 s.remote_reqs += times;
                 s.dram_accesses += times;
                 self.bank_reads += times;
                 self.row_misses += times;
                 self.flit_hops += times * cal::REQ_FLIT_HOPS;
             }
-            Instruction::Jump { .. }
-            | Instruction::CJump { .. }
-            | Instruction::CalcCrf { .. }
-            | Instruction::SetiCrf { .. }
-            | Instruction::Sync { .. } => {}
+            ExecUnit::PgsmPort | ExecUnit::Core => {}
         }
     }
 
@@ -1201,17 +1129,14 @@ fn walk(
 ) -> (Result<ExecutionReport, SimTimeout>, u64) {
     let lat = &config.latency;
     let insts = program.instructions();
-    let mut decoded = decode(insts, config);
+    let costs = CostTable::decode(insts, config);
+    let mut decoded = decode(insts, &costs, config);
     let mut loops = if fast_forward { find_loops(insts, &mut decoded) } else { Vec::new() };
     let mut ff = Tracker::default();
     let mut w = Walk::new(config, insts.len());
     let n_vaults = config.total_vaults();
     let timeout = || SimTimeout { max_cycles, stuck_vaults: (0..n_vaults).collect() };
-
-    // The mesh the barrier delay depends on (mirrors Machine::new).
-    let mesh_w = ((config.vaults_per_cube as f64).sqrt().ceil() as usize).max(1);
-    let mesh_h = config.vaults_per_cube.div_ceil(mesh_w);
-    let barrier_delay = 2 * (mesh_w + mesh_h) as u64 + 4;
+    let barrier_delay = config.barrier_delay();
 
     while w.pc < insts.len() {
         // Every issue occupies at least one cycle, so the dynamic count is
@@ -1267,7 +1192,7 @@ fn walk(
         match dec.kind {
             // VSM interlock: reads of the VSM wait for outstanding remote
             // reqs.
-            Kind::Pe(Unit::Vsm { read: true }) if w.req_ready > issue_t => {
+            Kind::Pe(Unit::Vsm { read: true, .. }) if w.req_ready > issue_t => {
                 push(w.req_ready, StallReason::VsmInterlock, &mut issue_t);
             }
             // Sync waits for the whole in-flight window to drain.
@@ -1342,11 +1267,11 @@ fn walk(
                     }
                     Unit::Read { addr, extra } => w.serve_read(issue_t, addr, n, dec.m, extra),
                     Unit::Write => w.serve_write(issue_t, dec.m),
-                    Unit::Vsm { .. } => {
+                    Unit::Vsm { latency, .. } => {
                         // One TSV grant per masked PE per cycle; grants
                         // block broadcast issue while they drain.
                         w.tsv_free_at = w.tsv_free_at.max(issue_t + 1 + n);
-                        issue_t + n + lat.tsv + lat.vsm + lat.pe_bus
+                        issue_t + n + latency
                     }
                 };
                 w.last_completion = w.last_completion.max(done);
@@ -1379,10 +1304,10 @@ fn walk(
         return (Err(timeout()), ff.skipped);
     }
     w.stats.cycles = cycles;
-    for (pc, inst) in insts.iter().enumerate() {
+    for (pc, dec) in decoded.iter().enumerate() {
         let times = w.issues[pc];
         if times > 0 {
-            w.account(inst, decoded[pc].n, times);
+            w.account(costs.cost(pc), dec.n, times);
         }
     }
 
@@ -1439,7 +1364,8 @@ pub fn divergence_pct(predicted_cycles: u64, measured_cycles: u64) -> f64 {
 mod tests {
     use super::*;
     use ipim_isa::{
-        AddrReg, ArfOp, CompMode, CrfOp, CtrlReg, DataReg, DataType, ProgramBuilder, VecMask,
+        AddrReg, ArfOp, CompMode, CompOp, CrfOp, CtrlReg, DataReg, DataType, ProgramBuilder,
+        VecMask,
     };
     use ipim_simkit::{check, Gen, Rng};
 

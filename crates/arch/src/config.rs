@@ -35,10 +35,10 @@ pub enum Engine {
     /// Predict cycles/energy from one analytic walk of the instruction
     /// stream ([`crate::analytic`]) without simulating. Approximate:
     /// results carry bounded, continuously-measured error vs `SkipAhead`
-    /// and produce no output image. Driving [`Machine::run`]
-    /// (crate::Machine::run) directly with this engine falls back to
-    /// `SkipAhead` semantics (the machine API is bit-exact by contract);
-    /// `ipim_core::Session::simulate` is the analytic entry point.
+    /// and produce no output image. Driving [`Machine::run`](crate::Machine::run)
+    /// directly with this engine falls back to `SkipAhead` semantics (the
+    /// machine API is bit-exact by contract); `ipim_core::Session::simulate`
+    /// is the analytic entry point.
     Analytic,
 }
 
@@ -126,6 +126,7 @@ pub struct LatencyParams {
 }
 
 impl Default for LatencyParams {
+    #[inline]
     fn default() -> Self {
         Self {
             add: 4,
@@ -258,6 +259,21 @@ impl MachineConfig {
         }
     }
 
+    /// The per-cube mesh, `(width, height)`: the narrowest near-square grid
+    /// with a node for every vault of a cube.
+    pub(crate) fn mesh_shape(&self) -> (usize, usize) {
+        let width = ((self.vaults_per_cube as f64).sqrt().ceil() as usize).max(1);
+        (width, self.vaults_per_cube.div_ceil(width))
+    }
+
+    /// Cycles from the last vault parking at a barrier to its release: the
+    /// master vault gathers the others' signals and broadcasts the release
+    /// (Sec. IV-D), two traversals of the mesh's diameter plus bookkeeping.
+    pub(crate) fn barrier_delay(&self) -> u64 {
+        let (width, height) = self.mesh_shape();
+        2 * (width + height) as u64 + 4
+    }
+
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -271,6 +287,9 @@ impl MachineConfig {
             || self.pes_per_pg == 0
         {
             return Err("machine dimensions must be non-zero".into());
+        }
+        if self.cubes > 256 || self.vaults_per_cube > 256 {
+            return Err("at most 256 cubes of 256 vaults (8-bit remote chip and vault ids)".into());
         }
         if self.pes_per_vault() > 64 {
             return Err(format!(

@@ -44,15 +44,16 @@
 pub mod analytic;
 pub mod area;
 mod config;
+mod cost;
 mod energy;
 mod machine;
 pub mod power;
-mod regs;
 mod scratchpad;
 mod stats;
 mod vault;
 
 pub use config::{Engine, Fidelity, LatencyParams, MachineConfig, Placement, TraceConfig};
+pub use cost::ExecUnit;
 pub use energy::{EnergyBook, EnergyParams};
 pub use machine::{ExecutionReport, Machine, SimTimeout};
 pub use scratchpad::Scratchpad;

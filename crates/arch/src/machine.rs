@@ -10,7 +10,7 @@ use ipim_isa::{Program, RemoteTarget};
 use ipim_noc::{Mesh, MeshConfig, NodeId, Packet, PacketId};
 use ipim_trace::{CompId, CompRegistry, MetricsRegistry, SharedSink, TraceEvent, Tracer};
 
-use crate::regs::RegTable;
+use crate::cost::CostTable;
 use crate::stats::VaultStats;
 use crate::vault::{InMsg, OutMsg, Vault, VaultId};
 use crate::{EnergyBook, EnergyParams, Engine, MachineConfig};
@@ -74,6 +74,22 @@ pub struct ExecutionReport {
 }
 
 impl ExecutionReport {
+    /// Records the summed vault counters under `machine/total` and the
+    /// DRAM command and row-locality counters under `dram/*`: the paths
+    /// [`Machine::metrics`] and an analytic prediction's metrics share.
+    pub fn record_totals_into(&self, reg: &mut MetricsRegistry) {
+        self.stats.record_into(reg, "machine/total");
+        let (bank, locality) = (&self.bank_stats, &self.locality);
+        reg.counter_add("dram/acts", bank.acts);
+        reg.counter_add("dram/pres", bank.pres);
+        reg.counter_add("dram/reads", bank.reads);
+        reg.counter_add("dram/writes", bank.writes);
+        reg.counter_add("dram/refs", bank.refs);
+        reg.counter_add("dram/row_hits", locality.row_hits);
+        reg.counter_add("dram/row_misses", locality.row_misses);
+        reg.counter_add("dram/row_conflicts", locality.row_conflicts);
+    }
+
     /// Runtime in seconds at the 1 GHz clock.
     pub fn seconds(&self) -> f64 {
         self.cycles as f64 * 1e-9
@@ -126,9 +142,9 @@ impl Machine {
                 vaults.push(Vault::new(VaultId { cube, vault }, &config));
             }
         }
-        let width = (config.vaults_per_cube as f64).sqrt().ceil() as u8;
-        let width = width.max(1);
-        let height = (config.vaults_per_cube as u8).div_ceil(width);
+        // `validate` caps the vaults per cube at 256: each side is at most 16.
+        let (width, height) = config.mesh_shape();
+        let (width, height) = (width as u8, height as u8);
         let meshes = (0..config.cubes)
             .map(|_| Mesh::new(MeshConfig { width, height, queue_capacity: 8 }))
             .collect();
@@ -231,9 +247,9 @@ impl Machine {
     /// behaviour differentiates through the identity registers A0–A3).
     pub fn load_program_all(&mut self, program: &Program) {
         let program = Arc::new(program.clone());
-        let regs = Arc::new(RegTable::decode(program.instructions(), &self.config));
+        let costs = Arc::new(CostTable::decode(program.instructions(), &self.config));
         for v in &mut self.vaults {
-            v.load_program(Arc::clone(&program), Arc::clone(&regs));
+            v.load_program(Arc::clone(&program), Arc::clone(&costs));
         }
     }
 
@@ -347,9 +363,8 @@ impl Machine {
     /// Advances the whole machine one cycle.
     ///
     /// Returns whether the cycle did observable work anywhere in the
-    /// machine. The skip-ahead engine only computes [`next_event`]
-    /// (Self::next_event) after a quiet cycle — a heuristic, so a
-    /// pessimistic `true` is always safe.
+    /// machine. The skip-ahead engine only computes `next_event` after a
+    /// quiet cycle — a heuristic, so a pessimistic `true` is always safe.
     pub fn tick(&mut self) -> bool {
         let now = self.now;
         let mut progress = false;
@@ -368,17 +383,7 @@ impl Machine {
                 let vault_local =
                     packet.dst.y as usize * self.mesh_shape.0 as usize + packet.dst.x as usize;
                 let v = cube * self.config.vaults_per_cube + vault_local;
-                let msg = match packet.payload {
-                    NetMsg::Fwd { origin, target, dram_addr, tag } => InMsg::ServeReq {
-                        origin,
-                        pg: target.pg as usize,
-                        pe: target.pe as usize,
-                        dram_addr,
-                        tag,
-                    },
-                    NetMsg::Resp { tag } => InMsg::ReqDone { tag },
-                };
-                self.vaults[v].deliver(msg, now);
+                self.vaults[v].deliver(to_in_msg(packet.payload), now);
             }
         }
 
@@ -500,11 +505,8 @@ impl Machine {
             }
         }
         if waiting > 0 && running == 0 {
-            // All participating vaults reached the barrier: master vault
-            // gathers slave signals and broadcasts proceed (Sec. IV-D) —
-            // two mesh traversals plus bookkeeping.
-            let diameter = (self.mesh_shape.0 + self.mesh_shape.1) as u64;
-            self.barrier_release_at = Some(now + 2 * diameter + 4);
+            // All participating vaults reached the barrier.
+            self.barrier_release_at = Some(now + self.config.barrier_delay());
             return true;
         }
         false
@@ -565,24 +567,13 @@ impl Machine {
             reg.counter_add(&format!("cube{c}/mesh/credit_stalls"), s.stall_cycles);
             reg.counter_add(&format!("cube{c}/mesh/flit_hops"), mesh.flit_hops());
         }
-        let mut total = VaultStats::default();
         for v in &self.vaults {
             let id = v.id();
             let prefix = format!("cube{}/vault{}", id.cube, id.vault);
             v.stats.record_into(&mut reg, &prefix);
             reg.histogram_observe("machine/vault_cycles", v.stats.cycles);
-            total.absorb(&v.stats);
         }
-        total.record_into(&mut reg, "machine/total");
-        let (bank, locality) = self.dram_totals();
-        reg.counter_add("dram/acts", bank.acts);
-        reg.counter_add("dram/pres", bank.pres);
-        reg.counter_add("dram/reads", bank.reads);
-        reg.counter_add("dram/writes", bank.writes);
-        reg.counter_add("dram/refs", bank.refs);
-        reg.counter_add("dram/row_hits", locality.row_hits);
-        reg.counter_add("dram/row_misses", locality.row_misses);
-        reg.counter_add("dram/row_conflicts", locality.row_conflicts);
+        self.report().record_totals_into(&mut reg);
         reg
     }
 
@@ -683,6 +674,21 @@ mod tests {
         assert_eq!(m.mesh_shape, (4, 4));
         let m3 = Machine::new(MachineConfig::vault_slice(3));
         assert!(m3.mesh_shape.0 as usize * m3.mesh_shape.1 as usize >= 3);
+        // 256 vaults, the most `validate` accepts -> 16x16: at one barrier
+        // every vault waits out 2 × (16 + 16) + 4 cycles, simulated and
+        // predicted alike.
+        let config = MachineConfig::vault_slice(256);
+        let mut b = ipim_isa::ProgramBuilder::new();
+        b.push(ipim_isa::Instruction::Sync { phase_id: 1 });
+        let program = b.seal().unwrap();
+        let mut m = Machine::new(config.clone());
+        assert_eq!(m.mesh_shape, (16, 16));
+        m.load_program_all(&program);
+        assert_eq!(m.run(1_000).unwrap().stats.stalls.sync, 256 * 68);
+        let predicted = crate::analytic::predict(&program, &config, 1_000).unwrap();
+        assert_eq!(predicted.stats.stalls.sync, 256 * 68);
+        assert!(MachineConfig::vault_slice(257).validate().is_err());
+        assert!(MachineConfig { cubes: 257, ..MachineConfig::vault_slice(1) }.validate().is_err());
     }
 
     #[test]

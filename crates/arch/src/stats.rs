@@ -126,13 +126,18 @@ impl CategoryCounts {
 
     /// Increments the counter for `cat`.
     pub fn bump(&mut self, cat: Category) {
+        self.bump_by(cat, 1);
+    }
+
+    /// Adds `n` to the counter for `cat`.
+    pub fn bump_by(&mut self, cat: Category, n: u64) {
         match cat {
-            Category::Computation => self.computation += 1,
-            Category::IndexCalc => self.index_calc += 1,
-            Category::IntraVault => self.intra_vault += 1,
-            Category::InterVault => self.inter_vault += 1,
-            Category::ControlFlow => self.control_flow += 1,
-            Category::Synchronization => self.synchronization += 1,
+            Category::Computation => self.computation += n,
+            Category::IndexCalc => self.index_calc += n,
+            Category::IntraVault => self.intra_vault += n,
+            Category::InterVault => self.inter_vault += n,
+            Category::ControlFlow => self.control_flow += n,
+            Category::Synchronization => self.synchronization += n,
         }
     }
 

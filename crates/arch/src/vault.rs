@@ -13,12 +13,12 @@ use std::sync::Arc;
 
 use ipim_dram::{AccessKind, Bank, Completion, MemController, Request, RequestId, ACCESS_BYTES};
 use ipim_isa::{
-    AddrOperand, ArfSrc, Category, CompMode, CompOp, CrfSrc, DataType, Instruction, Program,
-    RemoteTarget, SimbMask, ARF_CHIP_ID, ARF_PE_ID, ARF_PG_ID, ARF_VAULT_ID,
+    AddrOperand, ArfSrc, CompMode, CompOp, CrfSrc, DataType, Instruction, Program, RemoteTarget,
+    SimbMask, ARF_CHIP_ID, ARF_PE_ID, ARF_PG_ID, ARF_VAULT_ID,
 };
 use ipim_trace::{CompId, CompRegistry, SpadKind, TraceEvent, Tracer};
 
-use crate::regs::RegTable;
+use crate::cost::{CostTable, ExecUnit, InstCost};
 use crate::stats::{StallReason, VaultStats};
 use crate::{MachineConfig, Placement, Scratchpad};
 
@@ -234,16 +234,6 @@ impl BusyStamps {
     }
 }
 
-/// Where the PE-side work of an instruction executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DispatchUnit {
-    Simd,
-    Alu,
-    PgsmPort,
-    VsmPort,
-    Mem(AccessKind),
-}
-
 /// Control-core + barrier state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CoreState {
@@ -277,15 +267,16 @@ pub struct Vault {
     id: VaultId,
     config: MachineConfig,
     program: Arc<Program>,
-    // Register sets of `program`, shared by every vault that runs it.
-    regs: Arc<RegTable>,
+    // Costs and register sets of `program`, shared by every vault that
+    // runs it.
+    costs: Arc<CostTable>,
     pc: usize,
     state: CoreState,
     branch_bubble_until: u64,
     ctrl_rf: Vec<i32>,
     issued: IdMap<InFlightInst>,
     // Register scoreboard: in-flight readers and writers per flat register
-    // (see `RegTable`), counted over `issued`.
+    // (see `CostTable`), counted over `issued`.
     readers: Vec<u32>,
     writers: Vec<u32>,
     next_inst_id: u64,
@@ -360,14 +351,14 @@ impl Vault {
             id,
             config: config.clone(),
             program: Arc::default(),
-            regs: Arc::new(RegTable::decode(&[], config)),
+            costs: Arc::new(CostTable::decode(&[], config)),
             pc: 0,
             state: CoreState::Halted,
             branch_bubble_until: 0,
             ctrl_rf: vec![0; config.ctrl_rf_entries],
             issued: IdMap::default(),
-            readers: vec![0; RegTable::space(config)],
-            writers: vec![0; RegTable::space(config)],
+            readers: vec![0; CostTable::space(config)],
+            writers: vec![0; CostTable::space(config)],
             next_inst_id: 0,
             unit_ops: Vec::new(),
             simd_busy: BusyStamps::new(config.pes_per_vault()),
@@ -437,13 +428,13 @@ impl Vault {
         self.id
     }
 
-    /// Loads a program, with its register sets `regs`, and resets
-    /// execution state (registers and scratchpads are cleared; bank
-    /// contents are preserved, matching a host that uploads data once and
-    /// launches several kernels).
-    pub(crate) fn load_program(&mut self, program: Arc<Program>, regs: Arc<RegTable>) {
+    /// Loads a program, with its cost table `costs`, and resets execution
+    /// state (registers and scratchpads are cleared; bank contents are
+    /// preserved, matching a host that uploads data once and launches
+    /// several kernels).
+    pub(crate) fn load_program(&mut self, program: Arc<Program>, costs: Arc<CostTable>) {
         self.program = program;
-        self.regs = regs;
+        self.costs = costs;
         self.pc = 0;
         self.state = CoreState::Running;
         self.branch_bubble_until = 0;
@@ -595,7 +586,7 @@ impl Vault {
     /// Returns whether the cycle did observable work (an op started or
     /// completed, a request moved, an instruction issued, the core halted).
     /// The skip-ahead engine uses a `false` return as its cue to compute
-    /// [`next_event`](Self::next_event) — purely a scheduling heuristic, so
+    /// `next_event` — purely a scheduling heuristic, so
     /// a pessimistic `true` is always safe.
     pub fn tick(&mut self, now: u64) -> bool {
         if self.is_halted() && self.outbox.is_empty() && self.pending_serves.is_empty() {
@@ -902,10 +893,10 @@ impl Vault {
             return;
         }
         if let Some(pc) = e.pc {
-            for &r in self.regs.reads(pc) {
+            for &r in self.costs.reads(pc) {
                 self.readers[r as usize] -= 1;
             }
-            for &w in self.regs.writes(pc) {
+            for &w in self.costs.writes(pc) {
                 self.writers[w as usize] -= 1;
             }
         }
@@ -916,10 +907,10 @@ impl Vault {
     /// its register sets on the scoreboard.
     fn track(&mut self, inst_id: u64, entry: InFlightInst) {
         if let Some(pc) = entry.pc {
-            for &r in self.regs.reads(pc) {
+            for &r in self.costs.reads(pc) {
                 self.readers[r as usize] += 1;
             }
-            for &w in self.regs.writes(pc) {
+            for &w in self.costs.writes(pc) {
                 self.writers[w as usize] += 1;
             }
         }
@@ -951,9 +942,9 @@ impl Vault {
         }
         // Data hazards against in-flight instructions (paper Sec. IV-B 2):
         // RAW, WAR or WAW with any of them, read off the scoreboard.
-        let raw = self.regs.reads(self.pc).iter().any(|&r| self.writers[r as usize] > 0);
+        let raw = self.costs.reads(self.pc).iter().any(|&r| self.writers[r as usize] > 0);
         let war_waw = self
-            .regs
+            .costs
             .writes(self.pc)
             .iter()
             .any(|&w| self.writers[w as usize] > 0 || self.readers[w as usize] > 0);
@@ -998,9 +989,9 @@ impl Vault {
             IssueDecision::Park(phase_id) => {
                 self.last_stall = None;
                 self.state = CoreState::AtBarrier(phase_id);
-                self.pc += 1;
                 self.stats.issued += 1;
-                self.stats.by_category.bump(Category::Synchronization);
+                self.stats.by_category.bump(self.costs.cost(self.pc).category);
+                self.pc += 1;
                 self.tracer
                     .emit(now, self.comp_core, || TraceEvent::BarrierEnter { phase: phase_id });
                 return true;
@@ -1010,21 +1001,26 @@ impl Vault {
             }
         }
         let inst = self.program.instructions()[self.pc];
-        let needs_tsv = inst.simb_mask().is_some();
+        let cost = *self.costs.cost(self.pc);
 
         // --- Issue. ---
-        if needs_tsv {
+        if cost.unit != ExecUnit::Core {
+            // Broadcasts take the cycle's TSV slot.
             self.tsv_free = false;
             self.stats.tsv_transfers += 1;
         }
         self.stats.issued += 1;
-        self.stats.by_category.bump(inst.category());
+        self.stats.by_category.bump(cost.category);
         if self.tracer.enabled() {
             let pc = self.pc as u32;
-            let category = inst.category().name();
+            let category = cost.category.name();
             self.tracer.emit(now, self.comp_core, || TraceEvent::SimbIssue { pc, category });
         }
-        self.account_accesses(&inst, now);
+        cost.add_accesses(&mut self.stats, 1);
+        if let Some((kind, count)) = cost.spad {
+            let count = u32::from(count);
+            self.tracer.emit(now, self.comp_core, || TraceEvent::SpadAccess { kind, count });
+        }
 
         let mut next_pc = self.pc + 1;
         match inst {
@@ -1228,37 +1224,7 @@ impl Vault {
     /// masked PE and enters the instruction into the Issued-Inst-Queue
     /// (unless it masks no PE, so that nothing would complete).
     fn dispatch(&mut self, inst: &Instruction, mask: SimbMask, inst_id: u64, now: u64) {
-        let lat = &self.config.latency;
-        // The unit's latency; for a memory op, the post-DRAM latency.
-        let (unit, latency) = match inst {
-            Instruction::Comp { op, .. } => {
-                let l = match op {
-                    CompOp::Add | CompOp::Sub => lat.add,
-                    CompOp::Mul => lat.mul,
-                    CompOp::Mac => lat.mac,
-                    CompOp::Div => lat.div,
-                    _ => lat.logic,
-                };
-                (DispatchUnit::Simd, l + lat.rf)
-            }
-            Instruction::CalcArf { .. } | Instruction::Mov { .. } => {
-                (DispatchUnit::Alu, lat.logic + lat.rf)
-            }
-            Instruction::Reset { .. } | Instruction::SetiDrf { .. } => (DispatchUnit::Simd, lat.rf),
-            Instruction::LdRf { .. } => (DispatchUnit::Mem(AccessKind::Read), lat.pe_bus),
-            Instruction::StRf { .. } => (DispatchUnit::Mem(AccessKind::Write), 0),
-            Instruction::LdPgsm { .. } => {
-                (DispatchUnit::Mem(AccessKind::Read), lat.pe_bus + lat.pgsm)
-            }
-            Instruction::StPgsm { .. } => (DispatchUnit::Mem(AccessKind::Write), 0),
-            Instruction::RdPgsm { .. } | Instruction::WrPgsm { .. } => {
-                (DispatchUnit::PgsmPort, lat.pgsm + lat.pe_bus)
-            }
-            Instruction::RdVsm { .. } | Instruction::WrVsm { .. } => {
-                (DispatchUnit::VsmPort, lat.tsv + lat.vsm + lat.pe_bus)
-            }
-            _ => unreachable!("non-broadcast instruction in dispatch"),
-        };
+        let InstCost { unit, latency, .. } = *self.costs.cost(self.pc);
         let n = mask.count() as u32;
         if n == 0 {
             return;
@@ -1266,27 +1232,31 @@ impl Vault {
 
         let mut mem_extra = 0;
         match unit {
-            DispatchUnit::Simd | DispatchUnit::Alu | DispatchUnit::PgsmPort => {
+            ExecUnit::Simd | ExecUnit::Alu | ExecUnit::PgsmPort => {
                 // A unit collects completions before it starts the tick's op,
                 // so an op completes no earlier than the tick after its start.
                 let start = now + 1;
                 let done = start + latency.max(1);
                 // The PGSM port's busy time is not integrated.
                 match unit {
-                    DispatchUnit::Simd => self.simd_busy.stamp(mask, done),
-                    DispatchUnit::Alu => self.alu_busy.stamp(mask, done),
+                    ExecUnit::Simd => self.simd_busy.stamp(mask, done),
+                    ExecUnit::Alu => self.alu_busy.stamp(mask, done),
                     _ => {}
                 }
                 self.unit_ops.push(UnitOp { start, done, inst_id, n });
             }
-            DispatchUnit::VsmPort => {
+            ExecUnit::VsmPort => {
                 for g in mask.iter() {
                     self.pes[g].vsm_port.queue.push_back((inst_id, latency));
                     self.vsm_active |= 1 << g;
                 }
             }
-            DispatchUnit::Mem(kind) => {
-                mem_extra = latency;
+            ExecUnit::Mem(kind) => {
+                // A read's data crosses the path after the bank access; a
+                // write completes when the bank takes it.
+                if kind == AccessKind::Read {
+                    mem_extra = latency;
+                }
                 for g in mask.iter() {
                     let addr = match *inst {
                         Instruction::LdRf { dram_addr, .. }
@@ -1323,75 +1293,9 @@ impl Vault {
                     });
                 }
             }
+            ExecUnit::Core => unreachable!("control-core instruction in dispatch"),
         }
         self.track(inst_id, InFlightInst { pending: n, pc: Some(self.pc), mem_extra });
-    }
-
-    /// Updates register-file / scratchpad access counters for energy, and
-    /// mirrors scratchpad traffic into the trace.
-    fn account_accesses(&mut self, inst: &Instruction, now: u64) {
-        let n = inst.simb_mask().map_or(0, |m| m.count() as u64);
-        // Scratchpad traffic this instruction generates, mirrored into the
-        // trace after the counter update.
-        let mut spad: Option<(SpadKind, u64)> = None;
-        match inst {
-            Instruction::Comp { .. } => {
-                self.stats.simd_ops += n;
-                self.stats.data_rf_accesses += 3 * n;
-            }
-            Instruction::CalcArf { .. } => {
-                self.stats.int_alu_ops += n;
-                self.stats.addr_rf_accesses += 3 * n;
-            }
-            Instruction::Mov { .. } => {
-                self.stats.int_alu_ops += n;
-                self.stats.addr_rf_accesses += n;
-                self.stats.data_rf_accesses += n;
-            }
-            Instruction::LdRf { dram_addr, .. } | Instruction::StRf { dram_addr, .. } => {
-                self.stats.data_rf_accesses += n;
-                if dram_addr.addr_reg().is_some() {
-                    self.stats.addr_rf_accesses += n;
-                }
-            }
-            Instruction::LdPgsm { dram_addr, pgsm_addr, .. }
-            | Instruction::StPgsm { dram_addr, pgsm_addr, .. } => {
-                self.stats.pgsm_accesses += n;
-                spad = Some((SpadKind::Pgsm, n));
-                let indirect =
-                    [dram_addr, pgsm_addr].iter().filter(|a| a.addr_reg().is_some()).count() as u64;
-                self.stats.addr_rf_accesses += indirect * n;
-            }
-            Instruction::RdPgsm { pgsm_addr, drf: _, .. }
-            | Instruction::WrPgsm { pgsm_addr, drf: _, .. } => {
-                self.stats.pgsm_accesses += n;
-                spad = Some((SpadKind::Pgsm, n));
-                self.stats.data_rf_accesses += n;
-                if pgsm_addr.addr_reg().is_some() {
-                    self.stats.addr_rf_accesses += n;
-                }
-            }
-            Instruction::RdVsm { vsm_addr, .. } | Instruction::WrVsm { vsm_addr, .. } => {
-                self.stats.vsm_accesses += n;
-                spad = Some((SpadKind::Vsm, n));
-                self.stats.data_rf_accesses += n;
-                if vsm_addr.addr_reg().is_some() {
-                    self.stats.addr_rf_accesses += n;
-                }
-            }
-            Instruction::Reset { .. } | Instruction::SetiDrf { .. } => {
-                self.stats.data_rf_accesses += n;
-            }
-            Instruction::SetiVsm { .. } => {
-                self.stats.vsm_accesses += 1;
-                spad = Some((SpadKind::Vsm, 1));
-            }
-            _ => {}
-        }
-        if let Some((kind, count)) = spad {
-            let count = count.min(u32::MAX as u64) as u32;
-            self.tracer.emit(now, self.comp_core, || TraceEvent::SpadAccess { kind, count });
-        }
     }
 
     /// Completes the functional effect of a served remote request: called by

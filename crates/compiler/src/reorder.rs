@@ -35,28 +35,21 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use ipim_arch::{ExecUnit, LatencyParams};
 use ipim_isa::{Instruction, RegRef};
 
 use crate::kb::{straight_regions, Item, MemTag};
 
-/// Latency estimates used for `T(v)` (cycles; Table III values with a
-/// row-hit estimate for DRAM).
+/// Algorithm 1's estimate of a DRAM access's bank latency: a row hit.
+const ROW_HIT: u64 = 16;
+
+/// The latency a data dependence on `inst` carries into `T(v)`: the unit
+/// latency [`LatencyParams::unit_latency`] gives at Table III's defaults,
+/// plus [`ROW_HIT`] for a DRAM access.
 fn latency_estimate(inst: &Instruction) -> u64 {
-    use ipim_isa::CompOp;
-    match inst {
-        Instruction::Comp { op, .. } => match op {
-            CompOp::Add | CompOp::Sub => 5,
-            CompOp::Mul => 6,
-            CompOp::Mac => 9,
-            CompOp::Div => 11,
-            _ => 2,
-        },
-        Instruction::CalcArf { .. } | Instruction::Mov { .. } => 2,
-        Instruction::LdRf { .. } | Instruction::StRf { .. } => 17, // row hit + bus
-        Instruction::LdPgsm { .. } | Instruction::StPgsm { .. } => 18,
-        Instruction::RdPgsm { .. } | Instruction::WrPgsm { .. } => 2,
-        Instruction::RdVsm { .. } | Instruction::WrVsm { .. } => 3,
-        _ => 1,
+    match LatencyParams::default().unit_latency(inst) {
+        (ExecUnit::Mem(_), path) => ROW_HIT + path,
+        (_, latency) => latency,
     }
 }
 

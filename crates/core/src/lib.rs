@@ -82,11 +82,6 @@ pub mod isa {
     pub use ipim_isa::*;
 }
 
-/// Re-export of the baseline models.
-pub mod baselines {
-    pub use ipim_baselines::*;
-}
-
 /// Re-export of the DRAM bank model.
 pub mod dram {
     pub use ipim_dram::*;

@@ -245,15 +245,7 @@ impl Session {
         let (w, h) = host::output_extent(&compiled.map, program.output_source());
         let mut metrics = MetricsRegistry::default();
         metrics.counter_add("machine/cycles", report.cycles);
-        report.stats.record_into(&mut metrics, "machine/total");
-        metrics.counter_add("dram/acts", report.bank_stats.acts);
-        metrics.counter_add("dram/pres", report.bank_stats.pres);
-        metrics.counter_add("dram/reads", report.bank_stats.reads);
-        metrics.counter_add("dram/writes", report.bank_stats.writes);
-        metrics.counter_add("dram/refs", report.bank_stats.refs);
-        metrics.counter_add("dram/row_hits", report.locality.row_hits);
-        metrics.counter_add("dram/row_misses", report.locality.row_misses);
-        metrics.counter_add("dram/row_conflicts", report.locality.row_conflicts);
+        report.record_totals_into(&mut metrics);
         metrics.counter_add("analytic/predictions", 1);
         Ok(RunOutcome {
             output: Image::new(w, h),

@@ -285,9 +285,9 @@ impl Pipeline {
         self.funcs[self.output.0 as usize].source
     }
 
-    /// Upper bound on the total expression node count [`root_stages`]
-    /// (Self::root_stages) would materialize, computed arithmetically
-    /// without building any expression — O(funcs × body size).
+    /// Upper bound on the total expression node count [`root_stages`](Self::root_stages)
+    /// would materialize, computed arithmetically without building any
+    /// expression — O(funcs × body size).
     ///
     /// Inlining a deep producer chain multiplies expression sizes, so a
     /// schedule that clears `compute_root` along such a chain can make the

@@ -1,8 +1,9 @@
 //! Cross-backend benchmark matrix, trajectory report and the one paper
 //! comparison (ROADMAP items 3 and 4).
 //!
-//! Three modules, all std-only and hermetic:
+//! Four modules, all std-only and hermetic:
 //!
+//! * [`gpu`] — the calibrated V100 roofline baseline (Fig. 1's profile).
 //! * [`matrix`] — runs every workload × scale × backend ({skip-ahead,
 //!   analytic, PonB, GPU roofline}), plus the `config` sweep cells of
 //!   Figs. 10 and 12 and the ablation, and emits one normalized record
@@ -16,8 +17,8 @@
 //!   (Sec. VII) as a pure view over matrix cells or the model constants,
 //!   next to the paper's numbers, behind one slice-to-machine
 //!   normalization ([`scale_out`]).
-//! * [`render`] — folds `matrix.jsonl` and `tuning.jsonl` into one
-//!   deterministic `results/REPORT.md` (paper comparison, matrix,
+//! * [`render`](mod@render) — folds `matrix.jsonl` and `tuning.jsonl`
+//!   into one deterministic `results/REPORT.md` (paper comparison, matrix,
 //!   divergence envelope, tuner leaderboard). Byte-identical on identical
 //!   inputs — CI regenerates and `cmp`s it.
 //!
@@ -26,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod gpu;
 pub mod matrix;
 pub mod paper;
 pub mod render;

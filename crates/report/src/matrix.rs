@@ -12,8 +12,9 @@
 //!
 //! * **cycle engines** (`skip_ahead`, `analytic`, `ponb`) run at
 //!   1 GHz, so `kernel_ns` = simulated cycles, `gbps` =
-//!   [`ExecutionReport::dram_bandwidth_gbs`] (bytes/cycle ≡ GB/s), and
-//!   `pj_per_op` divides the composed [`EnergyBook`] total by the
+//!   [`ExecutionReport::dram_bandwidth_gbs`](ipim_core::ExecutionReport::dram_bandwidth_gbs)
+//!   (bytes/cycle ≡ GB/s), and `pj_per_op` divides the composed
+//!   [`EnergyBook`](ipim_core::EnergyBook) total by the
 //!   workload's arithmetic op count (`flops_per_pixel × output_pixels`).
 //! * **`gpu`** is the calibrated V100 roofline: `kernel_ns` = modeled
 //!   seconds × 1e9, energy = seconds × board power, same op count.
@@ -31,13 +32,14 @@
 //! The file format is schema-versioned JSONL (see [`SCHEMA_VERSION`]): one
 //! `"kind":"cell"` line per cell.
 
-use ipim_core::baselines::{gpu_profile, run_gpu, GpuModel};
 use ipim_core::dram::{PagePolicy, SchedPolicy};
 use ipim_core::trace::json;
 use ipim_core::{
     all_workloads, workload_by_name, CategoryCounts, CompileOptions, Engine, MachineConfig,
     Placement, Session, Workload, WorkloadFamily, WorkloadScale,
 };
+
+use crate::gpu::{gpu_profile, run_gpu, GpuModel};
 
 /// Version of the `matrix.jsonl` line schema. Any change to the cell
 /// field set bumps this, and [`parse_matrix`] rejects every other

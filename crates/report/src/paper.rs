@@ -14,7 +14,6 @@
 //!   on both sides and take no factor.
 //! * The paper's numbers live in one table, `PAPER`.
 
-use ipim_core::baselines::{gpu_profile, GpuModel};
 use ipim_core::isa::{
     encode, AddrOperand, AddrReg, ArfOp, ArfSrc, CompMode, CompOp, CrfOp, CrfSrc, CtrlReg, DataReg,
     DataType, Instruction, RemoteTarget, SimbMask, VecMask,
@@ -26,6 +25,7 @@ use ipim_core::{
     area, workloads_in_family, EnergyParams, MachineConfig, WorkloadFamily, WorkloadScale,
 };
 
+use crate::gpu::{gpu_profile, GpuModel};
 use crate::matrix::{Backend, MatrixCell, ABLATION_WORKLOADS, CONFIGS, FIG10_WORKLOADS};
 use crate::render::suite;
 

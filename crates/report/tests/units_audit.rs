@@ -2,7 +2,7 @@
 //! three energy/bandwidth paths a matrix row mixes — the cycle engines'
 //! composed `EnergyBook`, the V100 roofline model, and the PonB
 //! placement — so silent unit drift (pJ vs nJ, bytes/cycle vs GB/s)
-//! between `compose_energy` and `crates/baselines` fails here, not in a
+//! between `compose_energy` and `ipim_report::gpu` fails here, not in a
 //! subtly wrong REPORT.md. It also pins the one slice-to-machine
 //! normalization against an independent live computation.
 //!
@@ -11,8 +11,8 @@
 
 use std::path::Path;
 
-use ipim_core::baselines::{gpu_profile, run_gpu, GpuModel};
 use ipim_core::{workload_by_name, MachineConfig, Placement, Session, WorkloadScale};
+use ipim_report::gpu::{gpu_profile, run_gpu, GpuModel};
 use ipim_report::paper::{find, versus};
 use ipim_report::{arith_ops, read_matrix, Backend, Bound, MatrixCell};
 

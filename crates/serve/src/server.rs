@@ -142,7 +142,7 @@ fn write_line<W: Write>(output: &mut W, mut line: String) -> std::io::Result<()>
 /// connection gets `TCP_NODELAY`: a client pipelining several requests
 /// must not see response *n*+1 held back until response *n* is
 /// acknowledged. A connection that fails or carries unparseable lines is
-/// logged to stderr ([`connection_note`]); a clean one is not. Neither
+/// logged to stderr (`connection_note`); a clean one is not. Neither
 /// stops the accept loop.
 ///
 /// `_streaming` is not read: every connection streams. It stays in the

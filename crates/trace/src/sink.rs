@@ -112,10 +112,10 @@ pub type SharedSink = Rc<RefCell<dyn TraceSink>>;
 
 /// The per-component handle every instrumented struct owns.
 ///
-/// A detached tracer (`Tracer::default()`) is the fast path: [`emit`]
-/// (Tracer::emit) tests one `Option` discriminant and returns, and the
-/// event-constructing closure is never invoked. Attached tracers share one
-/// [`SharedSink`].
+/// A detached tracer (`Tracer::default()`) is the fast path:
+/// [`emit`](Tracer::emit) tests one `Option` discriminant and returns, and
+/// the event-constructing closure is never invoked. Attached tracers share
+/// one [`SharedSink`].
 #[derive(Clone, Default)]
 pub struct Tracer {
     sink: Option<SharedSink>,

@@ -10,9 +10,9 @@
 //!   backend knobs), filtered through the real compiler so every
 //!   candidate is known-compilable and a distinct program.
 //! - Candidate evaluation fans out across an
-//!   [`ServePool`](ipim_serve::ServePool) as ordinary
+//!   [`ServePool`] as ordinary
 //!   [`SimRequest`](ipim_serve::SimRequest)s carrying a
-//!   [`ScheduleOverride`] — deduplicated tuner-side by canonical key and
+//!   [`ScheduleOverride`](ipim_core::ScheduleOverride) — deduplicated tuner-side by canonical key and
 //!   pool-side by the content-addressed result cache.
 //! - The analytic fast-forward engine (`ipim_core::analytic`) predicts
 //!   every candidate's cycles from its compiled program before any
