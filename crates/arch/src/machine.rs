@@ -318,10 +318,11 @@ impl Machine {
         Ok(self.report())
     }
 
-    /// Sound lower bound on the next cycle `>= now` at which [`tick`]
-    /// (Self::tick) can change machine state: the minimum over the SERDES
-    /// head-of-queue delivery, the pending barrier release, and every mesh's
-    /// and vault's own bound. `None` means the machine is fully quiescent.
+    /// Sound lower bound on the next cycle `>= now` at which
+    /// [`tick`](Self::tick) can change machine state: the minimum over the
+    /// SERDES head-of-queue delivery, the pending barrier release, and every
+    /// mesh's and vault's own bound. `None` means the machine is fully
+    /// quiescent.
     fn next_event(&self) -> Option<u64> {
         let now = self.now;
         let mut t = u64::MAX;
@@ -517,17 +518,7 @@ impl Machine {
         let mut bank_stats = ipim_dram::BankStats::default();
         let mut locality = ipim_dram::RowLocality::default();
         for v in &self.vaults {
-            for mc in &v.mcs {
-                let b = mc.total_bank_stats();
-                bank_stats.acts += b.acts;
-                bank_stats.pres += b.pres;
-                bank_stats.reads += b.reads;
-                bank_stats.writes += b.writes;
-                bank_stats.refs += b.refs;
-                locality.row_hits += mc.locality.row_hits;
-                locality.row_misses += mc.locality.row_misses;
-                locality.row_conflicts += mc.locality.row_conflicts;
-            }
+            v.add_dram_totals(&mut bank_stats, &mut locality);
         }
         (bank_stats, locality)
     }

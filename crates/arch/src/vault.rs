@@ -11,7 +11,10 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use ipim_dram::{AccessKind, Bank, Completion, MemController, Request, RequestId, ACCESS_BYTES};
+use ipim_dram::{
+    AccessKind, Bank, BankStats, Completion, Counters, LoggedEvent, MemController, Request,
+    RequestId, RowLocality, ACCESS_BYTES,
+};
 use ipim_isa::{
     AddrOperand, ArfSrc, CompMode, CompOp, CrfSrc, DataType, Instruction, Program, RemoteTarget,
     SimbMask, ARF_CHIP_ID, ARF_PE_ID, ARF_PG_ID, ARF_VAULT_ID,
@@ -20,7 +23,7 @@ use ipim_trace::{CompId, CompRegistry, SpadKind, TraceEvent, Tracer};
 
 use crate::cost::{CostTable, ExecUnit, InstCost};
 use crate::stats::{StallReason, VaultStats};
-use crate::{MachineConfig, Placement, Scratchpad};
+use crate::{Engine, MachineConfig, Placement, Scratchpad};
 
 /// Map keyed by a simulator-assigned id.
 type IdMap<V> = ipim_dram::IdMap<u64, V>;
@@ -261,6 +264,38 @@ enum IssueDecision {
     Issue,
 }
 
+/// Lockstep process groups (DESIGN.md §5b): the control core broadcasts
+/// every memory instruction to all PGs, so while each PG's PEs ask for the
+/// same addresses, PG 0's controller (the leader) is ticked alone and the
+/// others (the followers) are derived from it. Skip-ahead only: the legacy
+/// engine ticks every controller and stays the oracle.
+#[derive(Debug, Clone, Default)]
+struct Lockstep {
+    /// Whether the engine may attach the followers at all.
+    enabled: bool,
+    /// Bit `p * pes_per_pg` set for every PG `p`: a PG-0 PE mask times this
+    /// is the mask of those PEs and their twins in every PG.
+    spread: u64,
+    /// The leader's counters when the followers last attached.
+    base: Counters,
+    /// Follower bytes of each posted write the leader queued or holds,
+    /// keyed by the leader's request id: slot `s` holds PG `p`'s bytes at
+    /// `bytes[s * (pgs - 1) + p - 1]`. `free` lists reusable slots.
+    slots: IdMap<usize>,
+    bytes: Vec<[u8; ACCESS_BYTES]>,
+    free: Vec<usize>,
+    // The leader's logs of one tick, buffers reused.
+    drained: Vec<Request>,
+    events: Vec<LoggedEvent>,
+}
+
+impl Lockstep {
+    /// Bytes PG `p` writes for the leader's posted write `id`.
+    fn follower_bytes(&self, id: RequestId, p: usize, pgs: usize) -> [u8; ACCESS_BYTES] {
+        self.bytes[self.slots[&id.0] * (pgs - 1) + p - 1]
+    }
+}
+
 /// One vault of the iPIM machine.
 #[derive(Debug, Clone)]
 pub struct Vault {
@@ -295,14 +330,18 @@ pub struct Vault {
     // Memory-controller completions of one tick, buffer reused.
     mc_done: Vec<Completion>,
     pes: Vec<Pe>,
-    pub(crate) mcs: Vec<MemController>,
+    mcs: Vec<MemController>,
+    // While attached, `mcs[0]` leads and the other controllers are frozen:
+    // their PEs' memory queues stay empty and PG 0's stand for them.
+    attached: bool,
+    lockstep: Lockstep,
     pgsms: Vec<Scratchpad>,
     vsm: Scratchpad,
     // TSV arbiter: one 128-bit slot per cycle, shared by instruction
     // broadcast and data transfers (paper Sec. IV-C).
     tsv_free: bool,
     // Completions that finish a fixed delay after their MC completion.
-    delayed: Vec<(u64, u64)>, // (done_at, inst_id)
+    delayed: Vec<(u64, u64, u32)>, // (done_at, inst_id, count)
     // PonB: MC completions waiting for a TSV slot.
     ponb_wait: VecDeque<u64>, // inst ids
     // Remote requests this vault has issued, not yet answered.
@@ -347,6 +386,11 @@ impl Vault {
             })
             .collect();
         let pgsms = (0..config.pgs_per_vault).map(|_| Scratchpad::new(config.pgsm_bytes)).collect();
+        let lockstep = Lockstep {
+            enabled: config.engine != Engine::Legacy && config.pgs_per_vault > 1,
+            spread: (0..config.pgs_per_vault).map(|p| 1 << (p * config.pes_per_pg)).sum(),
+            ..Lockstep::default()
+        };
         let mut vault = Self {
             id,
             config: config.clone(),
@@ -370,6 +414,8 @@ impl Vault {
             mc_done: Vec::new(),
             pes,
             mcs,
+            attached: false,
+            lockstep,
             pgsms,
             vsm: Scratchpad::new(config.vsm_bytes),
             tsv_free: true,
@@ -389,6 +435,10 @@ impl Vault {
             last_stall: None,
         };
         vault.reset_identity_registers();
+        // Fresh controllers are drained and alike.
+        if vault.lockstep.enabled {
+            vault.attach();
+        }
         vault
     }
 
@@ -472,7 +522,7 @@ impl Vault {
         matches!(self.state, CoreState::Halted)
             && self.issued.is_empty()
             && self.serving.is_empty()
-            && self.mcs.iter().all(|m| m.is_idle())
+            && self.mcs[..self.ticking()].iter().all(|m| m.is_idle())
     }
 
     /// Cycle at which the control core retired its last instruction.
@@ -511,7 +561,7 @@ impl Vault {
     ///
     /// Panics if the indices are out of range.
     pub fn bank_array_mut(&mut self, pg: usize, pe: usize) -> &mut ipim_dram::BankArray {
-        self.mcs[pg].bank_mut(pe).array_mut()
+        self.mcs[pg].array_mut(pe)
     }
 
     /// Host access: a PE's DataRF (tests and debugging).
@@ -555,6 +605,10 @@ impl Vault {
                     kind: AccessKind::Read,
                     data: [0; ACCESS_BYTES],
                 };
+                // A serve reaches one PG's controller alone.
+                if self.attached {
+                    self.detach();
+                }
                 // Remote serves bypass queue back-pressure modelling: the
                 // NIC retries internally. If full, park it.
                 if !self.mcs[pg].enqueue(req, now) {
@@ -651,11 +705,34 @@ impl Vault {
         // it keeps the vault hot: probing for a jump mid-refresh is wasted
         // work (the bound is always `now`).
         let mut mc_done = std::mem::take(&mut self.mc_done);
-        for pg in 0..self.mcs.len() {
-            self.mcs[pg].tick_into(now, &mut mc_done);
-            progress |= !mc_done.is_empty() || self.mcs[pg].is_refreshing();
+        if self.attached {
+            self.mcs[0].tick_into(now, &mut mc_done);
+            progress |= !mc_done.is_empty() || self.mcs[0].is_refreshing();
+            self.follow_leader(now);
+            // Each leader completion stands for its twins in every PG; PonB
+            // queues the followers' copies PG by PG behind the leader's.
+            let pgs = self.mcs.len();
+            let ponb_from = self.ponb_wait.len();
             for c in mc_done.drain(..) {
-                self.on_mc_completion(pg, c, now);
+                self.on_mc_completion(c, pgs as u32, now);
+            }
+            let ponb_to = self.ponb_wait.len();
+            for _ in 1..pgs {
+                for i in ponb_from..ponb_to {
+                    let id = self.ponb_wait[i];
+                    self.ponb_wait.push_back(id);
+                }
+            }
+        } else {
+            for pg in 0..self.mcs.len() {
+                self.mcs[pg].tick_into(now, &mut mc_done);
+                progress |= !mc_done.is_empty() || self.mcs[pg].is_refreshing();
+                for c in mc_done.drain(..) {
+                    self.on_mc_completion(c, 1, now);
+                }
+            }
+            if self.lockstep.enabled {
+                self.try_attach(now);
             }
         }
         self.mc_done = mc_done;
@@ -664,7 +741,7 @@ impl Vault {
         // queue provides the real back-pressure; the per-PE cap only
         // bounds bookkeeping).
         let max_outstanding = self.config.dram_req_queue.max(1);
-        let mut queued = self.mem_queued;
+        let mut queued = self.mem_queued & self.mem_lanes();
         while queued != 0 {
             let g = queued.trailing_zeros() as usize;
             queued &= queued - 1;
@@ -676,11 +753,11 @@ impl Vault {
                 }
                 self.pes[g].mem.queue.pop_front();
                 self.pes[g].mem.outstanding += 1;
-                self.mem_outstanding |= 1 << g;
+                self.mem_outstanding |= self.twins(g);
                 progress = true;
             }
             if self.pes[g].mem.queue.is_empty() {
-                self.mem_queued &= !(1 << g);
+                self.mem_queued &= !self.twins(g);
             }
         }
 
@@ -688,8 +765,8 @@ impl Vault {
         let mut i = 0;
         while i < self.delayed.len() {
             if self.delayed[i].0 <= now {
-                let (_, id) = self.delayed.swap_remove(i);
-                finished.push((id, 1));
+                let (_, id, n) = self.delayed.swap_remove(i);
+                finished.push((id, n));
             } else {
                 i += 1;
             }
@@ -729,11 +806,12 @@ impl Vault {
         progress
     }
 
-    /// Sound lower bound on the next cycle `>= now` at which [`tick`]
-    /// (Self::tick) could change vault state (beyond the per-cycle counters
-    /// that [`skip`](Self::skip) replays in bulk), assuming no interconnect
-    /// message is delivered in between — the machine folds message arrival
-    /// times into its own minimum.
+    /// Sound lower bound on the next cycle `>= now` at which
+    /// [`tick`](Self::tick) could change vault state (beyond the per-cycle
+    /// counters that [`skip`](Self::skip) replays in bulk), assuming no
+    /// interconnect message is delivered in between — the machine folds
+    /// message arrival times into its own minimum. While the process groups
+    /// run in lockstep, the leader's controller bounds them all.
     ///
     /// Contract (see DESIGN.md §"Two-engine architecture"): returning a
     /// bound earlier than the true next event is always safe; returning a
@@ -758,7 +836,7 @@ impl Vault {
             t = t.min(op.done);
         }
         let max_outstanding = self.config.dram_req_queue.max(1);
-        let mut active = self.vsm_active | self.mem_queued;
+        let mut active = self.vsm_active | (self.mem_queued & self.mem_lanes());
         while active != 0 {
             let g = active.trailing_zeros() as usize;
             active &= active - 1;
@@ -783,10 +861,10 @@ impl Vault {
                 }
             }
         }
-        for &(done_at, _) in &self.delayed {
+        for &(done_at, ..) in &self.delayed {
             t = t.min(done_at);
         }
-        for mc in &self.mcs {
+        for mc in &self.mcs[..self.ticking()] {
             if t <= now {
                 // The bound below is clamped to `now`; nothing can lower it.
                 return Some(now);
@@ -833,7 +911,8 @@ impl Vault {
         }
         self.stats.cycles += delta;
         self.account_busy(now, delta);
-        for mc in &mut self.mcs {
+        let ticking = self.ticking();
+        for mc in &mut self.mcs[..ticking] {
             mc.skip_idle(delta);
         }
         // The stall classification is constant across the window: every
@@ -854,7 +933,9 @@ impl Vault {
             u64::from((self.mem_queued | self.mem_outstanding).count_ones()) * cycles;
     }
 
-    fn on_mc_completion(&mut self, _pg: usize, c: Completion, now: u64) {
+    /// Handles a controller completion standing for `n` PEs' requests (its
+    /// twins in every PG while in lockstep; PonB queues it once).
+    fn on_mc_completion(&mut self, c: Completion, n: u32, now: u64) {
         let raw = c.id.0;
         if raw >= REMOTE_SERVE_BASE {
             // Finished serving a remote read: send the response.
@@ -868,17 +949,17 @@ impl Vault {
         let inst_id = raw & ((1 << 40) - 1);
         self.pes[pe].mem.outstanding -= 1;
         if self.pes[pe].mem.outstanding == 0 {
-            self.mem_outstanding &= !(1 << pe);
+            self.mem_outstanding &= !self.twins(pe);
         }
-        self.stats.dram_accesses += 1;
+        self.stats.dram_accesses += u64::from(n);
         match self.config.placement {
             Placement::BaseDie => self.ponb_wait.push_back(inst_id),
             Placement::NearBank => {
                 let extra = self.issued.get(&inst_id).map_or(0, |e| e.mem_extra);
                 if extra == 0 {
-                    self.finish(inst_id, 1);
+                    self.finish(inst_id, n);
                 } else {
-                    self.delayed.push((now + extra, inst_id));
+                    self.delayed.push((now + extra, inst_id, n));
                 }
             }
         }
@@ -1148,7 +1229,7 @@ impl Vault {
                 for g in mask.iter() {
                     let addr = self.resolve(g, dram_addr);
                     let buf = vector_to_bytes(&self.pes[g].data_rf[drf.index()]);
-                    self.mcs[g / pes_per_pg].bank_mut(g % pes_per_pg).array_mut().write(addr, &buf);
+                    self.mcs[g / pes_per_pg].array_mut(g % pes_per_pg).write(addr, &buf);
                 }
             }
             Instruction::LdPgsm { dram_addr, pgsm_addr, .. } => {
@@ -1168,7 +1249,7 @@ impl Vault {
                     let pa = self.resolve(g, pgsm_addr);
                     let mut buf = [0u8; 16];
                     self.pgsms[pg].read(pa, &mut buf);
-                    self.mcs[pg].bank_mut(pe_in_pg).array_mut().write(da, &buf);
+                    self.mcs[pg].array_mut(pe_in_pg).write(da, &buf);
                 }
             }
             Instruction::RdPgsm { pgsm_addr, drf, .. } => {
@@ -1257,45 +1338,219 @@ impl Vault {
                 if kind == AccessKind::Read {
                     mem_extra = latency;
                 }
-                for g in mask.iter() {
-                    let addr = match *inst {
-                        Instruction::LdRf { dram_addr, .. }
-                        | Instruction::StRf { dram_addr, .. }
-                        | Instruction::LdPgsm { dram_addr, .. }
-                        | Instruction::StPgsm { dram_addr, .. } => self.resolve(g, dram_addr),
-                        _ => unreachable!(),
+                let dram_addr = match *inst {
+                    Instruction::LdRf { dram_addr, .. }
+                    | Instruction::StRf { dram_addr, .. }
+                    | Instruction::LdPgsm { dram_addr, .. }
+                    | Instruction::StPgsm { dram_addr, .. } => dram_addr,
+                    _ => unreachable!(),
+                };
+                if self.attached && !self.congruent(dram_addr, mask) {
+                    self.detach();
+                }
+                // In lockstep PG 0's PEs queue for their twins too.
+                let mut lanes = mask.bits() & self.mem_lanes();
+                while lanes != 0 {
+                    let g = lanes.trailing_zeros() as usize;
+                    lanes &= lanes - 1;
+                    let id = RequestId(((g as u64) << 40) | inst_id);
+                    if self.attached && kind == AccessKind::Write {
+                        self.save_follower_bytes(inst, g, id);
+                    }
+                    let req = Request {
+                        id,
+                        bank: g % self.config.pes_per_pg,
+                        addr: self.resolve(g, dram_addr) & !(ACCESS_BYTES as u32 - 1),
+                        kind,
+                        data: self.store_bytes(inst, g),
                     };
-                    // Writes carry the real bytes: the functional write has
-                    // already happened at issue, and the MC replays it in
-                    // same-address order, so the replay is idempotent.
-                    let data = match *inst {
-                        Instruction::StRf { drf, .. } => {
-                            vector_to_bytes(&self.pes[g].data_rf[drf.index()])
-                        }
-                        Instruction::StPgsm { pgsm_addr, .. } => {
-                            let pa = self.resolve(g, pgsm_addr);
-                            let mut buf = [0u8; ACCESS_BYTES];
-                            let pg = g / self.config.pes_per_pg;
-                            self.pgsms[pg].read(pa, &mut buf);
-                            buf
-                        }
-                        _ => [0; ACCESS_BYTES],
-                    };
-                    self.mem_queued |= 1 << g;
-                    self.pes[g].mem.queue.push_back(MemOp {
-                        req: Request {
-                            id: RequestId(((g as u64) << 40) | inst_id),
-                            bank: g % self.config.pes_per_pg,
-                            addr: addr & !(ACCESS_BYTES as u32 - 1),
-                            kind,
-                            data,
-                        },
-                    });
+                    self.mem_queued |= self.twins(g);
+                    self.pes[g].mem.queue.push_back(MemOp { req });
                 }
             }
             ExecUnit::Core => unreachable!("control-core instruction in dispatch"),
         }
         self.track(inst_id, InFlightInst { pending: n, pc: Some(self.pc), mem_extra });
+    }
+
+    /// The bytes PE `g` stores for memory instruction `inst`: its DataRF
+    /// entry (`st_rf`) or its PG's scratchpad line (`st_pgsm`); none for a
+    /// load. Writes carry the real bytes: the functional write has already
+    /// happened at issue, and the MC replays it in same-address order, so
+    /// the replay is idempotent.
+    fn store_bytes(&mut self, inst: &Instruction, g: usize) -> [u8; ACCESS_BYTES] {
+        match *inst {
+            Instruction::StRf { drf, .. } => vector_to_bytes(&self.pes[g].data_rf[drf.index()]),
+            Instruction::StPgsm { pgsm_addr, .. } => {
+                let pa = self.resolve(g, pgsm_addr);
+                let mut buf = [0u8; ACCESS_BYTES];
+                self.pgsms[g / self.config.pes_per_pg].read(pa, &mut buf);
+                buf
+            }
+            _ => [0; ACCESS_BYTES],
+        }
+    }
+
+    /// PG 0's PEs: the ones that queue memory requests in lockstep.
+    fn leader_lanes(&self) -> u64 {
+        u64::MAX >> (64 - self.config.pes_per_pg)
+    }
+
+    /// The PEs whose memory queues are live.
+    fn mem_lanes(&self) -> u64 {
+        if self.attached {
+            self.leader_lanes()
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// The PEs PE `g`'s memory queue stands for: its twins in every PG while
+    /// in lockstep, itself otherwise.
+    fn twins(&self, g: usize) -> u64 {
+        if self.attached {
+            self.lockstep.spread << g
+        } else {
+            1 << g
+        }
+    }
+
+    /// How many controllers tick, from PG 0 on: the leader alone while in
+    /// lockstep.
+    fn ticking(&self) -> usize {
+        if self.attached {
+            1
+        } else {
+            self.mcs.len()
+        }
+    }
+
+    /// Whether a memory instruction keeps the vault in lockstep: its mask
+    /// selects the same PEs in every PG, and each selected PE's aligned
+    /// bank address equals its PG-0 twin's.
+    fn congruent(&self, dram_addr: AddrOperand, mask: SimbMask) -> bool {
+        let lead = mask.bits() & self.leader_lanes();
+        if mask.bits() != lead * self.lockstep.spread {
+            return false;
+        }
+        let AddrOperand::Indirect(r) = dram_addr else { return true };
+        let ppg = self.config.pes_per_pg;
+        let line = |g: usize| self.pes[g].addr_rf[r.index()] as u32 & !(ACCESS_BYTES as u32 - 1);
+        (ppg..self.pes.len())
+            .filter(|g| lead >> (g % ppg) & 1 == 1)
+            .all(|g| line(g) == line(g % ppg))
+    }
+
+    /// Saves the bytes PE `g`'s twins store for `inst` under the leader's
+    /// request `id`, for when the leader drains it or the vault detaches.
+    fn save_follower_bytes(&mut self, inst: &Instruction, g: usize, id: RequestId) {
+        let (ppg, followers) = (self.config.pes_per_pg, self.mcs.len() - 1);
+        let slot = self.lockstep.free.pop().unwrap_or_else(|| {
+            let slot = self.lockstep.bytes.len() / followers;
+            self.lockstep.bytes.resize((slot + 1) * followers, [0; ACCESS_BYTES]);
+            slot
+        });
+        for p in 1..=followers {
+            let bytes = self.store_bytes(inst, p * ppg + g);
+            self.lockstep.bytes[slot * followers + p - 1] = bytes;
+        }
+        self.lockstep.slots.insert(id.0, slot);
+    }
+
+    /// Enters lockstep: the leader logs for its followers from now on.
+    fn attach(&mut self) {
+        self.attached = true;
+        self.mcs[0].set_leading(true);
+        self.mcs[0].counters_into(&mut self.lockstep.base);
+    }
+
+    /// Re-enters lockstep once every controller has drained and would act
+    /// alike from the next cycle on, with no request queued or parked.
+    fn try_attach(&mut self, now: u64) {
+        if self.mem_queued != 0 || self.mem_outstanding != 0 || !self.pending_serves.is_empty() {
+            return;
+        }
+        let (lead, rest) = self.mcs.split_first().expect("a vault has a process group");
+        if lead.is_idle() && rest.iter().all(|mc| mc.in_step_with(lead, now)) {
+            self.attach();
+        }
+    }
+
+    /// Leaves lockstep: every follower takes over the leader's controller
+    /// state and its PEs take over their PG-0 twins' memory queues, each
+    /// with its own request ids and bytes.
+    fn detach(&mut self) {
+        self.attached = false;
+        let (ppg, pgs) = (self.config.pes_per_pg, self.mcs.len());
+        let (lead, rest) = self.mcs.split_at_mut(1);
+        let lead = &mut lead[0];
+        lead.set_leading(false);
+        let lockstep = &self.lockstep;
+        let (lead_pes, rest_pes) = self.pes.split_at_mut(ppg);
+        for (i, mc) in rest.iter_mut().enumerate() {
+            let p = i + 1;
+            // PE `b`'s request `b << 40 | inst` is its twin's `(p * ppg + b) << 40 | inst`.
+            let twin = |id: RequestId| RequestId(id.0 + (((p * ppg) as u64) << 40));
+            let bytes = |id: RequestId| lockstep.follower_bytes(id, p, pgs);
+            mc.adopt(lead, &lockstep.base, twin, bytes);
+            for (b, pe) in lead_pes.iter().enumerate() {
+                let follower = &mut rest_pes[i * ppg + b].mem;
+                follower.outstanding = pe.mem.outstanding;
+                follower.queue.clear();
+                follower.queue.extend(pe.mem.queue.iter().map(|op| {
+                    let mut req = Request { id: twin(op.req.id), ..op.req };
+                    if req.kind == AccessKind::Write {
+                        req.data = bytes(op.req.id);
+                    }
+                    MemOp { req }
+                }));
+            }
+        }
+        self.lockstep.slots.clear();
+        self.lockstep.bytes.clear();
+        self.lockstep.free.clear();
+    }
+
+    /// Applies the leader's tick to its followers: each posted write it
+    /// drained lands in every follower's bank with that PG's bytes, and each
+    /// event it emitted is replayed on every follower's components, PG by
+    /// PG, as the followers' own ticks would have emitted them.
+    fn follow_leader(&mut self, now: u64) {
+        let followers = self.mcs.len() - 1;
+        let (lead, rest) = self.mcs.split_at_mut(1);
+        let lockstep = &mut self.lockstep;
+        lead[0].take_log(&mut lockstep.drained, &mut lockstep.events);
+        if !lockstep.events.is_empty() {
+            for mc in rest.iter() {
+                mc.replay_events(now, &lockstep.events);
+            }
+            lockstep.events.clear();
+        }
+        for w in lockstep.drained.drain(..) {
+            let slot = lockstep.slots.remove(&w.id.0).expect("follower bytes saved at dispatch");
+            for (i, mc) in rest.iter_mut().enumerate() {
+                let bytes = &lockstep.bytes[slot * followers + i];
+                mc.array_mut(w.bank).write(w.addr, bytes);
+            }
+            lockstep.free.push(slot);
+        }
+    }
+
+    /// Adds this vault's DRAM command and row-locality counters to
+    /// `bank_stats` and `locality`.
+    pub(crate) fn add_dram_totals(&self, bank_stats: &mut BankStats, locality: &mut RowLocality) {
+        for mc in &self.mcs {
+            *bank_stats += mc.total_bank_stats();
+            *locality += mc.locality;
+        }
+        if self.attached {
+            // Each frozen follower did what the leader did since attaching.
+            let (bank, rows) = self.mcs[0].growth_since(&self.lockstep.base);
+            for _ in 1..self.mcs.len() {
+                *bank_stats += bank;
+                *locality += rows;
+            }
+        }
     }
 
     /// Completes the functional effect of a served remote request: called by

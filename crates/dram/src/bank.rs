@@ -62,6 +62,30 @@ pub struct BankStats {
     pub refs: u64,
 }
 
+impl std::ops::AddAssign for BankStats {
+    fn add_assign(&mut self, o: Self) {
+        self.acts += o.acts;
+        self.pres += o.pres;
+        self.reads += o.reads;
+        self.writes += o.writes;
+        self.refs += o.refs;
+    }
+}
+
+impl std::ops::Sub for BankStats {
+    type Output = Self;
+
+    fn sub(self, o: Self) -> Self {
+        Self {
+            acts: self.acts - o.acts,
+            pres: self.pres - o.pres,
+            reads: self.reads - o.reads,
+            writes: self.writes - o.writes,
+            refs: self.refs - o.refs,
+        }
+    }
+}
+
 impl Bank {
     /// Creates a precharged, empty bank.
     pub fn new(timing: DramTiming, map: AddressMap) -> Self {
@@ -183,6 +207,27 @@ impl Bank {
             BankState::Active { row } => Some(row),
             BankState::Precharged => None,
         }
+    }
+
+    /// Takes over `other`'s row-buffer state and timing constraints,
+    /// keeping its own contents and counters.
+    pub(crate) fn adopt_timing(&mut self, other: &Bank) {
+        self.state = other.state;
+        self.next_act = other.next_act;
+        self.next_pre = other.next_pre;
+        self.next_col = other.next_col;
+    }
+
+    /// Whether every command is legal at the same cycles on both banks from
+    /// `after` on: the same row state, and each constraint either equal or
+    /// already met at `after` on both (a met constraint only gates a
+    /// command through `<=`, and a new command raises it by `max`).
+    pub(crate) fn timing_matches(&self, other: &Bank, after: u64) -> bool {
+        let same = |a: u64, b: u64| a == b || (a <= after && b <= after);
+        self.state == other.state
+            && same(self.next_act, other.next_act)
+            && same(self.next_pre, other.next_pre)
+            && same(self.next_col, other.next_col)
     }
 }
 

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 use ipim_trace::{CompId, DramCmdKind, TraceEvent, Tracer};
 
-use crate::{Bank, BankCmd, BankState, DramTiming};
+use crate::{Bank, BankCmd, BankState, BankStats, DramTiming, ACCESS_BYTES};
 
 /// Identifier the caller uses to match completions to requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -123,6 +123,40 @@ pub struct RowLocality {
     pub row_conflicts: u64,
 }
 
+impl std::ops::AddAssign for RowLocality {
+    fn add_assign(&mut self, o: Self) {
+        self.row_hits += o.row_hits;
+        self.row_misses += o.row_misses;
+        self.row_conflicts += o.row_conflicts;
+    }
+}
+
+impl std::ops::Sub for RowLocality {
+    type Output = Self;
+
+    fn sub(self, o: Self) -> Self {
+        Self {
+            row_hits: self.row_hits - o.row_hits,
+            row_misses: self.row_misses - o.row_misses,
+            row_conflicts: self.row_conflicts - o.row_conflicts,
+        }
+    }
+}
+
+/// A controller's command counters, bank by bank, and its row-locality
+/// counters at one moment: a lockstep leader's growth is measured from
+/// them (see [`MemController::adopt`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Counters {
+    banks: Vec<BankStats>,
+    locality: RowLocality,
+}
+
+/// A trace event a leading controller emitted (see
+/// [`MemController::set_leading`]): on the controller itself (`None`) or
+/// on its bank `Some(b)`.
+pub type LoggedEvent = (Option<usize>, TraceEvent);
+
 /// Per-process-group memory controller serving its PEs' banks.
 #[derive(Debug, Clone)]
 pub struct MemController {
@@ -131,8 +165,9 @@ pub struct MemController {
     queue: VecDeque<Pending>,
     queue_capacity: usize,
     // Posted writes: acknowledged on entry, drained to the banks lazily so
-    // read streams keep their open rows (a standard write buffer, 4× the
-    // read queue depth, as in a small write-back cache, so drains amortize the row switch).
+    // read streams keep their open rows (a standard write buffer, 8× the
+    // read queue depth, as in a small write-back cache, so drains amortize
+    // the row switch).
     write_capacity: usize,
     write_buffer: VecDeque<Pending>,
     draining_writes: bool,
@@ -160,6 +195,11 @@ pub struct MemController {
     quiet_exact: bool,
     /// Row-buffer locality statistics.
     pub locality: RowLocality,
+    // Lockstep leader (see `set_leading`): the posted writes drained and,
+    // with a tracer, the events emitted since the last `take_log`.
+    leading: bool,
+    drained: Vec<Request>,
+    events: Vec<LoggedEvent>,
     // Observability (detached by default; see `attach_trace`).
     tracer: Tracer,
     comp: CompId,
@@ -206,6 +246,9 @@ impl MemController {
             quiet_until: 0,
             quiet_exact: false,
             locality: RowLocality::default(),
+            leading: false,
+            drained: Vec::new(),
+            events: Vec::new(),
             tracer: Tracer::default(),
             comp: CompId::default(),
             bank_comps: Vec::new(),
@@ -232,7 +275,6 @@ impl MemController {
     fn issue_cmd(&mut self, b: usize, cmd: BankCmd, now: u64) -> u64 {
         let finish = self.banks[b].issue(cmd, now);
         if self.tracer.enabled() {
-            let comp = self.bank_comps[b];
             let kind = match cmd {
                 BankCmd::Act(_) => DramCmdKind::Act,
                 BankCmd::Pre => DramCmdKind::Pre,
@@ -240,16 +282,147 @@ impl MemController {
                 BankCmd::Wr(_) => DramCmdKind::Wr,
                 BankCmd::Ref => DramCmdKind::Ref,
             };
-            self.tracer.emit(now, comp, || TraceEvent::DramCmd { kind });
+            self.emit(now, Some(b), TraceEvent::DramCmd { kind });
             match cmd {
-                BankCmd::Act(row) => {
-                    self.tracer.emit(now, comp, || TraceEvent::RowOpen { row });
-                }
-                BankCmd::Pre => self.tracer.emit(now, comp, || TraceEvent::RowClose),
+                BankCmd::Act(row) => self.emit(now, Some(b), TraceEvent::RowOpen { row }),
+                BankCmd::Pre => self.emit(now, Some(b), TraceEvent::RowClose),
                 _ => {}
             }
         }
         finish
+    }
+
+    /// Emits `event` on the controller (`bank` `None`) or on one of its
+    /// banks, and logs it while leading. Callers check `tracer.enabled()`
+    /// first, so a detached tracer costs one branch.
+    fn emit(&mut self, now: u64, bank: Option<usize>, event: TraceEvent) {
+        let comp = bank.map_or(self.comp, |b| self.bank_comps[b]);
+        self.tracer.emit(now, comp, || event);
+        if self.leading {
+            self.events.push((bank, event));
+        }
+    }
+
+    /// Makes this controller the leader of controllers that follow it in
+    /// lockstep (`on`), or ends that. A leader logs every posted write it
+    /// drains to a bank and, with a tracer attached, every event it emits,
+    /// for [`take_log`](Self::take_log): a follower receives the same
+    /// requests at the same cycles, so it would drain the same writes (with
+    /// its own bytes) and emit the same events (on its own components).
+    pub fn set_leading(&mut self, on: bool) {
+        self.leading = on;
+        self.drained.clear();
+        self.events.clear();
+    }
+
+    /// Moves what a leader logged since the last call into `drained` (the
+    /// requests of the writes it drained, in drain order) and `events`
+    /// (what it emitted, in order). All of it happened on the last tick.
+    pub fn take_log(&mut self, drained: &mut Vec<Request>, events: &mut Vec<LoggedEvent>) {
+        drained.append(&mut self.drained);
+        events.append(&mut self.events);
+    }
+
+    /// Emits a leader's logged `events` at `now` on this controller's own
+    /// components.
+    pub fn replay_events(&self, now: u64, events: &[LoggedEvent]) {
+        for &(bank, event) in events {
+            let comp = bank.map_or(self.comp, |b| self.bank_comps[b]);
+            self.tracer.emit(now, comp, || event);
+        }
+    }
+
+    /// Copies this controller's command and row-locality counters into
+    /// `out`, reusing its allocation.
+    pub fn counters_into(&self, out: &mut Counters) {
+        out.banks.clear();
+        out.banks.extend(self.banks.iter().map(|b| b.stats));
+        out.locality = self.locality;
+    }
+
+    /// How far this controller's command and row-locality counters grew
+    /// since `since`, summed over its banks.
+    pub fn growth_since(&self, since: &Counters) -> (BankStats, RowLocality) {
+        let mut total = BankStats::default();
+        for (b, base) in self.banks.iter().zip(&since.banks) {
+            total += b.stats - *base;
+        }
+        (total, self.locality - since.locality)
+    }
+
+    /// Whether this controller and `other` are both drained and would act
+    /// alike from cycle `now + 1` on when given the same requests: the same
+    /// bank states and command constraints, refresh deadline and phase,
+    /// drain flag, read-idle hysteresis and activation windows, each
+    /// compared up to what can still matter after `now`.
+    pub fn in_step_with(&self, other: &Self, now: u64) -> bool {
+        let after = now + 1;
+        // Past 150 the drain trigger and its bound no longer tell counts apart.
+        let idle = |mc: &Self| mc.read_idle_cycles.min(151);
+        // The drain flag outlives an empty buffer until the next full tick
+        // (a refresh sequence skips it), so a write queued before then
+        // meets it.
+        self.is_idle()
+            && other.is_idle()
+            && self.next_refresh == other.next_refresh
+            && self.refreshing == other.refreshing
+            && self.draining_writes == other.draining_writes
+            && self.banks.iter().zip(&other.banks).all(|(a, b)| a.timing_matches(b, after))
+            && idle(self) == idle(other)
+            && self.live_acts(after).eq(other.live_acts(after))
+    }
+
+    /// The activations that can still hold back an ACT at `after` or later:
+    /// the tFAW window's, oldest first, then the last one through tRRD.
+    fn live_acts(&self, after: u64) -> impl Iterator<Item = u64> + '_ {
+        let last = self.last_act.filter(|&t| t + self.timing.t_rrd_l > after);
+        let window = self.act_window.iter().filter(move |&&t| t + self.timing.t_faw > after);
+        window.copied().chain(last)
+    }
+
+    /// Takes over `leader`'s scheduling state where this controller
+    /// followed it in lockstep: its queued reads, posted writes, in-flight
+    /// bursts and acknowledgements, with each request id mapped through
+    /// `id` and each posted write carrying `write_data(leader's id)`; its
+    /// bank states and constraints, drain, refresh and activation state.
+    /// The bank contents stay this controller's own, and each counter grows
+    /// by the leader's growth since `since`. In-flight read bursts keep the
+    /// bytes the leader read, so a follower's read completions carry the
+    /// leader's data.
+    pub fn adopt(
+        &mut self,
+        leader: &Self,
+        since: &Counters,
+        id: impl Fn(RequestId) -> RequestId,
+        mut write_data: impl FnMut(RequestId) -> [u8; ACCESS_BYTES],
+    ) {
+        for ((mine, theirs), base) in self.banks.iter_mut().zip(&leader.banks).zip(&since.banks) {
+            mine.adopt_timing(theirs);
+            mine.stats += theirs.stats - *base;
+        }
+        self.locality += leader.locality - since.locality;
+        let follow = |p: &Pending| Pending { req: Request { id: id(p.req.id), ..p.req }, ..*p };
+        self.queue.clear();
+        self.queue.extend(leader.queue.iter().map(follow));
+        self.write_buffer.clear();
+        for p in &leader.write_buffer {
+            let mut w = follow(p);
+            w.req.data = write_data(p.req.id);
+            self.write_buffer.push_back(w);
+        }
+        self.write_acks.clear();
+        self.write_acks.extend(leader.write_acks.iter().map(|a| Completion { id: id(a.id), ..*a }));
+        self.in_flight.clear();
+        self.in_flight.extend(leader.in_flight.iter().map(|f| InFlight { id: id(f.id), ..*f }));
+        self.draining_writes = leader.draining_writes;
+        self.read_idle_cycles = leader.read_idle_cycles;
+        self.next_seq = leader.next_seq;
+        self.next_refresh = leader.next_refresh;
+        self.refreshing = leader.refreshing;
+        self.last_act = leader.last_act;
+        self.act_window.clone_from(&leader.act_window);
+        self.quiet_until = 0;
+        self.quiet_exact = false;
     }
 
     /// Disables refresh scheduling (useful for deterministic unit tests).
@@ -275,6 +448,17 @@ impl MemController {
     pub fn bank_mut(&mut self, bank: usize) -> &mut Bank {
         self.quiet_until = 0;
         &mut self.banks[bank]
+    }
+
+    /// Mutable access to a bank's contents. Unlike
+    /// [`bank_mut`](Self::bank_mut) it keeps the controller's quiet window:
+    /// contents never bear on timing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bank` is out of range.
+    pub fn array_mut(&mut self, bank: usize) -> &mut crate::BankArray {
+        self.banks[bank].array_mut()
     }
 
     /// Whether the read request queue is full.
@@ -322,20 +506,29 @@ impl MemController {
     /// every branch below under-approximates. `None` means the controller
     /// is fully drained and (with refresh disabled) will never act again.
     pub fn next_event(&self, now: u64) -> Option<u64> {
+        // Only a quiet tick proves that later ticks repeat its flow: a tick
+        // after a command, a completion or an enqueue can move the drain
+        // flag without issuing anything (a read that meets an older
+        // same-address write sets it), which no command bound sees.
+        if now >= self.quiet_until {
+            return Some(now);
+        }
         // Inside a quiet window nothing but the read-idle counter changed
         // since the bound was taken, and every term of the bound is an
         // absolute cycle (the read-idle crossing included): it still holds.
-        if self.quiet_exact && now < self.quiet_until {
+        if self.quiet_exact {
             return Some(self.quiet_until);
         }
         self.bound(now, true)
     }
 
-    /// [`next_event`](Self::next_event), without the posted writes' own
-    /// bounds when `writes_may_issue` is false. That is sound right after a
-    /// tick that issued nothing, changed nothing else and never reached
-    /// `issue_write`: every later tick repeats that tick's flow (its drain
-    /// flag update is idempotent) until the first event this bounds.
+    /// The earliest command or completion, as of a quiet tick: what
+    /// [`next_event`](Self::next_event) reports inside a quiet window. It
+    /// leaves out the posted writes' own bounds when `writes_may_issue` is
+    /// false. That is sound right after a tick that issued nothing, changed
+    /// nothing else and never reached `issue_write`: every later tick
+    /// repeats that tick's flow (its drain flag update is idempotent) until
+    /// the first event this bounds.
     fn bound(&self, now: u64, writes_may_issue: bool) -> Option<u64> {
         // Mid-refresh sequences step once per cycle (drains, PREs, REFs).
         if self.refreshing {
@@ -493,9 +686,10 @@ impl MemController {
         while i < self.in_flight.len() {
             if self.in_flight[i].finish_at <= now {
                 let f = self.in_flight.swap_remove(i);
-                self.tracer.emit(now, self.comp, || TraceEvent::BurstDone {
-                    read: matches!(f.kind, AccessKind::Read),
-                });
+                if self.tracer.enabled() {
+                    let read = matches!(f.kind, AccessKind::Read);
+                    self.emit(now, None, TraceEvent::BurstDone { read });
+                }
                 done.push(Completion {
                     id: f.id,
                     kind: f.kind,
@@ -509,7 +703,9 @@ impl MemController {
 
         if self.refresh_enabled && now >= self.next_refresh && !self.refreshing {
             self.refreshing = true;
-            self.tracer.emit(now, self.comp, || TraceEvent::RefreshBegin);
+            if self.tracer.enabled() {
+                self.emit(now, None, TraceEvent::RefreshBegin);
+            }
         }
         let mut quiet = done.len() == start;
         if self.refreshing {
@@ -519,7 +715,9 @@ impl MemController {
             }
             self.refreshing = false;
             self.next_refresh = now + self.timing.t_refi;
-            self.tracer.emit(now, self.comp, || TraceEvent::RefreshEnd);
+            if self.tracer.enabled() {
+                self.emit(now, None, TraceEvent::RefreshEnd);
+            }
             quiet = false;
         }
 
@@ -541,8 +739,10 @@ impl MemController {
         if !self.in_flight.is_empty() {
             return true; // wait for outstanding bursts to drain
         }
-        if !self.write_buffer.is_empty() {
-            // Flush posted writes before refreshing.
+        // Flush posted writes before refreshing, except those that wait for
+        // an older same-address read: the read waits for the refresh, so
+        // holding the refresh for them would deadlock the controller.
+        if self.write_buffer.iter().any(|w| !self.write_order_blocked(w)) {
             self.issue_write(now);
             return true;
         }
@@ -658,6 +858,9 @@ impl MemController {
             let col = self.banks[p.req.bank].map().col(p.req.addr);
             self.issue_cmd(p.req.bank, BankCmd::Wr(col), now);
             self.banks[p.req.bank].array_mut().write(p.req.addr, &p.req.data);
+            if self.leading {
+                self.drained.push(p.req);
+            }
             if p.saw_pre {
                 self.locality.row_conflicts += 1;
             } else if p.saw_act {
@@ -873,14 +1076,10 @@ impl MemController {
     }
 
     /// Snapshot of per-bank statistics summed over all banks.
-    pub fn total_bank_stats(&self) -> crate::bank::BankStats {
-        let mut s = crate::bank::BankStats::default();
+    pub fn total_bank_stats(&self) -> BankStats {
+        let mut s = BankStats::default();
         for b in &self.banks {
-            s.acts += b.stats.acts;
-            s.pres += b.stats.pres;
-            s.reads += b.stats.reads;
-            s.writes += b.stats.writes;
-            s.refs += b.stats.refs;
+            s += b.stats;
         }
         s
     }
@@ -1052,6 +1251,25 @@ mod tests {
             mc.tick(now);
         }
         assert!(mc.total_bank_stats().refs >= 4, "all banks refresh once per tREFI");
+    }
+
+    #[test]
+    fn refresh_does_not_wait_for_a_write_behind_an_older_read() {
+        // The posted write waits for the older same-address read, and the
+        // read for the refresh: the refresh must not wait for the write.
+        let timing = DramTiming { t_refi: 100, ..DramTiming::default() };
+        let banks = (0..4).map(|_| Bank::new(timing, AddressMap::default())).collect();
+        let mut mc = MemController::new(banks, timing, 16, PagePolicy::Open, SchedPolicy::FrFcfs);
+        assert!(mc.enqueue(read(1, 0, 64), 99));
+        assert!(mc.enqueue(write(2, 0, 64, 0xCD), 99));
+        let (done, _) = run_until_complete(&mut mc, 99, 2);
+        let rd = done.iter().find(|c| c.id == RequestId(1)).unwrap();
+        assert_eq!(rd.data, [0; 16], "the read is older than the write");
+        assert!(mc.total_bank_stats().refs > 0, "the refresh ran");
+        while !mc.is_idle() {
+            mc.tick(1_000);
+        }
+        assert_eq!(mc.bank(0).array().read_u32(64), 0xCDCD_CDCD, "the write drained after");
     }
 
     #[test]

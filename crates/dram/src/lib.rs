@@ -31,7 +31,8 @@ mod timing;
 pub use array::BankArray;
 pub use bank::{Bank, BankCmd, BankState, BankStats};
 pub use controller::{
-    AccessKind, Completion, MemController, PagePolicy, Request, RequestId, RowLocality, SchedPolicy,
+    AccessKind, Completion, Counters, LoggedEvent, MemController, PagePolicy, Request, RequestId,
+    RowLocality, SchedPolicy,
 };
 pub use energy::{DramEnergy, EnergyParams};
 pub use idmap::{IdHasher, IdMap};

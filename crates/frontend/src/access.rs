@@ -5,7 +5,7 @@
 //! halos (paper Fig. 3(b)). Image-processing coordinate expressions are
 //! overwhelmingly affine with rational scale (`x + 1`, `2*x - 1`, `x / 2`),
 //! which this module recognizes; anything else (data-dependent gathers) is
-//! classified [`AccessPattern::Dynamic`] and conservatively reads the whole
+//! classified [`AffineCoord::Dynamic`] and conservatively reads the whole
 //! source.
 
 use crate::expr::{BinOp, Expr, Var};

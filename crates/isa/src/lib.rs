@@ -10,7 +10,7 @@
 //! * execution masks ([`SimbMask`], [`VecMask`]),
 //! * the [`Instruction`] enum with one variant per Table I row,
 //! * a [`Program`] container with label resolution,
-//! * a binary encoder/decoder ([`encode`], [`decode`]) with round-trip
+//! * a binary encoder/decoder ([`encode()`], [`decode`]) with round-trip
 //!   guarantees, and
 //! * a human-readable assembly [`std::fmt::Display`] form for every
 //!   instruction.

@@ -163,7 +163,7 @@ impl VecMask {
     /// All four lanes enabled.
     pub const ALL: VecMask = VecMask(0b1111);
 
-    /// Creates a mask from the low [`SIMD_LANES`](crate::SIMD_LANES) bits.
+    /// Creates a mask from the low [`crate::SIMD_LANES`] bits.
     pub fn from_bits(bits: u8) -> Self {
         Self(bits & 0b1111)
     }

@@ -1,6 +1,6 @@
 //! The shard front: admission, routing, retry, probing, drain.
 //!
-//! A [`ShardRouter`] owns one [`Backend`](crate::backend::Backend) per
+//! A [`ShardRouter`] owns one [`Backend`] per
 //! configured address, each with its own bounded queue and link thread.
 //! [`submit`](ShardRouter::submit) routes by the request's content
 //! fingerprint over the [`HashRing`] and blocks when the chosen backend's

@@ -14,7 +14,8 @@
 use ipim_core::experiments::verify_output_against_reference;
 use ipim_core::trace::{Record, TraceEvent};
 use ipim_core::{
-    fnv1a, Engine, Fidelity, MachineConfig, Session, TraceConfig, Workload, WorkloadScale,
+    fnv1a, Engine, Fidelity, MachineConfig, Placement, Session, TraceConfig, Workload,
+    WorkloadScale,
 };
 
 /// 64×64 keeps each pair of runs comfortably sub-second in debug builds.
@@ -25,6 +26,8 @@ fn scale() -> WorkloadScale {
 fn config(engine: Engine, vaults: usize) -> MachineConfig {
     MachineConfig { engine, ..MachineConfig::vault_slice(vaults) }
 }
+
+const NEAR: Placement = Placement::NearBank;
 
 /// Re-instantiates `w` at 128×128 for the resampling workloads whose tile
 /// count at 64×64 falls below the 32 static SIMB lanes (a compiler limit,
@@ -41,41 +44,48 @@ fn at_supported_scale(w: Workload) -> Workload {
 }
 
 /// Expected `(report, output)` FNV-1a digests of the skip-ahead run of each
-/// `(workload, side, vaults)` case [`assert_engines_agree`] checks. The
-/// report digest covers the `Debug` rendering of the whole
+/// `(workload, side, vaults, placement)` case [`assert_engines_agree`]
+/// checks. The report digest covers the `Debug` rendering of the whole
 /// `ExecutionReport` (every stall, busy and bank counter, every f64 energy
 /// term); the output digest covers the image's f32 bit patterns. Both
 /// engines share `Vault::tick`, so their agreement alone cannot catch a
 /// change to the tick itself: these pins can. A deliberate timing change
 /// re-records them together with `results/matrix.jsonl`.
-const DIGESTS: &[(&str, u32, usize, u64, u64)] = &[
-    ("Brighten", 64, 1, 0x5adc47925c529c12, 0xfd445293868249d4),
-    ("Blur", 64, 1, 0x892a59f623486285, 0x7714417a2c6384a9),
-    ("Downsample", 128, 1, 0xb1299c489fb0f292, 0x5d4a4c33ed7b98ba),
-    ("Upsample", 64, 1, 0xaf832320ac0c42e6, 0x90db5b57401c066b),
-    ("Shift", 64, 1, 0x87ed3726eee79e05, 0x869b649c477f3005),
-    ("Histogram", 64, 1, 0x3d68b2d8140f3e1a, 0xb3060a0aa5fcce2f),
-    ("Histogram", 64, 2, 0x843d8be0aa2d17ce, 0xb3060a0aa5fcce2f),
-    ("BilateralGrid", 64, 1, 0x81a3ec9b295dd5e3, 0x584eb76d95960f49),
-    ("Interpolate", 128, 1, 0x37f155245bdc1c36, 0xc5c15601759c105f),
-    ("Gemm", 64, 1, 0x758fcbd145e56d37, 0xb9db8c6e593b844c),
-    ("Conv3x3", 64, 1, 0x7155256207db5138, 0xed3bb0ddf867c52d),
-    ("RowSoftmax", 64, 1, 0x891c0ba3691654ab, 0x9c9028ff34d0038e),
-    ("FrameDelta", 64, 1, 0xdcdf8d0ac71ebe82, 0x78e1f5c20651a3dd),
-    ("TemporalBlur", 64, 1, 0x7102d106568cd772, 0x1099765a306ddb0f),
-    ("MotionEnergy", 64, 1, 0x90acef9e55f66612, 0xe89b9d9882272ced),
+const DIGESTS: &[(&str, u32, usize, Placement, u64, u64)] = &[
+    ("Brighten", 64, 1, NEAR, 0x5adc47925c529c12, 0xfd445293868249d4),
+    ("Blur", 64, 1, NEAR, 0x892a59f623486285, 0x7714417a2c6384a9),
+    ("Downsample", 128, 1, NEAR, 0xb1299c489fb0f292, 0x5d4a4c33ed7b98ba),
+    ("Upsample", 64, 1, NEAR, 0xaf832320ac0c42e6, 0x90db5b57401c066b),
+    ("Shift", 64, 1, NEAR, 0x87ed3726eee79e05, 0x869b649c477f3005),
+    ("Histogram", 64, 1, NEAR, 0x3d68b2d8140f3e1a, 0xb3060a0aa5fcce2f),
+    ("Histogram", 64, 2, NEAR, 0x843d8be0aa2d17ce, 0xb3060a0aa5fcce2f),
+    ("BilateralGrid", 64, 1, NEAR, 0x81a3ec9b295dd5e3, 0x584eb76d95960f49),
+    ("Interpolate", 128, 1, NEAR, 0x37f155245bdc1c36, 0xc5c15601759c105f),
+    ("Gemm", 64, 1, NEAR, 0x758fcbd145e56d37, 0xb9db8c6e593b844c),
+    ("Conv3x3", 64, 1, NEAR, 0x7155256207db5138, 0xed3bb0ddf867c52d),
+    ("RowSoftmax", 64, 1, NEAR, 0x891c0ba3691654ab, 0x9c9028ff34d0038e),
+    ("FrameDelta", 64, 1, NEAR, 0xdcdf8d0ac71ebe82, 0x78e1f5c20651a3dd),
+    ("TemporalBlur", 64, 1, NEAR, 0x7102d106568cd772, 0x1099765a306ddb0f),
+    ("MotionEnergy", 64, 1, NEAR, 0x90acef9e55f66612, 0xe89b9d9882272ced),
+    ("Blur", 64, 1, Placement::BaseDie, 0xe5f7cb1876e0fb53, 0x7714417a2c6384a9),
 ];
 
-/// Runs `w` under both engines on a `vaults`-vault slice and asserts every
-/// observable matches exactly, and that the skip-ahead run reproduces its
-/// pinned [`DIGESTS`]; returns the legacy run's output.
-fn assert_engines_agree(w: &Workload, vaults: usize) -> ipim_core::frontend::Image {
-    let legacy = Session::new(config(Engine::Legacy, vaults))
-        .run_workload(w, 2_000_000_000)
-        .unwrap_or_else(|e| panic!("{} (legacy): {e}", w.name));
-    let skip = Session::new(config(Engine::SkipAhead, vaults))
-        .run_workload(w, 2_000_000_000)
-        .unwrap_or_else(|e| panic!("{} (skip-ahead): {e}", w.name));
+/// Runs `w` under both engines on a `vaults`-vault slice with compute at
+/// `placement` and asserts every observable matches exactly, and that the
+/// skip-ahead run reproduces its pinned [`DIGESTS`]; returns the legacy
+/// run's output.
+fn assert_engines_agree(
+    w: &Workload,
+    vaults: usize,
+    placement: Placement,
+) -> ipim_core::frontend::Image {
+    let run = |engine| {
+        let config = MachineConfig { placement, ..config(engine, vaults) };
+        Session::new(config)
+            .run_workload(w, 2_000_000_000)
+            .unwrap_or_else(|e| panic!("{} ({engine:?}, {placement:?}): {e}", w.name))
+    };
+    let (legacy, skip) = (run(Engine::Legacy), run(Engine::SkipAhead));
 
     assert_eq!(legacy.fidelity, Fidelity::BitExact, "{}: legacy fidelity", w.name);
     assert_eq!(skip.fidelity, Fidelity::BitExact, "{}: skip-ahead fidelity", w.name);
@@ -109,16 +119,17 @@ fn assert_engines_agree(w: &Workload, vaults: usize) -> ipim_core::frontend::Ima
     let output = fnv1a(&pixels);
     let &(.., want_report, want_output) = DIGESTS
         .iter()
-        .find(|d| d.0 == w.name && d.1 == side && d.2 == vaults)
+        .find(|d| d.0 == w.name && d.1 == side && d.2 == vaults && d.3 == placement)
         .unwrap_or_else(|| {
             panic!(
-                "no pinned digests for this case; add \
-                 (\"{}\", {side}, {vaults}, {report:#018x}, {output:#018x}) to DIGESTS",
+                "no pinned digests for this case; add (\"{}\", {side}, {vaults}, \
+                 Placement::{placement:?}, {report:#018x}, {output:#018x}) to DIGESTS",
                 w.name
             )
         });
-    assert_eq!(report, want_report, "{} {side}² x{vaults}: report digest moved\n{s:?}", w.name);
-    assert_eq!(output, want_output, "{} {side}² x{vaults}: output digest moved", w.name);
+    let case = format!("{} {side}² x{vaults} {placement:?}", w.name);
+    assert_eq!(report, want_report, "{case}: report digest moved\n{s:?}");
+    assert_eq!(output, want_output, "{case}: output digest moved");
     legacy.output
 }
 
@@ -180,7 +191,7 @@ fn assert_traces_agree(w: &Workload, vaults: usize) {
 #[test]
 fn engine_equivalence_single_stage_workloads() {
     for w in ipim_core::all_workloads(scale()).into_iter().filter(|w| !w.multi_stage) {
-        assert_engines_agree(&at_supported_scale(w), 1);
+        assert_engines_agree(&at_supported_scale(w), 1, NEAR);
     }
 }
 
@@ -196,7 +207,7 @@ fn engine_equivalence_new_family_multi_stage() {
     // checked against the golden interpreter.
     for name in ["Gemm", "Conv3x3", "RowSoftmax", "MotionEnergy"] {
         let w = ipim_core::workload_by_name(name, scale()).unwrap();
-        let output = assert_engines_agree(&w, 1);
+        let output = assert_engines_agree(&w, 1, NEAR);
         if matches!(name, "RowSoftmax" | "MotionEnergy") {
             verify_output_against_reference(&w, &output);
         }
@@ -206,13 +217,13 @@ fn engine_equivalence_new_family_multi_stage() {
 #[test]
 fn engine_equivalence_bilateral_grid() {
     let w = ipim_core::workload_by_name("BilateralGrid", scale()).unwrap();
-    assert_engines_agree(&w, 1);
+    assert_engines_agree(&w, 1, NEAR);
 }
 
 #[test]
 fn engine_equivalence_interpolate() {
     let w = ipim_core::workload_by_name("Interpolate", scale()).unwrap();
-    assert_engines_agree(&at_supported_scale(w), 1);
+    assert_engines_agree(&at_supported_scale(w), 1, NEAR);
 }
 
 #[test]
@@ -220,29 +231,17 @@ fn engine_equivalence_multi_vault_histogram() {
     // Two vaults exercise the cross-vault path: mesh flits, SERDES retries,
     // `req`/`sync` barriers — every machine-level `next_event` term.
     let w = ipim_core::workload_by_name("Histogram", scale()).unwrap();
-    assert_engines_agree(&w, 2);
+    assert_engines_agree(&w, 2, NEAR);
 }
 
 #[test]
 fn engine_equivalence_base_die_placement() {
     // PonB placement exercises the TSV-blocked completion queue
-    // (`ponb_wait`), which must force live ticks while draining.
+    // (`ponb_wait`), which must force live ticks while draining and, with
+    // the process groups in lockstep, queue every PG's completions PG by
+    // PG as the legacy engine's per-PG controller ticks do.
     let w = ipim_core::workload_by_name("Blur", scale()).unwrap();
-    for engine in [Engine::Legacy, Engine::SkipAhead] {
-        let mut c = config(engine, 1);
-        c.placement = ipim_core::Placement::BaseDie;
-        // Just assert it runs; the cross-engine comparison follows.
-        Session::new(c).run_workload(&w, 2_000_000_000).expect("ponb run");
-    }
-    let mut lc = config(Engine::Legacy, 1);
-    lc.placement = ipim_core::Placement::BaseDie;
-    let mut sc = config(Engine::SkipAhead, 1);
-    sc.placement = ipim_core::Placement::BaseDie;
-    let l = Session::new(lc).run_workload(&w, 2_000_000_000).expect("legacy ponb");
-    let s = Session::new(sc).run_workload(&w, 2_000_000_000).expect("skip ponb");
-    assert_eq!(l.report.cycles, s.report.cycles, "PonB cycles diverge");
-    assert_eq!(l.report.stats, s.report.stats, "PonB stats diverge");
-    assert_eq!(l.output.data(), s.output.data(), "PonB output diverges");
+    assert_engines_agree(&w, 1, Placement::BaseDie);
 }
 
 #[test]
