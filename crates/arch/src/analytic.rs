@@ -71,43 +71,62 @@
 //! is data independent, every trip count is known exactly, so the walk
 //! skips such repeats without changing a single number:
 //!
-//! * **Where.** At every taken back edge of a *plain* loop: a `cjump` to
-//!   an immediate target at or before it, whose body holds no other
-//!   branch, no `sync`, no `req` and no `rd_vsm`.
+//! * **Where.** At every taken back edge of a counted loop: a `cjump` to
+//!   an immediate target at or before it, whose body holds no `jump`,
+//!   `sync`, `req` or `rd_vsm`, and whose other `cjump`s all close loops
+//!   nested inside it, at any depth. One tracker level per active loop
+//!   instance, kept as a stack, so inner loops keep jumping while an
+//!   outer one is being detected.
 //! * **Detect.** The walk state at the back edge is normalised to the
-//!   issue cursor and compared with the previous iteration's, or with the
-//!   steady state an earlier instance of the same loop reached. That state
-//!   is the body registers' `write_done`/`read_done` horizons, the
-//!   in-flight completions, and the branch-bubble, TSV and last-completion
-//!   horizons. A horizon at or below the cursor can never bind again, so
-//!   all such values count as equal. Equal states mean the next iteration
-//!   repeats the last one Δ cycles later, provided its data-independent
-//!   decisions repeat too (the guards below). When the kept steady state
-//!   matches but its row classes let no iteration be jumped (this
-//!   instance's reads fall in other rows), the last two iterations derive
-//!   a fresh one and the jump is tried with that.
-//! * **Jump.** The remaining iterations are replayed without timing: only
-//!   the body's CtrlRF and kept AddrRF updates and the row class of every
-//!   DRAM read. That gives the exact trip count, the CtrlRF and AddrRF
-//!   values and the open row; an iteration whose replay fails a guard
-//!   restores the few registers the replay writes. The cursor and every
-//!   horizon then move by *k*·Δcycles and every counter by *k*·Δcount in
-//!   one step. The exit iteration differs only in its not-taken back edge,
-//!   which sets no branch bubble, so it is folded into the jump.
-//! * **Guards.** The jump stops before the first iteration in which a
-//!   read's hit/miss/conflict class would change, a read's service would
-//!   start at or past the next refresh window, or the cursor would pass
-//!   the cycle budget. It never starts from an iteration that met a
-//!   refresh, from one in which a read drained posted writes while the
-//!   write backlog moved, or when the memory controller's cursor is
-//!   neither unchanged and behind the issue cursor nor at a fixed offset
-//!   from it.
+//!   issue cursor: the body registers' `write_done`/`read_done` horizons,
+//!   the in-flight completions, and the branch-bubble, TSV and
+//!   last-completion horizons. A horizon at or below the cursor can never
+//!   bind again, so all such values count as equal. A walked iteration
+//!   that starts and ends in the same state becomes the loop's steady
+//!   iteration for its class sequence: the row class of every read it
+//!   made, those of inner iterations that were themselves jumped
+//!   included, and the path it took (each inner instance's trip count).
+//!   A loop keeps up to `MAX_STEADY` (eight) of them across instances, so
+//!   rows that straddle a DRAM row, each repeating with classes and a
+//!   cycle count of their own, do not evict one another.
+//! * **Jump.** Each further iteration is replayed without timing: its
+//!   CtrlRF and kept AddrRF updates, following inner back edges through
+//!   the CtrlRF, and the row class of each read, held against the steady
+//!   iterations that start in this state as they come. The one with the
+//!   same classes and path is applied: the cursor and every horizon move
+//!   by its Δcycles, every counter and each body instruction's issue
+//!   count by its per-iteration amount. With none, the replay's writes
+//!   are undone and the jump stops. The exit iteration differs only in
+//!   its not-taken back edge, which sets no branch bubble, so it is
+//!   folded into the jump.
+//! * **Closed forms.** A body without inner loops whose register updates
+//!   only add, subtract and scale by constants, every register either
+//!   stepped by a constant per iteration or a linear function of stepped
+//!   and untouched ones, is replayed in closed form:
+//!   its trip count is a division, each read's address a linear function
+//!   of the iteration, and `t` iterations of register updates a few
+//!   multiplications, exact in the machine's wrapping arithmetic. An
+//!   outer loop replays such an inner loop in one step.
+//! * **Guards.** The jump stops before the first iteration whose reads'
+//!   classes or inner path no steady iteration repeats, whose reads would
+//!   start at or past the next refresh window, or that would end past the
+//!   cycle budget. A steady iteration never comes from one that met a
+//!   refresh. The memory controller's cursor must sit at a fixed offset
+//!   from the issue cursor, or, for an iteration that reads nothing, stay
+//!   unchanged behind it, and no jump may move a backlog that a read
+//!   drains: with a drain, the backlog an iteration starts with is pinned.
+//!   When the cursor starts behind the issue cursor, writes cannot move it
+//!   and the first read starts as it arrives, so only what that read
+//!   drains depends on where the cursor was: such an iteration is
+//!   admitted wherever the cursor is, and its pin holds the backlog that
+//!   first read leaves.
 //!
 //! The plain walk resumes wherever a jump stops, and an instance that has
-//! not become periodic after `MAX_TRIES` (six) iterations is walked to its
-//! end. Every report field and every [`SimTimeout`] therefore equals the
-//! instruction-by-instruction walk's; the unit tests check this on random
-//! loop nests.
+//! not become periodic after `MAX_TRIES` (six) back edges is walked to its
+//! end, its inner loops still jumping. Every report field and every
+//! [`SimTimeout`] therefore equals the instruction-by-instruction walk's;
+//! the unit tests check this on random loops and on row-shaped nests.
+//! [`predict_counted`] also reports how much was walked and jumped.
 //!
 //! # Calibration
 //!
@@ -173,8 +192,16 @@ pub mod cal {
 }
 
 /// Back edges at which a loop instance is checked for a steady state
-/// before the rest of the instance is walked without checking.
+/// before the rest of the instance is walked without checking. Each
+/// check costs a snapshot of the loop's state and a log of its reads.
 const MAX_TRIES: u32 = 6;
+
+/// Steady iterations kept per loop, one per read-class sequence. Rows
+/// that straddle a DRAM row boundary repeat with a few sequences of
+/// their own; each kept iteration holds a state vector, its classes and
+/// an issue count per body instruction, and a jump looks its next
+/// iteration up among them one by one.
+const MAX_STEADY: usize = 8;
 
 /// Classification of one modelled DRAM access against the open row.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -254,7 +281,7 @@ struct Decoded {
     /// Requests the busiest per-PG memory controller sees.
     m: u64,
     kind: Kind,
-    /// Index into the loop table when this is a plain loop's back edge.
+    /// Index into the loop table when this is a loop's back edge.
     lp: Option<u32>,
     /// Registers read (flat index space, sorted, deduplicated):
     /// `reads[..n_reads]`.
@@ -375,10 +402,11 @@ fn decode(insts: &[Instruction], costs: &CostTable, config: &MachineConfig) -> V
         .collect()
 }
 
-/// A plain counted loop: the body `top..=edge` ends in a `cjump` back to
-/// `top` and holds no other branch, `sync`, `req` or `rd_vsm`, so every
-/// iteration issues exactly the body and only the CtrlRF decides how
-/// many iterations run.
+/// A counted loop: the body `top..=edge` ends in a `cjump` back to `top`,
+/// holds no `jump`, `sync`, `req` or `rd_vsm`, and every other `cjump` in
+/// it is the back edge of a loop nested inside it. So an iteration leaves
+/// the body only through its back edge, and only the CtrlRF decides the
+/// path it takes and how many iterations run.
 struct Loop {
     top: usize,
     edge: usize,
@@ -386,84 +414,460 @@ struct Loop {
     cond: usize,
     /// Every register the body reads or writes (flat index space), sorted.
     regs: Vec<u16>,
-    /// What a jump replays of each iteration without timing, in program
-    /// order: the body's CtrlRF and AddrRF updates and DRAM reads.
-    replay: Vec<Kind>,
-    /// The CtrlRF and AddrRF registers the replay writes, each once: all
-    /// of the register files a failed replay must restore.
-    ctrl_writes: Vec<usize>,
-    addr_writes: Vec<usize>,
-    /// The steady state the loop last reached (kept across instances).
-    steady: Option<Steady>,
+    /// The back edges of the loops nested in it, at any depth, in program
+    /// order.
+    inner: Vec<usize>,
+    /// What a jump needs of the body: built once the loop first repeats
+    /// an iteration, as most loops never do.
+    body: Option<Body>,
+    /// The distinct normalised states steady iterations start in.
+    states: Vec<Vec<u64>>,
+    /// The steady iterations the loop reached, kept across instances: at
+    /// most [`MAX_STEADY`], one per class sequence.
+    steady: Vec<Steady>,
+    /// Ticks at every derive and jump; [`Steady::used`] reads it.
+    clock: u64,
 }
 
-/// Finds every plain loop of `insts` and marks its back edge in `decoded`.
-fn find_loops(insts: &[Instruction], decoded: &mut [Decoded]) -> Vec<Loop> {
-    let mut loops = Vec::new();
-    for (edge, inst) in insts.iter().enumerate() {
-        let Instruction::CJump { cond, target: CrfSrc::Imm(top) } = *inst else { continue };
-        let Ok(top) = usize::try_from(top) else { continue };
-        if top > edge {
-            continue;
-        }
-        let body = &insts[top..edge];
-        if body.iter().any(|i| {
-            matches!(
-                i,
-                Instruction::Jump { .. }
-                    | Instruction::CJump { .. }
-                    | Instruction::Sync { .. }
-                    | Instruction::Req { .. }
-                    | Instruction::RdVsm { .. }
-            )
-        }) {
-            continue;
-        }
-        let mut body_regs: Vec<u16> = decoded[top..=edge]
-            .iter()
-            .flat_map(|d| d.reads().iter().copied().chain(d.write))
-            .collect();
-        body_regs.sort_unstable();
-        body_regs.dedup();
-        let replay: Vec<Kind> = decoded[top..edge]
-            .iter()
-            .map(|d| d.kind)
-            .filter(|kind| {
-                matches!(
-                    kind,
-                    Kind::Ctrl(_)
-                        | Kind::Pe(Unit::Read { .. })
-                        | Kind::Pe(Unit::Arf(_, ArfEffect::Calc { .. } | ArfEffect::Poison(_)))
-                )
-            })
-            .collect();
-        let (mut ctrl_writes, mut addr_writes) = (Vec::new(), Vec::new());
-        for kind in &replay {
-            match *kind {
-                Kind::Ctrl(e) => ctrl_writes.push(e.dst.index()),
-                Kind::Pe(Unit::Arf(_, ArfEffect::Calc { dst, .. } | ArfEffect::Poison(dst))) => {
-                    addr_writes.push(dst.index());
+/// What a jump replays of a loop's iterations, and how it counts them.
+struct Body {
+    /// Each iteration without timing, in program order: the body's CtrlRF
+    /// and AddrRF updates, DRAM reads and inner loops.
+    replay: Vec<ReplayOp>,
+    /// Inner back edges in `replay`, each with a trip-count slot.
+    branches: usize,
+    /// For each body instruction, the innermost inner loop it sits in
+    /// ([`NO_LOOP`]: the body's own code, issued once per iteration).
+    owner: Vec<u32>,
+    /// The closed form of the body, when it reads no DRAM, holds no inner
+    /// loop and only adds, subtracts and scales ([`Form`]).
+    form: Option<Form>,
+    /// The closed forms of the inner loops `replay` runs in one step
+    /// ([`ReplayOp::Closed`]).
+    forms: Vec<Form>,
+}
+
+/// [`Body::owner`] of an instruction outside every inner loop.
+const NO_LOOP: u32 = u32::MAX;
+
+/// One step of a loop iteration's replay.
+#[derive(Clone, Copy)]
+enum ReplayOp {
+    Ctrl(CtrlEffect),
+    Addr(ArfEffect),
+    /// A DRAM read, replayed for its row class.
+    Read(AddrOperand),
+    /// The back edge of inner loop `lp`: back to op `to` while `cond`
+    /// holds. `slot` counts the trips of the inner instance.
+    Branch {
+        cond: u32,
+        to: u32,
+        lp: u32,
+        slot: u32,
+    },
+    /// A whole instance of inner loop `lp`, run by its closed form
+    /// [`Body::forms`]`[form]`.
+    Closed {
+        form: u32,
+        lp: u32,
+    },
+}
+
+/// A register of the exact CtrlRF (its index) or of PE 0's abstract
+/// AddrRF ([`ADDR`] plus its index).
+type Reg = u32;
+const ADDR: Reg = 1 << 16;
+
+/// A linear function of the register values an iteration starts with:
+/// `konst` plus each term's coefficient times its register, unknown when
+/// a term's register is or a `mov` made it. A term whose coefficient
+/// cancels stays, since its register's being unknown still reaches the
+/// result.
+#[derive(Clone, Copy, Default)]
+struct Lin {
+    terms: [(Reg, i64); LIN_TERMS],
+    n_terms: u8,
+    konst: i64,
+    unknown: bool,
+}
+
+/// Most registers a [`Lin`] holds; a longer sum is left to the ops.
+const LIN_TERMS: usize = 4;
+
+impl Lin {
+    fn konst(k: i32) -> Self {
+        Lin { konst: k.into(), ..Lin::default() }
+    }
+
+    fn reg(r: Reg) -> Self {
+        let mut lin = Lin { n_terms: 1, ..Lin::default() };
+        lin.terms[0] = (r, 1);
+        lin
+    }
+
+    fn terms(&self) -> &[(Reg, i64)] {
+        &self.terms[..usize::from(self.n_terms)]
+    }
+
+    /// `self + k·other`, if it has at most [`LIN_TERMS`] registers.
+    fn add(mut self, other: &Lin, k: i64) -> Option<Self> {
+        for &(r, c) in other.terms() {
+            let n = usize::from(self.n_terms);
+            match self.terms[..n].iter_mut().find(|t| t.0 == r) {
+                Some(t) => t.1 = t.1.wrapping_add(k.wrapping_mul(c)),
+                None if n < LIN_TERMS => {
+                    self.terms[n] = (r, k.wrapping_mul(c));
+                    self.n_terms += 1;
                 }
-                _ => {}
+                None => return None,
             }
         }
-        for writes in [&mut ctrl_writes, &mut addr_writes] {
-            writes.sort_unstable();
-            writes.dedup();
+        self.konst = self.konst.wrapping_add(k.wrapping_mul(other.konst));
+        self.unknown |= other.unknown;
+        Some(self)
+    }
+
+    fn scale(mut self, k: i64) -> Self {
+        for t in &mut self.terms {
+            t.1 = t.1.wrapping_mul(k);
         }
+        self.konst = self.konst.wrapping_mul(k);
+        self
+    }
+
+    /// The constant, when no register reaches the value.
+    fn constant(&self) -> Option<i64> {
+        (self.n_terms == 0 && !self.unknown).then_some(self.konst)
+    }
+}
+
+/// The closed form of a loop whose body reads no DRAM and holds no inner
+/// loop, so its iterations differ only in register values, and whose
+/// CtrlRF and AddrRF updates only add, subtract and scale. Every register
+/// the body writes either moves by a constant per iteration or is a
+/// linear function of registers that do or that the body never writes;
+/// the back edge tests one such function against a constant. `t`
+/// iterations are then a few multiplications, exact in the registers'
+/// wrapping 32-bit arithmetic, and the trip count a division.
+#[derive(Clone)]
+struct Form {
+    /// The address of each read, in order, as of its iteration's start.
+    reads: Vec<Lin>,
+    /// Registers stepped by a constant per iteration.
+    steps: Vec<(Reg, i64)>,
+    /// The other registers written, as of the end of an iteration.
+    sets: Vec<(Reg, Lin)>,
+    /// The back edge's condition register, and its test after an
+    /// iteration: `lin < bound` (`lt`) or `lin >= bound`.
+    cond: Reg,
+    test: Lin,
+    lt: bool,
+    bound: i64,
+}
+
+impl Form {
+    /// The closed form of a loop body replayed by `ops` whose back edge
+    /// tests CtrlRF register `cond`, if it has one.
+    fn of(ops: &[ReplayOp], cond: usize) -> Option<Form> {
+        enum Val {
+            Lin(Lin),
+            /// A comparison of a linear value with a constant.
+            Test(Lin, bool, i64),
+        }
+        let mut vals: Vec<(Reg, Val)> = Vec::new();
+        let mut reads = Vec::new();
+        let get = |vals: &[(Reg, Val)], r: Reg| match vals.iter().find(|v| v.0 == r) {
+            None => Some(Lin::reg(r)),
+            Some((_, Val::Lin(l))) => Some(*l),
+            Some((_, Val::Test(..))) => None,
+        };
+        for op in ops {
+            let (dst, val) = match *op {
+                ReplayOp::Ctrl(e) => {
+                    let b = match e.src2 {
+                        CrfSrc::Imm(v) => Lin::konst(v),
+                        CrfSrc::Reg(r) => get(&vals, r.index() as Reg)?,
+                    };
+                    let a = || get(&vals, e.src1.index() as Reg);
+                    let val = match e.op {
+                        None => Val::Lin(b),
+                        Some(CrfOp::Add) => Val::Lin(a()?.add(&b, 1)?),
+                        Some(CrfOp::Sub) => Val::Lin(a()?.add(&b, -1)?),
+                        Some(CrfOp::Mul) => Val::Lin(product(a()?, b)?),
+                        Some(CrfOp::Lt) => Val::Test(a()?, true, b.constant()?),
+                        Some(CrfOp::Ge) => Val::Test(a()?, false, b.constant()?),
+                        Some(_) => return None,
+                    };
+                    (e.dst.index() as Reg, val)
+                }
+                ReplayOp::Addr(ArfEffect::Calc { op, dst, src1, src2 }) => {
+                    let a = get(&vals, ADDR | src1.index() as Reg)?;
+                    let b = match src2 {
+                        ArfSrc::Imm(v) => Lin::konst(v),
+                        ArfSrc::Reg(r) => get(&vals, ADDR | r.index() as Reg)?,
+                    };
+                    let val = match op {
+                        ArfOp::Add => a.add(&b, 1)?,
+                        ArfOp::Sub => a.add(&b, -1)?,
+                        ArfOp::Mul => product(a, b)?,
+                        _ => return None,
+                    };
+                    (ADDR | dst.index() as Reg, Val::Lin(val))
+                }
+                ReplayOp::Addr(ArfEffect::Poison(dst)) => {
+                    (ADDR | dst.index() as Reg, Val::Lin(Lin { unknown: true, ..Lin::default() }))
+                }
+                ReplayOp::Addr(ArfEffect::None) => continue,
+                ReplayOp::Read(AddrOperand::Imm(a)) => {
+                    reads.push(Lin { konst: a.into(), ..Lin::default() });
+                    continue;
+                }
+                ReplayOp::Read(AddrOperand::Indirect(r)) => {
+                    reads.push(get(&vals, ADDR | r.index() as Reg)?);
+                    continue;
+                }
+                ReplayOp::Branch { .. } | ReplayOp::Closed { .. } => return None,
+            };
+            match vals.iter_mut().find(|v| v.0 == dst) {
+                Some(v) => v.1 = val,
+                None => vals.push((dst, val)),
+            }
+        }
+        let cond = cond as Reg;
+        let (mut steps, mut sets, mut test) = (Vec::new(), Vec::new(), None);
+        for (r, val) in vals {
+            match val {
+                Val::Test(lin, lt, bound) if r == cond => test = Some((lin, lt, bound)),
+                Val::Test(..) => return None,
+                Val::Lin(lin) => match *lin.terms() {
+                    [(t, 1)] if t == r && !lin.unknown => steps.push((r, lin.konst)),
+                    _ => sets.push((r, lin)),
+                },
+            }
+        }
+        let (test, lt, bound) = test?;
+        // A value an iteration starts with must be known in closed form:
+        // a register the body never writes, or one it steps.
+        let written = |r: Reg| r == cond || sets.iter().any(|s| s.0 == r);
+        let lins = sets.iter().map(|s| &s.1).chain(&reads).chain([&test]);
+        if lins.flat_map(|l| l.terms()).any(|&(r, _)| written(r)) {
+            return None;
+        }
+        Some(Form { reads, steps, sets, cond, test, lt, bound })
+    }
+
+    /// The step of register `r` per iteration (0: the body leaves it).
+    fn step(&self, r: Reg) -> i64 {
+        self.steps.iter().find(|s| s.0 == r).map_or(0, |s| s.1)
+    }
+
+    /// `lin` in iteration `t` (from 1) of an instance that starts from
+    /// the registers of `w`: each stepped register has moved `t − 1` steps.
+    fn eval(&self, lin: &Lin, t: u64, w: &Walk) -> Option<i128> {
+        if lin.unknown {
+            return None;
+        }
+        let mut v = i128::from(lin.konst);
+        for &(r, c) in lin.terms() {
+            let x = i128::from(w.reg(r)?) + i128::from(t - 1) * i128::from(self.step(r));
+            v += i128::from(c) * x;
+        }
+        Some(v)
+    }
+
+    /// The iterations an instance that starts from the registers of `w`
+    /// runs, exit included; `None` when the test's value is unknown, would
+    /// leave the 32-bit range before the exit, or never fails.
+    fn trips(&self, w: &Walk) -> Option<u64> {
+        let first = self.eval(&self.test, 1, w)?;
+        let d = self.eval(&self.test, 2, w)? - first;
+        let bound = i128::from(self.bound);
+        let fits = |v: i128| i32::try_from(v).is_ok();
+        let holds = |v: i128| if self.lt { v < bound } else { v >= bound };
+        if !fits(first) {
+            return None;
+        }
+        if !holds(first) {
+            return Some(1);
+        }
+        // The iterations after the first until the test fails.
+        let more = match (self.lt, d) {
+            (true, d) if d > 0 => (bound - first + d - 1) / d,
+            (false, d) if d < 0 => (first - bound) / -d + 1,
+            _ => return None,
+        };
+        fits(first + more * d).then(|| u64::try_from(more + 1).ok()).flatten()
+    }
+
+    /// Every register the body writes.
+    fn writes(&self) -> impl Iterator<Item = Reg> + '_ {
+        self.steps.iter().map(|s| s.0).chain(self.sets.iter().map(|s| s.0)).chain([self.cond])
+    }
+
+    /// Runs `t` iterations from the registers of `w`.
+    fn apply(&self, t: u64, w: &mut Walk) {
+        // Every value reads the registers as the instance started.
+        let sets: Vec<Option<i128>> = self.sets.iter().map(|s| self.eval(&s.1, t, w)).collect();
+        let holds = self.eval(&self.test, t, w).map(|v| {
+            let bound = i128::from(self.bound);
+            if self.lt {
+                v < bound
+            } else {
+                v >= bound
+            }
+        });
+        for &(r, step) in &self.steps {
+            let v = w.reg(r).map(|x| (i128::from(x) + i128::from(t) * i128::from(step)) as i32);
+            w.set_reg(r, v);
+        }
+        for (s, v) in self.sets.iter().zip(sets) {
+            w.set_reg(s.0, v.map(|v| v as i32));
+        }
+        w.set_reg(self.cond, holds.map(i32::from));
+    }
+}
+
+/// `a · b` when one side is a constant.
+fn product(a: Lin, b: Lin) -> Option<Lin> {
+    match (a.constant(), b.constant()) {
+        (_, Some(k)) => Some(a.scale(k)),
+        (Some(k), _) => Some(b.scale(k)),
+        _ => None,
+    }
+}
+
+/// Finds every loop of `insts` and marks its back edge in `decoded`.
+/// Back edges come in program order, so an inner loop is found, and
+/// marked, before any loop around it. `space` is the size of the flat
+/// register index space.
+fn find_loops(insts: &[Instruction], decoded: &mut [Decoded], space: usize) -> Vec<Loop> {
+    let mut loops: Vec<Loop> = Vec::new();
+    // Instructions no loop body may hold, counted before each pc; every
+    // `cjump` so far, in program order; the loop that last listed each
+    // register.
+    let mut blocked = vec![0u32; insts.len() + 1];
+    for (pc, inst) in insts.iter().enumerate() {
+        let no = matches!(
+            inst,
+            Instruction::Jump { .. }
+                | Instruction::Sync { .. }
+                | Instruction::Req { .. }
+                | Instruction::RdVsm { .. }
+        );
+        blocked[pc + 1] = blocked[pc] + u32::from(no);
+    }
+    let mut cjumps: Vec<usize> = Vec::new();
+    let mut listed = vec![u32::MAX; space];
+    for (edge, inst) in insts.iter().enumerate() {
+        let Instruction::CJump { cond, target } = *inst else { continue };
+        cjumps.push(edge);
+        let top = match target {
+            CrfSrc::Imm(top) => usize::try_from(top).unwrap_or(usize::MAX),
+            CrfSrc::Reg(_) => usize::MAX,
+        };
+        if top > edge || blocked[edge] != blocked[top] {
+            continue;
+        }
+        let inner = &cjumps[cjumps.partition_point(|&pc| pc < top)..cjumps.len() - 1];
+        if !inner.iter().all(|&pc| decoded[pc].lp.is_some_and(|j| loops[j as usize].top >= top)) {
+            continue;
+        }
+        let id = loops.len() as u32;
+        let mut body_regs = Vec::new();
+        for d in &decoded[top..=edge] {
+            for &r in d.reads().iter().chain(&d.write) {
+                if std::mem::replace(&mut listed[usize::from(r)], id) != id {
+                    body_regs.push(r);
+                }
+            }
+        }
+        body_regs.sort_unstable();
         decoded[edge].lp = Some(loops.len() as u32);
         loops.push(Loop {
             top,
             edge,
             cond: cond.index(),
             regs: body_regs,
-            replay,
-            ctrl_writes,
-            addr_writes,
-            steady: None,
+            inner: inner.to_vec(),
+            body: None,
+            states: Vec::new(),
+            steady: Vec::new(),
+            clock: 0,
         });
     }
     loops
+}
+
+/// Builds the [`Body`] of loop `lp`, and first those of the loops nested
+/// in it, unless built.
+fn build_body(loops: &mut [Loop], lp: usize, decoded: &[Decoded]) {
+    if loops[lp].body.is_some() {
+        return;
+    }
+    // Inner back edges come in program order, innermost loops first.
+    for i in 0..loops[lp].inner.len() {
+        let inner = decoded[loops[lp].inner[i]].lp.expect("an inner cjump closes an inner loop");
+        build_body(loops, inner as usize, decoded);
+    }
+    let (loops, rest) = loops.split_at_mut(lp);
+    let l = &mut rest[0];
+    let (top, edge, inner) = (l.top, l.edge, &l.inner[..]);
+    // `at[pc − top]`: the replay position of the body's pc, where an
+    // inner back edge to it resumes. Inner loops come innermost first,
+    // so each instruction's owner is the first inner loop to claim it.
+    let mut owner = vec![NO_LOOP; edge + 1 - top];
+    for &pc in inner {
+        let lp = decoded[pc].lp.expect("an inner cjump closes an inner loop");
+        let from = loops[lp as usize].top - top;
+        for o in owner[from..=pc - top].iter_mut().filter(|o| **o == NO_LOOP) {
+            *o = lp;
+        }
+    }
+    // An inner loop with a closed form is replayed in one step.
+    let formed: Vec<(usize, u32)> = inner
+        .iter()
+        .filter_map(|&pc| {
+            let lp = decoded[pc].lp?;
+            let l = &loops[lp as usize];
+            l.body.as_ref().and_then(|b| b.form.as_ref()).map(|_| (l.top, lp))
+        })
+        .collect();
+    let mut formed = formed.into_iter().peekable();
+    let mut at = Vec::with_capacity(edge - top);
+    let (mut replay, mut forms) = (Vec::new(), Vec::new());
+    let mut branches = 0;
+    let mut pc = top;
+    while pc < edge {
+        if let Some((_, lp)) = formed.next_if(|&(first, _)| first == pc) {
+            let l = &loops[lp as usize];
+            at.resize(l.edge + 1 - top, replay.len() as u32);
+            forms.push(l.body.as_ref().and_then(|b| b.form.clone()).expect("a closed form"));
+            replay.push(ReplayOp::Closed { form: forms.len() as u32 - 1, lp });
+            pc = l.edge + 1;
+            continue;
+        }
+        at.push(replay.len() as u32);
+        let d = &decoded[pc];
+        pc += 1;
+        let op = match d.kind {
+            Kind::Ctrl(e) => ReplayOp::Ctrl(e),
+            Kind::Pe(Unit::Read { addr, .. }) => ReplayOp::Read(addr),
+            Kind::Pe(Unit::Arf(_, e @ (ArfEffect::Calc { .. } | ArfEffect::Poison(_)))) => {
+                ReplayOp::Addr(e)
+            }
+            Kind::CJump(cond, _) => {
+                let lp = d.lp.expect("an inner cjump closes an inner loop");
+                let inner = loops[lp as usize].top - top;
+                branches += 1;
+                let cond = cond.index() as u32;
+                ReplayOp::Branch { cond, to: at[inner], lp, slot: branches - 1 }
+            }
+            _ => continue,
+        };
+        replay.push(op);
+    }
+    let form = if inner.is_empty() { Form::of(&replay, l.cond) } else { None };
+    l.body = Some(Body { replay, branches: branches as usize, owner, form, forms });
 }
 
 /// Number of timing-dependent counters in the walk (see
@@ -471,7 +875,8 @@ fn find_loops(insts: &[Instruction], decoded: &mut [Decoded]) -> Vec<Loop> {
 const COUNTERS: usize = 11;
 
 /// The walk's state at one back edge: the normalised part a steady state
-/// must repeat, plus the absolute values a template is derived from.
+/// must repeat, plus the absolute values a steady iteration is derived
+/// from.
 #[derive(Default)]
 struct Snapshot {
     /// Horizons relative to the cursor (see [`Walk::snapshot`]).
@@ -481,113 +886,323 @@ struct Snapshot {
     write_backlog: u64,
     next_refresh: u64,
     counters: [u64; COUNTERS],
+    /// Where the walk's logs stood ([`Recording`]).
+    reads: usize,
+    path: usize,
+    firsts: usize,
+    drains: u64,
+    last_start: u64,
+}
+
+/// How a steady iteration meets the memory controller: what its MC cursor
+/// and write backlog must be at the start, and what it leaves.
+#[derive(Clone, Copy, Default)]
+enum McRule {
+    /// The body issues no read: the MC cursor sits, unchanged, at or
+    /// behind the issue cursor, and posted writes only add to the backlog.
+    #[default]
+    Idle,
+    /// The MC cursor starts and ends `offset` (wrapping) from the issue
+    /// cursor. With `backlog`, a read saw a gap long enough to drain
+    /// posted writes, so the iteration needs that backlog: a drain takes
+    /// min(gap, backlog).
+    Offset { offset: u64, backlog: Option<u64> },
+    /// The MC cursor starts at or behind the issue cursor, where posted
+    /// writes cannot move it, so the first read starts as it arrives and
+    /// only what it drains depends on where the cursor was; the iteration
+    /// leaves the MC cursor `end` (wrapping) from the issue cursor. With
+    /// `backlog`, a read saw a gap long enough to drain, so the iteration
+    /// needs its first read to leave the first backlog, and leaves the
+    /// second.
+    Behind { end: u64, backlog: Option<(u64, u64)> },
+}
+
+/// The first read of an iteration, as logged.
+#[derive(Clone, Copy, Default)]
+struct FirstRead {
+    arrival: u64,
+    /// The write backlog it found, and how much of that it drained.
+    found: u64,
+    drained: u64,
+    /// Whether it saw a gap over [`cal::WRITE_DRAIN_IDLE`].
+    drain: bool,
 }
 
 /// One steady iteration of a loop: the normalised state it starts and
 /// ends in, what it adds, and the decisions a jump must see repeated.
 #[derive(Default)]
 struct Steady {
-    state: Vec<u64>,
-    /// The memory controller's cursor relative to the issue cursor, or
-    /// `None` when the body issues no read and the MC cursor sits,
-    /// unchanged, at or behind the issue cursor.
-    mc_offset: Option<u64>,
-    /// The write backlog the iteration needs: `Some` when one of its
-    /// reads saw a gap long enough to drain posted writes.
-    write_backlog: Option<u64>,
+    /// Its normalised state, an index into [`Loop::states`].
+    state: usize,
+    mc: McRule,
+    /// The first read, relative to the iteration: `arrival` cycles after
+    /// its first cursor, finding `found` posted writes more than the
+    /// iteration started with (the default when it reads nothing).
+    first: FirstRead,
+    /// Whether any read saw a gap over [`cal::WRITE_DRAIN_IDLE`].
+    drain: bool,
     /// Cycles per iteration (≥ 1: every issue takes a cycle).
     dt: u64,
-    /// Posted writes each iteration adds to the backlog.
+    /// Posted writes each iteration adds to the backlog (without a pin).
     dbacklog: u64,
     dcount: [u64; COUNTERS],
-    /// Row class of every DRAM read, in issue order.
+    /// Issues of each body instruction per iteration.
+    dissues: Vec<u64>,
+    /// Row class of every DRAM read, in issue order, inner iterations
+    /// included.
     classes: Vec<RowClass>,
+    /// The inner loop instances the iteration completes, in order, as
+    /// (loop, trips): the path it takes through the body.
+    path: Vec<(u32, u64)>,
+    /// Inner back edges taken per iteration.
+    takes: u64,
     /// Latest read service start, relative to the iteration's first
     /// cursor (`None`: the body reads no DRAM).
     last_read: Option<u64>,
+    /// The loop's [`Loop::clock`] when the iteration was last derived or
+    /// jumped: a full set replaces its least recently used iteration.
+    used: u64,
 }
 
 impl Steady {
-    /// Whether `s` is this steady state, so the iteration that follows
-    /// repeats it.
-    fn matches(&self, s: &Snapshot) -> bool {
-        self.state == s.state
-            && match self.mc_offset {
-                Some(offset) => s.mc_free.wrapping_sub(s.cursor) == offset,
-                None => s.mc_free <= s.cursor,
+    /// Whether an iteration of this kind can start at issue cursor
+    /// `cursor`, with the memory controller's cursor at `mc` and `backlog`
+    /// posted writes, once the normalised state is known to match.
+    fn admits(&self, cursor: u64, mc: u64, backlog: u64) -> bool {
+        match self.mc {
+            McRule::Idle => mc <= cursor,
+            McRule::Offset { offset, backlog: need } => {
+                mc.wrapping_sub(cursor) == offset && need.is_none_or(|b| b == backlog)
             }
-            && self.write_backlog.is_none_or(|b| b == s.write_backlog)
+            McRule::Behind { backlog: need, .. } => {
+                mc <= cursor && {
+                    let first = self.first_read(cursor, mc, backlog);
+                    match need {
+                        Some((left, _)) => first.found - first.drained == left,
+                        None => first.drained == 0,
+                    }
+                }
+            }
+        }
     }
 
-    /// The steady iteration `a → b` if `b` repeats `a`; `rec` is what the
-    /// walk recorded between them. Rebuilds `into` in place.
-    fn derive(a: &Snapshot, b: &Snapshot, rec: &Recording, into: &mut Option<Steady>) -> bool {
+    /// The first read of an iteration that starts at issue cursor `cursor`
+    /// with the MC cursor at `mc` and `backlog` posted writes, once
+    /// [`admits`](Self::admits) holds.
+    fn first_read(&self, cursor: u64, mc: u64, backlog: u64) -> FirstRead {
+        let (f, arrival) = (self.first, cursor + self.first.arrival);
+        let found = backlog + f.found;
+        match self.mc {
+            McRule::Behind { .. } => {
+                let gap = arrival - mc;
+                let drained = drain(gap, found);
+                FirstRead { arrival, found, drained, drain: gap > cal::WRITE_DRAIN_IDLE }
+            }
+            _ => FirstRead { arrival, found, ..f },
+        }
+    }
+
+    /// The MC cursor and the backlog after an iteration that started
+    /// with `mc` and `backlog` and ended at issue cursor `cursor`.
+    fn leaves(&self, cursor: u64, mc: u64, backlog: u64) -> (u64, u64) {
+        match self.mc {
+            McRule::Idle => (mc, backlog + self.dbacklog),
+            McRule::Offset { offset, .. } => (cursor.wrapping_add(offset), backlog + self.dbacklog),
+            McRule::Behind { end, backlog: need } => {
+                (cursor.wrapping_add(end), need.map_or(backlog + self.dbacklog, |(_, after)| after))
+            }
+        }
+    }
+
+    /// Keeps the walked iteration `a → b` of `l` as the steady iteration
+    /// for its class sequence and path if `b` repeats `a`; `rec` holds
+    /// what the walk logged between them.
+    fn derive(l: &mut Loop, a: &Snapshot, b: &Snapshot, rec: &Recording) {
         if a.state != b.state || a.next_refresh != b.next_refresh {
-            return false;
+            return;
         }
-        let mc_offset = if b.mc_free == a.mc_free && a.mc_free <= a.cursor {
-            None
-        } else if b.mc_free.wrapping_sub(b.cursor) == a.mc_free.wrapping_sub(a.cursor) {
-            Some(b.mc_free.wrapping_sub(b.cursor))
+        let (classes, path) = (&rec.classes[a.reads..b.reads], &rec.path[a.path..b.path]);
+        let first = (!classes.is_empty()).then(|| rec.firsts[a.firsts]);
+        let drain = b.drains > a.drains;
+        let end = b.mc_free.wrapping_sub(b.cursor);
+        let mc = if a.mc_free > a.cursor {
+            if end != a.mc_free.wrapping_sub(a.cursor)
+                || drain && a.write_backlog != b.write_backlog
+            {
+                return;
+            }
+            McRule::Offset { offset: end, backlog: drain.then_some(b.write_backlog) }
+        } else if classes.is_empty() {
+            McRule::Idle
+        } else if let (Some(f), true) = (first, b.mc_free <= b.cursor) {
+            McRule::Behind { end, backlog: drain.then_some((f.found - f.drained, b.write_backlog)) }
         } else {
-            return false;
+            return;
         };
-        // A drain takes min(gap, backlog): with the backlog moving, the
-        // next iteration's drain could differ.
-        if rec.drain && a.write_backlog != b.write_backlog {
-            return false;
+        let slot = match l.steady.iter().position(|s| s.classes == classes && s.path == path) {
+            Some(i) => i,
+            None if l.steady.len() < MAX_STEADY => {
+                l.steady.push(Steady::default());
+                l.steady.len() - 1
+            }
+            None => (0..MAX_STEADY).min_by_key(|&i| l.steady[i].used).expect("a full set"),
+        };
+        // The state's index: an equal one, or one no other steady
+        // iteration uses, which a set of at most MAX_STEADY always has once
+        // it holds MAX_STEADY states.
+        let unused = |i: usize| l.steady.iter().enumerate().all(|(j, s)| j == slot || s.state != i);
+        let state = match l.states.iter().position(|s| *s == b.state) {
+            Some(i) => i,
+            None if l.states.len() < MAX_STEADY => {
+                l.states.push(b.state.clone());
+                l.states.len() - 1
+            }
+            None => {
+                let i = (0..MAX_STEADY).find(|&i| unused(i)).expect("a state no iteration uses");
+                l.states[i].clone_from(&b.state);
+                i
+            }
+        };
+        // Per iteration, the body's own code issues once and an inner
+        // loop's body once per trip of each instance.
+        let mut trips: Vec<(u32, u64)> = Vec::new();
+        for &(lp, t) in path {
+            match trips.iter_mut().find(|e| e.0 == lp) {
+                Some(e) => e.1 += t,
+                None => trips.push((lp, t)),
+            }
         }
-        let s = into.get_or_insert_with(Steady::default);
-        s.state.clone_from(&b.state);
-        s.mc_offset = mc_offset;
-        s.write_backlog = rec.drain.then_some(b.write_backlog);
+        l.clock += 1;
+        let s = &mut l.steady[slot];
+        s.state = state;
+        s.mc = mc;
+        s.first = first.map_or(FirstRead::default(), |f| FirstRead {
+            arrival: f.arrival - a.cursor,
+            found: f.found - a.write_backlog,
+            ..f
+        });
+        s.drain = drain;
         s.dt = b.cursor - a.cursor;
-        s.dbacklog = b.write_backlog - a.write_backlog;
+        // A drain can only shrink a backlog pinned to its value.
+        s.dbacklog = b.write_backlog.saturating_sub(a.write_backlog);
         for ((d, x), y) in s.dcount.iter_mut().zip(&b.counters).zip(&a.counters) {
             *d = x - y;
         }
-        s.classes.clone_from(&rec.classes);
-        s.last_read = rec.last_start.map(|t| t - a.cursor);
-        true
+        s.dissues.clear();
+        let owner = &l.body.as_ref().expect("built before a derive").owner;
+        s.dissues.extend(owner.iter().map(|&o| match o {
+            NO_LOOP => 1,
+            lp => trips.iter().find(|e| e.0 == lp).map_or(0, |e| e.1),
+        }));
+        s.classes.clear();
+        s.classes.extend_from_slice(classes);
+        s.path.clear();
+        s.path.extend_from_slice(path);
+        s.takes = path.iter().map(|&(_, trips)| trips - 1).sum();
+        // Service starts only grow, so the latest read started last.
+        s.last_read = first.map(|_| b.last_start - a.cursor);
+        s.used = l.clock;
     }
 }
 
-/// What the walk records about the DRAM reads of one tracked iteration.
+/// What the walk logs while some tracked iteration is being recorded;
+/// each level of the tracker reads its iteration as the span between two
+/// of its snapshots.
 #[derive(Default)]
 struct Recording {
     on: bool,
+    /// The row class of each read.
     classes: Vec<RowClass>,
-    last_start: Option<u64>,
-    /// Whether a read saw a gap over [`cal::WRITE_DRAIN_IDLE`].
-    drain: bool,
+    /// The loop instances completed, as (loop, trips).
+    path: Vec<(u32, u64)>,
+    /// The first read after each snapshot, by its index in `classes`.
+    firsts: Vec<FirstRead>,
+    /// Whether no read has been logged since the last snapshot.
+    pending: bool,
+    /// Reads that saw a gap over [`cal::WRITE_DRAIN_IDLE`], counted.
+    drains: u64,
+    /// Service start of the latest read.
+    last_start: u64,
 }
 
 impl Recording {
-    fn restart(&mut self) {
-        self.on = true;
+    fn clear(&mut self) {
         self.classes.clear();
-        self.last_start = None;
-        self.drain = false;
+        self.path.clear();
+        self.firsts.clear();
+    }
+
+    /// Logs one read that started service at `start`.
+    fn read(&mut self, class: RowClass, start: u64, first: FirstRead) {
+        if std::mem::take(&mut self.pending) {
+            self.firsts.push(first);
+        }
+        self.classes.push(class);
+        self.drains += u64::from(first.drain);
+        self.last_start = start;
+    }
+
+    /// Logs a jumped iteration of steady iteration `s` that started at
+    /// cursor `c` with the MC cursor at `mc` and `backlog` posted writes:
+    /// its first read as it happened, its latest start, and a drain when
+    /// any read may have seen the gap.
+    fn jumped(&mut self, s: &Steady, c: u64, mc: u64, backlog: u64) {
+        if let Some(last) = s.last_read {
+            let first = s.first_read(c, mc, backlog);
+            if std::mem::take(&mut self.pending) {
+                self.firsts.push(first);
+            }
+            self.classes.extend_from_slice(&s.classes);
+            self.drains += u64::from(first.drain || s.drain);
+            self.last_start = c + last;
+        }
+        self.path.extend_from_slice(&s.path);
     }
 }
 
-/// Fast-forward bookkeeping for the loop instance being walked.
+/// Fast-forward bookkeeping for one active loop instance.
 #[derive(Default)]
-struct Tracker {
-    /// The loop whose instance is being tracked.
-    lp: Option<usize>,
+struct Level {
+    lp: usize,
+    /// Iterations of the instance so far.
+    iters: u64,
     /// Back edges of this instance checked without a jump.
     tries: u32,
     /// Whether `prev` holds the previous back edge of this instance.
     have_prev: bool,
     prev: Snapshot,
     cur: Snapshot,
-    /// The loop's [`Loop::ctrl_writes`] and [`Loop::addr_writes`] before
-    /// the iteration being replayed.
-    undo_ctrl: Vec<i32>,
-    undo_addr: Vec<Option<i32>>,
-    /// Dynamic instructions jumped over rather than walked.
-    skipped: u64,
+}
+
+impl Level {
+    /// Whether the instance is still checked, and so recorded.
+    fn recording(&self) -> bool {
+        self.tries < MAX_TRIES
+    }
+}
+
+/// Scratch space for replaying iterations, and what a failed replay
+/// restores.
+#[derive(Default)]
+struct Replayed {
+    /// Trips so far of each inner instance, by [`ReplayOp::Branch`] slot.
+    trips: Vec<u64>,
+    /// Each register the iteration being replayed wrote, with the value
+    /// it held before, in write order.
+    undo: Vec<(Reg, Option<i32>)>,
+    /// The row classes of an iteration in closed form.
+    classes: Vec<RowClass>,
+}
+
+/// Fast-forward bookkeeping: one level per active loop instance.
+#[derive(Default)]
+struct Tracker {
+    /// The active loop instances, outermost first; each level's loop is
+    /// nested in the one below it.
+    stack: Vec<Level>,
+    /// Popped levels, kept for their buffers.
+    spare: Vec<Level>,
+    replayed: Replayed,
 }
 
 impl Tracker {
@@ -597,102 +1212,233 @@ impl Tracker {
         &mut self,
         w: &mut Walk,
         loops: &mut [Loop],
+        decoded: &[Decoded],
         lp: usize,
         taken: bool,
         max_cycles: u64,
     ) {
+        // An instance is on the stack from its first taken back edge; its
+        // inner instances have all exited by the time it branches again.
+        let on_top = self.stack.last().is_some_and(|l| l.lp == lp);
+        debug_assert!(on_top || self.stack.iter().all(|l| l.lp != lp));
         if !taken {
-            if self.lp == Some(lp) {
-                self.lp = None;
-                w.rec.on = false;
-            }
+            let trips = if on_top { self.pop().iters + 1 } else { 1 };
+            self.completed(w, lp, trips);
             return;
         }
-        if self.lp != Some(lp) {
-            self.lp = Some(lp);
-            self.tries = 0;
-            self.have_prev = false;
-        } else if self.tries >= MAX_TRIES {
+        if !on_top {
+            let mut level = self.spare.pop().unwrap_or_default();
+            (level.lp, level.iters, level.tries, level.have_prev) = (lp, 0, 0, false);
+            self.stack.push(level);
+        }
+        let k = self.stack.len() - 1;
+        // Whether a level around this one records: it then logs what this
+        // level jumps over.
+        let below = self.stack[..k].iter().any(Level::recording);
+        let level = &mut self.stack[k];
+        level.iters += 1;
+        if !level.recording() {
             return;
+        }
+        w.snapshot(&loops[lp], &mut level.cur);
+        let (a, b) = (&level.prev, &level.cur);
+        if level.have_prev && a.state == b.state && a.next_refresh == b.next_refresh {
+            build_body(loops, lp, decoded);
+            Steady::derive(&mut loops[lp], a, b, &w.rec);
         }
         let l = &mut loops[lp];
-        w.snapshot(l, &mut self.cur);
-        // The kept steady state first; when it does not hold, or holds but
-        // its row classes let nothing be jumped, the last two iterations
-        // derive a fresh one.
-        let (mut n, mut exited) = match &l.steady {
-            Some(s) if s.matches(&self.cur) => self.jump(w, l, s, max_cycles),
-            _ => (0, false),
-        };
-        if n == 0 && self.have_prev && Steady::derive(&self.prev, &self.cur, &w.rec, &mut l.steady)
-        {
-            let s = l.steady.as_ref().expect("derive keeps the steady state it returns");
-            (n, exited) = self.jump(w, l, s, max_cycles);
-        }
+        let (n, exited) = self.replayed.jump(w, l, &level.cur, below, max_cycles);
+        level.iters += n;
         if exited {
-            self.lp = None;
-            w.rec.on = false;
-        } else if n > 0 {
-            // Stopped early: re-detect from the state the jump left.
-            self.tries = 0;
-            self.have_prev = false;
-            w.rec.restart();
-        } else {
-            self.tries += 1;
-            std::mem::swap(&mut self.prev, &mut self.cur);
-            self.have_prev = true;
-            if self.tries < MAX_TRIES {
-                w.rec.restart();
-            } else {
-                w.rec.on = false;
-            }
+            let trips = self.pop().iters;
+            self.completed(w, lp, trips);
+            return;
         }
+        if n > 0 {
+            // Stopped early: re-detect from the back edge the jump reached.
+            level.tries = 0;
+            w.snapshot(l, &mut level.prev);
+        } else {
+            level.tries += 1;
+            std::mem::swap(&mut level.prev, &mut level.cur);
+        }
+        level.have_prev = true;
+        if !below {
+            // No level around this one needs the logs before this back
+            // edge.
+            w.rec.clear();
+            (level.prev.reads, level.prev.path, level.prev.firsts) = (0, 0, 0);
+        }
+        w.rec.on = self.stack.iter().any(Level::recording);
     }
 
-    /// Advances `w`, which sits at a back edge in steady state `s`, over
-    /// as many further iterations of `l` as repeat `s` exactly. Returns
-    /// the iterations jumped and whether the last was the loop's exit.
-    fn jump(&mut self, w: &mut Walk, l: &Loop, s: &Steady, max_cycles: u64) -> (u64, bool) {
-        // Iteration i (from 1) ends at cursor + i·dt and starts its last
-        // read at cursor + (i−1)·dt + last_read.
-        let mut limit = max_cycles.saturating_sub(w.cursor) / s.dt;
-        if let (true, Some(last)) = (w.config.refresh, s.last_read) {
-            let first = w.cursor + last;
-            limit = limit.min(match w.next_refresh.checked_sub(first + 1) {
-                Some(room) => room / s.dt + 1,
-                None => 0,
-            });
+    fn pop(&mut self) -> &Level {
+        let level = self.stack.pop().expect("an active loop instance");
+        self.spare.push(level);
+        self.spare.last().expect("just pushed")
+    }
+
+    /// Records that an instance of loop `lp` ran `trips` iterations, for
+    /// the levels around it.
+    fn completed(&mut self, w: &mut Walk, lp: usize, trips: u64) {
+        w.rec.on = self.stack.iter().any(Level::recording);
+        if w.rec.on {
+            w.rec.path.push((lp as u32, trips));
+        } else {
+            w.rec.clear();
         }
-        let mut n = 0;
-        let mut exited = false;
-        while n < limit {
-            self.undo_ctrl.clear();
-            self.undo_ctrl.extend(l.ctrl_writes.iter().map(|&r| w.ctrl_rf[r]));
-            self.undo_addr.clear();
-            self.undo_addr.extend(l.addr_writes.iter().map(|&r| w.addr0[r]));
-            let (open_row, unknown) = (w.open_row, w.unknown_accesses);
-            if !w.replay(l, &s.classes) {
-                for (&r, &v) in l.ctrl_writes.iter().zip(&self.undo_ctrl) {
-                    w.ctrl_rf[r] = v;
-                }
-                for (&r, &v) in l.addr_writes.iter().zip(&self.undo_addr) {
-                    w.addr0[r] = v;
-                }
-                (w.open_row, w.unknown_accesses) = (open_row, unknown);
-                break;
+    }
+}
+
+impl Replayed {
+    /// Advances `w`, which sits at a back edge of `l` in state `cur`, over
+    /// as many further iterations as each repeat one of the loop's steady
+    /// iterations exactly: each is replayed, then the steady iteration
+    /// with its class sequence and path is applied. With `log`, the
+    /// jumped iterations are logged for the levels around `l`. Returns the
+    /// iterations jumped and whether the last was the loop's exit.
+    fn jump(
+        &mut self,
+        w: &mut Walk,
+        l: &mut Loop,
+        cur: &Snapshot,
+        log: bool,
+        max_cycles: u64,
+    ) -> (u64, bool) {
+        // The candidates start, and so end, in this state; the one applied
+        // last is tried first.
+        let Some(state) = l.states.iter().position(|s| *s == cur.state) else {
+            return (0, false);
+        };
+        let mut cands = [0; MAX_STEADY];
+        let mut n_cands = 0;
+        for (i, s) in l.steady.iter().enumerate() {
+            if s.state == state {
+                cands[n_cands] = i;
+                n_cands += 1;
             }
+        }
+        let cands = &mut cands[..n_cands];
+        cands.sort_unstable_by_key(|&i| std::cmp::Reverse(l.steady[i].used));
+        let Some(max_takes) = cands.iter().map(|&i| l.steady[i].takes).max() else {
+            return (0, false);
+        };
+        let body = l.body.take().expect("a loop with steady iterations has its body");
+        // Iteration by iteration: the cursor, the MC cursor and the
+        // backlog at its start, and how often each steady iteration ran.
+        let (mut c, mut mc, mut backlog) = (w.cursor, w.mc_free, w.write_backlog);
+        let mut counts = [0u64; MAX_STEADY];
+        let (mut n, mut exit_dt) = (0, None);
+        self.trips.clear();
+        self.trips.resize(body.branches, 0);
+        let (refresh, next_refresh) = (w.config.refresh, w.next_refresh);
+        let closed = body.form.as_ref().and_then(|f| Some((f, f.trips(w)?)));
+        if let Some((f, trips)) = closed {
+            // A body without inner loops, in closed form: each iteration's
+            // reads are at addresses in closed form, and its updates wait
+            // for the end of the jump.
+            while n < trips {
+                if f.reads.is_empty() && n > 0 {
+                    // Without reads, an iteration that repeated the steady
+                    // one leaves it able to start again: only the budget
+                    // stops the rest.
+                    let s = &l.steady[cands[0]];
+                    let k = (trips - n).min((max_cycles - c) / s.dt);
+                    c += k * s.dt;
+                    (mc, backlog) = match s.mc {
+                        McRule::Offset { offset, .. } => (c.wrapping_add(offset), backlog),
+                        _ => (mc, backlog),
+                    };
+                    backlog += k * s.dbacklog;
+                    counts[cands[0]] += k;
+                    n += k;
+                    if n == trips {
+                        exit_dt = Some(s.dt);
+                    }
+                    break;
+                }
+                let (open_row, unknown) = (w.open_row, w.unknown_accesses);
+                self.classes.clear();
+                for lin in &f.reads {
+                    let class = w.row_class(f.eval(lin, n + 1, w).map(|a| a as u32));
+                    self.classes.push(class);
+                }
+                let fits = |s: &Steady| {
+                    s.classes == self.classes
+                        && s.admits(c, mc, backlog)
+                        && c + s.dt <= max_cycles
+                        && !(refresh && s.last_read.is_some_and(|r| c + r >= next_refresh))
+                };
+                let Some(at) = cands.iter().position(|&i| fits(&l.steady[i])) else {
+                    (w.open_row, w.unknown_accesses) = (open_row, unknown);
+                    break;
+                };
+                if at > 0 {
+                    cands[..=at].rotate_right(1);
+                }
+                let s = &l.steady[cands[0]];
+                if log {
+                    w.rec.jumped(s, c, mc, backlog);
+                }
+                c += s.dt;
+                (mc, backlog) = s.leaves(c, mc, backlog);
+                counts[cands[0]] += 1;
+                n += 1;
+                if n == trips {
+                    exit_dt = Some(s.dt);
+                }
+            }
+            if n > 0 {
+                f.apply(n, w);
+            }
+        }
+        while closed.is_none() {
+            // Only a candidate that can start here may be replayed against:
+            // the guards read nothing of the iteration itself.
+            let fits = |s: &Steady| {
+                s.admits(c, mc, backlog)
+                    && c + s.dt <= max_cycles
+                    && !(refresh && s.last_read.is_some_and(|r| c + r >= next_refresh))
+            };
+            let Some(first) = cands.iter().position(|&i| fits(&l.steady[i])) else { break };
+            let Some(at) = w.replay(&body, &l.steady, cands, first, &fits, self, max_takes) else {
+                break;
+            };
+            if at > 0 {
+                cands[..=at].rotate_right(1);
+            }
+            let s = &l.steady[cands[0]];
+            if log {
+                w.rec.jumped(s, c, mc, backlog);
+            }
+            c += s.dt;
+            (mc, backlog) = s.leaves(c, mc, backlog);
+            counts[cands[0]] += 1;
             n += 1;
             if w.ctrl_rf[l.cond] == 0 {
-                exited = true;
+                exit_dt = Some(s.dt);
                 break;
             }
         }
         if n > 0 {
-            w.advance(l, s, n, exited);
-            self.skipped += n * (l.edge + 1 - l.top) as u64;
+            l.clock += 1;
+            for (s, &k) in l.steady.iter_mut().zip(&counts) {
+                if k > 0 {
+                    s.used = l.clock;
+                }
+            }
+            w.advance(l, &counts, c, mc, backlog, exit_dt);
         }
-        (n, exited)
+        l.body = Some(body);
+        (n, exit_dt.is_some())
     }
+}
+
+/// The posted writes a read drains from `backlog` when it reaches the
+/// memory controller `gap` cycles after its last command: the
+/// controller drains into the gap after its read-idle hysteresis.
+fn drain(gap: u64, backlog: u64) -> u64 {
+    gap.saturating_sub(cal::WRITE_DRAIN_IDLE).min(backlog)
 }
 
 /// The walk's mutable state for one (representative) vault.
@@ -725,6 +1471,9 @@ struct Walk<'a> {
     write_backlog: u64,
     /// Open row in the representative bank.
     open_row: Option<u64>,
+    /// log2 of the row size when it is a power of two (the row of an
+    /// address is then a shift, not a division).
+    row_shift: Option<u32>,
     /// Next refresh window start (when refresh is enabled).
     next_refresh: u64,
     /// Unresolved-address access counter (drives `UNKNOWN_MISS_EVERY`).
@@ -747,8 +1496,10 @@ struct Walk<'a> {
     bank_writes: u64,
     /// Mesh flit-hops (whole machine).
     flit_hops: u64,
-    /// The reads of the loop iteration being tracked.
+    /// What the tracked loop iterations read and which paths they took.
     rec: Recording,
+    /// Dynamic instructions jumped over rather than walked.
+    jumped: u64,
 }
 
 impl<'a> Walk<'a> {
@@ -775,6 +1526,10 @@ impl<'a> Walk<'a> {
             mc_free: 0,
             write_backlog: 0,
             open_row: None,
+            row_shift: {
+                let bytes = config.bank.row_bytes;
+                bytes.is_power_of_two().then(|| bytes.trailing_zeros())
+            },
             next_refresh: config.timing.t_refi,
             unknown_accesses: 0,
             req_ready: 0,
@@ -788,6 +1543,7 @@ impl<'a> Walk<'a> {
             bank_writes: 0,
             flit_hops: 0,
             rec: Recording::default(),
+            jumped: 0,
         }
     }
 
@@ -811,7 +1567,10 @@ impl<'a> Walk<'a> {
     fn row_class(&mut self, addr: Option<u32>) -> RowClass {
         match addr {
             Some(a) => {
-                let row = u64::from(a) / u64::from(self.config.bank.row_bytes);
+                let row = u64::from(match self.row_shift {
+                    Some(shift) => a >> shift,
+                    None => a / self.config.bank.row_bytes,
+                });
                 let class = match self.open_row {
                     Some(open) if open == row => RowClass::Hit,
                     Some(_) => RowClass::Conflict,
@@ -856,10 +1615,9 @@ impl<'a> Walk<'a> {
         // Command-bus gaps since the last read first drain backlogged
         // writes (after the controller's read-idle hysteresis).
         let gap = arrival.saturating_sub(self.mc_free);
-        if self.write_backlog > 0 {
-            let drained = gap.saturating_sub(cal::WRITE_DRAIN_IDLE).min(self.write_backlog);
-            self.write_backlog -= drained;
-        }
+        let backlog = self.write_backlog;
+        let drained = drain(gap, backlog);
+        self.write_backlog -= drained;
         let class = self.row_class(self.resolve0(addr));
         let (lat, cmds) = match class {
             RowClass::Hit => {
@@ -877,9 +1635,8 @@ impl<'a> Walk<'a> {
         };
         let start = self.refresh_displace(arrival.max(self.mc_free));
         if self.rec.on {
-            self.rec.classes.push(class);
-            self.rec.last_start = self.rec.last_start.max(Some(start));
-            self.rec.drain |= gap > cal::WRITE_DRAIN_IDLE;
+            let drain = gap > cal::WRITE_DRAIN_IDLE;
+            self.rec.read(class, start, FirstRead { arrival, found: backlog, drained, drain });
         }
         // The MC's command bus issues one command per cycle; back-to-back
         // same-bank service is additionally bounded by t_ccd.
@@ -1045,41 +1802,185 @@ impl<'a> Walk<'a> {
         for (d, x) in s.counters.iter_mut().zip(self.counters()) {
             *d = *x;
         }
+        let rec = &mut self.rec;
+        (s.reads, s.path, s.firsts) = (rec.classes.len(), rec.path.len(), rec.firsts.len());
+        (s.drains, s.last_start) = (rec.drains, rec.last_start);
+        rec.pending = true;
     }
 
-    /// Replays one iteration of `l` without timing: the CtrlRF and AddrRF
-    /// updates and the row class of each read, which must equal
-    /// `classes`. Returns `false` (leaving the state part-way) at the
-    /// first read whose class differs.
-    fn replay(&mut self, l: &Loop, classes: &[RowClass]) -> bool {
-        let mut reads = classes.iter();
-        for kind in &l.replay {
-            match *kind {
-                Kind::Ctrl(e) => self.interpret_ctrl(e),
-                Kind::Pe(Unit::Read { addr, .. }) => {
+    /// Replays one iteration of `l` without timing, following its inner
+    /// back edges through the CtrlRF: the CtrlRF and AddrRF updates, the
+    /// row class of each read and the trips of each inner instance, held
+    /// against the steady iterations `cands` that `fits`, from `cands[at]`
+    /// on, as they come. Returns the position in `cands` of the one whose
+    /// class sequence and path the iteration repeats (keys are unique), or
+    /// `None`, with the state restored, as soon as none can (more than
+    /// `max_takes` inner back edges taken means none).
+    #[allow(clippy::too_many_arguments)]
+    fn replay(
+        &mut self,
+        l: &Body,
+        steady: &[Steady],
+        cands: &[usize],
+        mut at: usize,
+        fits: &dyn Fn(&Steady) -> bool,
+        scratch: &mut Replayed,
+        max_takes: u64,
+    ) -> Option<usize> {
+        let (open_row, unknown) = (self.open_row, self.unknown_accesses);
+        scratch.undo.clear();
+        let (trips, undo) = (&mut scratch.trips[..], &mut scratch.undo);
+        // The iteration so far is `at`'s prefix; on a mismatch, the next
+        // candidate that fits, with that prefix and the new element, takes
+        // over.
+        let steady = |at: usize| &steady[cands[at]];
+        let next = |at: usize, reads: usize, done: usize, same: &dyn Fn(&Steady) -> bool| {
+            let s = steady(at);
+            (at + 1..cands.len()).find(|&j| {
+                let t = steady(j);
+                same(t)
+                    && t.classes.get(..reads) == Some(&s.classes[..reads])
+                    && t.path.get(..done) == Some(&s.path[..done])
+                    && fits(t)
+            })
+        };
+        let (mut reads, mut done, mut takes, mut i) = (0, 0, 0, 0);
+        let (mut classes, mut path) = (&steady(at).classes[..], &steady(at).path[..]);
+        // Holds the next read's class, or the next inner instance, against
+        // the candidates: whether one still repeats the iteration so far.
+        macro_rules! holds {
+            ($list:ident[$k:expr] == $item:expr) => {{
+                let (k, item) = ($k, $item);
+                $list.get(k) == Some(&item)
+                    || match next(at, reads, done, &|t: &Steady| t.$list.get(k) == Some(&item)) {
+                        Some(j) => {
+                            at = j;
+                            (classes, path) = (&steady(j).classes[..], &steady(j).path[..]);
+                            true
+                        }
+                        None => false,
+                    }
+            }};
+        }
+        let found = 'replay: loop {
+            let Some(&op) = l.replay.get(i) else {
+                let whole = |t: &Steady| t.classes.len() == reads && t.path.len() == done;
+                break if whole(steady(at)) { Some(at) } else { next(at, reads, done, &whole) };
+            };
+            i += 1;
+            match op {
+                ReplayOp::Ctrl(e) => {
+                    let r = e.dst.index();
+                    undo.push((r as Reg, Some(self.ctrl_rf[r])));
+                    self.interpret_ctrl(e);
+                }
+                ReplayOp::Addr(e) => {
+                    if let ArfEffect::Calc { dst, .. } | ArfEffect::Poison(dst) = e {
+                        undo.push((ADDR | dst.index() as Reg, self.addr0[dst.index()]));
+                    }
+                    self.interpret0(e);
+                }
+                ReplayOp::Read(addr) => {
                     let class = self.row_class(self.resolve0(addr));
-                    if reads.next() != Some(&class) {
-                        return false;
+                    if !holds!(classes[reads] == class) {
+                        break None;
+                    }
+                    reads += 1;
+                }
+                ReplayOp::Closed { form, lp } => {
+                    let f = &l.forms[form as usize];
+                    let Some(t) = f.trips(self) else { break None };
+                    takes += t - 1;
+                    if takes > max_takes {
+                        break None;
+                    }
+                    // Each iteration's reads, at addresses in closed form.
+                    for it in 1..=if f.reads.is_empty() { 0 } else { t } {
+                        for lin in &f.reads {
+                            let class = self.row_class(f.eval(lin, it, self).map(|a| a as u32));
+                            if !holds!(classes[reads] == class) {
+                                break 'replay None;
+                            }
+                            reads += 1;
+                        }
+                    }
+                    undo.extend(f.writes().map(|r| (r, self.reg(r))));
+                    f.apply(t, self);
+                    if !holds!(path[done] == (lp, t)) {
+                        break None;
+                    }
+                    done += 1;
+                }
+                ReplayOp::Branch { cond, to, lp, slot } => {
+                    let trip = &mut trips[slot as usize];
+                    *trip += 1;
+                    if self.ctrl_rf[cond as usize] != 0 {
+                        takes += 1;
+                        if takes > max_takes {
+                            break None;
+                        }
+                        i = to as usize;
+                    } else {
+                        if !holds!(path[done] == (lp, std::mem::take(trip))) {
+                            break None;
+                        }
+                        done += 1;
                     }
                 }
-                Kind::Pe(Unit::Arf(_, e)) => self.interpret0(e),
-                _ => {}
             }
+        };
+        if found.is_none() {
+            trips.fill(0);
+            for &(r, v) in undo.iter().rev() {
+                self.set_reg(r, v);
+            }
+            (self.open_row, self.unknown_accesses) = (open_row, unknown);
         }
-        true
+        found
     }
 
-    /// Applies `n` replayed iterations of steady state `s` to the timing
-    /// state and counters (the last one the loop's exit when `exited`).
-    fn advance(&mut self, l: &Loop, s: &Steady, n: u64, exited: bool) {
-        // A horizon at or below the cursor stays at or below it when both
-        // move by `d`, so shifting every one of them is exact.
-        let d = n * s.dt;
-        self.cursor += d;
+    /// The value of register `r` (`None`: an AddrRF value no read can
+    /// recover).
+    fn reg(&self, r: Reg) -> Option<i32> {
+        if r & ADDR != 0 {
+            self.addr0[(r & !ADDR) as usize]
+        } else {
+            Some(self.ctrl_rf[r as usize])
+        }
+    }
+
+    fn set_reg(&mut self, r: Reg, v: Option<i32>) {
+        if r & ADDR != 0 {
+            self.addr0[(r & !ADDR) as usize] = v;
+        } else {
+            self.ctrl_rf[r as usize] = v.expect("the CtrlRF is exact");
+        }
+    }
+
+    /// Applies replayed iterations of `l` to the timing state and the
+    /// counters: `counts[i]` of steady iteration `i`, ending with the issue
+    /// cursor at `cursor`, the memory controller's at `mc_free` and
+    /// `write_backlog` posted writes. `exit_dt` is the last iteration's
+    /// length when it was the loop's exit.
+    fn advance(
+        &mut self,
+        l: &Loop,
+        counts: &[u64],
+        cursor: u64,
+        mc_free: u64,
+        write_backlog: u64,
+        exit_dt: Option<u64>,
+    ) {
+        // Every steady iteration starts and ends in one normalised state,
+        // so each horizon above the cursor moves with it; one at or below
+        // the cursor stays at or below it, so shifting every one is exact.
+        let d = cursor - self.cursor;
+        self.cursor = cursor;
         self.tsv_free_at += d;
         self.last_completion += d;
-        // The exit's back edge is not taken and sets no bubble.
-        self.branch_bubble_until += (n - u64::from(exited)) * s.dt;
+        // The exit's back edge is not taken and sets no bubble: the one
+        // before it, at or below the cursor, stays.
+        self.branch_bubble_until += d - exit_dt.unwrap_or(0);
         for &r in &l.regs {
             self.write_done[r as usize] += d;
             self.read_done[r as usize] += d;
@@ -1087,17 +1988,21 @@ impl<'a> Walk<'a> {
         for t in &mut self.inflight {
             *t += d;
         }
-        if s.mc_offset.is_some() {
-            self.mc_free += d;
+        self.mc_free = mc_free;
+        self.write_backlog = write_backlog;
+        for (s, &n) in l.steady.iter().zip(counts) {
+            if n == 0 {
+                continue;
+            }
+            for (c, dc) in self.counters().into_iter().zip(&s.dcount) {
+                *c += n * dc;
+            }
+            for (issues, di) in self.issues[l.top..=l.edge].iter_mut().zip(&s.dissues) {
+                *issues += n * di;
+            }
+            self.jumped += n * s.dcount[0];
         }
-        self.write_backlog += n * s.dbacklog;
-        for (c, dc) in self.counters().into_iter().zip(&s.dcount) {
-            *c += n * dc;
-        }
-        for issues in &mut self.issues[l.top..=l.edge] {
-            *issues += n;
-        }
-        self.pc = if exited { l.edge + 1 } else { l.top };
+        self.pc = if exit_dt.is_some() { l.edge + 1 } else { l.top };
     }
 }
 
@@ -1118,32 +2023,61 @@ pub fn predict(
     walk(program, config, max_cycles, true).0
 }
 
+/// How much of its dynamic instruction stream a prediction stepped
+/// through and how much it fast-forwarded over. Both depend only on the
+/// program, the configuration and the budget.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WalkCounts {
+    /// Dynamic instructions walked one at a time.
+    pub walked: u64,
+    /// Dynamic instructions jumped over in steady loop iterations.
+    pub jumped: u64,
+}
+
+/// [`predict`], also returning the prediction's [`WalkCounts`] (on a
+/// timeout, up to where the budget ran out).
+///
+/// # Errors
+///
+/// As [`predict`].
+pub fn predict_counted(
+    program: &Program,
+    config: &MachineConfig,
+    max_cycles: u64,
+) -> (Result<ExecutionReport, SimTimeout>, WalkCounts) {
+    walk(program, config, max_cycles, true)
+}
+
 /// The model behind [`predict`]; `fast_forward` off walks every dynamic
-/// instruction (the reference the tests compare against). Also returns
-/// how many dynamic instructions were jumped rather than walked.
+/// instruction (the reference the tests compare against).
 fn walk(
     program: &Program,
     config: &MachineConfig,
     max_cycles: u64,
     fast_forward: bool,
-) -> (Result<ExecutionReport, SimTimeout>, u64) {
+) -> (Result<ExecutionReport, SimTimeout>, WalkCounts) {
     let lat = &config.latency;
     let insts = program.instructions();
     let costs = CostTable::decode(insts, config);
     let mut decoded = decode(insts, &costs, config);
-    let mut loops = if fast_forward { find_loops(insts, &mut decoded) } else { Vec::new() };
+    let mut loops = if fast_forward {
+        find_loops(insts, &mut decoded, CostTable::space(config))
+    } else {
+        Vec::new()
+    };
     let mut ff = Tracker::default();
     let mut w = Walk::new(config, insts.len());
     let n_vaults = config.total_vaults();
     let timeout = || SimTimeout { max_cycles, stuck_vaults: (0..n_vaults).collect() };
     let barrier_delay = config.barrier_delay();
+    let counts = |w: &Walk| WalkCounts { walked: w.stats.issued - w.jumped, jumped: w.jumped };
 
     while w.pc < insts.len() {
         // Every issue occupies at least one cycle, so the dynamic count is
         // a lower bound on cycles: exceeding the budget here is the same
         // timeout a simulating engine would hit.
         if w.stats.issued >= max_cycles || w.cursor > max_cycles {
-            return (Err(timeout()), ff.skipped);
+            return (Err(timeout()), counts(&w));
         }
         let pc = w.pc;
         let dec = &decoded[pc];
@@ -1288,7 +2222,7 @@ fn walk(
         }
         w.pc = next_pc;
         if let Some((lp, taken)) = back_edge {
-            ff.back_edge(&mut w, &mut loops, lp, taken, max_cycles);
+            ff.back_edge(&mut w, &mut loops, &decoded, lp, taken, max_cycles);
         }
     }
 
@@ -1301,9 +2235,10 @@ fn walk(
     }
     let cycles = end + cal::TAIL;
     if cycles > max_cycles {
-        return (Err(timeout()), ff.skipped);
+        return (Err(timeout()), counts(&w));
     }
     w.stats.cycles = cycles;
+    let counts = counts(&w);
     for (pc, dec) in decoded.iter().enumerate() {
         let times = w.issues[pc];
         if times > 0 {
@@ -1346,7 +2281,7 @@ fn walk(
     );
     (
         Ok(ExecutionReport { cycles, stats, bank_stats, locality, energy, vaults: n_vaults, pes }),
-        ff.skipped,
+        counts,
     )
 }
 
@@ -1648,6 +2583,192 @@ mod tests {
         });
     }
 
+    /// A counted loop of a nest case. It counts down when `down`, and runs
+    /// as many iterations as the outer loop's counter (at least one) when
+    /// `by_outer`, so each outer iteration takes its own path.
+    #[derive(Clone, Debug)]
+    struct NestLoop {
+        trip: i32,
+        by_outer: bool,
+        down: bool,
+        body: Vec<Op>,
+    }
+
+    /// A loop nest of the shape the compiler emits for a row loop: an outer
+    /// loop whose body is a straight-line burst of loads at offsets that
+    /// cross DRAM rows, inner loops, and a middle loop holding more inner
+    /// loops (a second nesting level).
+    #[derive(Clone, Debug)]
+    struct Nest {
+        outer: i32,
+        /// Load offsets from a8, which moves by `stride` each outer
+        /// iteration; `scale` multiplies a12 by a constant there.
+        burst: Vec<i32>,
+        stride: i32,
+        scale: Option<i32>,
+        loops: Vec<NestLoop>,
+        middle: Option<(i32, Vec<NestLoop>)>,
+        refresh: bool,
+        inst_queue: usize,
+        mask: u64,
+        /// Budgets inside the run, in permille of its cycles.
+        budgets: [u64; 3],
+    }
+
+    fn gen_nest() -> Gen<Nest> {
+        let nest_loop = |rng: &mut Rng| NestLoop {
+            trip: rng.range_i32(1, 13),
+            by_outer: rng.range_u32(0, 4) == 0,
+            down: rng.next_bool(),
+            // Reads, address steps, or both.
+            body: (0..rng.range_usize(1, 6))
+                .map(|_| match rng.range_u32(0, 3) {
+                    0 => Op::Step { reg: 8, stride: *rng.choose(&[16, 272, 2064]) },
+                    _ => gen_op(rng),
+                })
+                .collect(),
+        };
+        Gen::from_fn(move |rng| Nest {
+            outer: rng.range_i32(1, 41),
+            burst: (0..rng.range_usize(0, 13)).map(|_| 16 * rng.range_i32(0, 200)).collect(),
+            stride: *rng.choose(&[16, 64, 272, 2048, 4112, -16]),
+            scale: rng.next_bool().then(|| *rng.choose(&[0, 1, 2, 3])),
+            loops: (0..rng.range_usize(0, 3)).map(|_| nest_loop(rng)).collect(),
+            middle: rng.next_bool().then(|| {
+                (rng.range_i32(1, 4), (0..rng.range_usize(1, 3)).map(|_| nest_loop(rng)).collect())
+            }),
+            refresh: rng.next_bool(),
+            inst_queue: rng.range_usize(4, 65),
+            mask: if rng.next_bool() { 0 } else { rng.next_u64() & 0xFFFF_FFFF },
+            budgets: [rng.range_u64(1000), rng.range_u64(1000), rng.range_u64(1000)],
+        })
+        .with_shrink(|c: &Nest| {
+            let mut out = Vec::new();
+            let mut push = |f: &dyn Fn(&mut Nest)| {
+                let mut s = c.clone();
+                f(&mut s);
+                out.push(s);
+            };
+            if c.outer > 1 {
+                push(&|s| s.outer = (s.outer + 1) / 2);
+            }
+            if c.middle.is_some() {
+                push(&|s| s.middle = None);
+            }
+            if !c.loops.is_empty() {
+                push(&|s| drop(s.loops.pop()));
+            }
+            if !c.burst.is_empty() {
+                push(&|s| {
+                    s.burst.pop();
+                });
+            }
+            for l in 0..c.loops.len() {
+                if c.loops[l].trip > 1 {
+                    push(&|s| s.loops[l].trip = (s.loops[l].trip + 1) / 2);
+                }
+                if c.loops[l].body.len() > 1 {
+                    push(&|s| {
+                        s.loops[l].body.pop();
+                    });
+                }
+            }
+            out
+        })
+    }
+
+    fn build_nest(c: &Nest) -> Program {
+        let mask = if c.mask == 0 { SimbMask::all(32) } else { SimbMask::from_bits(32, c.mask) };
+        let mut b = ProgramBuilder::new();
+        let (ctr, cond) = (CtrlReg::new, CtrlReg::new(9));
+        let ctrl = |b: &mut ProgramBuilder, op, dst, src1, src2| {
+            b.push(Instruction::CalcCrf { op, dst, src1, src2 });
+        };
+        let arf = |b: &mut ProgramBuilder, op, r: u8, imm| {
+            let (r, src2) = (AddrReg::new(r), ArfSrc::Imm(imm));
+            b.push(Instruction::CalcArf { op, dst: r, src1: r, src2, simb_mask: mask });
+        };
+        for (r, base) in [(8u8, 4096), (9, 1 << 20), (12, 0)] {
+            arf(&mut b, ArfOp::Mul, r, 0);
+            arf(&mut b, ArfOp::Add, r, base);
+        }
+        let emit_loop = |b: &mut ProgramBuilder, l: &NestLoop, c: CtrlReg| {
+            let trip = if l.by_outer { CrfSrc::Reg(ctr(0)) } else { CrfSrc::Imm(l.trip) };
+            if l.down && l.by_outer {
+                // Counts the outer counter (at least one) down to zero.
+                ctrl(b, CrfOp::Max, c, ctr(0), CrfSrc::Imm(1));
+            } else if l.down {
+                b.push(Instruction::SetiCrf { dst: c, imm: l.trip });
+            } else {
+                b.push(Instruction::SetiCrf { dst: c, imm: 0 });
+            }
+            let top = b.new_label();
+            b.bind(top).unwrap();
+            for &op in &l.body {
+                emit(b, op, mask);
+            }
+            if l.down {
+                ctrl(b, CrfOp::Sub, c, c, CrfSrc::Imm(1));
+                ctrl(b, CrfOp::Ge, cond, c, CrfSrc::Imm(1));
+            } else {
+                ctrl(b, CrfOp::Add, c, c, CrfSrc::Imm(1));
+                ctrl(b, CrfOp::Lt, cond, c, trip);
+            }
+            b.push_cjump_to(cond, top);
+        };
+        b.push(Instruction::SetiCrf { dst: ctr(0), imm: 0 });
+        let outer = b.new_label();
+        b.bind(outer).unwrap();
+        for &off in &c.burst {
+            emit(&mut b, Op::Offset { off }, mask);
+            emit(&mut b, Op::Load { d: 1, temp: true }, mask);
+        }
+        for (i, l) in c.loops.iter().enumerate() {
+            emit_loop(&mut b, l, ctr(1 + i as u8));
+        }
+        if let Some((trip, loops)) = &c.middle {
+            b.push(Instruction::SetiCrf { dst: ctr(4), imm: 0 });
+            let middle = b.new_label();
+            b.bind(middle).unwrap();
+            for (i, l) in loops.iter().enumerate() {
+                emit_loop(&mut b, l, ctr(5 + i as u8));
+            }
+            ctrl(&mut b, CrfOp::Add, ctr(4), ctr(4), CrfSrc::Imm(1));
+            ctrl(&mut b, CrfOp::Lt, cond, ctr(4), CrfSrc::Imm(*trip));
+            b.push_cjump_to(cond, middle);
+        }
+        arf(&mut b, ArfOp::Add, 8, c.stride);
+        if let Some(k) = c.scale {
+            arf(&mut b, ArfOp::Mul, 12, k);
+        }
+        ctrl(&mut b, CrfOp::Add, ctr(0), ctr(0), CrfSrc::Imm(1));
+        ctrl(&mut b, CrfOp::Lt, cond, ctr(0), CrfSrc::Imm(c.outer));
+        b.push_cjump_to(cond, outer);
+        b.seal().unwrap()
+    }
+
+    #[test]
+    fn nested_fast_forward_matches_the_plain_walk() {
+        // Whole row-shaped loop nests jumped at every level: every report
+        // field, and every timeout, including budgets that run out inside
+        // a nested jump.
+        check("analytic_nested_fast_forward_matches_the_plain_walk", &gen_nest(), |c| {
+            let program = build_nest(c);
+            let config = MachineConfig {
+                refresh: c.refresh,
+                inst_queue: c.inst_queue,
+                ..MachineConfig::vault_slice(1)
+            };
+            let plain = walk(&program, &config, 1 << 40, false).0;
+            let cycles = plain.as_ref().expect("generated loops terminate").cycles;
+            let inside = c.budgets.map(|p| cycles * p / 1000);
+            for budget in [1 << 40, cycles, cycles - 1].into_iter().chain(inside) {
+                let fast = walk(&program, &config, budget, true).0;
+                assert_eq!(fast, walk(&program, &config, budget, false).0, "budget {budget}");
+            }
+        });
+    }
+
     /// Walks the hand schedule of suite workload `name` at `side`² on a
     /// 1-vault slice, with and without fast-forwarding; checks that both
     /// agree and returns the jumped and the issued instruction counts.
@@ -1664,9 +2785,10 @@ mod tests {
         )
         .unwrap();
         let config = MachineConfig::vault_slice(1);
-        let (fast, skipped) = walk(&compiled.program, &config, 4_000_000_000, true);
+        let (fast, counts) = walk(&compiled.program, &config, 4_000_000_000, true);
         let (plain, none) = walk(&compiled.program, &config, 4_000_000_000, false);
-        assert_eq!(none, 0);
+        assert_eq!(none.jumped, 0);
+        let skipped = counts.jumped;
         assert_eq!(fast, plain, "{name} {side}²");
         (skipped, plain.unwrap().stats.issued)
     }
@@ -1698,20 +2820,29 @@ mod tests {
     #[test]
     fn stencil_chain_32_fast_forwards() {
         // The optimisation must not silently switch off: the tuner's
-        // heaviest space jumps over most of its column loops.
+        // heaviest space jumps whole rows (a staging burst around a column
+        // loop), keeping one steady row per class sequence. It walks
+        // 197,843 of 1,169,288 instructions; column loops alone left
+        // 379,400 to walk.
         let (skipped, issued) = jumped("StencilChain", 32);
-        assert!(
-            skipped > 0 && skipped < issued,
-            "fast-forwarded {skipped} of {issued} instructions"
-        );
+        assert!(issued - skipped <= 200_000, "fast-forwarded {skipped} of {issued} instructions");
+    }
+
+    #[test]
+    fn blur_128_jumps_its_tile_rows() {
+        // Blur's column loop runs once per tile row, so only jumping the
+        // row loop around it saves anything: 8,853 of 10,448 instructions.
+        let (skipped, issued) = jumped("Blur", 128);
+        assert!(skipped * 100 >= issued * 80, "fast-forwarded {skipped} of {issued} instructions");
     }
 
     #[test]
     fn row_softmax_128_rederives_a_blocked_steady_state() {
-        // RowSoftmax's loops meet a kept steady state whose row classes
-        // differ from the next iteration's, so it jumps nothing; the last
-        // two iterations must then derive one that does.
+        // RowSoftmax's loops meet kept steady iterations whose row classes
+        // differ from the next iteration's, so they jump nothing; the
+        // walked iteration must then become the steady one for its own
+        // class sequence (32,218 of 54,408 instructions jumped).
         let (skipped, issued) = jumped("RowSoftmax", 128);
-        assert!(skipped * 100 > issued * 45, "fast-forwarded {skipped} of {issued} instructions");
+        assert!(skipped * 100 > issued * 55, "fast-forwarded {skipped} of {issued} instructions");
     }
 }

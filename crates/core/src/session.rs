@@ -233,20 +233,27 @@ impl Session {
     /// banks. The outcome is marked [`Fidelity::Approximate`]; its
     /// `output` is a zero image at the extent `read_back` would produce,
     /// and `metrics` carries the predicted counters under the same
-    /// `machine/total` + `dram/*` paths the simulating engines export.
+    /// `machine/total` + `dram/*` paths the simulating engines export,
+    /// plus `analytic/walked` and `analytic/jumped`: the dynamic
+    /// instructions the prediction stepped through and fast-forwarded.
     fn predict(
         &self,
         program: &Arc<CompiledProgram>,
         max_cycles: u64,
     ) -> Result<RunOutcome, SessionError> {
         let compiled = program.compiled();
-        let report = analytic::predict(&compiled.program, &self.config, max_cycles)
-            .map_err(SessionError::Timeout)?;
+        let (report, counts) =
+            analytic::predict_counted(&compiled.program, &self.config, max_cycles);
+        let report = report.map_err(SessionError::Timeout)?;
         let (w, h) = host::output_extent(&compiled.map, program.output_source());
         let mut metrics = MetricsRegistry::default();
         metrics.counter_add("machine/cycles", report.cycles);
         report.record_totals_into(&mut metrics);
         metrics.counter_add("analytic/predictions", 1);
+        // How much of the dynamic stream the walk stepped through and how
+        // much it fast-forwarded over: deterministic, like the report.
+        metrics.counter_add("analytic/walked", counts.walked);
+        metrics.counter_add("analytic/jumped", counts.jumped);
         Ok(RunOutcome {
             output: Image::new(w, h),
             report,
@@ -282,5 +289,26 @@ impl Session {
     /// Returns [`SessionError`] on compile failure or simulation timeout.
     pub fn run_workload(&self, w: &Workload, max_cycles: u64) -> Result<RunOutcome, SessionError> {
         self.run_pipeline(&w.pipeline, &w.inputs, max_cycles)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{workload_by_name, WorkloadScale};
+
+    #[test]
+    fn predictions_count_the_instructions_they_walked_and_jumped() {
+        let w = workload_by_name("Blur", WorkloadScale { width: 128, height: 128 }).unwrap();
+        let session = Session::new(MachineConfig {
+            engine: Engine::Analytic,
+            ..MachineConfig::vault_slice(1)
+        });
+        let program = session.compile(&w.pipeline).unwrap();
+        let out = session.simulate(&program, &w.inputs, 4_000_000_000).unwrap();
+        let walked = out.metrics.counter("analytic/walked");
+        let jumped = out.metrics.counter("analytic/jumped");
+        assert_eq!(walked + jumped, out.report.stats.issued, "one vault: every issue once");
+        assert!(jumped > walked, "walked {walked}, jumped {jumped}");
     }
 }
