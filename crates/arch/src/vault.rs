@@ -5,15 +5,18 @@
 //! Issued-Inst-Queue hazard interlock guarantees operands are final), while
 //! timing is shadowed by the fixed-latency SIMB units, per-PE VSM ports and
 //! memory queues, the per-PG memory controllers, and the shared TSV arbiter.
-//! This "execute-at-issue, timing-shadow" split is exact for hazard-free
-//! in-order machines and keeps the simulator fast.
+//! Bank contents follow the same rule: each PE keeps its bank's bytes, which
+//! `ld_rf`, `st_rf`, `ld_pgsm` and `st_pgsm` read and write at issue, in
+//! program order, while the controllers only time the accesses. This
+//! "execute-at-issue, timing-shadow" split is exact for hazard-free in-order
+//! machines and keeps the simulator fast.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ipim_dram::{
-    AccessKind, Bank, BankStats, Completion, Counters, LoggedEvent, MemController, Request,
-    RequestId, RowLocality, ACCESS_BYTES,
+    AccessKind, Bank, BankArray, BankStats, Completion, Counters, LoggedEvent, MemController,
+    Request, RequestId, RowLocality, ACCESS_BYTES,
 };
 use ipim_isa::{
     AddrOperand, ArfSrc, CompMode, CompOp, CrfSrc, DataType, Instruction, Program, RemoteTarget,
@@ -127,24 +130,21 @@ impl Unit {
     }
 }
 
-#[derive(Debug, Clone)]
-struct MemOp {
-    req: Request,
-}
-
 #[derive(Debug, Clone, Default)]
 struct MemUnit {
-    queue: VecDeque<MemOp>,
+    queue: VecDeque<Request>,
     outstanding: usize,
 }
 
-/// One process engine: register files, its VSM port and its memory queue.
+/// One process engine: register files, its VSM port, its memory queue and
+/// the contents of its bank.
 #[derive(Debug, Clone)]
 struct Pe {
     data_rf: Vec<Vector>,
     addr_rf: Vec<i32>,
     vsm_port: Unit,
     mem: MemUnit,
+    bank: BankArray,
 }
 
 impl Pe {
@@ -154,6 +154,7 @@ impl Pe {
             addr_rf: vec![0; config.addr_rf_entries],
             vsm_port: Unit::default(),
             mem: MemUnit::default(),
+            bank: BankArray::new(),
         }
     }
 }
@@ -278,22 +279,8 @@ struct Lockstep {
     spread: u64,
     /// The leader's counters when the followers last attached.
     base: Counters,
-    /// Follower bytes of each posted write the leader queued or holds,
-    /// keyed by the leader's request id: slot `s` holds PG `p`'s bytes at
-    /// `bytes[s * (pgs - 1) + p - 1]`. `free` lists reusable slots.
-    slots: IdMap<usize>,
-    bytes: Vec<[u8; ACCESS_BYTES]>,
-    free: Vec<usize>,
-    // The leader's logs of one tick, buffers reused.
-    drained: Vec<Request>,
+    // The events the leader emitted on one tick, buffer reused.
     events: Vec<LoggedEvent>,
-}
-
-impl Lockstep {
-    /// Bytes PG `p` writes for the leader's posted write `id`.
-    fn follower_bytes(&self, id: RequestId, p: usize, pgs: usize) -> [u8; ACCESS_BYTES] {
-        self.bytes[self.slots[&id.0] * (pgs - 1) + p - 1]
-    }
 }
 
 /// One vault of the iPIM machine.
@@ -551,8 +538,8 @@ impl Vault {
     /// # Panics
     ///
     /// Panics if the indices are out of range.
-    pub fn bank_array(&self, pg: usize, pe: usize) -> &ipim_dram::BankArray {
-        self.mcs[pg].bank(pe).array()
+    pub fn bank_array(&self, pg: usize, pe: usize) -> &BankArray {
+        &self.pes[self.pe_index(pg, pe)].bank
     }
 
     /// Host access: mutable bank array of (pg, pe).
@@ -560,8 +547,15 @@ impl Vault {
     /// # Panics
     ///
     /// Panics if the indices are out of range.
-    pub fn bank_array_mut(&mut self, pg: usize, pe: usize) -> &mut ipim_dram::BankArray {
-        self.mcs[pg].array_mut(pe)
+    pub fn bank_array_mut(&mut self, pg: usize, pe: usize) -> &mut BankArray {
+        let g = self.pe_index(pg, pe);
+        &mut self.pes[g].bank
+    }
+
+    /// The vault-wide index of PE `pe` of process group `pg`.
+    fn pe_index(&self, pg: usize, pe: usize) -> usize {
+        assert!(pe < self.config.pes_per_pg, "PE {pe} out of range");
+        pg * self.config.pes_per_pg + pe
     }
 
     /// Host access: a PE's DataRF (tests and debugging).
@@ -603,7 +597,6 @@ impl Vault {
                     bank: pe,
                     addr: dram_addr & !(ACCESS_BYTES as u32 - 1),
                     kind: AccessKind::Read,
-                    data: [0; ACCESS_BYTES],
                 };
                 // A serve reaches one PG's controller alone.
                 if self.attached {
@@ -747,8 +740,8 @@ impl Vault {
             queued &= queued - 1;
             let pg = g / self.config.pes_per_pg;
             while self.pes[g].mem.outstanding < max_outstanding {
-                let Some(op) = self.pes[g].mem.queue.front().cloned() else { break };
-                if !self.mcs[pg].enqueue(op.req, now) {
+                let Some(&req) = self.pes[g].mem.queue.front() else { break };
+                if !self.mcs[pg].enqueue(req, now) {
                     break;
                 }
                 self.pes[g].mem.queue.pop_front();
@@ -849,14 +842,14 @@ impl Vault {
             for &(_, done_at) in &pe.vsm_port.in_flight {
                 t = t.min(done_at);
             }
-            if let Some(op) = pe.mem.queue.front() {
+            if let Some(req) = pe.mem.queue.front() {
                 // The queued request moves only when the MC can take it;
                 // while back-pressured (MC queue full, or the per-PE
                 // outstanding cap hit) the next chance to move is an MC
                 // state change — a command issue or a completion — and the
                 // MC bound below covers both.
                 let pg = g / self.config.pes_per_pg;
-                if pe.mem.outstanding < max_outstanding && self.mcs[pg].can_accept(op.req.kind) {
+                if pe.mem.outstanding < max_outstanding && self.mcs[pg].can_accept(req.kind) {
                     return Some(now);
                 }
             }
@@ -1220,36 +1213,35 @@ impl Vault {
             Instruction::LdRf { dram_addr, drf, .. } => {
                 for g in mask.iter() {
                     let addr = self.resolve(g, dram_addr);
+                    let pe = &mut self.pes[g];
                     let mut buf = [0u8; 16];
-                    self.mcs[g / pes_per_pg].bank(g % pes_per_pg).array().read(addr, &mut buf);
-                    self.pes[g].data_rf[drf.index()] = bytes_to_vector(&buf);
+                    pe.bank.read(addr, &mut buf);
+                    pe.data_rf[drf.index()] = bytes_to_vector(&buf);
                 }
             }
             Instruction::StRf { dram_addr, drf, .. } => {
                 for g in mask.iter() {
                     let addr = self.resolve(g, dram_addr);
-                    let buf = vector_to_bytes(&self.pes[g].data_rf[drf.index()]);
-                    self.mcs[g / pes_per_pg].array_mut(g % pes_per_pg).write(addr, &buf);
+                    let pe = &mut self.pes[g];
+                    pe.bank.write(addr, &vector_to_bytes(&pe.data_rf[drf.index()]));
                 }
             }
             Instruction::LdPgsm { dram_addr, pgsm_addr, .. } => {
                 for g in mask.iter() {
-                    let (pg, pe_in_pg) = (g / pes_per_pg, g % pes_per_pg);
                     let da = self.resolve(g, dram_addr);
                     let pa = self.resolve(g, pgsm_addr);
                     let mut buf = [0u8; 16];
-                    self.mcs[pg].bank(pe_in_pg).array().read(da, &mut buf);
-                    self.pgsms[pg].write(pa, &buf);
+                    self.pes[g].bank.read(da, &mut buf);
+                    self.pgsms[g / pes_per_pg].write(pa, &buf);
                 }
             }
             Instruction::StPgsm { dram_addr, pgsm_addr, .. } => {
                 for g in mask.iter() {
-                    let (pg, pe_in_pg) = (g / pes_per_pg, g % pes_per_pg);
                     let da = self.resolve(g, dram_addr);
                     let pa = self.resolve(g, pgsm_addr);
                     let mut buf = [0u8; 16];
-                    self.pgsms[pg].read(pa, &mut buf);
-                    self.mcs[pg].array_mut(pe_in_pg).write(da, &buf);
+                    self.pgsms[g / pes_per_pg].read(pa, &mut buf);
+                    self.pes[g].bank.write(da, &buf);
                 }
             }
             Instruction::RdPgsm { pgsm_addr, drf, .. } => {
@@ -1353,42 +1345,19 @@ impl Vault {
                 while lanes != 0 {
                     let g = lanes.trailing_zeros() as usize;
                     lanes &= lanes - 1;
-                    let id = RequestId(((g as u64) << 40) | inst_id);
-                    if self.attached && kind == AccessKind::Write {
-                        self.save_follower_bytes(inst, g, id);
-                    }
                     let req = Request {
-                        id,
+                        id: RequestId(((g as u64) << 40) | inst_id),
                         bank: g % self.config.pes_per_pg,
                         addr: self.resolve(g, dram_addr) & !(ACCESS_BYTES as u32 - 1),
                         kind,
-                        data: self.store_bytes(inst, g),
                     };
                     self.mem_queued |= self.twins(g);
-                    self.pes[g].mem.queue.push_back(MemOp { req });
+                    self.pes[g].mem.queue.push_back(req);
                 }
             }
             ExecUnit::Core => unreachable!("control-core instruction in dispatch"),
         }
         self.track(inst_id, InFlightInst { pending: n, pc: Some(self.pc), mem_extra });
-    }
-
-    /// The bytes PE `g` stores for memory instruction `inst`: its DataRF
-    /// entry (`st_rf`) or its PG's scratchpad line (`st_pgsm`); none for a
-    /// load. Writes carry the real bytes: the functional write has already
-    /// happened at issue, and the MC replays it in same-address order, so
-    /// the replay is idempotent.
-    fn store_bytes(&mut self, inst: &Instruction, g: usize) -> [u8; ACCESS_BYTES] {
-        match *inst {
-            Instruction::StRf { drf, .. } => vector_to_bytes(&self.pes[g].data_rf[drf.index()]),
-            Instruction::StPgsm { pgsm_addr, .. } => {
-                let pa = self.resolve(g, pgsm_addr);
-                let mut buf = [0u8; ACCESS_BYTES];
-                self.pgsms[g / self.config.pes_per_pg].read(pa, &mut buf);
-                buf
-            }
-            _ => [0; ACCESS_BYTES],
-        }
     }
 
     /// PG 0's PEs: the ones that queue memory requests in lockstep.
@@ -1441,23 +1410,8 @@ impl Vault {
             .all(|g| line(g) == line(g % ppg))
     }
 
-    /// Saves the bytes PE `g`'s twins store for `inst` under the leader's
-    /// request `id`, for when the leader drains it or the vault detaches.
-    fn save_follower_bytes(&mut self, inst: &Instruction, g: usize, id: RequestId) {
-        let (ppg, followers) = (self.config.pes_per_pg, self.mcs.len() - 1);
-        let slot = self.lockstep.free.pop().unwrap_or_else(|| {
-            let slot = self.lockstep.bytes.len() / followers;
-            self.lockstep.bytes.resize((slot + 1) * followers, [0; ACCESS_BYTES]);
-            slot
-        });
-        for p in 1..=followers {
-            let bytes = self.store_bytes(inst, p * ppg + g);
-            self.lockstep.bytes[slot * followers + p - 1] = bytes;
-        }
-        self.lockstep.slots.insert(id.0, slot);
-    }
-
-    /// Enters lockstep: the leader logs for its followers from now on.
+    /// Enters lockstep: the leader logs its trace events for its followers
+    /// from now on.
     fn attach(&mut self) {
         self.attached = true;
         self.mcs[0].set_leading(true);
@@ -1478,61 +1432,40 @@ impl Vault {
 
     /// Leaves lockstep: every follower takes over the leader's controller
     /// state and its PEs take over their PG-0 twins' memory queues, each
-    /// with its own request ids and bytes.
+    /// with its own request ids.
     fn detach(&mut self) {
         self.attached = false;
-        let (ppg, pgs) = (self.config.pes_per_pg, self.mcs.len());
+        let ppg = self.config.pes_per_pg;
         let (lead, rest) = self.mcs.split_at_mut(1);
         let lead = &mut lead[0];
         lead.set_leading(false);
-        let lockstep = &self.lockstep;
         let (lead_pes, rest_pes) = self.pes.split_at_mut(ppg);
         for (i, mc) in rest.iter_mut().enumerate() {
             let p = i + 1;
             // PE `b`'s request `b << 40 | inst` is its twin's `(p * ppg + b) << 40 | inst`.
             let twin = |id: RequestId| RequestId(id.0 + (((p * ppg) as u64) << 40));
-            let bytes = |id: RequestId| lockstep.follower_bytes(id, p, pgs);
-            mc.adopt(lead, &lockstep.base, twin, bytes);
+            mc.adopt(lead, &self.lockstep.base, twin);
             for (b, pe) in lead_pes.iter().enumerate() {
                 let follower = &mut rest_pes[i * ppg + b].mem;
+                let queue = pe.mem.queue.iter().map(|r| Request { id: twin(r.id), ..*r });
                 follower.outstanding = pe.mem.outstanding;
                 follower.queue.clear();
-                follower.queue.extend(pe.mem.queue.iter().map(|op| {
-                    let mut req = Request { id: twin(op.req.id), ..op.req };
-                    if req.kind == AccessKind::Write {
-                        req.data = bytes(op.req.id);
-                    }
-                    MemOp { req }
-                }));
+                follower.queue.extend(queue);
             }
         }
-        self.lockstep.slots.clear();
-        self.lockstep.bytes.clear();
-        self.lockstep.free.clear();
     }
 
-    /// Applies the leader's tick to its followers: each posted write it
-    /// drained lands in every follower's bank with that PG's bytes, and each
-    /// event it emitted is replayed on every follower's components, PG by
-    /// PG, as the followers' own ticks would have emitted them.
+    /// Applies the leader's tick to its followers: each event it emitted is
+    /// replayed on every follower's components, PG by PG, as the followers'
+    /// own ticks would have emitted them.
     fn follow_leader(&mut self, now: u64) {
-        let followers = self.mcs.len() - 1;
-        let (lead, rest) = self.mcs.split_at_mut(1);
-        let lockstep = &mut self.lockstep;
-        lead[0].take_log(&mut lockstep.drained, &mut lockstep.events);
-        if !lockstep.events.is_empty() {
-            for mc in rest.iter() {
-                mc.replay_events(now, &lockstep.events);
+        let events = &mut self.lockstep.events;
+        self.mcs[0].take_log(events);
+        if !events.is_empty() {
+            for mc in &self.mcs[1..] {
+                mc.replay_events(now, events);
             }
-            lockstep.events.clear();
-        }
-        for w in lockstep.drained.drain(..) {
-            let slot = lockstep.slots.remove(&w.id.0).expect("follower bytes saved at dispatch");
-            for (i, mc) in rest.iter_mut().enumerate() {
-                let bytes = &lockstep.bytes[slot * followers + i];
-                mc.array_mut(w.bank).write(w.addr, bytes);
-            }
-            lockstep.free.push(slot);
+            events.clear();
         }
     }
 
@@ -1569,7 +1502,7 @@ impl Vault {
     /// Reads 16 bytes from a bank (machine-level remote service).
     pub(crate) fn read_bank16(&self, pg: usize, pe: usize, addr: u32) -> [u8; 16] {
         let mut buf = [0u8; 16];
-        self.mcs[pg].bank(pe).array().read(addr, &mut buf);
+        self.bank_array(pg, pe).read(addr, &mut buf);
         buf
     }
 }

@@ -3,7 +3,7 @@
 //! behaviour (hazard stalls, TSV serialization, PonB slowdown, barriers,
 //! remote requests).
 
-use ipim_arch::{Machine, MachineConfig, Placement};
+use ipim_arch::{Engine, Machine, MachineConfig, Placement};
 use ipim_isa::{
     AddrOperand, AddrReg, ArfOp, ArfSrc, CompMode, CompOp, CrfOp, CrfSrc, CtrlReg, DataReg,
     DataType, Instruction, Program, ProgramBuilder, RemoteTarget, SimbMask, VecMask, ARF_PE_ID,
@@ -513,6 +513,45 @@ fn load_program_resets_register_files() {
     m.load_program_all(&b2.seal().unwrap());
     m.run(100_000).expect("second run");
     assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(0)[6][0]), 3.5);
+}
+
+#[test]
+fn load_after_two_stores_to_one_address_sees_the_newer() {
+    // Both stores are posted writes that drain after the core moves on;
+    // `n` independent instructions slide the load across their drains.
+    // Bank contents change at issue alone, so every PE loads 2.0 for
+    // every `n`.
+    let st = |drf: u8| Instruction::StRf {
+        dram_addr: AddrOperand::Imm(64),
+        drf: DataReg::new(drf),
+        simb_mask: all(),
+    };
+    let mut failures = Vec::new();
+    for engine in [Engine::Legacy, Engine::SkipAhead] {
+        for n in 0..=120 {
+            let mut b = ProgramBuilder::new();
+            b.push(seti_f32(0, 1.0, all()));
+            b.push(st(0));
+            b.push(seti_f32(1, 2.0, all()));
+            b.push(st(1));
+            for _ in 0..n {
+                b.push(seti_f32(3, 3.0, all()));
+            }
+            b.push(Instruction::LdRf {
+                dram_addr: AddrOperand::Imm(64),
+                drf: DataReg::new(2),
+                simb_mask: all(),
+            });
+            let mut m = Machine::new(MachineConfig { engine, ..MachineConfig::vault_slice(1) });
+            run(&mut m, b.seal().unwrap());
+            let two = [2.0f32.to_bits(); 4];
+            let stale = (0..W).filter(|&pe| m.vault(0, 0).data_rf(pe)[2] != two).count();
+            if stale > 0 {
+                failures.push(format!("{engine:?} n={n}: {stale} of {W} PEs"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "stale loads: {failures:?}");
 }
 
 #[test]

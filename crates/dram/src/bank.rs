@@ -1,6 +1,6 @@
 //! Single-bank command-legal timing state machine.
 
-use crate::{AddressMap, BankArray, DramTiming};
+use crate::{AddressMap, DramTiming};
 
 /// Row-buffer state of a bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +29,8 @@ pub enum BankCmd {
     Ref,
 }
 
-/// One DRAM bank: timing constraints plus its data array.
+/// One DRAM bank's row-buffer state, timing constraints and command
+/// counters. It holds no contents: timing never depends on them.
 ///
 /// The bank enforces intra-bank constraints (`tRCD`, `tRP`, `tRAS`, `tCCD`,
 /// `tRTP`, `tWR`, `tRFC`); inter-bank constraints (`tRRD`, `tFAW`) live in
@@ -42,7 +43,6 @@ pub struct Bank {
     next_act: u64,
     next_pre: u64,
     next_col: u64,
-    array: BankArray,
     /// Command counters for the energy model and row-locality statistics.
     pub stats: BankStats,
 }
@@ -87,7 +87,7 @@ impl std::ops::Sub for BankStats {
 }
 
 impl Bank {
-    /// Creates a precharged, empty bank.
+    /// Creates a precharged bank with no command issued.
     pub fn new(timing: DramTiming, map: AddressMap) -> Self {
         Self {
             timing,
@@ -96,7 +96,6 @@ impl Bank {
             next_act: 0,
             next_pre: 0,
             next_col: 0,
-            array: BankArray::new(),
             stats: BankStats::default(),
         }
     }
@@ -109,16 +108,6 @@ impl Bank {
     /// The address map describing this bank's geometry.
     pub fn map(&self) -> &AddressMap {
         &self.map
-    }
-
-    /// Immutable access to the bank's data contents (host readback).
-    pub fn array(&self) -> &BankArray {
-        &self.array
-    }
-
-    /// Mutable access to the bank's data contents (host upload).
-    pub fn array_mut(&mut self) -> &mut BankArray {
-        &mut self.array
     }
 
     /// Earliest cycle at which `cmd` may legally issue, or `None` if the
@@ -210,7 +199,7 @@ impl Bank {
     }
 
     /// Takes over `other`'s row-buffer state and timing constraints,
-    /// keeping its own contents and counters.
+    /// keeping its own counters.
     pub(crate) fn adopt_timing(&mut self, other: &Bank) {
         self.state = other.state;
         self.next_act = other.next_act;

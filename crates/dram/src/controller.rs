@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 use ipim_trace::{CompId, DramCmdKind, TraceEvent, Tracer};
 
-use crate::{Bank, BankCmd, BankState, BankStats, DramTiming, ACCESS_BYTES};
+use crate::{Bank, BankCmd, BankState, BankStats, DramTiming};
 
 /// Identifier the caller uses to match completions to requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -28,7 +28,9 @@ pub enum AccessKind {
     Write,
 }
 
-/// One 16-byte bank access request from a PE.
+/// One 16-byte bank access request from a PE. It carries no bytes: the
+/// controller models when the access happens, and the caller keeps what
+/// the bank holds.
 #[derive(Debug, Clone, Copy)]
 pub struct Request {
     /// Caller-chosen identifier, echoed in the [`Completion`].
@@ -39,8 +41,6 @@ pub struct Request {
     pub addr: u32,
     /// Read or write.
     pub kind: AccessKind,
-    /// Data for writes (ignored for reads).
-    pub data: [u8; crate::ACCESS_BYTES],
 }
 
 /// Completion of a previously enqueued request.
@@ -50,8 +50,6 @@ pub struct Completion {
     pub id: RequestId,
     /// Read or write.
     pub kind: AccessKind,
-    /// Data returned by reads (zeroes for writes).
-    pub data: [u8; crate::ACCESS_BYTES],
     /// Cycle at which the burst finished.
     pub finished_at: u64,
 }
@@ -93,7 +91,6 @@ struct Pending {
 struct InFlight {
     id: RequestId,
     kind: AccessKind,
-    data: [u8; crate::ACCESS_BYTES],
     finish_at: u64,
 }
 
@@ -195,10 +192,9 @@ pub struct MemController {
     quiet_exact: bool,
     /// Row-buffer locality statistics.
     pub locality: RowLocality,
-    // Lockstep leader (see `set_leading`): the posted writes drained and,
-    // with a tracer, the events emitted since the last `take_log`.
+    // Lockstep leader (see `set_leading`): with a tracer, the events
+    // emitted since the last `take_log`.
     leading: bool,
-    drained: Vec<Request>,
     events: Vec<LoggedEvent>,
     // Observability (detached by default; see `attach_trace`).
     tracer: Tracer,
@@ -247,7 +243,6 @@ impl MemController {
             quiet_exact: false,
             locality: RowLocality::default(),
             leading: false,
-            drained: Vec::new(),
             events: Vec::new(),
             tracer: Tracer::default(),
             comp: CompId::default(),
@@ -304,22 +299,18 @@ impl MemController {
     }
 
     /// Makes this controller the leader of controllers that follow it in
-    /// lockstep (`on`), or ends that. A leader logs every posted write it
-    /// drains to a bank and, with a tracer attached, every event it emits,
-    /// for [`take_log`](Self::take_log): a follower receives the same
-    /// requests at the same cycles, so it would drain the same writes (with
-    /// its own bytes) and emit the same events (on its own components).
+    /// lockstep (`on`), or ends that. With a tracer attached, a leader logs
+    /// every event it emits for [`take_log`](Self::take_log): a follower
+    /// receives the same requests at the same cycles, so it would emit the
+    /// same events (on its own components).
     pub fn set_leading(&mut self, on: bool) {
         self.leading = on;
-        self.drained.clear();
         self.events.clear();
     }
 
-    /// Moves what a leader logged since the last call into `drained` (the
-    /// requests of the writes it drained, in drain order) and `events`
-    /// (what it emitted, in order). All of it happened on the last tick.
-    pub fn take_log(&mut self, drained: &mut Vec<Request>, events: &mut Vec<LoggedEvent>) {
-        drained.append(&mut self.drained);
+    /// Moves the events a leader emitted since the last call, in order,
+    /// into `events`. All of them happened on the last tick.
+    pub fn take_log(&mut self, events: &mut Vec<LoggedEvent>) {
         events.append(&mut self.events);
     }
 
@@ -383,19 +374,9 @@ impl MemController {
     /// Takes over `leader`'s scheduling state where this controller
     /// followed it in lockstep: its queued reads, posted writes, in-flight
     /// bursts and acknowledgements, with each request id mapped through
-    /// `id` and each posted write carrying `write_data(leader's id)`; its
-    /// bank states and constraints, drain, refresh and activation state.
-    /// The bank contents stay this controller's own, and each counter grows
-    /// by the leader's growth since `since`. In-flight read bursts keep the
-    /// bytes the leader read, so a follower's read completions carry the
-    /// leader's data.
-    pub fn adopt(
-        &mut self,
-        leader: &Self,
-        since: &Counters,
-        id: impl Fn(RequestId) -> RequestId,
-        mut write_data: impl FnMut(RequestId) -> [u8; ACCESS_BYTES],
-    ) {
+    /// `id`; its bank states and constraints, drain, refresh and activation
+    /// state. Each counter grows by the leader's growth since `since`.
+    pub fn adopt(&mut self, leader: &Self, since: &Counters, id: impl Fn(RequestId) -> RequestId) {
         for ((mine, theirs), base) in self.banks.iter_mut().zip(&leader.banks).zip(&since.banks) {
             mine.adopt_timing(theirs);
             mine.stats += theirs.stats - *base;
@@ -405,11 +386,7 @@ impl MemController {
         self.queue.clear();
         self.queue.extend(leader.queue.iter().map(follow));
         self.write_buffer.clear();
-        for p in &leader.write_buffer {
-            let mut w = follow(p);
-            w.req.data = write_data(p.req.id);
-            self.write_buffer.push_back(w);
-        }
+        self.write_buffer.extend(leader.write_buffer.iter().map(follow));
         self.write_acks.clear();
         self.write_acks.extend(leader.write_acks.iter().map(|a| Completion { id: id(a.id), ..*a }));
         self.in_flight.clear();
@@ -431,7 +408,7 @@ impl MemController {
         self.quiet_until = 0;
     }
 
-    /// Access to a bank (host upload/readback and statistics).
+    /// Access to a bank (row state and statistics).
     ///
     /// # Panics
     ///
@@ -448,17 +425,6 @@ impl MemController {
     pub fn bank_mut(&mut self, bank: usize) -> &mut Bank {
         self.quiet_until = 0;
         &mut self.banks[bank]
-    }
-
-    /// Mutable access to a bank's contents. Unlike
-    /// [`bank_mut`](Self::bank_mut) it keeps the controller's quiet window:
-    /// contents never bear on timing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    pub fn array_mut(&mut self, bank: usize) -> &mut crate::BankArray {
-        self.banks[bank].array_mut()
     }
 
     /// Whether the read request queue is full.
@@ -624,7 +590,7 @@ impl MemController {
                     return false;
                 }
                 // Posted write: the burst is acknowledged next cycle and
-                // the data lands in the bank array when the write drains
+                // takes its bank's column slot when the write drains
                 // (same-address ordering against reads is enforced by
                 // sequence numbers on both sides).
                 let seq = self.next_seq;
@@ -639,7 +605,6 @@ impl MemController {
                 self.write_acks.push(Completion {
                     id: req.id,
                     kind: AccessKind::Write,
-                    data: [0; crate::ACCESS_BYTES],
                     finished_at: now + 1,
                 });
                 self.quiet_until = 0;
@@ -690,12 +655,7 @@ impl MemController {
                     let read = matches!(f.kind, AccessKind::Read);
                     self.emit(now, None, TraceEvent::BurstDone { read });
                 }
-                done.push(Completion {
-                    id: f.id,
-                    kind: f.kind,
-                    data: f.data,
-                    finished_at: f.finish_at,
-                });
+                done.push(Completion { id: f.id, kind: f.kind, finished_at: f.finish_at });
             } else {
                 i += 1;
             }
@@ -857,10 +817,6 @@ impl MemController {
             let p = self.write_buffer[i];
             let col = self.banks[p.req.bank].map().col(p.req.addr);
             self.issue_cmd(p.req.bank, BankCmd::Wr(col), now);
-            self.banks[p.req.bank].array_mut().write(p.req.addr, &p.req.data);
-            if self.leading {
-                self.drained.push(p.req);
-            }
             if p.saw_pre {
                 self.locality.row_conflicts += 1;
             } else if p.saw_act {
@@ -928,8 +884,6 @@ impl MemController {
                 let cmd = BankCmd::Rd(col);
                 if bank.earliest(cmd).is_some_and(|t| t <= now) {
                     let finish = self.issue_cmd(req.bank, cmd, now);
-                    let mut data = [0u8; crate::ACCESS_BYTES];
-                    self.banks[req.bank].array().read(req.addr, &mut data);
                     if pending.saw_pre {
                         self.locality.row_conflicts += 1;
                     } else if pending.saw_act {
@@ -937,12 +891,7 @@ impl MemController {
                     } else {
                         self.locality.row_hits += 1;
                     }
-                    self.in_flight.push(InFlight {
-                        id: req.id,
-                        kind: req.kind,
-                        data,
-                        finish_at: finish,
-                    });
+                    self.in_flight.push(InFlight { id: req.id, kind: req.kind, finish_at: finish });
                     self.queue.remove(idx);
                     // Under close-page policy the row is closed by
                     // maybe_auto_precharge() on a later idle cycle.
@@ -1114,11 +1063,11 @@ mod tests {
     }
 
     fn read(id: u64, bank: usize, addr: u32) -> Request {
-        Request { id: RequestId(id), bank, addr, kind: AccessKind::Read, data: [0; 16] }
+        Request { id: RequestId(id), bank, addr, kind: AccessKind::Read }
     }
 
-    fn write(id: u64, bank: usize, addr: u32, byte: u8) -> Request {
-        Request { id: RequestId(id), bank, addr, kind: AccessKind::Write, data: [byte; 16] }
+    fn write(id: u64, bank: usize, addr: u32) -> Request {
+        Request { id: RequestId(id), bank, addr, kind: AccessKind::Write }
     }
 
     #[test]
@@ -1145,12 +1094,19 @@ mod tests {
 
     #[test]
     fn write_then_read_same_address_returns_data() {
+        // The read's column command waits for the older posted write to
+        // its address: bank 2 has taken the write when its one read issues.
         let mut mc = controller(SchedPolicy::FrFcfs, PagePolicy::Open);
-        assert!(mc.enqueue(write(1, 2, 64, 0xAB), 0));
+        assert!(mc.enqueue(write(1, 2, 64), 0));
         assert!(mc.enqueue(read(2, 2, 64), 0));
-        let (done, _) = run_until_complete(&mut mc, 0, 2);
-        let rd = done.iter().find(|c| c.id == RequestId(2)).unwrap();
-        assert_eq!(rd.data, [0xAB; 16]);
+        let mut now = 0;
+        while mc.bank(2).stats.reads == 0 {
+            mc.tick(now);
+            now += 1;
+            assert!(now < 1_000, "the read never issued");
+        }
+        assert_eq!(mc.bank(2).stats.writes, 1, "the read passed the older write");
+        run_until_complete(&mut mc, now, 1);
     }
 
     #[test]
@@ -1261,15 +1217,16 @@ mod tests {
         let banks = (0..4).map(|_| Bank::new(timing, AddressMap::default())).collect();
         let mut mc = MemController::new(banks, timing, 16, PagePolicy::Open, SchedPolicy::FrFcfs);
         assert!(mc.enqueue(read(1, 0, 64), 99));
-        assert!(mc.enqueue(write(2, 0, 64, 0xCD), 99));
+        assert!(mc.enqueue(write(2, 0, 64), 99));
+        // The write is acknowledged at once, so the read completes last.
         let (done, _) = run_until_complete(&mut mc, 99, 2);
-        let rd = done.iter().find(|c| c.id == RequestId(1)).unwrap();
-        assert_eq!(rd.data, [0; 16], "the read is older than the write");
+        assert_eq!(done[1].id, RequestId(1));
+        assert_eq!(mc.total_bank_stats().writes, 0, "the read is older than the write");
         assert!(mc.total_bank_stats().refs > 0, "the refresh ran");
         while !mc.is_idle() {
             mc.tick(1_000);
         }
-        assert_eq!(mc.bank(0).array().read_u32(64), 0xCDCD_CDCD, "the write drained after");
+        assert_eq!(mc.total_bank_stats().writes, 1, "the write drained after");
     }
 
     #[test]

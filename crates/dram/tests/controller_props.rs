@@ -1,138 +1,135 @@
 //! Property tests for the memory controller: arbitrary request streams
-//! complete, reads observe program-order writes, and both schedulers and
-//! page policies preserve the data semantics.
+//! complete under both schedulers, both page policies and refresh, every
+//! column access is classified once, and each read's column command finds
+//! exactly its older same-address writes drained.
+
+use std::collections::VecDeque;
 
 use ipim_dram::{
-    AccessKind, AddressMap, Bank, Completion, DramTiming, MemController, PagePolicy, Request,
-    RequestId, SchedPolicy,
+    AccessKind, AddressMap, Bank, DramTiming, MemController, PagePolicy, Request, RequestId,
+    SchedPolicy,
 };
 use ipim_simkit::check;
-use ipim_simkit::prop::{bool_any, tuple4, u32_in, u8_any, usize_in, vec_of, Gen};
-use std::collections::HashMap;
+use ipim_simkit::prop::{bool_any, tuple3, u32_in, usize_in, vec_of, Gen};
+
+const BANKS: usize = 4;
 
 fn controller(policy: SchedPolicy, page: PagePolicy) -> MemController {
     let timing = DramTiming::default();
     let map = AddressMap::default();
-    let banks = (0..4).map(|_| Bank::new(timing, map)).collect();
+    let banks = (0..BANKS).map(|_| Bank::new(timing, map)).collect();
     let mut mc = MemController::new(banks, timing, 16, page, policy);
     mc.set_refresh_enabled(false);
     mc
 }
 
-#[derive(Debug, Clone)]
-struct Op {
-    bank: usize,
-    slot: u32, // 16-byte slot within a small region
-    write: bool,
-    value: u8,
+/// Raw op: (bank, 16-byte slot within a small region, write?). Ops are
+/// generated as primitive tuples so the harness can shrink a failing
+/// stream (drop ops, reduce banks/slots) before reporting it.
+type RawOp = (usize, u32, bool);
+
+fn arb_raw_ops() -> Gen<Vec<RawOp>> {
+    vec_of(tuple3(usize_in(0, BANKS), u32_in(0, 32), bool_any()), 1, 60)
 }
 
-/// Ops are generated as primitive tuples so the harness can shrink a
-/// failing stream (drop ops, reduce banks/slots) before reporting it.
-fn arb_raw_ops() -> Gen<Vec<(usize, u32, bool, u8)>> {
-    vec_of(tuple4(usize_in(0, 4), u32_in(0, 32), bool_any(), u8_any()), 1, 60)
+/// The stream's requests in program order, the `i`-th with id `i`, each
+/// at the address `addr(op)`.
+fn requests(raw: &[RawOp], addr: impl Fn(&RawOp) -> u32) -> Vec<Request> {
+    raw.iter()
+        .enumerate()
+        .map(|(i, op)| Request {
+            id: RequestId(i as u64),
+            bank: op.0,
+            addr: addr(op),
+            kind: if op.2 { AccessKind::Write } else { AccessKind::Read },
+        })
+        .collect()
 }
 
-fn ops_from_raw(raw: &[(usize, u32, bool, u8)]) -> Vec<Op> {
-    raw.iter().map(|&(bank, slot, write, value)| Op { bank, slot, write, value }).collect()
-}
-
-fn run_stream(mc: &mut MemController, ops: &[Op]) -> (Vec<Completion>, HashMap<(usize, u32), u8>) {
-    // Shadow model of expected memory contents per (bank, slot).
-    let mut shadow: HashMap<(usize, u32), u8> = HashMap::new();
-    let mut expected_read: HashMap<u64, u8> = HashMap::new();
-    let mut pending: std::collections::VecDeque<Request> = Default::default();
-    for (i, op) in ops.iter().enumerate() {
-        let id = RequestId(i as u64);
-        let addr = op.slot * 16;
-        if op.write {
-            shadow.insert((op.bank, op.slot), op.value);
-            pending.push_back(Request {
-                id,
-                bank: op.bank,
-                addr,
-                kind: AccessKind::Write,
-                data: [op.value; 16],
-            });
-        } else {
-            expected_read.insert(i as u64, *shadow.get(&(op.bank, op.slot)).unwrap_or(&0));
-            pending.push_back(Request {
-                id,
-                bank: op.bank,
-                addr,
-                kind: AccessKind::Read,
-                data: [0; 16],
-            });
-        }
-    }
-    let mut now = 0u64;
+/// Feeds `reqs` to `mc` in order as fast as it takes them, one tick per
+/// cycle, until every request has completed exactly once and the posted
+/// writes have drained; `watch` sees the controller after every tick.
+fn run_stream(mc: &mut MemController, reqs: Vec<Request>, mut watch: impl FnMut(&MemController)) {
+    let total = reqs.len();
+    let mut pending: VecDeque<Request> = reqs.into();
     let mut done = Vec::new();
-    while done.len() < ops.len() {
+    let mut now = 0u64;
+    while done.len() < total || !mc.is_idle() {
         while let Some(&req) = pending.front() {
-            if mc.enqueue(req, now) {
-                pending.pop_front();
-            } else {
+            if !mc.enqueue(req, now) {
                 break;
             }
+            pending.pop_front();
         }
-        done.extend(mc.tick(now));
+        done.extend(mc.tick(now).iter().map(|c| c.id.0));
+        watch(mc);
         now += 1;
-        assert!(now < 2_000_000, "stream did not complete");
+        assert!(now < 2_100_000, "stream did not complete and drain");
     }
-    // Drain trailing posted writes so the final memory state is visible.
-    while !mc.is_idle() {
-        mc.tick(now);
-        now += 1;
-        assert!(now < 2_100_000, "posted writes failed to drain");
-    }
-    // Verify reads against the shadow at issue time.
-    for c in &done {
-        if c.kind == AccessKind::Read {
-            let want = expected_read[&c.id.0];
-            assert_eq!(c.data, [want; 16], "read {:?} returned wrong data", c.id);
-        }
-    }
-    (done, shadow)
+    done.sort_unstable();
+    assert!(done.iter().copied().eq(0..total as u64), "completions {done:?}");
 }
 
-fn check_fr_fcfs_open_page(ops: &[Op]) {
+/// Runs `raw` with every request to a bank sent to that bank's line 0 and
+/// checks the order the controller serves each line in: when a read's
+/// column command issues, its bank has taken exactly the writes that
+/// arrived before the read. The controller issues one command per tick,
+/// so a tick's growth in one bank's `reads` counter is one read's column
+/// command; reads to one line issue in arrival order, so a bank's `k`-th
+/// read command serves its `k`-th read.
+fn check_same_address_order(mut mc: MemController, raw: &[RawOp]) {
+    // Per bank, how many writes arrived before each of its reads.
+    let mut older_writes = vec![Vec::new(); BANKS];
+    let mut writes = [0u64; BANKS];
+    for &(bank, _, write) in raw {
+        if write {
+            writes[bank] += 1;
+        } else {
+            older_writes[bank].push(writes[bank]);
+        }
+    }
+    let mut reads = [0usize; BANKS];
+    run_stream(&mut mc, requests(raw, |_| 0), |mc| {
+        for (b, seen) in reads.iter_mut().enumerate() {
+            let stats = mc.bank(b).stats;
+            if stats.reads as usize > *seen {
+                assert_eq!(stats.reads as usize, *seen + 1, "bank {b}: two reads in one tick");
+                let want = older_writes[b][*seen];
+                assert_eq!(
+                    stats.writes, want,
+                    "bank {b}: read {seen} issued after {} writes, not its {want} older ones",
+                    stats.writes
+                );
+                *seen += 1;
+            }
+        }
+    });
+}
+
+fn check_fr_fcfs_open_page(raw: &[RawOp]) {
     let mut mc = controller(SchedPolicy::FrFcfs, PagePolicy::Open);
-    let (done, shadow) = run_stream(&mut mc, ops);
-    assert_eq!(done.len(), ops.len());
-    // Final memory state matches the shadow model.
-    for ((bank, slot), v) in shadow {
-        let mut buf = [0u8; 16];
-        mc.bank(bank).array().read(slot * 16, &mut buf);
-        assert_eq!(buf, [v; 16]);
-    }
+    run_stream(&mut mc, requests(raw, |op| op.1 * 16), |_| {});
+    check_same_address_order(controller(SchedPolicy::FrFcfs, PagePolicy::Open), raw);
 }
 
-fn check_fcfs_close_page(ops: &[Op]) {
+fn check_fcfs_close_page(raw: &[RawOp]) {
     let mut mc = controller(SchedPolicy::Fcfs, PagePolicy::Close);
-    let (done, _) = run_stream(&mut mc, ops);
-    assert_eq!(done.len(), ops.len());
+    run_stream(&mut mc, requests(raw, |op| op.1 * 16), |_| {});
+    check_same_address_order(controller(SchedPolicy::Fcfs, PagePolicy::Close), raw);
 }
 
-fn check_refresh_completes(ops: &[Op]) {
+fn check_refresh_completes(raw: &[RawOp]) {
     let timing = DramTiming::default();
     let map = AddressMap::default();
-    let banks = (0..4).map(|_| Bank::new(timing, map)).collect();
+    let banks = (0..BANKS).map(|_| Bank::new(timing, map)).collect();
     let mut mc = MemController::new(banks, timing, 16, PagePolicy::Open, SchedPolicy::FrFcfs);
     // refresh enabled
-    let (done, _) = run_stream(&mut mc, ops);
-    assert_eq!(done.len(), ops.len());
+    run_stream(&mut mc, requests(raw, |op| op.1 * 16), |_| {});
 }
 
-fn check_locality_counters(ops: &[Op]) {
+fn check_locality_counters(raw: &[RawOp]) {
     let mut mc = controller(SchedPolicy::FrFcfs, PagePolicy::Open);
-    let (_, _) = run_stream(&mut mc, ops);
-    // Drain trailing posted writes.
-    let mut now = 2_000_000;
-    while !mc.is_idle() {
-        mc.tick(now);
-        now += 1;
-        assert!(now < 2_100_000, "write drain stuck");
-    }
+    run_stream(&mut mc, requests(raw, |op| op.1 * 16), |_| {});
     let l = mc.locality;
     let stats = mc.total_bank_stats();
     assert_eq!(l.row_hits + l.row_misses + l.row_conflicts, stats.reads + stats.writes);
@@ -141,28 +138,28 @@ fn check_locality_counters(ops: &[Op]) {
 #[test]
 fn fr_fcfs_open_page_preserves_data() {
     check("fr_fcfs_open_page_preserves_data", &arb_raw_ops(), |raw| {
-        check_fr_fcfs_open_page(&ops_from_raw(raw));
+        check_fr_fcfs_open_page(raw);
     });
 }
 
 #[test]
 fn fcfs_close_page_preserves_data() {
     check("fcfs_close_page_preserves_data", &arb_raw_ops(), |raw| {
-        check_fcfs_close_page(&ops_from_raw(raw));
+        check_fcfs_close_page(raw);
     });
 }
 
 #[test]
 fn refresh_does_not_lose_requests() {
     check("refresh_does_not_lose_requests", &arb_raw_ops(), |raw| {
-        check_refresh_completes(&ops_from_raw(raw));
+        check_refresh_completes(raw);
     });
 }
 
 #[test]
 fn locality_counters_account_every_column_access() {
     check("locality_counters_account_every_column_access", &arb_raw_ops(), |raw| {
-        check_locality_counters(&ops_from_raw(raw));
+        check_locality_counters(raw);
     });
 }
 
@@ -172,7 +169,7 @@ fn locality_counters_account_every_column_access() {
 #[test]
 fn regression_read_after_write_same_slot() {
     // cc 40d2b2e2…: read of (bank 2, slot 9) before a write to it.
-    let ops = ops_from_raw(&[(2, 9, false, 0), (2, 9, true, 1)]);
+    let ops = [(2, 9, false), (2, 9, true)];
     check_fr_fcfs_open_page(&ops);
     check_fcfs_close_page(&ops);
     check_refresh_completes(&ops);
@@ -182,7 +179,7 @@ fn regression_read_after_write_same_slot() {
 #[test]
 fn regression_single_write() {
     // cc 61183a40…: one posted write must still drain and land.
-    let ops = ops_from_raw(&[(0, 0, true, 1)]);
+    let ops = [(0, 0, true)];
     check_fr_fcfs_open_page(&ops);
     check_fcfs_close_page(&ops);
     check_refresh_completes(&ops);
@@ -193,8 +190,7 @@ fn regression_single_write() {
 fn regression_interleaved_banks_write_read_write() {
     // cc 60d02d34…: write/read on bank 2 interleaved with read/write on
     // bank 1 at a distinct slot.
-    let ops =
-        ops_from_raw(&[(2, 3, true, 0), (2, 3, false, 0), (1, 29, false, 0), (1, 29, true, 29)]);
+    let ops = [(2, 3, true), (2, 3, false), (1, 29, false), (1, 29, true)];
     check_fr_fcfs_open_page(&ops);
     check_fcfs_close_page(&ops);
     check_refresh_completes(&ops);

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use ipim_simkit::check;
-use ipim_simkit::prop::{tuple3, tuple4, u32_in, u8_any, usize_in, vec_of, Gen};
+use ipim_simkit::prop::{bool_any, tuple3, u32_in, usize_in, vec_of, Gen};
 use ipim_trace::{CompId, Record, RingSink, Tracer};
 
 fn controller(policy: SchedPolicy, page: PagePolicy, refresh: bool) -> MemController {
@@ -28,23 +28,24 @@ fn controller(policy: SchedPolicy, page: PagePolicy, refresh: bool) -> MemContro
     mc
 }
 
-/// Raw op: (bank, 16-byte slot, write?, value) — same shape as the
-/// controller data-semantics properties, so failures shrink the same way.
-/// The 32 slots are eight lines in each of four rows, so streams meet row
-/// hits, misses and conflicts as well as same-address reads and writes.
-fn arb_raw_ops() -> Gen<Vec<(usize, u32, bool, u8)>> {
-    vec_of(tuple4(usize_in(0, 4), u32_in(0, 32), ipim_simkit::prop::bool_any(), u8_any()), 1, 60)
+/// Raw op: (bank, 16-byte slot, write?) — same shape as the controller
+/// properties, so failures shrink the same way. The 32 slots are eight
+/// lines in each of four rows, so streams meet row hits, misses and
+/// conflicts as well as same-address reads and writes.
+type RawOp = (usize, u32, bool);
+
+fn arb_raw_ops() -> Gen<Vec<RawOp>> {
+    vec_of(tuple3(usize_in(0, 4), u32_in(0, 32), bool_any()), 1, 60)
 }
 
-fn requests(raw: &[(usize, u32, bool, u8)]) -> Vec<Request> {
+fn requests(raw: &[RawOp]) -> Vec<Request> {
     raw.iter()
         .enumerate()
-        .map(|(i, &(bank, slot, write, value))| Request {
+        .map(|(i, &(bank, slot, write))| Request {
             id: RequestId(i as u64),
             bank,
             addr: slot / 8 * AddressMap::default().row_bytes + slot % 8 * 16,
             kind: if write { AccessKind::Write } else { AccessKind::Read },
-            data: [value; 16],
         })
         .collect()
 }
@@ -57,7 +58,7 @@ fn requests(raw: &[(usize, u32, bool, u8)]) -> Vec<Request> {
 /// `next_event` itself, so a late bound would hide behind its own skip.
 /// `mc` therefore takes every tick in full (`bank_mut` drops the window),
 /// and a twin that keeps its windows must act identically on every cycle.
-fn check_controller_bound(mc: &mut MemController, raw: &[(usize, u32, bool, u8)]) {
+fn check_controller_bound(mc: &mut MemController, raw: &[RawOp]) {
     let mut twin = mc.clone();
     let mut pending: std::collections::VecDeque<Request> = requests(raw).into();
     let total = pending.len();
@@ -109,7 +110,7 @@ fn check_controller_bound(mc: &mut MemController, raw: &[(usize, u32, bool, u8)]
 /// as one that ticks every cycle. A bound that misses a state change
 /// without a command (the drain flag, say) shows up here even where no
 /// command issues inside the jumped window.
-fn check_controller_skips(mc: &MemController, raw: &[(usize, u32, bool, u8)]) {
+fn check_controller_skips(mc: &MemController, raw: &[RawOp]) {
     let run = |skip: bool| {
         let mut mc = mc.clone();
         let sink = Rc::new(RefCell::new(RingSink::new(1 << 16)));
@@ -150,7 +151,7 @@ fn check_controller_skips(mc: &MemController, raw: &[(usize, u32, bool, u8)]) {
     assert_eq!((ticked.2, ticked.3), (skipped.2, skipped.3), "skipping changed the counters");
 }
 
-fn check_controller(mc: MemController, raw: &[(usize, u32, bool, u8)]) {
+fn check_controller(mc: MemController, raw: &[RawOp]) {
     check_controller_skips(&mc, raw);
     check_controller_bound(&mut { mc }, raw);
 }
