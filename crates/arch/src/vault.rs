@@ -10,6 +10,18 @@
 //! program order, while the controllers only time the accesses. This
 //! "execute-at-issue, timing-shadow" split is exact for hazard-free in-order
 //! machines and keeps the simulator fast.
+//!
+//! A broadcast executes the way the control core issues it: once, for every
+//! PE of its SIMB mask. The vault keeps all its PEs' DataRFs and AddrRFs in
+//! two register-major files (register `r` of PE `g` at entry `r * pes + g`),
+//! the vertical layout in which one command touches a register of every
+//! PE. A register-only broadcast (`comp`, `calc_arf`, `mov`, `reset`,
+//! `seti_drf`) runs as one kernel over its mask: the kernel resolves the
+//! opcode, data type, mode and lane mask once, then walks the masked PEs.
+//! The lane semantics are defined once, in `apply_comp` and
+//! [`ArfOp::apply`], and instantiated once per opcode. The SIMD and ALU
+//! busy integrators read the masks of the unit ops in flight: a tick's busy
+//! count is one OR per in-flight op and one popcount per unit.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -19,8 +31,8 @@ use ipim_dram::{
     Request, RequestId, RowLocality, ACCESS_BYTES,
 };
 use ipim_isa::{
-    AddrOperand, ArfSrc, CompMode, CompOp, CrfSrc, DataType, Instruction, Program, RemoteTarget,
-    SimbMask, ARF_CHIP_ID, ARF_PE_ID, ARF_PG_ID, ARF_VAULT_ID,
+    AddrOperand, ArfOp, ArfSrc, CompMode, CompOp, CrfSrc, DataReg, DataType, Instruction, Program,
+    RemoteTarget, SimbMask, VecMask, ARF_CHIP_ID, ARF_PE_ID, ARF_PG_ID, ARF_VAULT_ID,
 };
 use ipim_trace::{CompId, CompRegistry, SpadKind, TraceEvent, Tracer};
 
@@ -136,26 +148,180 @@ struct MemUnit {
     outstanding: usize,
 }
 
-/// One process engine: register files, its VSM port, its memory queue and
-/// the contents of its bank.
-#[derive(Debug, Clone)]
+/// One process engine's own state: its VSM port, its memory queue and the
+/// contents of its bank. Its registers are columns of the vault's
+/// [`RegFiles`].
+#[derive(Debug, Clone, Default)]
 struct Pe {
-    data_rf: Vec<Vector>,
-    addr_rf: Vec<i32>,
     vsm_port: Unit,
     mem: MemUnit,
     bank: BankArray,
 }
 
-impl Pe {
-    fn new(config: &MachineConfig) -> Self {
-        Self {
-            data_rf: vec![[0; 4]; config.data_rf_entries],
-            addr_rf: vec![0; config.addr_rf_entries],
-            vsm_port: Unit::default(),
-            mem: MemUnit::default(),
-            bank: BankArray::new(),
+/// Every PE's DataRF and AddrRF, register-major: register `r` of PE `g` is
+/// entry `r * pes + g`, so each operand of a broadcast is one run of the
+/// vault's PEs. Register-only broadcasts run as one kernel each
+/// ([`execute`](Self::execute)).
+#[derive(Debug, Clone)]
+struct RegFiles {
+    pes: usize,
+    data: Vec<Vector>,
+    addr: Vec<i32>,
+}
+
+impl RegFiles {
+    fn new(pes: usize, data_entries: usize, addr_entries: usize) -> Self {
+        Self { pes, data: vec![[0; 4]; data_entries * pes], addr: vec![0; addr_entries * pes] }
+    }
+
+    fn clear(&mut self) {
+        self.data.fill([0; 4]);
+        self.addr.fill(0);
+    }
+
+    /// The first entry of data register `r`'s column.
+    fn col(&self, r: DataReg) -> usize {
+        r.index() * self.pes
+    }
+
+    /// Resolves an address operand on PE `g`.
+    fn resolve(&self, g: usize, a: AddrOperand) -> u32 {
+        match a {
+            AddrOperand::Imm(v) => v,
+            AddrOperand::Indirect(r) => self.addr[r.index() * self.pes + g] as u32,
         }
+    }
+
+    /// Runs a register-only broadcast (`comp`, `calc_arf`, `mov`, `reset`
+    /// or `seti_drf`) on the PEs of `mask` as one kernel. The opcode, data
+    /// type, mode and lane mask are resolved here, once; each PE reads its
+    /// operands before it writes its destination, which may alias one of
+    /// them. PEs outside `mask`, and lanes outside the lane mask, keep their
+    /// values.
+    fn execute(&mut self, inst: &Instruction, mask: SimbMask) {
+        let pes = self.pes;
+        match *inst {
+            Instruction::Comp { op, dtype, mode, dst, src1, src2, vec_mask, .. } => {
+                let cols = [dst, src1, src2].map(|r| self.col(r));
+                let scalar = mode == CompMode::ScalarVector;
+                let keep = kept_lanes(vec_mask);
+                let data = &mut self.data;
+                // One kernel per opcode and data type, each with its lane
+                // semantics fixed.
+                macro_rules! by_opcode {
+                    ($($op:ident)*) => {
+                        match (op, dtype) {
+                            $(
+                                (CompOp::$op, DataType::F32) => comp_kernel(
+                                    data, mask, cols, scalar, keep,
+                                    |a, b, d| apply_comp(CompOp::$op, DataType::F32, a, b, d),
+                                ),
+                                (CompOp::$op, DataType::I32) => comp_kernel(
+                                    data, mask, cols, scalar, keep,
+                                    |a, b, d| apply_comp(CompOp::$op, DataType::I32, a, b, d),
+                                ),
+                            )*
+                        }
+                    };
+                }
+                by_opcode!(
+                    Add Sub Mul Mac Div Min Max Shl Shr And Or Xor CropLsb CropMsb CmpLt CmpLe CmpEq
+                    CvtI2F CvtF2I
+                );
+            }
+            Instruction::CalcArf { op, dst, src1, src2, .. } => {
+                let cols = [dst, src1].map(|r| r.index() * pes);
+                let addr = &mut self.addr;
+                macro_rules! by_opcode {
+                    ($($op:ident)*) => {
+                        match op {
+                            $(
+                                ArfOp::$op => calc_kernel(
+                                    addr, pes, mask, cols, src2,
+                                    |a, b| ArfOp::$op.apply(a, b),
+                                ),
+                            )*
+                        }
+                    };
+                }
+                by_opcode!(Add Sub Mul Div Rem Shl Shr And Or Min Max);
+            }
+            Instruction::Mov { to_arf, arf, drf, lane, .. } => {
+                let (a, d, l) = (arf.index() * pes, self.col(drf), lane as usize & 3);
+                if to_arf {
+                    for g in mask.iter() {
+                        self.addr[a + g] = self.data[d + g][l] as i32;
+                    }
+                } else {
+                    for g in mask.iter() {
+                        self.data[d + g][l] = self.addr[a + g] as u32;
+                    }
+                }
+            }
+            Instruction::Reset { drf, .. } => self.set_lanes(mask, drf, 0, VecMask::ALL),
+            Instruction::SetiDrf { drf, imm, vec_mask, .. } => {
+                self.set_lanes(mask, drf, imm, vec_mask)
+            }
+            _ => unreachable!("{inst} is not a register-only broadcast"),
+        }
+    }
+
+    /// Sets the lanes of `vec_mask` of register `drf` to `imm` on the PEs
+    /// of `mask` (`seti_drf`; `reset` sets every lane to 0).
+    fn set_lanes(&mut self, mask: SimbMask, drf: DataReg, imm: u32, vec_mask: VecMask) {
+        let (d, keep) = (self.col(drf), kept_lanes(vec_mask));
+        for g in mask.iter() {
+            let old = self.data[d + g];
+            self.data[d + g] = std::array::from_fn(|l| imm & !keep[l] | old[l] & keep[l]);
+        }
+    }
+}
+
+/// All-ones for each lane outside `vec_mask`: the lanes a vector write
+/// keeps.
+fn kept_lanes(vec_mask: VecMask) -> [u32; 4] {
+    std::array::from_fn(|l| if vec_mask.lane(l) { 0 } else { u32::MAX })
+}
+
+/// `comp` on the PEs of `mask`, with `[dst, src1, src2]` given by the first
+/// entries of their columns and `lane` one opcode's lane semantics from
+/// `(src1, src2, dst)`. Every lane is computed and the lanes in `keep`
+/// are restored, so the loop carries no per-lane branch.
+#[inline(always)]
+fn comp_kernel(
+    data: &mut [Vector],
+    mask: SimbMask,
+    [d, a, b]: [usize; 3],
+    scalar: bool,
+    keep: [u32; 4],
+    lane: impl Fn(u32, u32, u32) -> u32,
+) {
+    for g in mask.iter() {
+        let (x, mut y, z) = (data[a + g], data[b + g], data[d + g]);
+        if scalar {
+            y = [y[0]; 4];
+        }
+        data[d + g] = std::array::from_fn(|l| lane(x[l], y[l], z[l]) & !keep[l] | z[l] & keep[l]);
+    }
+}
+
+/// `calc_arf` on the PEs of `mask`, with `[dst, src1]` given by the first
+/// entries of their columns and `op` one opcode's semantics.
+#[inline(always)]
+fn calc_kernel(
+    addr: &mut [i32],
+    pes: usize,
+    mask: SimbMask,
+    [d, a]: [usize; 2],
+    src2: ArfSrc,
+    op: impl Fn(i32, i32) -> i32,
+) {
+    for g in mask.iter() {
+        let b = match src2 {
+            ArfSrc::Imm(v) => v,
+            ArfSrc::Reg(r) => addr[r.index() * pes + g],
+        };
+        addr[d + g] = op(addr[a + g], b);
     }
 }
 
@@ -165,13 +331,16 @@ impl Pe {
 /// so a PE's unit queue never holds more than the op issued on the
 /// previous tick: the op starts at `issue + 1` on every masked PE at once
 /// and completes there at `done`, where all `n` completions retire
-/// together.
+/// together. Until then it keeps the SIMD unit or ALU of each PE of `mask`
+/// busy (a PGSM port's busy time is not integrated).
 #[derive(Debug, Clone, Copy)]
 struct UnitOp {
     start: u64,
     done: u64,
     inst_id: u64,
     n: u32,
+    unit: ExecUnit,
+    mask: u64,
 }
 
 /// An entry of the Issued-Inst-Queue.
@@ -184,58 +353,6 @@ struct InFlightInst {
     pc: Option<usize>,
     /// Post-DRAM latency (PE bus, PGSM) of each memory completion.
     mem_extra: u64,
-}
-
-/// Per-PE busy stamps of one fixed-latency unit (SIMD or integer ALU): a
-/// PE's unit is busy at tick `c` exactly when `c < until[pe]`. The mask of
-/// busy PEs is kept alongside and recounted only once the earliest stamp
-/// in it may have expired, so the per-tick busy count is one popcount.
-#[derive(Debug, Clone)]
-struct BusyStamps {
-    until: Vec<u64>,
-    // PEs busy at the last recount, plus those stamped since.
-    busy: u64,
-    // Lower bound on the earliest stamp in `busy` (`u64::MAX` when empty).
-    expires: u64,
-}
-
-impl BusyStamps {
-    fn new(pes: usize) -> Self {
-        Self { until: vec![0; pes], busy: 0, expires: u64::MAX }
-    }
-
-    fn clear(&mut self) {
-        self.until.iter_mut().for_each(|t| *t = 0);
-        self.busy = 0;
-        self.expires = u64::MAX;
-    }
-
-    /// Keeps every PE of `mask` busy until at least `done`.
-    fn stamp(&mut self, mask: SimbMask, done: u64) {
-        for g in mask.iter() {
-            self.until[g] = self.until[g].max(done);
-        }
-        self.busy |= mask.bits();
-        self.expires = self.expires.min(done);
-    }
-
-    /// PEs busy at `now`; `now` never decreases between calls.
-    fn count(&mut self, now: u64) -> u64 {
-        if now >= self.expires {
-            let (mut busy, mut expires) = (0, u64::MAX);
-            let mut pes = self.busy;
-            while pes != 0 {
-                let g = pes.trailing_zeros() as usize;
-                pes &= pes - 1;
-                if now < self.until[g] {
-                    busy |= 1 << g;
-                    expires = expires.min(self.until[g]);
-                }
-            }
-            (self.busy, self.expires) = (busy, expires);
-        }
-        u64::from(self.busy.count_ones())
-    }
 }
 
 /// Control-core + barrier state.
@@ -302,11 +419,9 @@ pub struct Vault {
     readers: Vec<u32>,
     writers: Vec<u32>,
     next_inst_id: u64,
+    // Fixed-latency ops in flight; their masks are the PEs whose SIMD unit
+    // or ALU is busy.
     unit_ops: Vec<UnitOp>,
-    // Per PE: when its SIMD unit and its integer ALU stop being busy; see
-    // `UnitOp`.
-    simd_busy: BusyStamps,
-    alu_busy: BusyStamps,
     // Bit `pe` set: the PE's memory queue holds requests / the PE has
     // requests outstanding at its MC / its VSM port holds an op.
     mem_queued: u64,
@@ -316,6 +431,8 @@ pub struct Vault {
     finished: Vec<(u64, u32)>,
     // Memory-controller completions of one tick, buffer reused.
     mc_done: Vec<Completion>,
+    // Every PE's registers, register-major (see `RegFiles`).
+    regs: RegFiles,
     pes: Vec<Pe>,
     mcs: Vec<MemController>,
     // While attached, `mcs[0]` leads and the other controllers are frozen:
@@ -356,7 +473,9 @@ pub struct Vault {
 impl Vault {
     /// Creates an idle vault with an empty program.
     pub fn new(id: VaultId, config: &MachineConfig) -> Self {
-        let pes: Vec<Pe> = (0..config.pes_per_vault()).map(|_| Pe::new(config)).collect();
+        let n = config.pes_per_vault();
+        let regs = RegFiles::new(n, config.data_rf_entries, config.addr_rf_entries);
+        let pes = vec![Pe::default(); n];
         let mcs = (0..config.pgs_per_vault)
             .map(|_| {
                 let banks =
@@ -392,13 +511,12 @@ impl Vault {
             writers: vec![0; CostTable::space(config)],
             next_inst_id: 0,
             unit_ops: Vec::new(),
-            simd_busy: BusyStamps::new(config.pes_per_vault()),
-            alu_busy: BusyStamps::new(config.pes_per_vault()),
             mem_queued: 0,
             mem_outstanding: 0,
             vsm_active: 0,
             finished: Vec::new(),
             mc_done: Vec::new(),
+            regs,
             pes,
             mcs,
             attached: false,
@@ -449,13 +567,13 @@ impl Vault {
     }
 
     fn reset_identity_registers(&mut self) {
-        for pg in 0..self.config.pgs_per_vault {
-            for pe in 0..self.config.pes_per_pg {
-                let g = pg * self.config.pes_per_pg + pe;
-                self.pes[g].addr_rf[ARF_PE_ID.index()] = pe as i32;
-                self.pes[g].addr_rf[ARF_PG_ID.index()] = pg as i32;
-                self.pes[g].addr_rf[ARF_VAULT_ID.index()] = self.id.vault as i32;
-                self.pes[g].addr_rf[ARF_CHIP_ID.index()] = self.id.cube as i32;
+        let ppg = self.config.pes_per_pg;
+        let ids = [ARF_PE_ID, ARF_PG_ID, ARF_VAULT_ID, ARF_CHIP_ID];
+        let (vault, cube) = (self.id.vault as i32, self.id.cube as i32);
+        for g in 0..self.pes.len() {
+            let values = [(g % ppg) as i32, (g / ppg) as i32, vault, cube];
+            for (r, v) in ids.iter().zip(values) {
+                self.regs.addr[r.index() * self.regs.pes + g] = v;
             }
         }
     }
@@ -480,8 +598,6 @@ impl Vault {
         self.readers.iter_mut().for_each(|c| *c = 0);
         self.writers.iter_mut().for_each(|c| *c = 0);
         self.unit_ops.clear();
-        self.simd_busy.clear();
-        self.alu_busy.clear();
         self.mem_queued = 0;
         self.mem_outstanding = 0;
         self.vsm_active = 0;
@@ -492,9 +608,8 @@ impl Vault {
         self.outbox.clear();
         self.pending_serves.clear();
         self.pending_req_fills.clear();
+        self.regs.clear();
         for pe in &mut self.pes {
-            pe.data_rf.iter_mut().for_each(|v| *v = [0; 4]);
-            pe.addr_rf.iter_mut().for_each(|v| *v = 0);
             pe.vsm_port = Unit::default();
             pe.mem = MemUnit::default();
         }
@@ -558,14 +673,24 @@ impl Vault {
         pg * self.config.pes_per_pg + pe
     }
 
-    /// Host access: a PE's DataRF (tests and debugging).
-    pub fn data_rf(&self, pe: usize) -> &[Vector] {
-        &self.pes[pe].data_rf
+    /// Host access: DataRF register `reg` of PE `pe` (tests and debugging).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    pub fn data_rf(&self, pe: usize, reg: usize) -> Vector {
+        assert!(pe < self.pes.len(), "PE {pe} out of range");
+        self.regs.data[reg * self.regs.pes + pe]
     }
 
-    /// Host access: a PE's AddrRF (tests and debugging).
-    pub fn addr_rf(&self, pe: usize) -> &[i32] {
-        &self.pes[pe].addr_rf
+    /// Host access: AddrRF register `reg` of PE `pe` (tests and debugging).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    pub fn addr_rf(&self, pe: usize, reg: usize) -> i32 {
+        assert!(pe < self.pes.len(), "PE {pe} out of range");
+        self.regs.addr[reg * self.regs.pes + pe]
     }
 
     /// Host access: the vault scratchpad.
@@ -917,11 +1042,21 @@ impl Vault {
     }
 
     /// Adds `cycles` cycles of the busy state at `now` to the per-PE busy
-    /// integrators: a PE's SIMD unit or ALU is busy before its stamp, and
-    /// its memory path while requests are queued or outstanding.
+    /// integrators: a PE's SIMD unit or ALU is busy while a unit op that
+    /// masks it is in flight (every op still listed completes after `now`),
+    /// and its memory path while requests are queued or outstanding.
     fn account_busy(&mut self, now: u64, cycles: u64) {
-        self.stats.simd_busy += self.simd_busy.count(now) * cycles;
-        self.stats.int_alu_busy += self.alu_busy.count(now) * cycles;
+        let (mut simd, mut alu) = (0u64, 0u64);
+        for op in &self.unit_ops {
+            debug_assert!(op.done > now, "unit op done at {} still in flight at {now}", op.done);
+            match op.unit {
+                ExecUnit::Simd => simd |= op.mask,
+                ExecUnit::Alu => alu |= op.mask,
+                _ => {}
+            }
+        }
+        self.stats.simd_busy += u64::from(simd.count_ones()) * cycles;
+        self.stats.int_alu_busy += u64::from(alu.count_ones()) * cycles;
         self.stats.mem_busy +=
             u64::from((self.mem_queued | self.mem_outstanding).count_ones()) * cycles;
     }
@@ -1159,77 +1294,32 @@ impl Vault {
         }
     }
 
-    /// Resolves an address operand on a specific PE.
-    fn resolve(&self, pe: usize, a: AddrOperand) -> u32 {
-        match a {
-            AddrOperand::Imm(v) => v,
-            AddrOperand::Indirect(r) => self.pes[pe].addr_rf[r.index()] as u32,
-        }
-    }
-
     /// Applies the functional semantics of a broadcast instruction: one
-    /// decode, then the masked PEs in ascending order.
+    /// decode, then the masked PEs in ascending order. Register-only
+    /// instructions run as one kernel over the mask (`RegFiles::execute`).
     fn execute_functional(&mut self, inst: &Instruction, mask: SimbMask) {
         let pes_per_pg = self.config.pes_per_pg;
+        let regs = &mut self.regs;
         match *inst {
-            Instruction::Comp { op, dtype, mode, dst, src1, src2, vec_mask, .. } => {
-                for g in mask.iter() {
-                    let rf = &mut self.pes[g].data_rf;
-                    let (a, b, d0) = (rf[src1.index()], rf[src2.index()], rf[dst.index()]);
-                    let mut d = d0;
-                    for l in 0..4 {
-                        if !vec_mask.lane(l) {
-                            continue;
-                        }
-                        let rhs = match mode {
-                            CompMode::VectorVector => b[l],
-                            CompMode::ScalarVector => b[0],
-                        };
-                        d[l] = apply_comp(op, dtype, a[l], rhs, d0[l]);
-                    }
-                    rf[dst.index()] = d;
-                }
-            }
-            Instruction::CalcArf { op, dst, src1, src2, .. } => {
-                for g in mask.iter() {
-                    let rf = &mut self.pes[g].addr_rf;
-                    let b = match src2 {
-                        ArfSrc::Imm(v) => v,
-                        ArfSrc::Reg(r) => rf[r.index()],
-                    };
-                    rf[dst.index()] = op.apply(rf[src1.index()], b);
-                }
-            }
-            Instruction::Mov { to_arf, arf, drf, lane, .. } => {
-                for g in mask.iter() {
-                    let pe = &mut self.pes[g];
-                    if to_arf {
-                        pe.addr_rf[arf.index()] = pe.data_rf[drf.index()][lane as usize & 3] as i32;
-                    } else {
-                        pe.data_rf[drf.index()][lane as usize & 3] = pe.addr_rf[arf.index()] as u32;
-                    }
-                }
-            }
             Instruction::LdRf { dram_addr, drf, .. } => {
+                let d = regs.col(drf);
                 for g in mask.iter() {
-                    let addr = self.resolve(g, dram_addr);
-                    let pe = &mut self.pes[g];
                     let mut buf = [0u8; 16];
-                    pe.bank.read(addr, &mut buf);
-                    pe.data_rf[drf.index()] = bytes_to_vector(&buf);
+                    self.pes[g].bank.read(regs.resolve(g, dram_addr), &mut buf);
+                    regs.data[d + g] = bytes_to_vector(&buf);
                 }
             }
             Instruction::StRf { dram_addr, drf, .. } => {
+                let d = regs.col(drf);
                 for g in mask.iter() {
-                    let addr = self.resolve(g, dram_addr);
-                    let pe = &mut self.pes[g];
-                    pe.bank.write(addr, &vector_to_bytes(&pe.data_rf[drf.index()]));
+                    let addr = regs.resolve(g, dram_addr);
+                    self.pes[g].bank.write(addr, &vector_to_bytes(&regs.data[d + g]));
                 }
             }
             Instruction::LdPgsm { dram_addr, pgsm_addr, .. } => {
                 for g in mask.iter() {
-                    let da = self.resolve(g, dram_addr);
-                    let pa = self.resolve(g, pgsm_addr);
+                    let da = regs.resolve(g, dram_addr);
+                    let pa = regs.resolve(g, pgsm_addr);
                     let mut buf = [0u8; 16];
                     self.pes[g].bank.read(da, &mut buf);
                     self.pgsms[g / pes_per_pg].write(pa, &buf);
@@ -1237,59 +1327,44 @@ impl Vault {
             }
             Instruction::StPgsm { dram_addr, pgsm_addr, .. } => {
                 for g in mask.iter() {
-                    let da = self.resolve(g, dram_addr);
-                    let pa = self.resolve(g, pgsm_addr);
+                    let da = regs.resolve(g, dram_addr);
+                    let pa = regs.resolve(g, pgsm_addr);
                     let mut buf = [0u8; 16];
                     self.pgsms[g / pes_per_pg].read(pa, &mut buf);
                     self.pes[g].bank.write(da, &buf);
                 }
             }
             Instruction::RdPgsm { pgsm_addr, drf, .. } => {
+                let d = regs.col(drf);
                 for g in mask.iter() {
-                    let pa = self.resolve(g, pgsm_addr);
                     let mut buf = [0u8; 16];
-                    self.pgsms[g / pes_per_pg].read(pa, &mut buf);
-                    self.pes[g].data_rf[drf.index()] = bytes_to_vector(&buf);
+                    self.pgsms[g / pes_per_pg].read(regs.resolve(g, pgsm_addr), &mut buf);
+                    regs.data[d + g] = bytes_to_vector(&buf);
                 }
             }
             Instruction::WrPgsm { pgsm_addr, drf, .. } => {
+                let d = regs.col(drf);
                 for g in mask.iter() {
-                    let pa = self.resolve(g, pgsm_addr);
-                    let buf = vector_to_bytes(&self.pes[g].data_rf[drf.index()]);
-                    self.pgsms[g / pes_per_pg].write(pa, &buf);
+                    let pa = regs.resolve(g, pgsm_addr);
+                    self.pgsms[g / pes_per_pg].write(pa, &vector_to_bytes(&regs.data[d + g]));
                 }
             }
             Instruction::RdVsm { vsm_addr, drf, .. } => {
+                let d = regs.col(drf);
                 for g in mask.iter() {
-                    let va = self.resolve(g, vsm_addr);
                     let mut buf = [0u8; 16];
-                    self.vsm.read(va, &mut buf);
-                    self.pes[g].data_rf[drf.index()] = bytes_to_vector(&buf);
+                    self.vsm.read(regs.resolve(g, vsm_addr), &mut buf);
+                    regs.data[d + g] = bytes_to_vector(&buf);
                 }
             }
             Instruction::WrVsm { vsm_addr, drf, .. } => {
+                let d = regs.col(drf);
                 for g in mask.iter() {
-                    let va = self.resolve(g, vsm_addr);
-                    let buf = vector_to_bytes(&self.pes[g].data_rf[drf.index()]);
-                    self.vsm.write(va, &buf);
+                    let va = regs.resolve(g, vsm_addr);
+                    self.vsm.write(va, &vector_to_bytes(&regs.data[d + g]));
                 }
             }
-            Instruction::Reset { drf, .. } => {
-                for g in mask.iter() {
-                    self.pes[g].data_rf[drf.index()] = [0; 4];
-                }
-            }
-            Instruction::SetiDrf { drf, imm, vec_mask, .. } => {
-                for g in mask.iter() {
-                    let d = &mut self.pes[g].data_rf[drf.index()];
-                    for (l, lane) in d.iter_mut().enumerate() {
-                        if vec_mask.lane(l) {
-                            *lane = imm;
-                        }
-                    }
-                }
-            }
-            _ => unreachable!("non-broadcast instruction in execute_functional"),
+            _ => regs.execute(inst, mask),
         }
     }
 
@@ -1310,13 +1385,8 @@ impl Vault {
                 // so an op completes no earlier than the tick after its start.
                 let start = now + 1;
                 let done = start + latency.max(1);
-                // The PGSM port's busy time is not integrated.
-                match unit {
-                    ExecUnit::Simd => self.simd_busy.stamp(mask, done),
-                    ExecUnit::Alu => self.alu_busy.stamp(mask, done),
-                    _ => {}
-                }
-                self.unit_ops.push(UnitOp { start, done, inst_id, n });
+                let mask = mask.bits();
+                self.unit_ops.push(UnitOp { start, done, inst_id, n, unit, mask });
             }
             ExecUnit::VsmPort => {
                 for g in mask.iter() {
@@ -1348,7 +1418,7 @@ impl Vault {
                     let req = Request {
                         id: RequestId(((g as u64) << 40) | inst_id),
                         bank: g % self.config.pes_per_pg,
-                        addr: self.resolve(g, dram_addr) & !(ACCESS_BYTES as u32 - 1),
+                        addr: self.regs.resolve(g, dram_addr) & !(ACCESS_BYTES as u32 - 1),
                         kind,
                     };
                     self.mem_queued |= self.twins(g);
@@ -1404,7 +1474,9 @@ impl Vault {
         }
         let AddrOperand::Indirect(r) = dram_addr else { return true };
         let ppg = self.config.pes_per_pg;
-        let line = |g: usize| self.pes[g].addr_rf[r.index()] as u32 & !(ACCESS_BYTES as u32 - 1);
+        // PG 0's column of the register, then every other PG's.
+        let column = &self.regs.addr[r.index() * self.regs.pes..][..self.regs.pes];
+        let line = |g: usize| column[g] as u32 & !(ACCESS_BYTES as u32 - 1);
         (ppg..self.pes.len())
             .filter(|g| lead >> (g % ppg) & 1 == 1)
             .all(|g| line(g) == line(g % ppg))
@@ -1528,7 +1600,9 @@ fn vector_to_bytes(v: &Vector) -> [u8; 16] {
     b
 }
 
-/// Lane semantics of the SIMD `comp` operations.
+/// Lane semantics of the SIMD `comp` operations. Always inlined: each
+/// `comp` kernel instantiates it for one constant opcode and data type.
+#[inline(always)]
 fn apply_comp(op: CompOp, dtype: DataType, a: u32, b: u32, d: u32) -> u32 {
     use CompOp::*;
     match dtype {
@@ -1601,10 +1675,10 @@ mod tests {
     fn identity_registers_initialized() {
         let v = vault();
         // PE 13 = PG 3, PE-in-PG 1.
-        assert_eq!(v.addr_rf(13)[ARF_PE_ID.index()], 1);
-        assert_eq!(v.addr_rf(13)[ARF_PG_ID.index()], 3);
-        assert_eq!(v.addr_rf(13)[ARF_VAULT_ID.index()], 0);
-        assert_eq!(v.addr_rf(13)[ARF_CHIP_ID.index()], 0);
+        assert_eq!(v.addr_rf(13, ARF_PE_ID.index()), 1);
+        assert_eq!(v.addr_rf(13, ARF_PG_ID.index()), 3);
+        assert_eq!(v.addr_rf(13, ARF_VAULT_ID.index()), 0);
+        assert_eq!(v.addr_rf(13, ARF_CHIP_ID.index()), 0);
     }
 
     #[test]
@@ -1638,23 +1712,312 @@ mod tests {
         assert_eq!(apply_comp(CompOp::CropMsb, DataType::I32, 0xABCD_1234, 0, 0), 0xABCD);
     }
 
+    /// One PE's registers laid out as a per-PE register file: the state the
+    /// kernel property checks the register-major kernels against.
+    #[derive(Debug, Clone, Copy)]
+    struct PeRegs {
+        data: [Vector; 4],
+        addr: [i32; 4],
+    }
+
+    /// A register-only broadcast applied the per-PE, per-lane way: each PE
+    /// of `mask` in turn, each lane through `apply_comp` or `ArfOp::apply`.
+    fn per_pe_reference(pes: &mut [PeRegs], inst: &Instruction, mask: SimbMask) {
+        for (g, rf) in pes.iter_mut().enumerate().filter(|&(g, _)| mask.contains(g)) {
+            match *inst {
+                Instruction::Comp { op, dtype, mode, dst, src1, src2, vec_mask, .. } => {
+                    let (a, b, d0) =
+                        (rf.data[src1.index()], rf.data[src2.index()], rf.data[dst.index()]);
+                    let mut d = d0;
+                    for l in (0..4).filter(|&l| vec_mask.lane(l)) {
+                        let rhs = match mode {
+                            CompMode::VectorVector => b[l],
+                            CompMode::ScalarVector => b[0],
+                        };
+                        d[l] = apply_comp(op, dtype, a[l], rhs, d0[l]);
+                    }
+                    rf.data[dst.index()] = d;
+                }
+                Instruction::CalcArf { op, dst, src1, src2, .. } => {
+                    let b = match src2 {
+                        ArfSrc::Imm(v) => v,
+                        ArfSrc::Reg(r) => rf.addr[r.index()],
+                    };
+                    rf.addr[dst.index()] = op.apply(rf.addr[src1.index()], b);
+                }
+                Instruction::Mov { to_arf: true, arf, drf, lane, .. } => {
+                    rf.addr[arf.index()] = rf.data[drf.index()][lane as usize & 3] as i32;
+                }
+                Instruction::Mov { to_arf: false, arf, drf, lane, .. } => {
+                    rf.data[drf.index()][lane as usize & 3] = rf.addr[arf.index()] as u32;
+                }
+                Instruction::Reset { drf, .. } => rf.data[drf.index()] = [0; 4],
+                Instruction::SetiDrf { drf, imm, vec_mask, .. } => {
+                    for l in (0..4).filter(|&l| vec_mask.lane(l)) {
+                        rf.data[drf.index()][l] = imm;
+                    }
+                }
+                _ => unreachable!("{g}: not a register-only broadcast"),
+            }
+        }
+    }
+
+    /// Every register-only broadcast a case runs: each `comp` opcode × data
+    /// type × mode × lane mask, each `calc_arf` opcode with an immediate and
+    /// a register operand, `mov` both ways, `seti_drf` under every lane mask
+    /// and `reset`. `r` picks registers among four, so the destination often
+    /// aliases a source.
+    fn register_broadcasts(
+        simb: SimbMask,
+        r: [u8; 3],
+        imm: i32,
+        bits: u32,
+        lane: u8,
+    ) -> Vec<Instruction> {
+        use ipim_isa::AddrReg;
+        use CompOp::*;
+        let [dst, src1, src2] = r;
+        let ops = [
+            Add, Sub, Mul, Mac, Div, Min, Max, Shl, Shr, And, Or, Xor, CropLsb, CropMsb, CmpLt,
+            CmpLe, CmpEq, CvtI2F, CvtF2I,
+        ];
+        let mut all = Vec::new();
+        for op in ops {
+            for dtype in [DataType::F32, DataType::I32] {
+                for mode in [CompMode::VectorVector, CompMode::ScalarVector] {
+                    for lanes in 0..16 {
+                        all.push(Instruction::Comp {
+                            op,
+                            dtype,
+                            mode,
+                            dst: DataReg::new(dst),
+                            src1: DataReg::new(src1),
+                            src2: DataReg::new(src2),
+                            vec_mask: VecMask::from_bits(lanes),
+                            simb_mask: simb,
+                        });
+                    }
+                }
+            }
+        }
+        use ArfOp as A;
+        for op in
+            [A::Add, A::Sub, A::Mul, A::Div, A::Rem, A::Shl, A::Shr, A::And, A::Or, A::Min, A::Max]
+        {
+            for src2 in [ArfSrc::Imm(imm), ArfSrc::Reg(AddrReg::new(src2))] {
+                let (dst, src1) = (AddrReg::new(dst), AddrReg::new(src1));
+                all.push(Instruction::CalcArf { op, dst, src1, src2, simb_mask: simb });
+            }
+        }
+        for to_arf in [true, false] {
+            let (arf, drf) = (AddrReg::new(dst), DataReg::new(src1));
+            all.push(Instruction::Mov { to_arf, arf, drf, lane, simb_mask: simb });
+        }
+        for lanes in 0..16 {
+            let vec_mask = VecMask::from_bits(lanes);
+            all.push(Instruction::SetiDrf {
+                drf: DataReg::new(dst),
+                imm: bits,
+                vec_mask,
+                simb_mask: simb,
+            });
+        }
+        all.push(Instruction::Reset { drf: DataReg::new(dst), simb_mask: simb });
+        all
+    }
+
+    /// Whether a `calc_arf` division or remainder meets `i32::MIN / -1` on a
+    /// PE of `mask`: `ArfOp::apply` panics there, in the kernel and in the
+    /// per-PE loop alike, so the property leaves such a case out.
+    fn division_overflows(pes: &[PeRegs], inst: &Instruction, mask: SimbMask) -> bool {
+        let Instruction::CalcArf { op: ArfOp::Div | ArfOp::Rem, src1, src2, .. } = *inst else {
+            return false;
+        };
+        pes.iter().enumerate().any(|(g, rf)| {
+            let b = match src2 {
+                ArfSrc::Imm(v) => v,
+                ArfSrc::Reg(r) => rf.addr[r.index()],
+            };
+            mask.contains(g) && rf.addr[src1.index()] == i32::MIN && b == -1
+        })
+    }
+
     #[test]
-    fn busy_stamps_count_matches_a_scan_of_every_stamp() {
+    fn simb_kernels_match_the_per_pe_lane_semantics() {
         use ipim_simkit::{check, Gen};
-        // Per step: cycles to advance, then a mask and latency to stamp.
+        const PES: usize = 32;
+        // Lane values that exercise the edges of every opcode: NaNs (quiet,
+        // negative, signalling), infinities, signed zeros, a denormal, the
+        // i32 extremes, zero divisors and shift counts past 31.
+        const EDGES: [u32; 16] = [
+            0x7FC0_0000,
+            0xFFC0_0001,
+            0x7F80_0001,
+            0x7F80_0000,
+            0xFF80_0000,
+            0,
+            0x8000_0000,
+            1,
+            0x3F80_0000,
+            0xBFC0_0000,
+            0x8000_0000 - 1,
+            0xFFFF_FFFF,
+            0x8000_0001,
+            31,
+            32,
+            0x4B00_0001,
+        ];
         let gen = Gen::from_fn(|rng| {
-            (0..64)
-                .map(|_| (rng.next_u64() % 4, rng.next_u64() as u32, 1 + rng.next_u64() % 12))
+            let value = |rng: &mut ipim_simkit::Rng| {
+                if rng.next_bool() {
+                    *rng.choose(&EDGES)
+                } else {
+                    rng.next_u32()
+                }
+            };
+            let data: Vec<[u32; 4]> =
+                (0..4 * PES).map(|_| std::array::from_fn(|_| value(rng))).collect();
+            let addr: Vec<i32> = (0..4 * PES).map(|_| value(rng) as i32).collect();
+            // Full, one process group, sparse, or empty.
+            let mask = match rng.range_u64(4) {
+                0 => (1u64 << PES) - 1,
+                1 => 0xF << (4 * rng.range_u64(8)),
+                2 => rng.next_u64() & rng.next_u64() & ((1 << PES) - 1),
+                _ => 0,
+            };
+            let r: [u8; 3] = std::array::from_fn(|_| rng.range_u32(0, 4) as u8);
+            (data, addr, mask, r, value(rng), rng.range_u32(0, 8) as u8)
+        });
+        check("simb_kernels_match_per_pe_lanes", &gen, |(data, addr, mask, r, imm, lane)| {
+            let mut start = RegFiles::new(PES, 4, 4);
+            start.data.copy_from_slice(data);
+            start.addr.copy_from_slice(addr);
+            // The same state, one register file per PE.
+            let per_pe: Vec<PeRegs> = (0..PES)
+                .map(|g| PeRegs {
+                    data: std::array::from_fn(|i| start.data[i * PES + g]),
+                    addr: std::array::from_fn(|i| start.addr[i * PES + g]),
+                })
+                .collect();
+            let simb = SimbMask::from_bits(PES, *mask);
+            for inst in register_broadcasts(simb, *r, *imm as i32, *imm, *lane) {
+                if division_overflows(&per_pe, &inst, simb) {
+                    continue;
+                }
+                let mut regs = start.clone();
+                regs.execute(&inst, simb);
+                let mut want = per_pe.clone();
+                per_pe_reference(&mut want, &inst, simb);
+                for (g, pe) in want.iter().enumerate() {
+                    for i in 0..4 {
+                        let (got, exp) = (regs.data[i * PES + g], pe.data[i]);
+                        assert_eq!(got, exp, "{inst}: DataRF {i} of PE {g}");
+                        let (got, exp) = (regs.addr[i * PES + g], pe.addr[i]);
+                        assert_eq!(got, exp, "{inst}: AddrRF {i} of PE {g}");
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn busy_integrators_match_per_pe_stamps() {
+        use ipim_isa::{AddrReg, ProgramBuilder};
+        use ipim_simkit::{check, Gen};
+        // Per op: the opcode (SIMD add, mul, mac, div, logic or seti; ALU
+        // calc_arf or mov, each with its own latency), a PE mask, and a
+        // register among four, so ops overlap and some wait on hazards.
+        let gen = Gen::from_fn(|rng| {
+            (0..rng.range_usize(1, 24))
+                .map(|_| {
+                    (rng.range_u32(0, 8), rng.next_u32() & rng.next_u32(), rng.range_u32(0, 4))
+                })
                 .collect::<Vec<_>>()
         });
-        check("busy_count_equals_stamp_scan", &gen, |steps| {
-            let mut stamps = BusyStamps::new(32);
-            let mut now = 0;
-            for &(advance, bits, latency) in steps {
-                now += advance;
-                let scan = stamps.until.iter().filter(|&&t| now < t).count() as u64;
-                assert_eq!(stamps.count(now), scan, "busy PEs at cycle {now}");
-                stamps.stamp(SimbMask::from_bits(32, u64::from(bits)), now + latency);
+        check("busy_integrators_equal_per_pe_stamps", &gen, |ops| {
+            let config = MachineConfig::vault_slice(1);
+            let mut b = ProgramBuilder::new();
+            for &(kind, bits, r) in ops {
+                let simb_mask = SimbMask::from_bits(32, u64::from(bits));
+                let (drf, arf) = (DataReg::new(r as u8), AddrReg::new(4 + r as u8));
+                let comp = |op| Instruction::Comp {
+                    op,
+                    dtype: DataType::F32,
+                    mode: CompMode::VectorVector,
+                    dst: drf,
+                    src1: DataReg::new(4),
+                    src2: DataReg::new(5),
+                    vec_mask: VecMask::ALL,
+                    simb_mask,
+                };
+                b.push(match kind {
+                    0 => comp(CompOp::Add),
+                    1 => comp(CompOp::Mul),
+                    2 => comp(CompOp::Mac),
+                    3 => comp(CompOp::Div),
+                    4 => comp(CompOp::And),
+                    5 => Instruction::SetiDrf { drf, imm: 1, vec_mask: VecMask::ALL, simb_mask },
+                    6 => Instruction::CalcArf {
+                        op: ArfOp::Add,
+                        dst: arf,
+                        src1: AddrReg::new(9),
+                        src2: ArfSrc::Imm(3),
+                        simb_mask,
+                    },
+                    _ => Instruction::Mov {
+                        to_arf: false,
+                        arf: AddrReg::new(9),
+                        drf,
+                        lane: 1,
+                        simb_mask,
+                    },
+                });
+            }
+            let program = Arc::new(b.seal().expect("straight-line program"));
+            let costs = Arc::new(CostTable::decode(program.instructions(), &config));
+            // Ticked every cycle (legacy) and jumping `next_event` windows
+            // (skip-ahead).
+            for skipping in [false, true] {
+                let mut v = Vault::new(VaultId { cube: 0, vault: 0 }, &config);
+                v.load_program(Arc::clone(&program), Arc::clone(&costs));
+                // Per PE: the cycle its SIMD unit / ALU stops being busy.
+                let (mut simd, mut alu) = ([0u64; 32], [0u64; 32]);
+                let (mut want_simd, mut want_alu) = (0u64, 0u64);
+                let busy =
+                    |until: &[u64; 32], c: u64| until.iter().filter(|&&t| c < t).count() as u64;
+                let mut now = 0;
+                while !v.is_halted() {
+                    let next = if skipping { v.next_event(now).unwrap_or(now) } else { now };
+                    if next > now {
+                        v.skip(now, next - now);
+                        for c in now..next {
+                            want_simd += busy(&simd, c);
+                            want_alu += busy(&alu, c);
+                        }
+                        now = next;
+                    } else {
+                        let (pc, issued) = (v.pc, v.stats.issued);
+                        want_simd += busy(&simd, now);
+                        want_alu += busy(&alu, now);
+                        v.tick(now);
+                        if v.stats.issued > issued {
+                            let cost = costs.cost(pc);
+                            let until = match cost.unit {
+                                ExecUnit::Simd => &mut simd,
+                                ExecUnit::Alu => &mut alu,
+                                unit => unreachable!("{unit:?}"),
+                            };
+                            let mask = program.instructions()[pc].simb_mask().expect("broadcast");
+                            for g in mask.iter() {
+                                until[g] = until[g].max(now + 1 + cost.latency.max(1));
+                            }
+                        }
+                        now += 1;
+                    }
+                    assert_eq!(v.stats.simd_busy, want_simd, "SIMD busy PE-cycles by cycle {now}");
+                    assert_eq!(v.stats.int_alu_busy, want_alu, "ALU busy PE-cycles by cycle {now}");
+                    assert!(now < 100_000, "the program never drained");
+                }
             }
         });
     }

@@ -55,7 +55,7 @@ fn seti_and_add_produce_expected_lanes() {
     b.push(comp(CompOp::Add, 2, 0, 1, all()));
     let report = run(&mut m, b.seal().unwrap());
     for pe in 0..W {
-        let v = m.vault(0, 0).data_rf(pe)[2];
+        let v = m.vault(0, 0).data_rf(pe, 2);
         for lane in v {
             assert_eq!(f32::from_bits(lane), 3.75);
         }
@@ -156,7 +156,7 @@ fn control_flow_loop_accumulates() {
     b.push_cjump_to(CtrlReg::new(0), top);
     let report = run(&mut m, b.seal().unwrap());
     for pe in 0..W {
-        assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(pe)[0][0]), 5.0);
+        assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(pe, 0)[0]), 5.0);
     }
     // 5 iterations × 3 instructions + 3 prologue.
     assert_eq!(report.stats.issued, 18);
@@ -181,9 +181,9 @@ fn pgsm_shares_data_between_pes_of_a_pg() {
         simb_mask: pe1,
     });
     run(&mut m, b.seal().unwrap());
-    assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(1)[3][0]), 42.0);
+    assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(1, 3)[0]), 42.0);
     // PE 4 is in a different PG: its PGSM was untouched.
-    assert_eq!(m.vault(0, 0).data_rf(4)[3][0], 0);
+    assert_eq!(m.vault(0, 0).data_rf(4, 3)[0], 0);
 }
 
 #[test]
@@ -204,7 +204,7 @@ fn vsm_shares_data_across_pgs() {
         simb_mask: pe7,
     });
     run(&mut m, b.seal().unwrap());
-    assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(28)[5][0]), -3.5);
+    assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(28, 5)[0]), -3.5);
 }
 
 #[test]
@@ -303,7 +303,7 @@ fn remote_req_fetches_across_vaults() {
     // from itself-as-remote too) and exercises concurrent serving.
     m.load_program_all(&b.seal().unwrap());
     let report = m.run(1_000_000).expect("quiesce");
-    assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(0)[9][0]), 99.5);
+    assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(0, 9)[0]), 99.5);
     assert_eq!(report.stats.remote_reqs, 2);
     assert!(report.stats.stalls.vsm_interlock > 0, "rd_vsm must wait for req");
 }
@@ -324,7 +324,7 @@ fn sync_barrier_aligns_vaults() {
     let report = run(&mut m, b.seal().unwrap());
     assert_eq!(report.stats.by_category.synchronization, 4);
     for v in 0..4 {
-        assert_eq!(f32::from_bits(m.vault(0, v).data_rf(0)[1][0]), 2.0);
+        assert_eq!(f32::from_bits(m.vault(0, v).data_rf(0, 1)[0]), 2.0);
     }
 }
 
@@ -375,7 +375,7 @@ fn gather_via_mov_data_dependent_address() {
     });
     run(&mut m, b.seal().unwrap());
     for pe in 0..W {
-        assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(pe)[2][0]), 103.0);
+        assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(pe, 2)[0]), 103.0);
     }
 }
 
@@ -447,7 +447,7 @@ fn int32_lane_arithmetic() {
         simb_mask: all(),
     });
     run(&mut m, b.seal().unwrap());
-    assert_eq!(m.vault(0, 0).data_rf(0)[2][0] as i32, -21);
+    assert_eq!(m.vault(0, 0).data_rf(0, 2)[0] as i32, -21);
 }
 
 #[test]
@@ -462,7 +462,7 @@ fn partial_vec_mask_preserves_inactive_lanes() {
         simb_mask: all(),
     });
     run(&mut m, b.seal().unwrap());
-    let v = m.vault(0, 0).data_rf(0)[0];
+    let v = m.vault(0, 0).data_rf(0, 0);
     assert_eq!(f32::from_bits(v[0]), 9.0);
     assert_eq!(f32::from_bits(v[1]), 9.0);
     assert_eq!(f32::from_bits(v[2]), 5.0);
@@ -489,7 +489,7 @@ fn cross_cube_req_traverses_serdes() {
     });
     m.load_program_all(&b.seal().unwrap());
     let report = m.run(1_000_000).expect("quiesce");
-    assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(0)[7][0]), 77.25);
+    assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(0, 7)[0]), 77.25);
     assert!(report.energy.serdes_pj > 0.0, "SERDES energy must be charged");
 }
 
@@ -500,7 +500,7 @@ fn load_program_resets_register_files() {
     b1.push(seti_f32(5, 9.0, all()));
     m.load_program_all(&b1.seal().unwrap());
     m.run(100_000).expect("first run");
-    assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(0)[5][0]), 9.0);
+    assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(0, 5)[0]), 9.0);
 
     // A second program sees cleared registers but preserved banks.
     m.vault_mut(0, 0).bank_array_mut(0, 0).write_f32(0, 3.5);
@@ -512,7 +512,7 @@ fn load_program_resets_register_files() {
     });
     m.load_program_all(&b2.seal().unwrap());
     m.run(100_000).expect("second run");
-    assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(0)[6][0]), 3.5);
+    assert_eq!(f32::from_bits(m.vault(0, 0).data_rf(0, 6)[0]), 3.5);
 }
 
 #[test]
@@ -545,7 +545,7 @@ fn load_after_two_stores_to_one_address_sees_the_newer() {
             let mut m = Machine::new(MachineConfig { engine, ..MachineConfig::vault_slice(1) });
             run(&mut m, b.seal().unwrap());
             let two = [2.0f32.to_bits(); 4];
-            let stale = (0..W).filter(|&pe| m.vault(0, 0).data_rf(pe)[2] != two).count();
+            let stale = (0..W).filter(|&pe| m.vault(0, 0).data_rf(pe, 2) != two).count();
             if stale > 0 {
                 failures.push(format!("{engine:?} n={n}: {stale} of {W} PEs"));
             }

@@ -74,13 +74,25 @@ pub enum SchedPolicy {
     FrFcfs,
 }
 
+/// A queued read or a posted write.
+///
+/// Same-address reads and writes stay in arrival order through `older`:
+/// the number of older requests to the same bank address, of the other
+/// kind, still waiting (posted writes not yet drained, for a read; reads
+/// whose column command has not issued, for a write). It is counted once
+/// at enqueue, when every waiting request of the other kind is older, and
+/// decremented on each same-address request of the other kind as a write
+/// drains or a read issues. A request may take its column slot only at
+/// zero, so ordering costs one comparison instead of a queue scan.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     req: Request,
     /// The request's row in its bank, decoded once at enqueue.
     row: u32,
-    /// Arrival order, used to keep same-address reads and writes ordered.
+    /// Arrival order.
     seq: u64,
+    /// Older same-address requests of the other kind still waiting.
+    older: u32,
     /// Whether servicing this request required an ACT (row was closed).
     saw_act: bool,
     /// Whether servicing this request required a PRE (row conflict).
@@ -180,10 +192,6 @@ pub struct MemController {
     // Inter-bank activation constraints.
     last_act: Option<u64>,
     act_window: VecDeque<u64>,
-    // Reused candidate buffers of `candidate_order` (ready row hits, then
-    // the oldest row-steering request per bank).
-    order: Vec<usize>,
-    order_rest: Vec<usize>,
     // Ticks before this cycle only move the read-idle counter: the
     // `next_event` bound taken after a quiet tick, dropped (0) whenever
     // state changes from outside `tick`. `quiet_exact`: the bound kept the
@@ -237,8 +245,6 @@ impl MemController {
             refreshing: false,
             last_act: None,
             act_window: VecDeque::with_capacity(4),
-            order: Vec::with_capacity(queue_capacity),
-            order_rest: Vec::with_capacity(queue_capacity),
             quiet_until: 0,
             quiet_exact: false,
             locality: RowLocality::default(),
@@ -590,15 +596,16 @@ impl MemController {
                     return false;
                 }
                 // Posted write: the burst is acknowledged next cycle and
-                // takes its bank's column slot when the write drains
-                // (same-address ordering against reads is enforced by
-                // sequence numbers on both sides).
+                // takes its bank's column slot when the write drains, after
+                // every older same-address read (all queued reads are older).
                 let seq = self.next_seq;
                 self.next_seq += 1;
+                let older = self.queue.iter().filter(|r| same_line(&r.req, &req)).count() as u32;
                 self.write_buffer.push_back(Pending {
                     req,
                     row,
                     seq,
+                    older,
                     saw_act: false,
                     saw_pre: false,
                 });
@@ -616,7 +623,17 @@ impl MemController {
                 }
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                self.queue.push_back(Pending { req, row, seq, saw_act: false, saw_pre: false });
+                // Every posted write is older than this read.
+                let older =
+                    self.write_buffer.iter().filter(|w| same_line(&w.req, &req)).count() as u32;
+                self.queue.push_back(Pending {
+                    req,
+                    row,
+                    seq,
+                    older,
+                    saw_act: false,
+                    saw_pre: false,
+                });
                 self.quiet_until = 0;
                 true
             }
@@ -638,6 +655,22 @@ impl MemController {
             self.count_read_idle();
             return;
         }
+        self.live_tick(now, done);
+        debug_assert!(self.ordering_counts_hold(), "an ordering count is off at cycle {now}");
+    }
+
+    /// Whether each queued read's and posted write's `older` count equals a
+    /// recount by scan (checked after every live tick in debug builds).
+    fn ordering_counts_hold(&self) -> bool {
+        let recount = |p: &Pending, others: &VecDeque<Pending>| {
+            others.iter().filter(|o| same_line(&o.req, &p.req) && o.seq < p.seq).count() as u32
+        };
+        self.queue.iter().all(|r| r.older == recount(r, &self.write_buffer))
+            && self.write_buffer.iter().all(|w| w.older == recount(w, &self.queue))
+    }
+
+    /// A tick that is not inside a quiet window.
+    fn live_tick(&mut self, now: u64, done: &mut Vec<Completion>) {
         let start = done.len();
         let mut i = 0;
         while i < self.write_acks.len() {
@@ -766,11 +799,7 @@ impl MemController {
         // `issue_write` would do nothing.
         let mut writes_tried = false;
         if !self.queue.is_empty() || !self.write_buffer.is_empty() {
-            self.candidate_order(now);
-            let order = std::mem::take(&mut self.order);
-            let issued = order.iter().any(|&idx| self.try_progress(idx, now));
-            self.order = order;
-            if issued {
+            if self.try_reads(now) {
                 return Slot::Issued;
             }
             if self.draining_writes {
@@ -787,11 +816,26 @@ impl MemController {
         }
     }
 
-    /// Whether `w` must wait for an *older* queued same-address read.
+    /// Whether `w` must wait for an *older* queued same-address read: its
+    /// `older` count, kept at enqueue and as reads issue (see [`Pending`]).
     fn write_order_blocked(&self, w: &Pending) -> bool {
-        self.queue
-            .iter()
-            .any(|r| r.req.bank == w.req.bank && r.req.addr == w.req.addr && r.seq < w.seq)
+        w.older > 0
+    }
+
+    /// A posted write drained: the same-address reads still queued, all
+    /// younger (the write waited for every older one), stop waiting for it.
+    fn write_drained(&mut self, write: &Request) {
+        for r in self.queue.iter_mut().filter(|r| same_line(&r.req, write)) {
+            r.older -= 1;
+        }
+    }
+
+    /// A read's column command issued: the same-address posted writes, all
+    /// younger (the read waited for every older one), stop waiting for it.
+    fn read_issued(&mut self, read: &Request) {
+        for w in self.write_buffer.iter_mut().filter(|w| same_line(&w.req, read)) {
+            w.older -= 1;
+        }
     }
 
     /// Issues one command on behalf of the write buffer (hits first, then
@@ -825,6 +869,7 @@ impl MemController {
                 self.locality.row_hits += 1;
             }
             self.write_buffer.remove(i);
+            self.write_drained(&p.req);
             return true;
         }
         // Steer the row buffer for the oldest drainable write.
@@ -868,11 +913,7 @@ impl MemController {
         // A read must wait for *older* same-address posted writes to drain
         // (a real controller would forward from the buffer; waiting is the
         // conservative model).
-        if self
-            .write_buffer
-            .iter()
-            .any(|w| w.req.bank == req.bank && w.req.addr == req.addr && w.seq < pending.seq)
-        {
+        if pending.older > 0 {
             self.draining_writes = true;
             return false;
         }
@@ -893,6 +934,7 @@ impl MemController {
                     }
                     self.in_flight.push(InFlight { id: req.id, kind: req.kind, finish_at: finish });
                     self.queue.remove(idx);
+                    self.read_issued(&req);
                     // Under close-page policy the row is closed by
                     // maybe_auto_precharge() on a later idle cycle.
                     return true;
@@ -977,51 +1019,66 @@ impl MemController {
         }
     }
 
-    /// Orders queue indices by scheduling-policy priority into
-    /// `self.order`, reusing its allocation.
-    fn candidate_order(&mut self, now: u64) {
-        let (order, rest) = (&mut self.order, &mut self.order_rest);
-        order.clear();
-        rest.clear();
-        // Banks that already have a row-steering candidate (bit = bank).
+    /// Offers the cycle's command slot to the queued reads in
+    /// scheduling-policy priority order, oldest first within each class;
+    /// returns whether one of them issued a command. A read that cannot
+    /// issue changes no bank state, so every class is decided on the state
+    /// the tick started with.
+    fn try_reads(&mut self, now: u64) -> bool {
+        // Banks that already had a row-steering candidate (bit = bank).
         let mut seen_banks = 0u64;
-        for (i, p) in self.queue.iter().enumerate() {
-            let bit = 1u64 << p.req.bank;
-            match self.sched_policy {
-                // Strict arrival order: the oldest request for each bank may
-                // progress; younger requests to the *same* bank must wait so
-                // per-bank order (and per-address order) is preserved.
-                SchedPolicy::Fcfs => {
+        match self.sched_policy {
+            // Strict arrival order: the oldest request for each bank may
+            // progress; younger requests to the *same* bank must wait so
+            // per-bank order (and per-address order) is preserved.
+            SchedPolicy::Fcfs => {
+                for i in 0..self.queue.len() {
+                    let bit = 1u64 << self.queue[i].req.bank;
                     if seen_banks & bit == 0 {
                         seen_banks |= bit;
-                        order.push(i);
+                        if self.try_progress(i, now) {
+                            return true;
+                        }
                     }
                 }
-                // First-ready: row hits that can issue now, oldest first;
-                // then the rest, oldest first — also oldest-per-bank so
-                // same-address ordering is preserved. Bursts pipeline: a
-                // bank with outstanding bursts still accepts new column
-                // commands once its `tCCD` window reopens.
-                SchedPolicy::FrFcfs => {
-                    let bank = &self.banks[p.req.bank];
-                    let is_hit = match bank.state() {
-                        BankState::Active { row } if row == p.row => {
-                            bank.earliest(BankCmd::Rd(0)).is_some_and(|t| t <= now)
-                        }
-                        _ => false,
-                    };
-                    if is_hit {
-                        order.push(i);
-                    } else if seen_banks & bit == 0 {
-                        // Only the oldest non-hit request per bank may steer
-                        // the row buffer (PRE/ACT); younger ones wait.
+            }
+            // First-ready: row hits that can issue now; then the oldest
+            // non-hit request per bank, so same-address ordering is
+            // preserved. Bursts pipeline: a bank with outstanding bursts
+            // still accepts new column commands once its `tCCD` window
+            // reopens.
+            SchedPolicy::FrFcfs => {
+                for i in 0..self.queue.len() {
+                    if self.ready_hit(&self.queue[i], now) && self.try_progress(i, now) {
+                        return true;
+                    }
+                }
+                for i in 0..self.queue.len() {
+                    let p = &self.queue[i];
+                    let bit = 1u64 << p.req.bank;
+                    // Only the oldest non-hit request per bank may steer
+                    // the row buffer (PRE/ACT); younger ones wait.
+                    if seen_banks & bit == 0 && !self.ready_hit(p, now) {
                         seen_banks |= bit;
-                        rest.push(i);
+                        if self.try_progress(i, now) {
+                            return true;
+                        }
                     }
                 }
             }
         }
-        order.extend_from_slice(rest);
+        false
+    }
+
+    /// Whether `p`'s row is open and its bank takes a column command now.
+    fn ready_hit(&self, p: &Pending, now: u64) -> bool {
+        let bank = &self.banks[p.req.bank];
+        match bank.state() {
+            BankState::Active { row } if row == p.row => {
+                bank.earliest(BankCmd::Rd(0)).is_some_and(|t| t <= now)
+            }
+            _ => false,
+        }
     }
 
     /// Snapshot of per-bank statistics summed over all banks.
@@ -1032,6 +1089,11 @@ impl MemController {
         }
         s
     }
+}
+
+/// Whether two requests access the same address of the same bank.
+fn same_line(a: &Request, b: &Request) -> bool {
+    a.bank == b.bank && a.addr == b.addr
 }
 
 #[cfg(test)]

@@ -181,6 +181,9 @@ impl ArfOp {
 
     /// Applies the operation to two scalar values (the architectural
     /// semantics used by both the simulator and compiler constant folding).
+    /// Inlinable across crates, so a caller that fixes the opcode gets that
+    /// operation alone.
+    #[inline]
     pub fn apply(self, a: i32, b: i32) -> i32 {
         match self {
             ArfOp::Add => a.wrapping_add(b),

@@ -136,7 +136,8 @@ fn deadline_expired_in_a_backend_queue_is_shed_at_the_link() {
     // With a window of 1 the slow job holds the connection's only slot
     // and the link thread holds the second job; the third waits in the
     // backend queue past its deadline, so the link sheds it when it pops.
-    let slow = SimRequest::named("Gemm", 32, 32);
+    // The slow job must outlast that deadline by a margin on a fast host.
+    let slow = SimRequest::named("Gemm", 64, 64);
     let queued = SimRequest { deadline_ms: Some(5), ..SimRequest::named("Brighten", 64, 32) };
     let tickets = [router.submit(slow.clone()), router.submit(slow), router.submit(queued)];
     let lines: Vec<String> = tickets.into_iter().map(|t| t.wait()).collect();
